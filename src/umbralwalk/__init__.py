@@ -73,6 +73,7 @@ from .identities import (
     expected_verified_cases,
     known_discrepancy_cases,
     rhs_term,
+    rhs_terms,
     stated_audit_cases,
     verify,
     verify_all_payload,

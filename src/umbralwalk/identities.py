@@ -31,17 +31,19 @@ attempted; `verify` enforces this.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from typing import Callable, Iterator
 
 from .loopcalc import LevelSystem, Walk, decomposition_residual
 from .polynomials import (
     ExactScalar,
     bernoulli_number,
-    chebyshev_recip_weights,
+    chebyshev_recip_weight_stream,
     eval_poly,
     hop_bernoulli,
     hop_euler,
@@ -363,25 +365,14 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 
 
 # -- right-hand side terms -------------------------------------------------
-
-_CHEB_WEIGHTS: dict[int, list[Fraction]] = {}
-_CHEB_LOCK = threading.Lock()
-
-
-def _cheb_weight(N: int, l: int) -> Fraction:
-    with _CHEB_LOCK:
-        cached = _CHEB_WEIGHTS.get(N)
-        if cached is None or len(cached) <= l:
-            count = max(2 * N, 64)
-            while count <= l:
-                count *= 2
-            cached = chebyshev_recip_weights(N, count)
-            _CHEB_WEIGHTS[N] = cached
-        return cached[l]
-
-
-def _three_sites_prefactor(n: int, a1: Fraction, a2: Fraction) -> Fraction:
-    return (n + 1) * (1 - 2 * a1 / a2) * (2 * a1 / a2) ** n
+#
+# Term k of every right side is weight(k) * value(k), where value(k) is a
+# polynomial of degree <= d in k. E_n^(p)(y) and B_n^(p)(y) have total
+# degree n in (p, y) (Norlund), and the identities take p and y affine in
+# k; a block moment is n! [w^n] of an exponential whose exponent is linear
+# in the block orders and the constant, which are affine in the loop
+# counts. `rhs_terms` therefore computes value(0..d) and continues them
+# by finite differences.
 
 
 def four_general_term_blocks(
@@ -416,6 +407,30 @@ def four_general_term_blocks(
         constant=const,
     )
     return q, expr
+
+
+def _four_general_weight(params: IdentityParams, k: int) -> Fraction:
+    """c0 (alpha + beta)^k, where q_{k,l} = c0 C(k,l) alpha^l beta^(k-l)."""
+    a1, a2, a3 = params.levels
+    alpha = (a2 - a1) / a2
+    beta = a1 * (a3 - a2) / (a2 * (a3 - a1))
+    c0 = a1 * (a2 - a1) / (a2 * (a3 - a1))
+    return c0 * (alpha + beta) ** k
+
+
+def _four_general_value(params: IdentityParams, k: int) -> Fraction:
+    """The block sum over l of term k, divided by `_four_general_weight`.
+
+    That quotient is the mean of the moment, a polynomial of total degree
+    <= n in (l, k-l), over l ~ Binomial(k, alpha/(alpha+beta)); the mean
+    of l^(a) (k-l)^(b) is a multiple of k^(a+b), so the quotient is a
+    polynomial of degree <= n in k.
+    """
+    total = _ZERO
+    for l in range(k + 1):
+        q, expr = four_general_term_blocks(k, l, params.levels)
+        total += q * eval_poly(umbral_moment(expr, params.n), params.x)
+    return total / _four_general_weight(params, k)
 
 
 def n3_general_term_blocks(
@@ -464,75 +479,156 @@ def three_sites_block_term(
     return p_k * eval_poly(umbral_moment(expr, n), x)
 
 
+@dataclass(frozen=True)
+class _TermPlan:
+    """How one identity's right side is summed.
+
+    Term k is weights(params)[k] * value(params, k), and value is a
+    polynomial of degree <= degree(params) in k.
+    """
+
+    degree: Callable[[IdentityParams], int]
+    weights: Callable[[IdentityParams], Iterator[Fraction]]
+    value: Callable[[IdentityParams, int], Fraction]
+
+
+def _each(
+    weight: Callable[[IdentityParams, int], Fraction]
+) -> Callable[[IdentityParams], Iterator[Fraction]]:
+    """The weight stream of a closed-form weight(params, k)."""
+    return lambda params: (weight(params, k) for k in itertools.count())
+
+
+def _degree_n(params: IdentityParams) -> int:
+    return params.n
+
+
+def _euler_cheb_value(params: IdentityParams, k: int) -> Fraction:
+    N = params.cheb_index
+    arg = Fraction(k - N, 2) + N * params.x
+    return eval_poly(hop_euler(params.n, k), arg) / Fraction(N) ** params.n
+
+
+def _three_sites_weight(params: IdentityParams, k: int) -> Fraction:
+    a1, a2 = params.levels
+    n = params.n
+    prefactor = (n + 1) * (1 - 2 * a1 / a2) * (2 * a1 / a2) ** n
+    return prefactor * (a1 / a2) * (1 - a1 / a2) ** k
+
+
+def _three_sites_value(params: IdentityParams, k: int) -> Fraction:
+    a1, a2 = params.levels
+    arg = params.x / (4 * a1) + a2 / (4 * a1) + Fraction(k, 2)
+    return eval_poly(hop_bernoulli(params.n, k + 1), arg)
+
+
+def _even_bernoulli_weight(params: IdentityParams, k: int) -> Fraction:
+    m = params.m
+    pref = Fraction(m) / ((1 - Fraction(2) ** (1 - 2 * m)) * (3 ** (2 * m) - 1))
+    return pref * Fraction(1, 4) ** k
+
+
+_THREE_SITES_PLAN = _TermPlan(
+    _degree_n, _each(_three_sites_weight), _three_sites_value
+)
+
+_PLANS: dict[IdentityId, _TermPlan] = {
+    IdentityId.EULER_CHEB: _TermPlan(
+        _degree_n,
+        lambda p: chebyshev_recip_weight_stream(p.cheb_index),
+        _euler_cheb_value,
+    ),
+    IdentityId.THREE_SITES_1D_STATED: _THREE_SITES_PLAN,
+    IdentityId.THREE_SITES_1D_CORRECTED: _THREE_SITES_PLAN,
+    IdentityId.FOUR_UNIFORM_1D: _TermPlan(
+        _degree_n,
+        _each(lambda p, k: Fraction(3) ** (k - p.n) / Fraction(4) ** (k + 1)),
+        lambda p, k: eval_poly(hop_euler(p.n, 2 * k + 3), 3 * p.x + k),
+    ),
+    IdentityId.FOUR_GENERAL_1D: _TermPlan(
+        _degree_n, _each(_four_general_weight), _four_general_value
+    ),
+    IdentityId.N3_GENERAL: _TermPlan(
+        _degree_n,
+        _each(lambda p, k: n3_general_term_blocks(k, p.levels)[0]),
+        lambda p, k: eval_poly(
+            umbral_moment(n3_general_term_blocks(k, p.levels)[1], p.n), p.x
+        ),
+    ),
+    IdentityId.N3_UNIFORM: _TermPlan(
+        _degree_n,
+        _each(lambda p, k: Fraction(3, 4) * Fraction(1, 4) ** k),
+        lambda p, k: eval_poly(
+            hop_euler(p.n, 2 * k + 2), Fraction(p.x + 3 + 2 * k, 2)
+        ),
+    ),
+    IdentityId.EVEN_BERNOULLI: _TermPlan(
+        lambda p: 2 * p.m - 1,
+        _each(_even_bernoulli_weight),
+        lambda p, k: eval_poly(
+            hop_euler(2 * p.m - 1, 2 * k + 2), k + Fraction(3, 2)
+        ),
+    ),
+    IdentityId.N4_UNIFORM_STATED: _TermPlan(
+        _degree_n,
+        _each(lambda p, k: Fraction(1, 3) ** p.n * Fraction(1, 2) ** k),
+        lambda p, k: eval_poly(
+            hop_euler(p.n, 2 * k + 2), Fraction(p.x + 2 * k + 3, 2)
+        ),
+    ),
+    IdentityId.N4_UNIFORM_CORRECTED: _TermPlan(
+        _degree_n,
+        _each(lambda p, k: Fraction(2) ** p.n * Fraction(1, 2) ** (k + 1)),
+        lambda p, k: eval_poly(
+            hop_euler(p.n, 2 * k + 3), Fraction(p.x + 2 * k + 4, 2)
+        ),
+    ),
+}
+
+
 def rhs_term(
     identity: IdentityId, params: IdentityParams, k: int
 ) -> ExactScalar:
-    """Exact k-th addend of the identity's right-hand side."""
+    """Exact k-th addend of the right-hand side, computed directly."""
     params = normalize_params(identity, params)
-    n, x = params.n, params.x
-    if identity is IdentityId.EULER_CHEB:
-        N = params.cheb_index
-        w = _cheb_weight(N, k)
-        if w == 0:
-            return _ZERO
-        arg = Fraction(k - N, 2) + N * x
-        return w * eval_poly(hop_euler(n, k), arg) / Fraction(N) ** n
-    if identity in (
-        IdentityId.THREE_SITES_1D_STATED,
-        IdentityId.THREE_SITES_1D_CORRECTED,
-    ):
-        a1, a2 = params.levels
-        p_k = (a1 / a2) * (1 - a1 / a2) ** k
-        arg = x / (4 * a1) + a2 / (4 * a1) + Fraction(k, 2)
-        return (
-            _three_sites_prefactor(n, a1, a2)
-            * p_k
-            * eval_poly(hop_bernoulli(n, k + 1), arg)
-        )
-    if identity is IdentityId.FOUR_UNIFORM_1D:
-        return (
-            Fraction(3) ** (k - n)
-            / Fraction(4) ** (k + 1)
-            * eval_poly(hop_euler(n, 2 * k + 3), 3 * x + k)
-        )
-    if identity is IdentityId.FOUR_GENERAL_1D:
-        total = _ZERO
-        for l in range(k + 1):
-            q, expr = four_general_term_blocks(k, l, params.levels)
-            total += q * eval_poly(umbral_moment(expr, n), x)
-        return total
-    if identity is IdentityId.N3_GENERAL:
-        r_k, expr = n3_general_term_blocks(k, params.levels)
-        return r_k * eval_poly(umbral_moment(expr, n), x)
-    if identity is IdentityId.N3_UNIFORM:
-        return (
-            Fraction(3, 4)
-            * Fraction(1, 4) ** k
-            * eval_poly(hop_euler(n, 2 * k + 2), Fraction(x + 3 + 2 * k, 2))
-        )
-    if identity is IdentityId.EVEN_BERNOULLI:
-        m = params.m
-        pref = Fraction(m) / (
-            (1 - Fraction(2) ** (1 - 2 * m)) * (3 ** (2 * m) - 1)
-        )
-        return (
-            pref
-            * Fraction(1, 4) ** k
-            * eval_poly(hop_euler(2 * m - 1, 2 * k + 2), k + Fraction(3, 2))
-        )
-    if identity is IdentityId.N4_UNIFORM_STATED:
-        return (
-            Fraction(1, 3) ** n
-            * Fraction(1, 2) ** k
-            * eval_poly(hop_euler(n, 2 * k + 2), Fraction(x + 2 * k + 3, 2))
-        )
-    if identity is IdentityId.N4_UNIFORM_CORRECTED:
-        return (
-            Fraction(2) ** n
-            * Fraction(1, 2) ** (k + 1)
-            * eval_poly(hop_euler(n, 2 * k + 3), Fraction(x + 2 * k + 4, 2))
-        )
-    raise InvalidParamsError(f"unknown identity {identity!r}")
+    plan = _PLANS[IdentityId(identity)]
+    w = next(itertools.islice(plan.weights(params), k, None))
+    return _ZERO if w == 0 else w * plan.value(params, k)
+
+
+def rhs_terms(
+    identity: IdentityId, params: IdentityParams
+) -> Iterator[ExactScalar]:
+    """The exact addends k = 0, 1, 2, ... of the right-hand side, unending.
+
+    Terms 0..d are computed directly, each only when it is reached, and
+    a zero weight puts off its value. Later values continue the degree-d
+    polynomial through a backward-difference table of integer numerators
+    over the common denominator of value(0..d): d integer additions and
+    one weight product per term, and the same `Fraction` as `rhs_term`.
+    """
+    params = normalize_params(identity, params)
+    plan = _PLANS[IdentityId(identity)]
+    d = plan.degree(params)
+    weights = plan.weights(params)
+    head: list[Fraction | None] = []
+    for k in range(d + 1):
+        w = next(weights)
+        head.append(None if w == 0 else plan.value(params, k))
+        yield _ZERO if w == 0 else w * head[k]
+    head = [
+        plan.value(params, k) if v is None else v for k, v in enumerate(head)
+    ]
+    denom = lcm(*(v.denominator for v in head))
+    row = [v.numerator * (denom // v.denominator) for v in head]
+    diffs = []  # diffs[j]: j-th backward difference of the numerators at d
+    for _ in range(d + 1):
+        diffs.append(row[-1])
+        row = [b - a for a, b in zip(row, row[1:])]
+    for w in weights:
+        for j in range(d - 1, -1, -1):
+            diffs[j] += diffs[j + 1]
+        yield _ZERO if w == 0 else w * Fraction(diffs[0], denom)
 
 
 def eval_rhs_partial(
@@ -541,11 +637,7 @@ def eval_rhs_partial(
     """Exact partial sum of the right side through index K inclusive."""
     if K < 0:
         raise InvalidParamsError(f"partial-sum bound must be >= 0, got {K}")
-    params = normalize_params(identity, params)
-    total = _ZERO
-    for k in range(K + 1):
-        total += rhs_term(identity, params, k)
-    return total
+    return sum(itertools.islice(rhs_terms(identity, params), K + 1), _ZERO)
 
 
 # -- ground truth: the series decomposition behind each identity -----------
@@ -646,8 +738,8 @@ def verify(
     seen_nonzero = False
     converged = False
     K = -1
-    for k in range(policy.k_max + 1):
-        term = rhs_term(identity, params, k)
+    terms = rhs_terms(identity, params)
+    for k, term in zip(range(policy.k_max + 1), terms):
         partial += term
         K = k
         mags.append(abs(float(term)))
@@ -683,11 +775,8 @@ def term_magnitudes(
     identity: IdentityId, params: IdentityParams, k_lo: int, k_hi: int
 ) -> list[float]:
     """Float magnitudes of the terms over an index range (inclusive)."""
-    params = normalize_params(identity, params)
-    return [
-        abs(float(rhs_term(identity, params, k)))
-        for k in range(k_lo, k_hi + 1)
-    ]
+    terms = itertools.islice(rhs_terms(identity, params), k_lo, k_hi + 1)
+    return [abs(float(t)) for t in terms]
 
 
 # -- batch matrices ----------------------------------------------------------

@@ -9,24 +9,19 @@ assembled from the identity
 
 so no bivariate series type is needed. Also provides Bernoulli/Euler
 numbers and the reciprocal-Chebyshev weights p_l^(N) defined by
-1/T_N(1/t) = sum_l p_l^(N) t^l.
+1/T_N(1/t) = sum_l p_l^(N) t^l, streamed by their linear recurrence.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import Iterator
 
-from .series import (
-    ExactScalar,
-    Kernel,
-    PowerSeries,
-    as_scalar,
-    kernel_power,
-    ps_div,
-)
+from .series import ExactScalar, Kernel, as_scalar, kernel_power
 
 _ZERO = Fraction(0)
 
@@ -145,24 +140,34 @@ def chebyshev_polynomial(N: int) -> Poly:
     return t_cur
 
 
-def chebyshev_recip_weights(N: int, count: int) -> list[ExactScalar]:
-    """First `count` coefficients p_0..p_{count-1} of 1/T_N(1/t).
+def chebyshev_recip_weight_stream(N: int) -> Iterator[ExactScalar]:
+    """The coefficients p_0, p_1, ... of 1/T_N(1/t), without end.
 
-    Writing T_N(1/t) = Q(t)/t^N with Q a polynomial of degree <= N and
-    Q(0) = 2^(N-1) != 0, the weights are the series expansion of
-    t^N / Q(t); in particular p_l = 0 for l < N.
+    Writing T_N(1/t) = Q(t)/t^N with Q a polynomial of degree N and
+    Q_0 = 2^(N-1) != 0, the weights expand t^N / Q(t), so they obey the
+    N-term recurrence Q_0 p_l = [l = N] - sum_{j=1..N} Q_j p_{l-j};
+    in particular p_l = 0 for l < N.
     """
+    if N < 1:
+        raise ValueError(f"Chebyshev index must be >= 1, got {N}")
+    T = chebyshev_polynomial(N).coeffs
+    # Q coefficient of t^j is the x^(N-j) coefficient of T_N
+    q0, q = T[N], [T[N - j] for j in range(1, N + 1)]
+    recent = [_ZERO] * N  # p_{l-1}, ..., p_{l-N}
+    for l in itertools.count():
+        acc = Fraction(int(l == N))
+        for qj, pj in zip(q, recent):
+            if qj and pj:
+                acc -= qj * pj
+        p = acc / q0
+        recent = [p] + recent[:-1]
+        yield p
+
+
+def chebyshev_recip_weights(N: int, count: int) -> list[ExactScalar]:
+    """First `count` coefficients p_0..p_{count-1} of 1/T_N(1/t)."""
     if N < 1:
         raise ValueError(f"Chebyshev index must be >= 1, got {N}")
     if count < N:
         raise ValueError(f"need count >= N, got count={count}, N={N}")
-    T = chebyshev_polynomial(N).coeffs
-    # Q coefficient of t^j is the x^(N-j) coefficient of T_N
-    q = [T[N - j] if 0 <= N - j < len(T) else _ZERO for j in range(count)]
-    inv = ps_div(
-        PowerSeries.one(count), PowerSeries.from_coeffs(q, count)
-    )
-    weights = [_ZERO] * count
-    for l in range(N, count):
-        weights[l] = inv.coefficient(l - N)
-    return weights
+    return list(itertools.islice(chebyshev_recip_weight_stream(N), count))

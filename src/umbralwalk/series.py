@@ -331,7 +331,10 @@ def kernel_power(
     with _POWER_LOCK:
         powers = _POWER_CACHE.setdefault(key, [PowerSeries.one(order)])
         if len(powers) <= p:
-            base = kernel(kind, c, order)
+            # powers[1] is the kernel itself, built once per memo key
+            if len(powers) == 1:
+                powers.append(kernel(kind, c, order))
+            base = powers[1]
             while len(powers) <= p:
                 powers.append(ps_mul(powers[-1], base))
         return powers[p]

@@ -1,5 +1,6 @@
 """Identity catalog, evaluation, verification loop, errata machinery."""
 
+import itertools
 import json
 from fractions import Fraction as F
 
@@ -18,13 +19,25 @@ from umbralwalk import (
     verify,
     verify_all_payload,
 )
+from umbralwalk import identities
 from umbralwalk.identities import (
     ensure_ground_truth,
+    four_general_term_blocks,
     ground_truth_system,
+    n3_general_term_blocks,
     normalize_params,
+    rhs_terms,
     term_magnitudes,
     three_sites_block_term,
 )
+from umbralwalk.polynomials import (
+    chebyshev_polynomial,
+    eval_poly,
+    hop_bernoulli,
+    hop_euler,
+)
+from umbralwalk.series import PowerSeries, ps_div
+from umbralwalk.umbral import umbral_moment
 
 
 # --- catalog -----------------------------------------------------------------
@@ -113,6 +126,188 @@ def test_euler_cheb_n2_partial_approaches_euler_value():
 def test_rhs_partial_negative_bound_rejected():
     with pytest.raises(InvalidParamsError):
         eval_rhs_partial(IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=1), -1)
+
+
+# --- streamed terms against the direct formulas --------------------------------------
+
+
+def _reference_cheb_weight(N, l):
+    # series quotient t^N / Q(t), the weights' defining expansion
+    T = chebyshev_polynomial(N).coeffs
+    count = l + 1
+    q = [T[N - j] if 0 <= N - j < len(T) else F(0) for j in range(count)]
+    inv = ps_div(PowerSeries.one(count), PowerSeries.from_coeffs(q, count))
+    return inv.coefficient(l - N) if l >= N else F(0)
+
+
+def _reference_term(identity, params, k):
+    """Term k by the direct formulas, each term computed on its own."""
+    n, x = params.n, params.x
+    if identity is IdentityId.EULER_CHEB:
+        N = params.cheb_index
+        w = _reference_cheb_weight(N, k)
+        if w == 0:
+            return F(0)
+        return w * eval_poly(hop_euler(n, k), F(k - N, 2) + N * x) / F(N) ** n
+    if identity in (
+        IdentityId.THREE_SITES_1D_STATED,
+        IdentityId.THREE_SITES_1D_CORRECTED,
+    ):
+        a1, a2 = params.levels
+        pref = (n + 1) * (1 - 2 * a1 / a2) * (2 * a1 / a2) ** n
+        p_k = (a1 / a2) * (1 - a1 / a2) ** k
+        arg = x / (4 * a1) + a2 / (4 * a1) + F(k, 2)
+        return pref * p_k * eval_poly(hop_bernoulli(n, k + 1), arg)
+    if identity is IdentityId.FOUR_UNIFORM_1D:
+        return (
+            F(3) ** (k - n) / F(4) ** (k + 1)
+            * eval_poly(hop_euler(n, 2 * k + 3), 3 * x + k)
+        )
+    if identity is IdentityId.FOUR_GENERAL_1D:
+        total = F(0)
+        for l in range(k + 1):
+            q, expr = four_general_term_blocks(k, l, params.levels)
+            total += q * eval_poly(umbral_moment(expr, n), x)
+        return total
+    if identity is IdentityId.N3_GENERAL:
+        r_k, expr = n3_general_term_blocks(k, params.levels)
+        return r_k * eval_poly(umbral_moment(expr, n), x)
+    if identity is IdentityId.N3_UNIFORM:
+        return (
+            F(3, 4) * F(1, 4) ** k
+            * eval_poly(hop_euler(n, 2 * k + 2), F(x + 3 + 2 * k, 2))
+        )
+    if identity is IdentityId.EVEN_BERNOULLI:
+        m = params.m
+        pref = F(m) / ((1 - F(2) ** (1 - 2 * m)) * (3 ** (2 * m) - 1))
+        return (
+            pref * F(1, 4) ** k
+            * eval_poly(hop_euler(2 * m - 1, 2 * k + 2), k + F(3, 2))
+        )
+    if identity is IdentityId.N4_UNIFORM_STATED:
+        return (
+            F(1, 3) ** n * F(1, 2) ** k
+            * eval_poly(hop_euler(n, 2 * k + 2), F(x + 2 * k + 3, 2))
+        )
+    if identity is IdentityId.N4_UNIFORM_CORRECTED:
+        return (
+            F(2) ** n * F(1, 2) ** (k + 1)
+            * eval_poly(hop_euler(n, 2 * k + 3), F(x + 2 * k + 4, 2))
+        )
+    raise AssertionError(identity)
+
+
+_X_STREAM = (F(0), F(1, 2), F(-1, 3))
+
+
+def _stream_cases():
+    for N in (1, 2, 3):
+        for n in (0, 1, 5):
+            for x in _X_STREAM:
+                yield IdentityId.EULER_CHEB, IdentityParams(n=n, x=x, cheb_index=N)
+    for identity in (
+        IdentityId.FOUR_UNIFORM_1D,
+        IdentityId.N3_UNIFORM,
+        IdentityId.N4_UNIFORM_STATED,
+        IdentityId.N4_UNIFORM_CORRECTED,
+    ):
+        for n in (0, 1, 5):
+            for x in _X_STREAM:
+                yield identity, IdentityParams(n=n, x=x)
+    for identity, all_levels in (
+        (IdentityId.THREE_SITES_1D_STATED, ((1, 3), (2, 5))),
+        (IdentityId.THREE_SITES_1D_CORRECTED, ((1, 3), (2, 5))),
+        (IdentityId.FOUR_GENERAL_1D, ((1, 2, 4), (1, 3, 5))),
+        (IdentityId.N3_GENERAL, ((1, 2, 4), (1, 3, 5))),
+    ):
+        for levels in all_levels:
+            for n in (0, 1, 5):
+                for x in _X_STREAM:
+                    yield identity, IdentityParams(n=n, x=x, levels=levels)
+    for m in range(1, 7):
+        yield IdentityId.EVEN_BERNOULLI, IdentityParams(m=m)
+
+
+def test_stream_cases_cover_every_identity():
+    assert {identity for identity, _ in _stream_cases()} == set(IdentityId)
+
+
+@pytest.mark.parametrize("identity,params", list(_stream_cases()),
+                         ids=lambda v: v.value if isinstance(v, IdentityId) else "")
+def test_streamed_terms_equal_direct_formulas(identity, params):
+    params = normalize_params(identity, params)
+    d = 2 * params.m - 1 if identity is IdentityId.EVEN_BERNOULLI else params.n
+    count = 3 * (d + 2)
+    reference = [_reference_term(identity, params, k) for k in range(count)]
+    assert list(itertools.islice(rhs_terms(identity, params), count)) == reference
+    assert eval_rhs_partial(identity, params, count - 1) == sum(reference)
+    for k in (0, d, count - 1):
+        assert rhs_term(identity, params, k) == reference[k]
+
+
+@pytest.mark.parametrize("identity,params,orders_through", [
+    # every term vanishes at odd degree and x = 1/2; term k asks for 2k+3
+    (IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=7, x=F(1, 2)),
+     lambda K: {2 * k + 3 for k in range(K + 1)}),
+    # the one nonzero weight of N = 1 sits at k = 1, whose order is 1
+    (IdentityId.EULER_CHEB, IdentityParams(n=10, x=F(1, 2), cheb_index=1),
+     lambda K: {1}),
+])
+def test_verify_stopping_before_degree_computes_only_reached_terms(
+    monkeypatch, identity, params, orders_through
+):
+    requested = []
+
+    def recording_hop_euler(n, p):
+        requested.append(p)
+        return hop_euler(n, p)
+
+    monkeypatch.setattr(identities, "hop_euler", recording_hop_euler)
+    report = verify(identity, params)
+    assert report.status is Status.VERIFIED
+    assert report.K_used < params.n
+    reference = [
+        _reference_term(identity, params, k) for k in range(report.K_used + 1)
+    ]
+    assert report.rhs_partial_exact == sum(reference)
+    # the left side, an Euler value, asks for order 1
+    assert set(requested) - {1} == orders_through(report.K_used) - {1}
+
+
+# --- work guards ------------------------------------------------------------------
+
+
+def test_four_general_moments_bounded_by_the_degree_lattice(monkeypatch):
+    calls = []
+
+    def counting_moment(expr, n, order=None):
+        calls.append(n)
+        return umbral_moment(expr, n, order)
+
+    monkeypatch.setattr(identities, "umbral_moment", counting_moment)
+    n = 4
+    report = verify(
+        IdentityId.FOUR_GENERAL_1D,
+        IdentityParams(n=n, x=F(1), levels=(1, 2, 4)),
+    )
+    assert report.status is Status.VERIFIED
+    assert report.K_used > n
+    # terms 0..n hold (n+1)(n+2)/2 block moments; one more is the left side
+    assert len(calls) <= (n + 1) * (n + 2) // 2 + 1
+
+
+def test_four_uniform_asks_for_no_order_beyond_the_direct_terms(monkeypatch):
+    orders = []
+
+    def recording_hop_euler(n, p):
+        orders.append(p)
+        return hop_euler(n, p)
+
+    monkeypatch.setattr(identities, "hop_euler", recording_hop_euler)
+    n = 10
+    report = verify(IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=n))
+    assert report.K_used > n
+    assert max(orders) <= 2 * n + 3
 
 
 # --- verification -----------------------------------------------------------------

@@ -188,6 +188,24 @@ def test_kernel_power_matches_ps_pow():
         assert kernel_power(Kernel.EULER, F(2, 3), p, 7) == ps_pow(base, p)
 
 
+def test_kernel_power_builds_the_kernel_once_per_memo_key(monkeypatch):
+    from umbralwalk import series as series_module
+
+    built = []
+
+    def counting_kernel(kind, scale, order, var="t"):
+        built.append((kind, scale, order))
+        return kernel(kind, scale, order, var)
+
+    monkeypatch.setattr(series_module, "kernel", counting_kernel)
+    # a scale no other test uses, so the memo key starts empty
+    c = F(31, 977)
+    base = kernel(Kernel.EULER, c, 5)
+    for p in (0, 1, 3, 2, 7, 12):
+        assert kernel_power(Kernel.EULER, c, p, 5) == ps_pow(base, p)
+    assert built == [(Kernel.EULER, c, 5)]
+
+
 def test_kernel_bad_order_rejected():
     with pytest.raises(ValueError):
         kernel(Kernel.EXP, 1, 0)
