@@ -226,13 +226,14 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         seed=seed,
         t_max=ns.tmax,
     )
+    # the closed form validates the move, so evaluate it before simulating
+    reference = montecarlo.eval_phi_numeric(
+        cfg.walk, cfg.start, cfg.target, cfg.z, cfg.taboo
+    )
     if cfg.taboo is None:
         est = montecarlo.simulate_hit(cfg)
     else:
         est = montecarlo.simulate_taboo(cfg)
-    reference = montecarlo.eval_phi_numeric(
-        cfg.walk, cfg.start, cfg.target, cfg.z, cfg.taboo
-    )
     if est.stderr > 0:
         comparison = montecarlo.compare_closed_form(est, reference)
     else:

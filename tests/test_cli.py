@@ -162,6 +162,30 @@ def test_simulate_command_deterministic(capsys, monkeypatch):
     )
 
 
+def test_simulate_rejects_non_finite_horizon(capsys):
+    code = main([
+        "simulate", "--walk", "1d", "--start", "0", "--target", "1",
+        "--z", "0.5", "--tmax", "inf",
+    ])
+    assert code == 2
+    assert "t_max must be finite" in capsys.readouterr().err
+
+
+def test_simulate_validates_the_move_before_simulating(capsys, monkeypatch):
+    from umbralwalk import montecarlo
+
+    def never(cfg):
+        raise AssertionError("simulated an invalid move")
+
+    monkeypatch.setattr(montecarlo, "simulate_hit", never)
+    code = main([
+        "simulate", "--walk", "1d", "--start", "2", "--target", "1",
+        "--z", "0.5", "--paths", "20000",
+    ])
+    assert code == 2
+    assert "free reflected moves go upward" in capsys.readouterr().err
+
+
 def test_verify_all_roundtrip_stability(capsys):
     args = ("verify-all", "--tol", "1e-6", "--kmax", "256")
     code1, payload1 = run_json(capsys, *args)

@@ -17,6 +17,7 @@ from umbralwalk import (
     simulate_hit,
     simulate_taboo,
 )
+from umbralwalk import montecarlo as mc
 from umbralwalk.montecarlo import _simulate, _simulate_chunk
 
 SMALL = dict(dt=1e-3, paths=4000, seed=777, t_max=30.0)
@@ -116,6 +117,14 @@ def test_config_validation():
                                  z=0.5))
 
 
+@pytest.mark.parametrize("field", ["start", "target", "taboo", "z", "dt", "t_max"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_inputs(field, bad):
+    kw = dict(walk=Walk.REFLECTED_1D, start=1.0, target=2.0, z=0.5, taboo=0.0)
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        WalkConfig(**{**kw, field: bad})
+
+
 # --- determinism contract ----------------------------------------------------------
 
 
@@ -174,6 +183,145 @@ def test_mean_strictly_decreasing_in_z_on_fixed_seed():
                         paths=2000)
         means.append(simulate_hit(cfg).mean)
     assert means[0] > means[1] > means[2]
+
+
+# --- blocked chunk against the per-step loop ---------------------------------------
+
+
+def _normals(keys, counter):
+    c = np.uint64((counter * mc._P2) & mc._U64)
+    return mc.ndtri(mc._uniforms(mc._mix64(keys ^ c)))
+
+
+def _normals3(keys, step):
+    c = np.array(
+        [((3 * step + comp) * mc._P2) & mc._U64 for comp in range(3)],
+        dtype=np.uint64,
+    )
+    return mc.ndtri(mc._uniforms(mc._mix64(keys[:, None] ^ c[None, :])))
+
+
+def _reference_chunk(cfg, lo, hi):
+    """One step per iteration: what block stepping must reproduce bit for bit."""
+    n = hi - lo
+    sqdt = math.sqrt(cfg.dt)
+    n_steps = int(math.floor(cfg.t_max / cfg.dt + 1e-9))
+    contrib = np.zeros(n)
+    alive = np.arange(n)
+    akeys = mc._path_keys(cfg.seed, lo, hi)
+    hit_count = 0
+    taboo_count = 0
+    bessel = cfg.walk is Walk.BESSEL_3D
+    reflect = cfg.taboo is None and not bessel
+    upward = cfg.target >= cfg.start
+    if bessel:
+        xyz = np.zeros((n, 3))
+        xyz[:, 0] = cfg.start
+    else:
+        pos = np.full(n, float(cfg.start))
+
+    for step in range(n_steps):
+        if alive.size == 0:
+            break
+        if bessel:
+            xyz += sqdt * _normals3(akeys, step)
+            radial = np.sqrt(np.einsum("ij,ij->i", xyz, xyz))
+        else:
+            pos += sqdt * _normals(akeys, step)
+            if reflect:
+                np.abs(pos, out=pos)
+            radial = pos
+        if upward:
+            hit = radial >= cfg.target
+        else:
+            hit = radial <= cfg.target
+        if cfg.taboo is not None:
+            if upward:
+                taboo_hit = ~hit & (radial <= cfg.taboo)
+            else:
+                taboo_hit = ~hit & (radial >= cfg.taboo)
+            absorbed = hit | taboo_hit
+        else:
+            taboo_hit = None
+            absorbed = hit
+        if absorbed.any():
+            contrib[alive[hit]] = math.exp(-cfg.z * (step + 1) * cfg.dt)
+            hit_count += int(hit.sum())
+            if taboo_hit is not None:
+                taboo_count += int(taboo_hit.sum())
+            keep = ~absorbed
+            alive = alive[keep]
+            akeys = akeys[keep]
+            if bessel:
+                xyz = xyz[keep]
+            else:
+                pos = pos[keep]
+    contrib[alive] = math.exp(-cfg.z * cfg.t_max)
+    return contrib, hit_count, taboo_count
+
+
+BLOCK_CASES = {
+    "rbm_free": dict(walk=Walk.REFLECTED_1D, start=0.0, target=1.0),
+    "rbm_taboo_up": dict(walk=Walk.REFLECTED_1D, start=1.0, target=2.0,
+                         taboo=0.0),
+    "rbm_taboo_down": dict(walk=Walk.REFLECTED_1D, start=1.0, target=0.0,
+                           taboo=2.0),
+    "bessel_free": dict(walk=Walk.BESSEL_3D, start=0.0, target=1.0),
+    "bessel_taboo_up": dict(walk=Walk.BESSEL_3D, start=2.0, target=3.0,
+                            taboo=1.0),
+    "bessel_taboo_down": dict(walk=Walk.BESSEL_3D, start=2.0, target=1.0,
+                              taboo=3.0),
+    "bessel_unreachable_origin": dict(walk=Walk.BESSEL_3D, start=1.0,
+                                      target=0.0, taboo=2.0, dt=1e-2),
+    # horizons that end inside a block, with paths still alive
+    "rbm_horizon": dict(walk=Walk.REFLECTED_1D, start=0.0, target=3.0,
+                        t_max=2.05),
+    "bessel_horizon": dict(walk=Walk.BESSEL_3D, start=0.0, target=2.0,
+                           t_max=1.337),
+}
+
+# (seed, paths, normals per block): odd path counts, two seeds, and block
+# budgets that are and are not a multiple of the live path count
+BLOCK_RUNS = [(777, 301, mc._BLOCK_NORMALS), (31, 1001, 1 << 9), (31, 301, 1000)]
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_blocked_chunk_is_bit_identical_to_per_step_loop(name, monkeypatch):
+    for seed, paths, budget in BLOCK_RUNS:
+        cfg = WalkConfig(**{**SMALL, "z": 0.5, "seed": seed, "paths": paths,
+                            **BLOCK_CASES[name]})
+        want, want_hits, want_taboos = _reference_chunk(cfg, 0, paths)
+        monkeypatch.setattr(mc, "_BLOCK_NORMALS", budget)
+        got, hits, taboos = _simulate_chunk(cfg, 0, paths)
+        assert np.array_equal(got, want), (name, seed, paths, budget)
+        assert (hits, taboos) == (want_hits, want_taboos)
+        if "horizon" in name:
+            assert hits + taboos < paths  # censored inside the last block
+
+
+def test_block_stepping_calls_ndtri_per_block_not_per_step(monkeypatch):
+    """Far fewer ndtri calls than steps; at most 1% more variates.
+
+    The surplus is the rest of a block after each absorption, in all about
+    half a block budget times log(paths), so the run is long enough (about
+    2e7 path-steps, 64k steps) for 1% to be a real bound.
+    """
+    calls = []
+    real = mc.ndtri
+
+    def counting(u):
+        calls.append(u.size)
+        return real(u)
+
+    monkeypatch.setattr(mc, "ndtri", counting)
+    cfg = WalkConfig(walk=Walk.REFLECTED_1D, start=0.0, target=1.0, z=0.5,
+                     dt=1e-4, paths=2001, seed=5, t_max=50.0)
+    _reference_chunk(cfg, 0, cfg.paths)
+    steps, path_steps = len(calls), sum(calls)
+    calls.clear()
+    _simulate_chunk(cfg, 0, cfg.paths)
+    assert len(calls) * 10 < steps
+    assert path_steps <= sum(calls) <= 1.01 * path_steps
 
 
 # --- accuracy against closed forms ---------------------------------------------------
