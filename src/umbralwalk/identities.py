@@ -31,7 +31,9 @@ attempted; `verify` enforces this.
 
 from __future__ import annotations
 
+import datetime
 import itertools
+import operator
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -39,20 +41,25 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterator
 
-from .loopcalc import LevelSystem, Walk, decomposition_residual
+from .loopcalc import (
+    LevelSystem, PhiMove, Walk, decomposition_residual, direct_mgf, phi
+)
 from .polynomials import (
     ExactScalar,
     bernoulli_number,
-    chebyshev_recip_weight_stream,
+    chebyshev_recip_weight_numerators,
     eval_poly,
     hop_bernoulli,
     hop_euler,
 )
-from .series import as_scalar
+from .series import (
+    Kernel, PowerSeries, as_scalar, geometric_resum, kernel, ps_div, ps_mul
+)
 from .umbral import Family, UmbralExpr, umbral_moment
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
+_Weights = tuple[int, int, Iterator[int]]
 
 
 class IdentityId(str, Enum):
@@ -366,13 +373,14 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 
 # -- right-hand side terms -------------------------------------------------
 #
-# Term k of every right side is weight(k) * value(k), where value(k) is a
-# polynomial of degree <= d in k. E_n^(p)(y) and B_n^(p)(y) have total
-# degree n in (p, y) (Norlund), and the identities take p and y affine in
-# k; a block moment is n! [w^n] of an exponential whose exponent is linear
-# in the block orders and the constant, which are affine in the loop
-# counts. `rhs_terms` therefore computes value(0..d) and continues them
-# by finite differences.
+# Term k of every right side is weight(k) * value(k), the weight an integer
+# u_k over C b^k (C, b fixed integers) and value(k) a polynomial of degree
+# <= d in k: E_n^(p)(y) and B_n^(p)(y) have total degree n in (p, y)
+# (Norlund), and the identities take p and y affine in k; a block moment
+# is n! [w^n] of an exponential whose exponent is linear in the block
+# orders and the constant, which are affine in the loop counts.
+# `_term_numerators` therefore continues value(0..d) by integer differences
+# over their common denominator D and gives term k as an integer over C D b^k.
 
 
 def four_general_term_blocks(
@@ -409,28 +417,51 @@ def four_general_term_blocks(
     return q, expr
 
 
-def _four_general_weight(params: IdentityParams, k: int) -> Fraction:
-    """c0 (alpha + beta)^k, where q_{k,l} = c0 C(k,l) alpha^l beta^(k-l)."""
-    a1, a2, a3 = params.levels
+def _printed_fg_blocks(
+    k: int, l: int, levels: tuple[Fraction, Fraction, Fraction]
+) -> tuple[Fraction, UmbralExpr]:
+    """The boxed statement's block list for (k, l), with the same q_{k,l}."""
+    a1, a2, a3 = levels
+    expr = UmbralExpr.build(
+        (Family.BERNOULLI, 2 * (a2 - a1), 1),
+        (Family.BERNOULLI, 2 * (a3 - a2), 1),
+        (Family.EULER, a1, l),
+        (Family.UNIFORM, 2 * (a2 - a1), l),
+        (Family.UNIFORM, 2 * a1, k - l),
+        (Family.BERNOULLI, 2 * (a2 - a1), k - l),
+        constant=a3 + (2 * k - 2 * l) * a2 + (3 * l - k + 1) * a1,
+    )
+    return four_general_term_blocks(k, l, levels)[0], expr
+
+
+def _four_general_ratio(
+    levels: tuple[Fraction, Fraction, Fraction]
+) -> tuple[Fraction, Fraction]:
+    """c0 and alpha + beta, where q_{k,l} = c0 C(k,l) alpha^l beta^(k-l)."""
+    a1, a2, a3 = levels
     alpha = (a2 - a1) / a2
     beta = a1 * (a3 - a2) / (a2 * (a3 - a1))
     c0 = a1 * (a2 - a1) / (a2 * (a3 - a1))
-    return c0 * (alpha + beta) ** k
+    return c0, alpha + beta
 
 
-def _four_general_value(params: IdentityParams, k: int) -> Fraction:
-    """The block sum over l of term k, divided by `_four_general_weight`.
+def _four_general_value(
+    params: IdentityParams, k: int, blocks: Callable = four_general_term_blocks
+) -> Fraction:
+    """The block sum over l of term k, divided by c0 (alpha + beta)^k.
 
     That quotient is the mean of the moment, a polynomial of total degree
     <= n in (l, k-l), over l ~ Binomial(k, alpha/(alpha+beta)); the mean
     of l^(a) (k-l)^(b) is a multiple of k^(a+b), so the quotient is a
-    polynomial of degree <= n in k.
+    polynomial of degree <= n in k. `blocks(k, l, levels)` gives q_{k,l}
+    and the (k, l) block expression.
     """
     total = _ZERO
     for l in range(k + 1):
-        q, expr = four_general_term_blocks(k, l, params.levels)
+        q, expr = blocks(k, l, params.levels)
         total += q * eval_poly(umbral_moment(expr, params.n), params.x)
-    return total / _four_general_weight(params, k)
+    c0, ratio = _four_general_ratio(params.levels)
+    return total / (c0 * ratio**k)
 
 
 def n3_general_term_blocks(
@@ -483,20 +514,21 @@ def three_sites_block_term(
 class _TermPlan:
     """How one identity's right side is summed.
 
-    Term k is weights(params)[k] * value(params, k), and value is a
-    polynomial of degree <= degree(params) in k.
+    Term k is u_k / (C b^k) * value(params, k) with (C, b, u) =
+    weights(params); value has degree <= degree(params) in k.
     """
 
     degree: Callable[[IdentityParams], int]
-    weights: Callable[[IdentityParams], Iterator[Fraction]]
+    weights: Callable[[IdentityParams], _Weights]
     value: Callable[[IdentityParams, int], Fraction]
 
 
-def _each(
-    weight: Callable[[IdentityParams, int], Fraction]
-) -> Callable[[IdentityParams], Iterator[Fraction]]:
-    """The weight stream of a closed-form weight(params, k)."""
-    return lambda params: (weight(params, k) for k in itertools.count())
+def _geometric(c: Fraction, r: Fraction) -> _Weights:
+    """The weights c r^k as c.num r.num^k over c.den r.den^k."""
+    numerators = itertools.accumulate(
+        itertools.repeat(r.numerator), operator.mul, initial=c.numerator
+    )
+    return c.denominator, r.denominator, numerators
 
 
 def _degree_n(params: IdentityParams) -> int:
@@ -509,11 +541,10 @@ def _euler_cheb_value(params: IdentityParams, k: int) -> Fraction:
     return eval_poly(hop_euler(params.n, k), arg) / Fraction(N) ** params.n
 
 
-def _three_sites_weight(params: IdentityParams, k: int) -> Fraction:
-    a1, a2 = params.levels
-    n = params.n
+def _three_sites_weights(params: IdentityParams) -> _Weights:
+    (a1, a2), n = params.levels, params.n
     prefactor = (n + 1) * (1 - 2 * a1 / a2) * (2 * a1 / a2) ** n
-    return prefactor * (a1 / a2) * (1 - a1 / a2) ** k
+    return _geometric(prefactor * (a1 / a2), 1 - a1 / a2)
 
 
 def _three_sites_value(params: IdentityParams, k: int) -> Fraction:
@@ -522,63 +553,71 @@ def _three_sites_value(params: IdentityParams, k: int) -> Fraction:
     return eval_poly(hop_bernoulli(params.n, k + 1), arg)
 
 
-def _even_bernoulli_weight(params: IdentityParams, k: int) -> Fraction:
+def _n3_general_weights(params: IdentityParams) -> _Weights:
+    a1, a2, a3 = params.levels
+    base = (a3 - a1) * a2
+    return _geometric(a3 * (a2 - a1) / base, (a3 - a2) * a1 / base)
+
+
+def _even_bernoulli_weights(params: IdentityParams) -> _Weights:
     m = params.m
     pref = Fraction(m) / ((1 - Fraction(2) ** (1 - 2 * m)) * (3 ** (2 * m) - 1))
-    return pref * Fraction(1, 4) ** k
+    return _geometric(pref, Fraction(1, 4))
 
 
 _THREE_SITES_PLAN = _TermPlan(
-    _degree_n, _each(_three_sites_weight), _three_sites_value
+    _degree_n, _three_sites_weights, _three_sites_value
 )
 
 _PLANS: dict[IdentityId, _TermPlan] = {
     IdentityId.EULER_CHEB: _TermPlan(
         _degree_n,
-        lambda p: chebyshev_recip_weight_stream(p.cheb_index),
+        lambda p: (1, *chebyshev_recip_weight_numerators(p.cheb_index)),
         _euler_cheb_value,
     ),
     IdentityId.THREE_SITES_1D_STATED: _THREE_SITES_PLAN,
     IdentityId.THREE_SITES_1D_CORRECTED: _THREE_SITES_PLAN,
     IdentityId.FOUR_UNIFORM_1D: _TermPlan(
         _degree_n,
-        _each(lambda p, k: Fraction(3) ** (k - p.n) / Fraction(4) ** (k + 1)),
+        lambda p: _geometric(Fraction(1, 4 * 3**p.n), Fraction(3, 4)),
         lambda p, k: eval_poly(hop_euler(p.n, 2 * k + 3), 3 * p.x + k),
     ),
     IdentityId.FOUR_GENERAL_1D: _TermPlan(
-        _degree_n, _each(_four_general_weight), _four_general_value
+        _degree_n,
+        lambda p: _geometric(*_four_general_ratio(p.levels)),
+        _four_general_value,
     ),
     IdentityId.N3_GENERAL: _TermPlan(
         _degree_n,
-        _each(lambda p, k: n3_general_term_blocks(k, p.levels)[0]),
+        _n3_general_weights,
         lambda p, k: eval_poly(
             umbral_moment(n3_general_term_blocks(k, p.levels)[1], p.n), p.x
         ),
     ),
     IdentityId.N3_UNIFORM: _TermPlan(
         _degree_n,
-        _each(lambda p, k: Fraction(3, 4) * Fraction(1, 4) ** k),
+        lambda p: _geometric(Fraction(3, 4), Fraction(1, 4)),
         lambda p, k: eval_poly(
             hop_euler(p.n, 2 * k + 2), Fraction(p.x + 3 + 2 * k, 2)
         ),
     ),
     IdentityId.EVEN_BERNOULLI: _TermPlan(
         lambda p: 2 * p.m - 1,
-        _each(_even_bernoulli_weight),
+        _even_bernoulli_weights,
         lambda p, k: eval_poly(
             hop_euler(2 * p.m - 1, 2 * k + 2), k + Fraction(3, 2)
         ),
     ),
     IdentityId.N4_UNIFORM_STATED: _TermPlan(
         _degree_n,
-        _each(lambda p, k: Fraction(1, 3) ** p.n * Fraction(1, 2) ** k),
+        lambda p: _geometric(Fraction(1, 3**p.n), Fraction(1, 2)),
         lambda p, k: eval_poly(
             hop_euler(p.n, 2 * k + 2), Fraction(p.x + 2 * k + 3, 2)
         ),
     ),
     IdentityId.N4_UNIFORM_CORRECTED: _TermPlan(
         _degree_n,
-        _each(lambda p, k: Fraction(2) ** p.n * Fraction(1, 2) ** (k + 1)),
+        lambda p: _geometric(Fraction(2**p.n, 2), Fraction(1, 2)),
         lambda p, k: eval_poly(
             hop_euler(p.n, 2 * k + 3), Fraction(p.x + 2 * k + 4, 2)
         ),
@@ -586,49 +625,58 @@ _PLANS: dict[IdentityId, _TermPlan] = {
 }
 
 
+def _term_numerators(
+    plan: _TermPlan, params: IdentityParams
+) -> Iterator[tuple[int, int]]:
+    """Term k = 0, 1, 2, ... of a right side as integers (t_k, C D b^k).
+
+    Terms 0..d are computed directly, each only when it is reached, over
+    the common denominator D of the values so far; a zero weight puts off
+    its value. Later values continue through a backward-difference table
+    of integer numerators over D. Each denominator divides the next.
+    """
+    d = plan.degree(params)
+    C, b, weights = plan.weights(params)
+    scale, D = C, 1  # scale is C b^k
+    head: list[Fraction | None] = []
+    for k in range(d + 1):
+        u = next(weights)
+        v = plan.value(params, k) if u else _ZERO
+        head.append(v if u else None)
+        D = lcm(D, v.denominator)
+        yield u * v.numerator * (D // v.denominator), scale * D
+        scale *= b
+    head = [
+        plan.value(params, k) if v is None else v for k, v in enumerate(head)
+    ]
+    D = lcm(*(v.denominator for v in head))
+    row = [v.numerator * (D // v.denominator) for v in head]
+    diffs = []  # diffs[j]: j-th backward difference of the numerators at d
+    for _ in range(d + 1):
+        diffs.append(row[-1])
+        row = [hi - lo for lo, hi in zip(row, row[1:])]
+    den = scale * D
+    for u in weights:
+        for j in range(d - 1, -1, -1):
+            diffs[j] += diffs[j + 1]
+        yield u * diffs[0], den
+        den *= b
+
+
 def rhs_term(
     identity: IdentityId, params: IdentityParams, k: int
 ) -> ExactScalar:
-    """Exact k-th addend of the right-hand side, computed directly."""
-    params = normalize_params(identity, params)
-    plan = _PLANS[IdentityId(identity)]
-    w = next(itertools.islice(plan.weights(params), k, None))
-    return _ZERO if w == 0 else w * plan.value(params, k)
+    """Exact k-th addend of the right-hand side."""
+    return next(itertools.islice(rhs_terms(identity, params), k, None))
 
 
 def rhs_terms(
     identity: IdentityId, params: IdentityParams
 ) -> Iterator[ExactScalar]:
-    """The exact addends k = 0, 1, 2, ... of the right-hand side, unending.
-
-    Terms 0..d are computed directly, each only when it is reached, and
-    a zero weight puts off its value. Later values continue the degree-d
-    polynomial through a backward-difference table of integer numerators
-    over the common denominator of value(0..d): d integer additions and
-    one weight product per term, and the same `Fraction` as `rhs_term`.
-    """
+    """The exact addends k = 0, 1, 2, ... of the right side, unending."""
     params = normalize_params(identity, params)
-    plan = _PLANS[IdentityId(identity)]
-    d = plan.degree(params)
-    weights = plan.weights(params)
-    head: list[Fraction | None] = []
-    for k in range(d + 1):
-        w = next(weights)
-        head.append(None if w == 0 else plan.value(params, k))
-        yield _ZERO if w == 0 else w * head[k]
-    head = [
-        plan.value(params, k) if v is None else v for k, v in enumerate(head)
-    ]
-    denom = lcm(*(v.denominator for v in head))
-    row = [v.numerator * (denom // v.denominator) for v in head]
-    diffs = []  # diffs[j]: j-th backward difference of the numerators at d
-    for _ in range(d + 1):
-        diffs.append(row[-1])
-        row = [b - a for a, b in zip(row, row[1:])]
-    for w in weights:
-        for j in range(d - 1, -1, -1):
-            diffs[j] += diffs[j + 1]
-        yield _ZERO if w == 0 else w * Fraction(diffs[0], denom)
+    for t, den in _term_numerators(_PLANS[IdentityId(identity)], params):
+        yield Fraction(t, den)
 
 
 def eval_rhs_partial(
@@ -658,12 +706,11 @@ def ground_truth_system(
     if identity in (
         IdentityId.THREE_SITES_1D_STATED,
         IdentityId.THREE_SITES_1D_CORRECTED,
+        IdentityId.FOUR_GENERAL_1D,
     ):
         return LevelSystem(Walk.REFLECTED_1D, (_ZERO,) + params.levels)
     if identity is IdentityId.FOUR_UNIFORM_1D:
         return LevelSystem(Walk.REFLECTED_1D, (0, 1, 2, 3))
-    if identity is IdentityId.FOUR_GENERAL_1D:
-        return LevelSystem(Walk.REFLECTED_1D, (_ZERO,) + params.levels)
     if identity is IdentityId.N3_GENERAL:
         return LevelSystem(Walk.BESSEL_3D, (_ZERO,) + params.levels)
     if identity in (IdentityId.N3_UNIFORM, IdentityId.EVEN_BERNOULLI):
@@ -733,24 +780,25 @@ def verify(
         )
     ensure_ground_truth(identity, params)
     threshold = policy.tol * max(1.0, abs(float(lhs)))
-    partial = _ZERO
+    S, den = 0, 1  # the partial sum is S / den
     mags: list[float] = []
     seen_nonzero = False
     converged = False
     K = -1
-    terms = rhs_terms(identity, params)
-    for k, term in zip(range(policy.k_max + 1), terms):
-        partial += term
+    terms = _term_numerators(_PLANS[identity], params)
+    for k, (t, t_den) in zip(range(policy.k_max + 1), terms):
+        S, den = S * (t_den // den) + t, t_den
         K = k
-        mags.append(abs(float(term)))
-        if term != 0:
+        # int true division rounds correctly, as float(Fraction(t, den))
+        mags.append(abs(t) / den)
+        if t:
             seen_nonzero = True
         if k + 1 < policy.stable_run:
             continue
         window = mags[-policy.stable_run :]
         if not all(m < threshold for m in window):
             continue
-        if not (seen_nonzero or partial == lhs):
+        if not (seen_nonzero or S * lhs.denominator == lhs.numerator * den):
             continue
         nonzero = [m for m in window if m > 0.0]
         if not nonzero:
@@ -761,6 +809,7 @@ def verify(
         if nonzero[-1] * ratio / (1.0 - ratio) < threshold:
             converged = True
             break
+    partial = Fraction(S, den)
     residual = abs(float(lhs - partial))
     if converged:
         status = Status.VERIFIED if residual < threshold else Status.RESIDUAL_NONZERO
@@ -795,55 +844,41 @@ def expected_verified_cases() -> list[tuple[IdentityId, IdentityParams]]:
     by coefficient, which no evaluation rule allows). The higher-degree
     instances are carried separately as known discrepancies.
     """
-    cases: list[tuple[IdentityId, IdentityParams]] = []
-    for N in (1, 2, 3):
-        for n in range(0, 7):
-            for x in _X_STD:
-                cases.append(
-                    (
-                        IdentityId.EULER_CHEB,
-                        IdentityParams(n=n, x=x, cheb_index=N),
-                    )
-                )
-    for a1, a2 in _THREE_SITE_PAIRS:
-        for n in (0, 1):
-            for x in _X_SIGNED:
-                cases.append(
-                    (
-                        IdentityId.THREE_SITES_1D_CORRECTED,
-                        IdentityParams(n=n, x=x, levels=(a1, a2)),
-                    )
-                )
-    for n in range(0, 11):
-        for x in (_ZERO, _HALF, Fraction(1), Fraction(-1, 3)):
-            cases.append((IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=n, x=x)))
-    for n in range(1, 5):
-        for x in (_ZERO, Fraction(1)):
-            cases.append(
-                (
-                    IdentityId.FOUR_GENERAL_1D,
-                    IdentityParams(n=n, x=x, levels=(1, 2, 4)),
-                )
-            )
-    for levels in ((1, 2, 4), (1, 3, 5)):
-        for n in range(0, 7):
-            for x in (_ZERO, Fraction(1)):
-                cases.append(
-                    (
-                        IdentityId.N3_GENERAL,
-                        IdentityParams(n=n, x=x, levels=levels),
-                    )
-                )
-    for n in range(0, 11):
-        for x in _X_STD:
-            cases.append((IdentityId.N3_UNIFORM, IdentityParams(n=n, x=x)))
-    for m in range(1, 6):
-        cases.append((IdentityId.EVEN_BERNOULLI, IdentityParams(m=m)))
-    for n in range(0, 11):
-        for x in (_ZERO, Fraction(1)):
-            cases.append(
-                (IdentityId.N4_UNIFORM_CORRECTED, IdentityParams(n=n, x=x))
-            )
+    cases = [
+        (IdentityId.EULER_CHEB, IdentityParams(n=n, x=x, cheb_index=N))
+        for N in (1, 2, 3) for n in range(7) for x in _X_STD
+    ]
+    cases += [
+        (IdentityId.THREE_SITES_1D_CORRECTED,
+         IdentityParams(n=n, x=x, levels=lv))
+        for lv in _THREE_SITE_PAIRS for n in (0, 1) for x in _X_SIGNED
+    ]
+    cases += [
+        (IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=n, x=x))
+        for n in range(11)
+        for x in (_ZERO, _HALF, Fraction(1), Fraction(-1, 3))
+    ]
+    cases += [
+        (IdentityId.FOUR_GENERAL_1D,
+         IdentityParams(n=n, x=x, levels=(1, 2, 4)))
+        for n in range(1, 5) for x in (_ZERO, Fraction(1))
+    ]
+    cases += [
+        (IdentityId.N3_GENERAL, IdentityParams(n=n, x=x, levels=lv))
+        for lv in ((1, 2, 4), (1, 3, 5))
+        for n in range(7) for x in (_ZERO, Fraction(1))
+    ]
+    cases += [
+        (IdentityId.N3_UNIFORM, IdentityParams(n=n, x=x))
+        for n in range(11) for x in _X_STD
+    ]
+    cases += [
+        (IdentityId.EVEN_BERNOULLI, IdentityParams(m=m)) for m in range(1, 6)
+    ]
+    cases += [
+        (IdentityId.N4_UNIFORM_CORRECTED, IdentityParams(n=n, x=x))
+        for n in range(11) for x in (_ZERO, Fraction(1))
+    ]
     return cases
 
 
@@ -907,6 +942,10 @@ def _report_pair(
     }
 
 
+def _sup(series: PowerSeries) -> Fraction:
+    return max(abs(c) for c in series.coeffs)
+
+
 def errata_report(policy: TruncationPolicy | None = None) -> dict:
     """Machine-generated audit of printed forms versus exact recomputation.
 
@@ -914,16 +953,6 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     structure separates surviving identities from typographical or
     structural misprints in their published statements.
     """
-    from .loopcalc import PhiMove, direct_mgf, phi
-    from .series import (
-        Kernel,
-        PowerSeries,
-        geometric_resum,
-        kernel,
-        ps_div,
-        ps_mul,
-    )
-
     policy = policy or TruncationPolicy()
     order = 24
     entries: dict[str, dict] = {}
@@ -944,15 +973,13 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     # beyond degree 1 even the corrected collapse fails; the block-level
     # sum translated directly from the chain is the value that matches
     n2 = IdentityParams(n=2, x=_ZERO, levels=(1, 3))
-    block_partial = _ZERO
-    for k in range(96):
-        block_partial += three_sites_block_term(k, 2, _ZERO, (Fraction(1), Fraction(3)))
-    lhs_block = eval_poly(
-        umbral_moment(
-            UmbralExpr.build((Family.EULER, 6, 1), constant=3), 2
-        ),
+    block_partial = sum(
+        (three_sites_block_term(k, 2, _ZERO, (Fraction(1), Fraction(3)))
+         for k in range(96)),
         _ZERO,
     )
+    block_expr = UmbralExpr.build((Family.EULER, 6, 1), constant=3)
+    lhs_block = eval_poly(umbral_moment(block_expr, 2), _ZERO)
     entries["three_sites_corrected_degree_2"] = {
         "corrected": verify(
             IdentityId.THREE_SITES_1D_CORRECTED, n2, policy
@@ -996,12 +1023,8 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
         LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3, 4)), order
     )
     entries["four_sphere_chain_display"] = {
-        "printed_residual": float(
-            max(abs(c) for c in (printed - target).coeffs)
-        ),
-        "recomputed_residual": str(
-            max(abs(c) for c in (recomputed - target).coeffs)
-        ),
+        "printed_residual": float(_sup(printed - target)),
+        "recomputed_residual": str(_sup(recomputed - target)),
         "note": (
             "the printed resummed chain drops one secant factor and a "
             "factor 1/2; the recomputed form matches the closed form "
@@ -1023,12 +1046,8 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     chain_ok = ps_mul(fwd, geometric_resum(ps_mul(up, down_ok)))
     chain_printed = ps_mul(fwd, geometric_resum(ps_mul(up, down_printed)))
     entries["bessel_taboo_prefactor"] = {
-        "adopted_residual": str(
-            max(abs(c) for c in (chain_ok - direct3).coeffs)
-        ),
-        "printed_residual": float(
-            max(abs(c) for c in (chain_printed - direct3).coeffs)
-        ),
+        "adopted_residual": str(_sup(chain_ok - direct3)),
+        "printed_residual": float(_sup(chain_printed - direct3)),
         "note": (
             "the inward taboo move carries radial prefactor target/start; "
             "with the printed target/taboo weight the loop factorization "
@@ -1037,38 +1056,21 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     }
 
     # four general sites: the boxed block list versus the forced translation
-    lv = (Fraction(1), Fraction(2), Fraction(4))
-    printed_partial = _ZERO
-    for k in range(81):
-        for l in range(k + 1):
-            q = (
-                comb(k, l)
-                * (lv[1] - lv[0]) ** (l + 1)
-                * lv[0] ** (k - l + 1)
-                * (lv[2] - lv[1]) ** (k - l)
-                / (lv[1] ** (k + 1) * (lv[2] - lv[0]) ** (k - l + 1))
-            )
-            r_kl = lv[2] + (2 * k - 2 * l) * lv[1] + (3 * l - k + 1) * lv[0]
-            expr = UmbralExpr.build(
-                (Family.BERNOULLI, 2 * (lv[1] - lv[0]), 1),
-                (Family.BERNOULLI, 2 * (lv[2] - lv[1]), 1),
-                (Family.EULER, lv[0], l),
-                (Family.UNIFORM, 2 * (lv[1] - lv[0]), l),
-                (Family.UNIFORM, 2 * lv[0], k - l),
-                (Family.BERNOULLI, 2 * (lv[1] - lv[0]), k - l),
-                constant=r_kl,
-            )
-            printed_partial += q * eval_poly(umbral_moment(expr, 1), _ZERO)
-    lhs_fg = eval_lhs(
-        IdentityId.FOUR_GENERAL_1D, IdentityParams(n=1, levels=lv)
+    fg = IdentityParams(n=1, x=_ZERO, levels=(1, 2, 4))
+    printed = replace(
+        _PLANS[IdentityId.FOUR_GENERAL_1D],
+        value=lambda p, k: _four_general_value(p, k, _printed_fg_blocks),
     )
+    terms = itertools.islice(_term_numerators(printed, fg), 81)
+    printed_partial = sum(itertools.starmap(Fraction, terms), _ZERO)
+    lhs_fg = eval_lhs(IdentityId.FOUR_GENERAL_1D, fg)
     entries["four_general_printed_blocks"] = {
         "printed_partial_through_k80": str(printed_partial),
         "lhs": str(lhs_fg),
         "printed_residual": abs(float(lhs_fg - printed_partial)),
         "implemented": verify(
             IdentityId.FOUR_GENERAL_1D,
-            IdentityParams(n=1, x=_ZERO, levels=lv),
+            fg,
             TruncationPolicy(tol=1e-10, k_max=policy.k_max),
         ).to_json(),
         "note": (
@@ -1083,8 +1085,6 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
 
 def verify_all_payload(policy: TruncationPolicy | None = None) -> dict:
     """Run the full expected matrix, audits, and errata; canonical order."""
-    import datetime
-
     policy = policy or TruncationPolicy()
     reports = []
     all_ok = True

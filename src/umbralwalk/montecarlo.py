@@ -287,6 +287,24 @@ def simulate_taboo(cfg: WalkConfig) -> HittingEstimate:
     return _simulate(cfg)
 
 
+def _cosh_ratio(a: float, b: float) -> float:
+    """cosh(a) / cosh(b) as e^(|a|-|b|) (1 + e^(-2|a|)) / (1 + e^(-2|b|)).
+
+    Only exponentials of nonpositive or difference arguments appear, so
+    the ratio neither overflows nor loses precision for large |a|, |b|.
+    """
+    a, b = abs(a), abs(b)
+    growth = (1.0 + math.exp(-2.0 * a)) / (1.0 + math.exp(-2.0 * b))
+    return math.exp(a - b) * growth
+
+
+def _sinh_ratio(a: float, b: float) -> float:
+    """sinh(a) / sinh(b) as e^(|a|-|b|) expm1(-2|a|) / expm1(-2|b|), signed."""
+    sign = math.copysign(1.0, a) * math.copysign(1.0, b)
+    a, b = abs(a), abs(b)
+    return sign * math.exp(a - b) * math.expm1(-2.0 * a) / math.expm1(-2.0 * b)
+
+
 def eval_phi_numeric(
     walk: Walk | str,
     start: float,
@@ -296,7 +314,9 @@ def eval_phi_numeric(
 ) -> float:
     """Double-precision closed form of the move's transform at w = sqrt(2z).
 
-    Evaluates the exact formulas directly, not a truncated series.
+    Evaluates the exact formulas directly, not a truncated series, with
+    each hyperbolic ratio written through exponentials of differences so
+    that far targets give a tiny value instead of an overflow.
     """
     walk = Walk(walk)
     if z <= 0:
@@ -306,12 +326,10 @@ def eval_phi_numeric(
         if taboo is None:
             if target < start:
                 raise ConfigError("free reflected moves go upward")
-            return math.cosh(start * w) / math.cosh(target * w)
+            return _cosh_ratio(start * w, target * w)
         if target > start:
-            return math.sinh((start - taboo) * w) / math.sinh(
-                (target - taboo) * w
-            )
-        return math.sinh((taboo - start) * w) / math.sinh((taboo - target) * w)
+            return _sinh_ratio((start - taboo) * w, (target - taboo) * w)
+        return _sinh_ratio((taboo - start) * w, (taboo - target) * w)
     # Bessel(3)
     if taboo is None:
         if target == 0.0:
@@ -319,18 +337,16 @@ def eval_phi_numeric(
         if target < start:
             raise ConfigError("free Bessel moves go upward")
         if start == 0.0:
-            return target * w / math.sinh(target * w)
-        return target * math.sinh(start * w) / (start * math.sinh(target * w))
+            # t / sinh(t) = -2t e^(-t) / expm1(-2t)
+            t = target * w
+            return -2.0 * t * math.exp(-t) / math.expm1(-2.0 * t)
+        return target / start * _sinh_ratio(start * w, target * w)
     if target == 0.0:
         return 0.0
     pref = target / start
     if target > start:
-        return pref * math.sinh((start - taboo) * w) / math.sinh(
-            (target - taboo) * w
-        )
-    return pref * math.sinh((taboo - start) * w) / math.sinh(
-        (taboo - target) * w
-    )
+        return pref * _sinh_ratio((start - taboo) * w, (target - taboo) * w)
+    return pref * _sinh_ratio((taboo - start) * w, (taboo - target) * w)
 
 
 def compare_closed_form(

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator
 
 from .series import ExactScalar, Kernel, as_scalar, kernel_power
@@ -54,12 +54,22 @@ class Poly:
         return self.coeffs[-1]
 
     def eval(self, x0: int | Fraction) -> Fraction:
-        """Exact Horner evaluation."""
+        """Exact Horner evaluation on integers.
+
+        With D the common denominator of the coefficients c_i and
+        x0 = xn/xd, the value is sum_i (D c_i) xn^i xd^(deg-i) over
+        D xd^deg; only the final `Fraction` is normalised.
+        """
         x0 = as_scalar(x0)
-        acc = _ZERO
+        if not self.coeffs:
+            return _ZERO
+        denom = lcm(*(c.denominator for c in self.coeffs))
+        xn, xd = x0.numerator, x0.denominator
+        acc, xd_pow = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+            acc = acc * xn + c.numerator * (denom // c.denominator) * xd_pow
+            xd_pow *= xd
+        return Fraction(acc, denom * xd_pow // xd)
 
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
@@ -140,28 +150,43 @@ def chebyshev_polynomial(N: int) -> Poly:
     return t_cur
 
 
-def chebyshev_recip_weight_stream(N: int) -> Iterator[ExactScalar]:
-    """The coefficients p_0, p_1, ... of 1/T_N(1/t), without end.
+def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
+    """The weights p_l of 1/T_N(1/t) as integers P_l = p_l q0^l, and q0.
 
     Writing T_N(1/t) = Q(t)/t^N with Q a polynomial of degree N and
-    Q_0 = 2^(N-1) != 0, the weights expand t^N / Q(t), so they obey the
-    N-term recurrence Q_0 p_l = [l = N] - sum_{j=1..N} Q_j p_{l-j};
-    in particular p_l = 0 for l < N.
+    integer coefficients, Q_0 = q0 = 2^(N-1) != 0, the weights expand
+    t^N / Q(t), so they obey the N-term recurrence
+    Q_0 p_l = [l = N] - sum_{j=1..N} Q_j p_{l-j}; in particular p_l = 0
+    for l < N. Multiplied by q0^l it stays on integers:
+
+      P_l = [l = N] q0^(N-1) - sum_{j=1..N} Q_j q0^(j-1) P_{l-j}.
     """
     if N < 1:
         raise ValueError(f"Chebyshev index must be >= 1, got {N}")
-    T = chebyshev_polynomial(N).coeffs
+    T = [int(c) for c in chebyshev_polynomial(N).coeffs]
     # Q coefficient of t^j is the x^(N-j) coefficient of T_N
-    q0, q = T[N], [T[N - j] for j in range(1, N + 1)]
-    recent = [_ZERO] * N  # p_{l-1}, ..., p_{l-N}
-    for l in itertools.count():
-        acc = Fraction(int(l == N))
-        for qj, pj in zip(q, recent):
-            if qj and pj:
-                acc -= qj * pj
-        p = acc / q0
-        recent = [p] + recent[:-1]
-        yield p
+    q0 = T[N]
+    q = [T[N - j] * q0 ** (j - 1) for j in range(1, N + 1)]
+
+    def numerators() -> Iterator[int]:
+        recent = [0] * N  # P_{l-1}, ..., P_{l-N}
+        for l in itertools.count():
+            P = q0 ** (N - 1) if l == N else 0
+            for qj, Pj in zip(q, recent):
+                P -= qj * Pj
+            recent = [P] + recent[:-1]
+            yield P
+
+    return q0, numerators()
+
+
+def chebyshev_recip_weight_stream(N: int) -> Iterator[ExactScalar]:
+    """The coefficients p_0, p_1, ... of 1/T_N(1/t), without end."""
+    q0, numerators = chebyshev_recip_weight_numerators(N)
+    scale = 1  # q0^l
+    for P in numerators:
+        yield Fraction(P, scale)
+        scale *= q0
 
 
 def chebyshev_recip_weights(N: int, count: int) -> list[ExactScalar]:

@@ -1,5 +1,6 @@
 """Command-line surface: parsing, output formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -65,6 +66,24 @@ def test_weights_output(capsys):
     code, payload = run_json(capsys, "weights", "--N", "2", "--count", "8")
     assert code == 0
     assert payload["weights"] == ["0", "0", "1/2", "0", "1/4", "0", "1/8", "0"]
+
+
+# sha256 of `weights --N N --count 300` as printed by the Fraction recurrence
+_WEIGHTS_300_SHA256 = {
+    1: "09606075b8a1a4e104d5200b6bfee195a3b4632d42142c8c9916e1263341f264",
+    2: "f46ab2959629dae2c4fbe0cb9e2139df2d346f21f76230a29770de13d2412a2c",
+    3: "4c0ab2b7d2df2d46557fd27b479bb0a9daaffc2b795488cfb438180c56eac09c",
+    4: "392b6f5f1cb9960f698f4761f26bdd1457f39e0c17f6f9d95c09274672a4b67e",
+    5: "1fd88ce0711b25800e7381bc22e69b01b4876ee9264174bb7940f90052cf2ac8",
+    7: "a749ebedebbd7a834085d3500cc171e45c617012a7a0956b2952607c95a8107c",
+}
+
+
+@pytest.mark.parametrize("N", sorted(_WEIGHTS_300_SHA256))
+def test_weights_output_bytes_unchanged(capsys, N):
+    code, out = run(capsys, "weights", "--N", str(N), "--count", "300")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _WEIGHTS_300_SHA256[N]
 
 
 def test_poly_output_with_value(capsys):
@@ -169,6 +188,19 @@ def test_simulate_rejects_non_finite_horizon(capsys):
     ])
     assert code == 2
     assert "t_max must be finite" in capsys.readouterr().err
+
+
+def test_simulate_far_target_reports_instead_of_overflowing(capsys):
+    # 1 / cosh(1000 sqrt 2) underflows to 0; every path is censored, and
+    # each censored path's bound e^(-z t_max) is far below 1e-9
+    code, payload = run_json(
+        capsys, "simulate", "--walk", "1d", "--start", "0", "--target",
+        "1000", "--z", "1", "--paths", "10",
+    )
+    assert code == 0
+    assert payload["reference"] == 0.0
+    assert payload["estimate"]["n_censored"] == 10
+    assert payload["comparison"]["pass"] is True
 
 
 def test_simulate_validates_the_move_before_simulating(capsys, monkeypatch):

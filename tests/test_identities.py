@@ -1,17 +1,22 @@
 """Identity catalog, evaluation, verification loop, errata machinery."""
 
+import functools
 import itertools
 import json
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
 from umbralwalk import (
+    Family,
     IdentityId,
     IdentityParams,
+    IdentityReport,
     InvalidParamsError,
     Status,
     TruncationPolicy,
+    UmbralExpr,
     catalog,
     eval_lhs,
     eval_rhs_partial,
@@ -22,6 +27,7 @@ from umbralwalk import (
 from umbralwalk import identities
 from umbralwalk.identities import (
     ensure_ground_truth,
+    errata_report,
     four_general_term_blocks,
     ground_truth_system,
     n3_general_term_blocks,
@@ -131,13 +137,18 @@ def test_rhs_partial_negative_bound_rejected():
 # --- streamed terms against the direct formulas --------------------------------------
 
 
-def _reference_cheb_weight(N, l):
+@functools.lru_cache(maxsize=None)
+def _reference_cheb_weights(N, count):
     # series quotient t^N / Q(t), the weights' defining expansion
     T = chebyshev_polynomial(N).coeffs
-    count = l + 1
     q = [T[N - j] if 0 <= N - j < len(T) else F(0) for j in range(count)]
     inv = ps_div(PowerSeries.one(count), PowerSeries.from_coeffs(q, count))
-    return inv.coefficient(l - N) if l >= N else F(0)
+    return [inv.coefficient(l - N) if l >= N else F(0) for l in range(count)]
+
+
+def _reference_cheb_weight(N, l):
+    # one expansion serves every term of a verify run at the default k_max
+    return _reference_cheb_weights(N, max(l + 1, 513))[l]
 
 
 def _reference_term(identity, params, k):
@@ -272,6 +283,149 @@ def test_verify_stopping_before_degree_computes_only_reached_terms(
     assert report.rhs_partial_exact == sum(reference)
     # the left side, an Euler value, asks for order 1
     assert set(requested) - {1} == orders_through(report.K_used) - {1}
+
+
+# --- verify against a Fraction-only reference ---------------------------------------
+
+
+def _reference_verify(identity, params, policy=TruncationPolicy()):
+    """`verify`'s stopping rule over `_reference_term`, on Fractions only."""
+    params = normalize_params(identity, params)
+    lhs = eval_lhs(identity, params)
+    threshold = policy.tol * max(1.0, abs(float(lhs)))
+    partial, mags, seen_nonzero, converged, K = F(0), [], False, False, -1
+    for k in range(policy.k_max + 1):
+        term = _reference_term(identity, params, k)
+        partial += term
+        K = k
+        mags.append(abs(float(term)))
+        seen_nonzero = seen_nonzero or term != 0
+        if k + 1 < policy.stable_run:
+            continue
+        window = mags[-policy.stable_run :]
+        if not all(m < threshold for m in window):
+            continue
+        if not (seen_nonzero or partial == lhs):
+            continue
+        nonzero = [m for m in window if m > 0.0]
+        if not nonzero:
+            converged = True
+            break
+        ratios = [b / a for a, b in zip(nonzero, nonzero[1:]) if a > 0.0]
+        ratio = min(max(ratios, default=0.0), 0.99)
+        if nonzero[-1] * ratio / (1.0 - ratio) < threshold:
+            converged = True
+            break
+    residual = abs(float(lhs - partial))
+    if not converged:
+        status = Status.NOT_CONVERGED
+    elif residual < threshold:
+        status = Status.VERIFIED
+    else:
+        status = Status.RESIDUAL_NONZERO
+    return IdentityReport(
+        identity, params, K, lhs, partial, residual, converged, status
+    )
+
+
+_LOOSE = TruncationPolicy(tol=1e-6)
+
+_VERIFY_CASES = [
+    # (identity, params, policy, expected status)
+    (IdentityId.EULER_CHEB, IdentityParams(n=3, x=F(1, 2), cheb_index=1),
+     None, Status.VERIFIED),
+    (IdentityId.EULER_CHEB, IdentityParams(n=2, x=F(-1, 3), cheb_index=2),
+     None, Status.VERIFIED),
+    # the weights decay too slowly against the degree-20 values
+    (IdentityId.EULER_CHEB, IdentityParams(n=20, x=F(0), cheb_index=3),
+     None, Status.NOT_CONVERGED),
+    (IdentityId.EULER_CHEB, IdentityParams(n=20, x=F(1), cheb_index=3),
+     None, Status.NOT_CONVERGED),
+    # the stated audit
+    (IdentityId.THREE_SITES_1D_STATED, IdentityParams(n=1, x=F(0), levels=(1, 3)),
+     None, Status.RESIDUAL_NONZERO),
+    (IdentityId.THREE_SITES_1D_CORRECTED,
+     IdentityParams(n=1, x=F(1), levels=(1, 3)), None, Status.VERIFIED),
+    (IdentityId.THREE_SITES_1D_CORRECTED,
+     IdentityParams(n=2, x=F(0), levels=(2, 5)), None, Status.RESIDUAL_NONZERO),
+    (IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=3, x=F(-1, 3)),
+     None, Status.VERIFIED),
+    # k_max truncation
+    (IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=4, x=F(0)),
+     TruncationPolicy(tol=1e-12, k_max=20), Status.NOT_CONVERGED),
+    # every term and the left side vanish: the all-zero tail short-circuits
+    (IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=7, x=F(1, 2)),
+     None, Status.VERIFIED),
+    (IdentityId.FOUR_GENERAL_1D, IdentityParams(n=1, x=F(1), levels=(1, 2, 4)),
+     _LOOSE, Status.VERIFIED),
+    (IdentityId.N3_GENERAL, IdentityParams(n=2, x=F(1), levels=(1, 3, 5)),
+     None, Status.VERIFIED),
+    (IdentityId.N3_UNIFORM, IdentityParams(n=3, x=F(1, 2)),
+     None, Status.VERIFIED),
+    (IdentityId.EVEN_BERNOULLI, IdentityParams(m=2), None, Status.VERIFIED),
+    # the stated audit
+    (IdentityId.N4_UNIFORM_STATED, IdentityParams(n=1, x=F(0)),
+     None, Status.RESIDUAL_NONZERO),
+    (IdentityId.N4_UNIFORM_CORRECTED, IdentityParams(n=5, x=F(1)),
+     None, Status.VERIFIED),
+]
+
+
+def test_verify_cases_cover_every_identity():
+    assert {identity for identity, *_ in _VERIFY_CASES} == set(IdentityId)
+
+
+@pytest.mark.parametrize("identity,params,policy,status", _VERIFY_CASES,
+                         ids=lambda v: v.value if isinstance(v, IdentityId) else "")
+def test_verify_equals_fraction_only_reference(identity, params, policy, status):
+    policy = policy or TruncationPolicy()
+    report = verify(identity, params, policy)
+    assert report == _reference_verify(identity, params, policy)
+    assert report.status is status
+
+
+def _printed_four_general_partial(K):
+    """The boxed FOUR_GENERAL_1D block list summed over k <= K, l <= k."""
+    lv = (F(1), F(2), F(4))
+    total = F(0)
+    for k in range(K + 1):
+        for l in range(k + 1):
+            q = (
+                comb(k, l)
+                * (lv[1] - lv[0]) ** (l + 1)
+                * lv[0] ** (k - l + 1)
+                * (lv[2] - lv[1]) ** (k - l)
+                / (lv[1] ** (k + 1) * (lv[2] - lv[0]) ** (k - l + 1))
+            )
+            r_kl = lv[2] + (2 * k - 2 * l) * lv[1] + (3 * l - k + 1) * lv[0]
+            expr = UmbralExpr.build(
+                (Family.BERNOULLI, 2 * (lv[1] - lv[0]), 1),
+                (Family.BERNOULLI, 2 * (lv[2] - lv[1]), 1),
+                (Family.EULER, lv[0], l),
+                (Family.UNIFORM, 2 * (lv[1] - lv[0]), l),
+                (Family.UNIFORM, 2 * lv[0], k - l),
+                (Family.BERNOULLI, 2 * (lv[1] - lv[0]), k - l),
+                constant=r_kl,
+            )
+            total += q * eval_poly(umbral_moment(expr, 1), F(0))
+    return total
+
+
+def test_errata_printed_blocks_stream_equals_double_loop(monkeypatch):
+    calls = []
+
+    def counting_moment(expr, n, order=None):
+        calls.append(n)
+        return umbral_moment(expr, n, order)
+
+    monkeypatch.setattr(identities, "umbral_moment", counting_moment)
+    entry = errata_report()["four_general_printed_blocks"]
+    assert entry["printed_partial_through_k80"] == str(
+        _printed_four_general_partial(80)
+    )
+    # 96 three-site block terms, the moments of the printed and implemented
+    # block sums at k = 0, 1, and a few left sides; the double loop made 3,321
+    assert len(calls) < 120
 
 
 # --- work guards ------------------------------------------------------------------

@@ -57,6 +57,78 @@ def test_phi_numeric_small_z_limit():
     )
 
 
+def _hyperbolic_quotient_phi(walk, start, target, z, taboo=None):
+    """The closed forms as plain cosh/sinh quotients (overflow past ~710)."""
+    w = math.sqrt(2.0 * z)
+    if walk is Walk.REFLECTED_1D:
+        if taboo is None:
+            return math.cosh(start * w) / math.cosh(target * w)
+        if target > start:
+            return math.sinh((start - taboo) * w) / math.sinh((target - taboo) * w)
+        return math.sinh((taboo - start) * w) / math.sinh((taboo - target) * w)
+    if target == 0.0:
+        return 0.0
+    if taboo is None:
+        if start == 0.0:
+            return target * w / math.sinh(target * w)
+        return target * math.sinh(start * w) / (start * math.sinh(target * w))
+    pref = target / start
+    if target > start:
+        return pref * math.sinh((start - taboo) * w) / math.sinh((target - taboo) * w)
+    return pref * math.sinh((taboo - start) * w) / math.sinh((taboo - target) * w)
+
+
+@pytest.mark.parametrize("args", [
+    (Walk.REFLECTED_1D, 0.0, 1.0, 0.5),
+    (Walk.REFLECTED_1D, 1.0, 2.0, 0.5, 0.0),
+    (Walk.REFLECTED_1D, 0.0, 2.0, 1e-12),
+    (Walk.REFLECTED_1D, 2.0, 1.0, 0.5, 3.0),
+    (Walk.BESSEL_3D, 0.0, 1.0, 0.5),
+    (Walk.BESSEL_3D, 0.0, 3.0, 0.5),
+    (Walk.BESSEL_3D, 1.0, 3.0, 0.5),
+    (Walk.BESSEL_3D, 2.0, 1.0, 0.5, 3.0),
+    (Walk.BESSEL_3D, 1.0, 2.0, 0.5, 0.5),
+    (Walk.BESSEL_3D, 1.0, 0.0, 0.5, 2.0),
+    (Walk.BESSEL_3D, 1.0, 0.0, 0.5),
+    # arguments of mixed sign, which no valid WalkConfig produces
+    (Walk.REFLECTED_1D, -1.0, 2.0, 0.5),
+    (Walk.REFLECTED_1D, 1.0, 2.0, 0.5, 1.5),
+    (Walk.BESSEL_3D, 1.0, 3.0, 0.5, 2.0),
+])
+def test_phi_numeric_matches_hyperbolic_quotients(args):
+    got, want = eval_phi_numeric(*args), _hyperbolic_quotient_phi(*args)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+# z = 1/2, so w = 1; each expected value is its closed form in the gaps
+@pytest.mark.parametrize("walk,start,target,taboo,expected", [
+    # cosh(990)/cosh(1000) = e^(-10) (1 + e^(-1980)) / (1 + e^(-2000))
+    (Walk.REFLECTED_1D, 990.0, 1000.0, None, math.exp(-10.0)),
+    (Walk.REFLECTED_1D, -995.0, 1000.0, None, math.exp(-5.0)),
+    # sinh(995)/sinh(1000) = e^(-5) (1 - e^(-1990)) / (1 - e^(-2000))
+    (Walk.REFLECTED_1D, 995.0, 1000.0, 0.0, math.exp(-5.0)),
+    (Walk.REFLECTED_1D, 5.0, 0.0, 1000.0, math.exp(-5.0)),
+    # t / sinh(t) = 2t e^(-t) / (1 - e^(-2t))
+    (Walk.BESSEL_3D, 0.0, 720.0, None, 1440.0 * math.exp(-720.0)),
+    (Walk.BESSEL_3D, 990.0, 1000.0, None, 1000.0 / 990.0 * math.exp(-10.0)),
+    (Walk.BESSEL_3D, 995.0, 1000.0, 0.0, 1000.0 / 995.0 * math.exp(-5.0)),
+    (Walk.BESSEL_3D, 10.0, 5.0, 1000.0, 0.5 * math.exp(-5.0)),
+])
+def test_phi_numeric_far_targets_do_not_overflow(
+    walk, start, target, taboo, expected
+):
+    with pytest.raises(OverflowError):
+        _hyperbolic_quotient_phi(walk, start, target, 0.5, taboo)
+    got = eval_phi_numeric(walk, start, target, 0.5, taboo)
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_phi_numeric_underflows_to_zero_far_from_the_start():
+    # 1 / cosh(1000 sqrt 2) is about 1e-614, below the smallest double
+    assert eval_phi_numeric(Walk.REFLECTED_1D, 0.0, 1000.0, 1.0) == 0.0
+    assert eval_phi_numeric(Walk.BESSEL_3D, 0.0, 1000.0, 1.0) == 0.0
+
+
 def test_phi_numeric_rejects_bad_input():
     with pytest.raises(ConfigError):
         eval_phi_numeric(Walk.REFLECTED_1D, 1.0, 0.5, 0.5)

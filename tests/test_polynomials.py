@@ -1,8 +1,11 @@
 """Higher-order polynomials, numbers, Chebyshev weights."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umbralwalk import (
     Family,
@@ -17,6 +20,7 @@ from umbralwalk import (
     hop_euler,
     umbral_moment,
 )
+from umbralwalk.polynomials import chebyshev_recip_weight_numerators
 
 
 def poly(*coeffs):
@@ -145,6 +149,29 @@ def test_weights_positive_and_sum_to_one(N):
     assert float(total) > 1 - 1e-12
 
 
+def _fraction_recurrence_weights(N, count):
+    """p_l = ([l = N] - sum_j Q_j p_{l-j}) / Q_0, on Fractions."""
+    T = chebyshev_polynomial(N).coeffs
+    q0, q = T[N], [T[N - j] for j in range(1, N + 1)]
+    recent, out = [F(0)] * N, []
+    for l in range(count):
+        p = (int(l == N) - sum(qj * pj for qj, pj in zip(q, recent))) / q0
+        recent = [p] + recent[:-1]
+        out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 7])
+def test_integer_weight_recurrence_equals_fraction_recurrence(N):
+    reference = _fraction_recurrence_weights(N, 300)
+    assert chebyshev_recip_weights(N, 300) == reference
+    q0, numerators = chebyshev_recip_weight_numerators(N)
+    assert q0 == 2 ** (N - 1)
+    P = list(itertools.islice(numerators, 300))
+    assert all(type(v) is int for v in P)
+    assert [F(v, q0**l) for l, v in enumerate(P)] == reference
+
+
 def test_weights_domain_errors():
     with pytest.raises(ValueError):
         chebyshev_recip_weights(0, 5)
@@ -153,6 +180,32 @@ def test_weights_domain_errors():
 
 
 # --- evaluation -------------------------------------------------------------------
+
+
+def _fraction_horner(q, x):
+    acc = F(0)
+    for c in reversed(q.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+
+
+@given(
+    st.lists(_rationals | st.integers(-9, 9).map(F), max_size=10),
+    _rationals | st.integers(-30, 30),
+)
+@example([], F(5, 3))
+@example([F(0), F(0)], F(-2))
+@example([F(1, 2), F(-3, 4), F(5, 6)], 0)
+@example([F(1, 2), F(-3, 4), F(5, 6)], F(-7, 9))
+@settings(max_examples=300, deadline=None)
+def test_integer_horner_equals_fraction_horner(coeffs, x):
+    q = Poly(tuple(coeffs))
+    value = q.eval(x)
+    assert type(value) is F
+    assert value == _fraction_horner(q, F(x))
 
 
 def test_eval_poly_examples():
