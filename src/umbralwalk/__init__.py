@@ -23,7 +23,6 @@ from .series import (
     ps_div,
     ps_mul,
     ps_pow,
-    shift_factor,
     to_csv,
 )
 from .polynomials import (

@@ -5,6 +5,10 @@ exact terms; `verify` accumulates exact partial sums, stops once the
 tail is demonstrably below tolerance, and reports the residual. Nothing
 is ever rounded before the final float conversion of the residual.
 
+One table, `_SPECS`, holds what each identity is: catalog text,
+parameter requirements, left side, right side as weight times
+polynomial, and the level system whose series underlies it.
+
 Where the published statement of an identity disagrees with what the
 underlying series decomposition forces, both forms are first-class
 catalog entries ("stated" vs "corrected") and `errata_report` computes
@@ -32,9 +36,9 @@ attempted; `verify` enforces this.
 from __future__ import annotations
 
 import datetime
+import functools
 import itertools
 import operator
-import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -141,7 +145,7 @@ class IdentityReport:
 
     @property
     def variant(self) -> str:
-        return VARIANTS[self.identity]
+        return _SPECS[self.identity].variant
 
     def to_json(self) -> dict:
         p = self.params
@@ -164,20 +168,6 @@ class IdentityReport:
         return out
 
 
-VARIANTS: dict[IdentityId, str] = {
-    IdentityId.EULER_CHEB: "stated",
-    IdentityId.THREE_SITES_1D_STATED: "stated",
-    IdentityId.THREE_SITES_1D_CORRECTED: "corrected",
-    IdentityId.FOUR_UNIFORM_1D: "stated",
-    IdentityId.FOUR_GENERAL_1D: "corrected",
-    IdentityId.N3_GENERAL: "corrected",
-    IdentityId.N3_UNIFORM: "stated",
-    IdentityId.EVEN_BERNOULLI: "stated",
-    IdentityId.N4_UNIFORM_STATED: "stated",
-    IdentityId.N4_UNIFORM_CORRECTED: "corrected",
-}
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     identity: IdentityId
@@ -188,69 +178,9 @@ class CatalogEntry:
 
 def catalog() -> list[CatalogEntry]:
     """Static, exhaustive listing of the ten identities."""
-    entries = [
-        (
-            IdentityId.EULER_CHEB,
-            "E_n(x) as a positive combination of higher-order Euler "
-            "polynomials with reciprocal-Chebyshev weights",
-            "Euler polynomials via N-site transition weights",
-        ),
-        (
-            IdentityId.THREE_SITES_1D_STATED,
-            "Euler difference at degree n against geometric-weighted "
-            "higher-order Bernoulli polynomials (three sites, as printed)",
-            "three sites on the half-line / reflected walk",
-        ),
-        (
-            IdentityId.THREE_SITES_1D_CORRECTED,
-            "same right side with the smoothing step integrated to "
-            "degree n+1 on the left; sound only for n <= 1 (see errata)",
-            "three sites on the half-line / reflected walk",
-        ),
-        (
-            IdentityId.FOUR_UNIFORM_1D,
-            "E_n(x) as a combination of E_n^(2k+3)(3x+k) over loop counts",
-            "four uniform sites on the half-line / reflected walk",
-        ),
-        (
-            IdentityId.FOUR_GENERAL_1D,
-            "degree-n moment identity for four arbitrary sites, evaluated "
-            "at block level from the two-loop product",
-            "four arbitrary sites on the half-line / reflected walk",
-        ),
-        (
-            IdentityId.N3_GENERAL,
-            "Bernoulli moment expansion for three concentric spheres of "
-            "arbitrary radii, evaluated at block level",
-            "Thm 4.1 / three concentric spheres",
-        ),
-        (
-            IdentityId.N3_UNIFORM,
-            "Bernoulli difference at degree n+1 against quarter-geometric "
-            "higher-order Euler polynomials (radii 1,2,3)",
-            "three concentric spheres of radii 1,2,3",
-        ),
-        (
-            IdentityId.EVEN_BERNOULLI,
-            "even Bernoulli number as a convex combination of higher-order "
-            "Euler polynomial values",
-            "specialization of the three-sphere identity at x=0, odd degree",
-        ),
-        (
-            IdentityId.N4_UNIFORM_STATED,
-            "Bernoulli value B_n((x+4)/6) against half-geometric Euler "
-            "polynomials of order 2k+2 (as printed; fails at n=1)",
-            "four concentric spheres of radii 1..4",
-        ),
-        (
-            IdentityId.N4_UNIFORM_CORRECTED,
-            "Bernoulli difference at degree n+1 against half-geometric "
-            "Euler polynomials of order 2k+3 from the recomputed chain",
-            "four concentric spheres of radii 1..4",
-        ),
-    ]
     return [
-        CatalogEntry(i, VARIANTS[i], desc, ref) for i, desc, ref in entries
+        CatalogEntry(i, s.variant, s.description, s.reference)
+        for i, s in _SPECS.items()
     ]
 
 
@@ -262,38 +192,27 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidParamsError(msg)
 
 
-def _levels(params: IdentityParams, count: int) -> tuple[Fraction, ...]:
-    _require(
-        params.levels is not None and len(params.levels) == count,
-        f"identity needs exactly {count} levels, got {params.levels}",
-    )
-    lv = params.levels
-    _require(all(v > 0 for v in lv), f"levels must be positive: {lv}")
-    _require(
-        all(a < b for a, b in zip(lv, lv[1:])),
-        f"levels must strictly increase: {lv}",
-    )
-    return lv
-
-
 def validate_params(identity: IdentityId, params: IdentityParams) -> None:
     _require(params.n >= 0, f"degree must be nonnegative, got {params.n}")
-    if identity is IdentityId.EULER_CHEB:
+    spec = _SPECS.get(identity)
+    _require(spec is not None, f"unknown identity {identity!r}")
+    if spec.level_count:
+        lv, count = params.levels, spec.level_count
         _require(
-            params.cheb_index is not None and params.cheb_index >= 1,
-            f"EULER_CHEB needs a Chebyshev index >= 1, got {params.cheb_index}",
+            lv is not None and len(lv) == count,
+            f"identity needs exactly {count} levels, got {lv}",
         )
-    elif identity in (
-        IdentityId.THREE_SITES_1D_STATED,
-        IdentityId.THREE_SITES_1D_CORRECTED,
-    ):
-        _levels(params, 2)
-    elif identity in (IdentityId.FOUR_GENERAL_1D, IdentityId.N3_GENERAL):
-        _levels(params, 3)
-    elif identity is IdentityId.EVEN_BERNOULLI:
+        _require(all(v > 0 for v in lv), f"levels must be positive: {lv}")
         _require(
-            params.m is not None and params.m >= 1,
-            f"EVEN_BERNOULLI needs half-degree m >= 1, got {params.m}",
+            all(a < b for a, b in zip(lv, lv[1:])),
+            f"levels must strictly increase: {lv}",
+        )
+    if spec.positive_field:
+        field, phrase = spec.positive_field
+        value = getattr(params, field)
+        _require(
+            value is not None and value >= 1,
+            f"{IdentityId(identity).value} needs {phrase} >= 1, got {value}",
         )
 
 
@@ -318,57 +237,32 @@ def _bernoulli_at(n: int, x: Fraction) -> Fraction:
     return eval_poly(hop_bernoulli(n, 1), x)
 
 
+def _three_sites_lhs(params: IdentityParams, shift: int = 0) -> Fraction:
+    """The Euler difference of degree n + shift at the three-site points."""
+    (a1, a2), n = params.levels, params.n + shift
+    u = params.x / (2 * a2)
+    hi = _euler_at(n, u + Fraction(3, 2) - 2 * a1 / a2)
+    return hi - _euler_at(n, u + _HALF)
+
+
+def _top_block_lhs(params: IdentityParams, family: Family) -> Fraction:
+    """Moment n of x + a + one `family` block of scale 2a (a: top level)."""
+    a = params.levels[-1]
+    expr = UmbralExpr.build((family, 2 * a, 1), constant=a)
+    return eval_poly(umbral_moment(expr, params.n), params.x)
+
+
+def _bernoulli_integral(
+    params: IdentityParams, c: Fraction, lo: Fraction, hi: Fraction
+) -> Fraction:
+    """c times the integral of B_n over [lo, hi]."""
+    n = params.n
+    return c * (_bernoulli_at(n + 1, hi) - _bernoulli_at(n + 1, lo)) / (n + 1)
+
+
 def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
     params = normalize_params(identity, params)
-    n, x = params.n, params.x
-    if identity is IdentityId.EULER_CHEB:
-        return _euler_at(n, x)
-    if identity is IdentityId.THREE_SITES_1D_STATED:
-        a1, a2 = params.levels
-        u = x / (2 * a2)
-        return _euler_at(n, u + Fraction(3, 2) - 2 * a1 / a2) - _euler_at(
-            n, u + _HALF
-        )
-    if identity is IdentityId.THREE_SITES_1D_CORRECTED:
-        a1, a2 = params.levels
-        u = x / (2 * a2)
-        return _euler_at(
-            n + 1, u + Fraction(3, 2) - 2 * a1 / a2
-        ) - _euler_at(n + 1, u + _HALF)
-    if identity is IdentityId.FOUR_UNIFORM_1D:
-        return _euler_at(n, x)
-    if identity is IdentityId.FOUR_GENERAL_1D:
-        a3 = params.levels[2]
-        expr = UmbralExpr.build((Family.EULER, 2 * a3, 1), constant=a3)
-        return eval_poly(umbral_moment(expr, n), x)
-    if identity is IdentityId.N3_GENERAL:
-        a3 = params.levels[2]
-        expr = UmbralExpr.build((Family.BERNOULLI, 2 * a3, 1), constant=a3)
-        return eval_poly(umbral_moment(expr, n), x)
-    if identity is IdentityId.N3_UNIFORM:
-        return (
-            Fraction(3) ** (n + 1)
-            / (n + 1)
-            * (
-                _bernoulli_at(n + 1, x / 6 + Fraction(5, 6))
-                - _bernoulli_at(n + 1, x / 6 + _HALF)
-            )
-        )
-    if identity is IdentityId.EVEN_BERNOULLI:
-        return bernoulli_number(2 * params.m)
-    if identity is IdentityId.N4_UNIFORM_STATED:
-        return _bernoulli_at(n, (x + 4) / 6)
-    if identity is IdentityId.N4_UNIFORM_CORRECTED:
-        return (
-            4
-            * Fraction(8) ** n
-            / (n + 1)
-            * (
-                _bernoulli_at(n + 1, (x + 6) / 8)
-                - _bernoulli_at(n + 1, (x + 4) / 8)
-            )
-        )
-    raise InvalidParamsError(f"unknown identity {identity!r}")
+    return _SPECS[identity].lhs(params)
 
 
 # -- right-hand side terms -------------------------------------------------
@@ -488,6 +382,23 @@ def n3_general_term_blocks(
     return r_k, expr
 
 
+def _three_sites_blocks(
+    k: int, levels: tuple[Fraction, Fraction]
+) -> tuple[Fraction, UmbralExpr]:
+    """Weight p_k = (a1/a2) (1 - a1/a2)^k and block expression of the
+    k-th term of the sound three-site moment identity."""
+    a1, a2 = levels
+    p_k = (a1 / a2) * (1 - a1 / a2) ** k
+    expr = UmbralExpr.build(
+        (Family.UNIFORM, 2 * a1, 1),
+        (Family.UNIFORM, 2 * (a2 - a1), k),
+        (Family.BERNOULLI, 2 * a2, k + 1),
+        (Family.EULER, 2 * a1, k + 1),
+        constant=a2 + 2 * a1 * k,
+    )
+    return p_k, expr
+
+
 def three_sites_block_term(
     k: int, n: int, x: Fraction, levels: tuple[Fraction, Fraction]
 ) -> ExactScalar:
@@ -498,29 +409,13 @@ def three_sites_block_term(
     geometric-Bernoulli right side would need to reduce to, and is kept
     as the engine's ground truth for the three-site errata.
     """
-    a1, a2 = levels
-    p_k = (a1 / a2) * (1 - a1 / a2) ** k
-    expr = UmbralExpr.build(
-        (Family.UNIFORM, 2 * a1, 1),
-        (Family.UNIFORM, 2 * (a2 - a1), k),
-        (Family.BERNOULLI, 2 * a2, k + 1),
-        (Family.EULER, 2 * a1, k + 1),
-        constant=a2 + 2 * a1 * k,
-    )
+    p_k, expr = _three_sites_blocks(k, levels)
     return p_k * eval_poly(umbral_moment(expr, n), x)
 
 
-@dataclass(frozen=True)
-class _TermPlan:
-    """How one identity's right side is summed.
-
-    Term k is u_k / (C b^k) * value(params, k) with (C, b, u) =
-    weights(params); value has degree <= degree(params) in k.
-    """
-
-    degree: Callable[[IdentityParams], int]
-    weights: Callable[[IdentityParams], _Weights]
-    value: Callable[[IdentityParams, int], Fraction]
+def _three_sites_block_weights(params: IdentityParams) -> _Weights:
+    p0, p1 = (_three_sites_blocks(k, params.levels)[0] for k in (0, 1))
+    return _geometric(p0, p1 / p0)
 
 
 def _geometric(c: Fraction, r: Fraction) -> _Weights:
@@ -529,10 +424,6 @@ def _geometric(c: Fraction, r: Fraction) -> _Weights:
         itertools.repeat(r.numerator), operator.mul, initial=c.numerator
     )
     return c.denominator, r.denominator, numerators
-
-
-def _degree_n(params: IdentityParams) -> int:
-    return params.n
 
 
 def _euler_cheb_value(params: IdentityParams, k: int) -> Fraction:
@@ -565,68 +456,157 @@ def _even_bernoulli_weights(params: IdentityParams) -> _Weights:
     return _geometric(pref, Fraction(1, 4))
 
 
-_THREE_SITES_PLAN = _TermPlan(
-    _degree_n, _three_sites_weights, _three_sites_value
+# -- the spec table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """One identity: catalog text, left side, right side, ground truth.
+
+    Term k of the right side is u_k / (C b^k) * value(params, k) with
+    (C, b, u) = weights(params), value of degree <= degree(params) in k.
+    An instance needs `level_count` levels and, by `positive_field`, an
+    integer field >= 1 (and the phrase naming it in the error).
+    """
+
+    variant: str
+    description: str
+    reference: str
+    lhs: Callable[[IdentityParams], ExactScalar]
+    weights: Callable[[IdentityParams], _Weights]
+    value: Callable[[IdentityParams, int], Fraction]
+    degree: Callable[[IdentityParams], int] = lambda p: p.n
+    system: Callable[[IdentityParams], LevelSystem | None] = lambda p: None
+    level_count: int = 0
+    positive_field: tuple[str, str] | None = None
+    degenerate: Callable[[IdentityParams], bool] = lambda p: False
+
+
+_THREE_SITES = _Spec(
+    "stated",
+    "Euler difference at degree n against geometric-weighted "
+    "higher-order Bernoulli polynomials (three sites, as printed)",
+    "three sites on the half-line / reflected walk",
+    _three_sites_lhs,
+    _three_sites_weights,
+    _three_sites_value,
+    system=lambda p: LevelSystem(Walk.REFLECTED_1D, (0, *p.levels)),
+    level_count=2,
+    # uniformly spaced sites zero the weights' factor 1 - 2 a1/a2
+    degenerate=lambda p: p.levels[1] == 2 * p.levels[0],
 )
 
-_PLANS: dict[IdentityId, _TermPlan] = {
-    IdentityId.EULER_CHEB: _TermPlan(
-        _degree_n,
+_SPECS: dict[IdentityId, _Spec] = {
+    IdentityId.EULER_CHEB: _Spec(
+        "stated",
+        "E_n(x) as a positive combination of higher-order Euler "
+        "polynomials with reciprocal-Chebyshev weights",
+        "Euler polynomials via N-site transition weights",
+        lambda p: _euler_at(p.n, p.x),
         lambda p: (1, *chebyshev_recip_weight_numerators(p.cheb_index)),
         _euler_cheb_value,
+        positive_field=("cheb_index", "a Chebyshev index"),
     ),
-    IdentityId.THREE_SITES_1D_STATED: _THREE_SITES_PLAN,
-    IdentityId.THREE_SITES_1D_CORRECTED: _THREE_SITES_PLAN,
-    IdentityId.FOUR_UNIFORM_1D: _TermPlan(
-        _degree_n,
+    IdentityId.THREE_SITES_1D_STATED: _THREE_SITES,
+    IdentityId.THREE_SITES_1D_CORRECTED: replace(
+        _THREE_SITES,
+        variant="corrected",
+        description="same right side with the smoothing step integrated to "
+        "degree n+1 on the left; sound only for n <= 1 (see errata)",
+        lhs=lambda p: _three_sites_lhs(p, 1),
+    ),
+    IdentityId.FOUR_UNIFORM_1D: _Spec(
+        "stated",
+        "E_n(x) as a combination of E_n^(2k+3)(3x+k) over loop counts",
+        "four uniform sites on the half-line / reflected walk",
+        lambda p: _euler_at(p.n, p.x),
         lambda p: _geometric(Fraction(1, 4 * 3**p.n), Fraction(3, 4)),
         lambda p, k: eval_poly(hop_euler(p.n, 2 * k + 3), 3 * p.x + k),
+        system=lambda p: LevelSystem(Walk.REFLECTED_1D, (0, 1, 2, 3)),
     ),
-    IdentityId.FOUR_GENERAL_1D: _TermPlan(
-        _degree_n,
+    IdentityId.FOUR_GENERAL_1D: _Spec(
+        "corrected",
+        "degree-n moment identity for four arbitrary sites, evaluated "
+        "at block level from the two-loop product",
+        "four arbitrary sites on the half-line / reflected walk",
+        lambda p: _top_block_lhs(p, Family.EULER),
         lambda p: _geometric(*_four_general_ratio(p.levels)),
         _four_general_value,
+        system=lambda p: LevelSystem(Walk.REFLECTED_1D, (0, *p.levels)),
+        level_count=3,
     ),
-    IdentityId.N3_GENERAL: _TermPlan(
-        _degree_n,
+    IdentityId.N3_GENERAL: _Spec(
+        "corrected",
+        "Bernoulli moment expansion for three concentric spheres of "
+        "arbitrary radii, evaluated at block level",
+        "Thm 4.1 / three concentric spheres",
+        lambda p: _top_block_lhs(p, Family.BERNOULLI),
         _n3_general_weights,
         lambda p, k: eval_poly(
             umbral_moment(n3_general_term_blocks(k, p.levels)[1], p.n), p.x
         ),
+        system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, *p.levels)),
+        level_count=3,
     ),
-    IdentityId.N3_UNIFORM: _TermPlan(
-        _degree_n,
+    IdentityId.N3_UNIFORM: _Spec(
+        "stated",
+        "Bernoulli difference at degree n+1 against quarter-geometric "
+        "higher-order Euler polynomials (radii 1,2,3)",
+        "three concentric spheres of radii 1,2,3",
+        lambda p: _bernoulli_integral(
+            p, Fraction(3) ** (p.n + 1), (p.x + 3) / 6, (p.x + 5) / 6
+        ),
         lambda p: _geometric(Fraction(3, 4), Fraction(1, 4)),
         lambda p, k: eval_poly(
             hop_euler(p.n, 2 * k + 2), Fraction(p.x + 3 + 2 * k, 2)
         ),
+        system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3)),
     ),
-    IdentityId.EVEN_BERNOULLI: _TermPlan(
-        lambda p: 2 * p.m - 1,
+    IdentityId.EVEN_BERNOULLI: _Spec(
+        "stated",
+        "even Bernoulli number as a convex combination of higher-order "
+        "Euler polynomial values",
+        "specialization of the three-sphere identity at x=0, odd degree",
+        lambda p: bernoulli_number(2 * p.m),
         _even_bernoulli_weights,
         lambda p, k: eval_poly(
             hop_euler(2 * p.m - 1, 2 * k + 2), k + Fraction(3, 2)
         ),
+        degree=lambda p: 2 * p.m - 1,
+        system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3)),
+        positive_field=("m", "half-degree m"),
     ),
-    IdentityId.N4_UNIFORM_STATED: _TermPlan(
-        _degree_n,
+    IdentityId.N4_UNIFORM_STATED: _Spec(
+        "stated",
+        "Bernoulli value B_n((x+4)/6) against half-geometric Euler "
+        "polynomials of order 2k+2 (as printed; fails at n=1)",
+        "four concentric spheres of radii 1..4",
+        lambda p: _bernoulli_at(p.n, (p.x + 4) / 6),
         lambda p: _geometric(Fraction(1, 3**p.n), Fraction(1, 2)),
         lambda p, k: eval_poly(
             hop_euler(p.n, 2 * k + 2), Fraction(p.x + 2 * k + 3, 2)
         ),
+        system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
     ),
-    IdentityId.N4_UNIFORM_CORRECTED: _TermPlan(
-        _degree_n,
+    IdentityId.N4_UNIFORM_CORRECTED: _Spec(
+        "corrected",
+        "Bernoulli difference at degree n+1 against half-geometric "
+        "Euler polynomials of order 2k+3 from the recomputed chain",
+        "four concentric spheres of radii 1..4",
+        lambda p: _bernoulli_integral(
+            p, 4 * Fraction(8) ** p.n, (p.x + 4) / 8, (p.x + 6) / 8
+        ),
         lambda p: _geometric(Fraction(2**p.n, 2), Fraction(1, 2)),
         lambda p, k: eval_poly(
             hop_euler(p.n, 2 * k + 3), Fraction(p.x + 2 * k + 4, 2)
         ),
+        system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
     ),
 }
 
 
 def _term_numerators(
-    plan: _TermPlan, params: IdentityParams
+    spec: _Spec, params: IdentityParams
 ) -> Iterator[tuple[int, int]]:
     """Term k = 0, 1, 2, ... of a right side as integers (t_k, C D b^k).
 
@@ -635,19 +615,19 @@ def _term_numerators(
     its value. Later values continue through a backward-difference table
     of integer numerators over D. Each denominator divides the next.
     """
-    d = plan.degree(params)
-    C, b, weights = plan.weights(params)
+    d = spec.degree(params)
+    C, b, weights = spec.weights(params)
     scale, D = C, 1  # scale is C b^k
     head: list[Fraction | None] = []
     for k in range(d + 1):
         u = next(weights)
-        v = plan.value(params, k) if u else _ZERO
+        v = spec.value(params, k) if u else _ZERO
         head.append(v if u else None)
         D = lcm(D, v.denominator)
         yield u * v.numerator * (D // v.denominator), scale * D
         scale *= b
     head = [
-        plan.value(params, k) if v is None else v for k, v in enumerate(head)
+        spec.value(params, k) if v is None else v for k, v in enumerate(head)
     ]
     D = lcm(*(v.denominator for v in head))
     row = [v.numerator * (D // v.denominator) for v in head]
@@ -663,6 +643,12 @@ def _term_numerators(
         den *= b
 
 
+def _partial(spec: _Spec, params: IdentityParams, K: int) -> Fraction:
+    """Exact sum of the terms k = 0..K of a spec's right side."""
+    terms = itertools.islice(_term_numerators(spec, params), K + 1)
+    return sum(itertools.starmap(Fraction, terms), _ZERO)
+
+
 def rhs_term(
     identity: IdentityId, params: IdentityParams, k: int
 ) -> ExactScalar:
@@ -675,7 +661,7 @@ def rhs_terms(
 ) -> Iterator[ExactScalar]:
     """The exact addends k = 0, 1, 2, ... of the right side, unending."""
     params = normalize_params(identity, params)
-    for t, den in _term_numerators(_PLANS[IdentityId(identity)], params):
+    for t, den in _term_numerators(_SPECS[identity], params):
         yield Fraction(t, den)
 
 
@@ -685,14 +671,13 @@ def eval_rhs_partial(
     """Exact partial sum of the right side through index K inclusive."""
     if K < 0:
         raise InvalidParamsError(f"partial-sum bound must be >= 0, got {K}")
-    return sum(itertools.islice(rhs_terms(identity, params), K + 1), _ZERO)
+    params = normalize_params(identity, params)
+    return _partial(_SPECS[identity], params, K)
 
 
 # -- ground truth: the series decomposition behind each identity -----------
 
 _GROUND_TRUTH_ORDER = 30
-_GROUND_TRUTH_CACHE: dict[tuple[Walk, tuple[Fraction, ...]], Fraction] = {}
-_GROUND_TRUTH_LOCK = threading.Lock()
 
 
 class EngineConsistencyError(AssertionError):
@@ -703,40 +688,20 @@ def ground_truth_system(
     identity: IdentityId, params: IdentityParams
 ) -> LevelSystem | None:
     """Level system whose exact series factorization underlies the identity."""
-    if identity in (
-        IdentityId.THREE_SITES_1D_STATED,
-        IdentityId.THREE_SITES_1D_CORRECTED,
-        IdentityId.FOUR_GENERAL_1D,
-    ):
-        return LevelSystem(Walk.REFLECTED_1D, (_ZERO,) + params.levels)
-    if identity is IdentityId.FOUR_UNIFORM_1D:
-        return LevelSystem(Walk.REFLECTED_1D, (0, 1, 2, 3))
-    if identity is IdentityId.N3_GENERAL:
-        return LevelSystem(Walk.BESSEL_3D, (_ZERO,) + params.levels)
-    if identity in (IdentityId.N3_UNIFORM, IdentityId.EVEN_BERNOULLI):
-        return LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3))
-    if identity in (
-        IdentityId.N4_UNIFORM_STATED,
-        IdentityId.N4_UNIFORM_CORRECTED,
-    ):
-        return LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3, 4))
-    return None
+    return _SPECS[identity].system(params)
 
 
-def ensure_ground_truth(
-    identity: IdentityId, params: IdentityParams
-) -> None:
+@functools.cache
+def _ground_truth_residual(system: LevelSystem) -> Fraction:
+    return decomposition_residual(system, _GROUND_TRUTH_ORDER)
+
+
+def ensure_ground_truth(identity: IdentityId, params: IdentityParams) -> None:
     """Require the underlying series decomposition to be exactly zero."""
     system = ground_truth_system(identity, params)
     if system is None:
         return
-    key = (system.walk, system.levels)
-    with _GROUND_TRUTH_LOCK:
-        residual = _GROUND_TRUTH_CACHE.get(key)
-    if residual is None:
-        residual = decomposition_residual(system, _GROUND_TRUTH_ORDER)
-        with _GROUND_TRUTH_LOCK:
-            _GROUND_TRUTH_CACHE[key] = residual
+    residual = _ground_truth_residual(system)
     if residual != 0:
         raise EngineConsistencyError(
             f"series decomposition residual {residual} != 0 for {system}"
@@ -744,16 +709,6 @@ def ensure_ground_truth(
 
 
 # -- verification loop ------------------------------------------------------
-
-
-def _is_degenerate(identity: IdentityId, params: IdentityParams) -> bool:
-    if identity in (
-        IdentityId.THREE_SITES_1D_STATED,
-        IdentityId.THREE_SITES_1D_CORRECTED,
-    ):
-        a1, a2 = params.levels
-        return a2 == 2 * a1
-    return False
 
 
 def verify(
@@ -767,14 +722,15 @@ def verify(
     `stable_run` term magnitudes below threshold plus a geometric tail
     estimate below threshold, and (to survive leading runs of zero
     terms) either a nonzero term seen earlier or an exact match of the
-    partial sum with the left side. Uniformly spaced three-site systems
-    short-circuit to DEGENERATE_TRIVIAL without summing.
+    partial sum with the left side. Degenerate instances (uniformly
+    spaced three-site systems) short-circuit to DEGENERATE_TRIVIAL.
     """
     identity = IdentityId(identity)
     policy = policy or TruncationPolicy()
     params = normalize_params(identity, params)
+    spec = _SPECS[identity]
     lhs = eval_lhs(identity, params)
-    if _is_degenerate(identity, params):
+    if spec.degenerate(params):
         return IdentityReport(
             identity, params, -1, lhs, _ZERO, 0.0, True, Status.DEGENERATE_TRIVIAL
         )
@@ -785,7 +741,7 @@ def verify(
     seen_nonzero = False
     converged = False
     K = -1
-    terms = _term_numerators(_PLANS[identity], params)
+    terms = _term_numerators(spec, params)
     for k, (t, t_den) in zip(range(policy.k_max + 1), terms):
         S, den = S * (t_den // den) + t, t_den
         K = k
@@ -971,15 +927,18 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     }
 
     # beyond degree 1 even the corrected collapse fails; the block-level
-    # sum translated directly from the chain is the value that matches
+    # sum translated directly from the chain is the value that matches.
+    # Its weights are geometric and its moments of degree 2 in k.
     n2 = IdentityParams(n=2, x=_ZERO, levels=(1, 3))
-    block_partial = sum(
-        (three_sites_block_term(k, 2, _ZERO, (Fraction(1), Fraction(3)))
-         for k in range(96)),
-        _ZERO,
+    blocks = replace(
+        _SPECS[IdentityId.THREE_SITES_1D_CORRECTED],
+        weights=_three_sites_block_weights,
+        value=lambda p, k: eval_poly(
+            umbral_moment(_three_sites_blocks(k, p.levels)[1], p.n), p.x
+        ),
     )
-    block_expr = UmbralExpr.build((Family.EULER, 6, 1), constant=3)
-    lhs_block = eval_poly(umbral_moment(block_expr, 2), _ZERO)
+    block_partial = _partial(blocks, n2, 95)
+    lhs_block = _top_block_lhs(n2, Family.EULER)
     entries["three_sites_corrected_degree_2"] = {
         "corrected": verify(
             IdentityId.THREE_SITES_1D_CORRECTED, n2, policy
@@ -1058,11 +1017,10 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     # four general sites: the boxed block list versus the forced translation
     fg = IdentityParams(n=1, x=_ZERO, levels=(1, 2, 4))
     printed = replace(
-        _PLANS[IdentityId.FOUR_GENERAL_1D],
+        _SPECS[IdentityId.FOUR_GENERAL_1D],
         value=lambda p, k: _four_general_value(p, k, _printed_fg_blocks),
     )
-    terms = itertools.islice(_term_numerators(printed, fg), 81)
-    printed_partial = sum(itertools.starmap(Fraction, terms), _ZERO)
+    printed_partial = _partial(printed, fg, 80)
     lhs_fg = eval_lhs(IdentityId.FOUR_GENERAL_1D, fg)
     entries["four_general_printed_blocks"] = {
         "printed_partial_through_k80": str(printed_partial),
@@ -1086,13 +1044,20 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
 def verify_all_payload(policy: TruncationPolicy | None = None) -> dict:
     """Run the full expected matrix, audits, and errata; canonical order."""
     policy = policy or TruncationPolicy()
-    reports = []
-    all_ok = True
-    for identity, params in expected_verified_cases():
-        rep = verify(identity, params, policy)
-        ok = rep.status is Status.VERIFIED
-        all_ok = all_ok and ok
-        reports.append(rep.to_json() | {"expected": "VERIFIED", "pass": ok})
+
+    def sort_key(item: dict):
+        return (item["identity"], item.get("N") or 0, item["n"], item["x"],
+                tuple(item["levels"]))
+
+    def expect(cases, want: Status) -> list[dict]:
+        reps = [verify(identity, params, policy) for identity, params in cases]
+        checked = [
+            r.to_json() | {"expected": want.value, "pass": r.status is want}
+            for r in reps
+        ]
+        return sorted(checked, key=sort_key)
+
+    reports = expect(expected_verified_cases(), Status.VERIFIED)
     audits = []
     for case in stated_audit_cases():
         rep = verify(case.identity, case.params, policy)
@@ -1105,7 +1070,6 @@ def verify_all_payload(policy: TruncationPolicy | None = None) -> dict:
             and abs(float(rep.rhs_partial_exact - case.expected_rhs_limit))
             < limit_tol
         )
-        all_ok = all_ok and ok
         audits.append(
             rep.to_json()
             | {
@@ -1115,29 +1079,15 @@ def verify_all_payload(policy: TruncationPolicy | None = None) -> dict:
                 "pass": ok,
             }
         )
-    discrepancies = []
-    for identity, params in known_discrepancy_cases():
-        rep = verify(identity, params, policy)
-        ok = rep.status is Status.RESIDUAL_NONZERO
-        all_ok = all_ok and ok
-        discrepancies.append(
-            rep.to_json() | {"expected": "RESIDUAL_NONZERO", "pass": ok}
-        )
+    audits.sort(key=sort_key)
+    discrepancies = expect(known_discrepancy_cases(), Status.RESIDUAL_NONZERO)
     degenerate = verify(
         IdentityId.THREE_SITES_1D_STATED,
         IdentityParams(n=1, x=Fraction(7), levels=(1, 2)),
         policy,
     )
     ok = degenerate.status is Status.DEGENERATE_TRIVIAL
-    all_ok = all_ok and ok
-
-    def sort_key(item: dict):
-        return (item["identity"], item.get("N") or 0, item["n"], item["x"],
-                tuple(item["levels"]))
-
-    reports.sort(key=sort_key)
-    audits.sort(key=sort_key)
-    discrepancies.sort(key=sort_key)
+    all_ok = ok and all(r["pass"] for r in reports + audits + discrepancies)
     return {
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "policy": {

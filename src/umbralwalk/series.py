@@ -190,16 +190,11 @@ def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Quotient q with ps_mul(q, b) == a up to the common order.
 
-    Requires a nonzero constant term in the divisor. A divisor with only
-    a leading power of the variable must be reduced with `shift_factor`
-    first.
+    Requires a nonzero constant term in the divisor.
     """
     a._require_same_order(b)
     if b.constant_term == 0:
-        raise ConstantTermError(
-            "division by a series with zero constant term; "
-            "factor out the leading power with shift_factor first"
-        )
+        raise ConstantTermError("division by a series with zero constant term")
     n = a.order
     inv0 = _ONE / b.constant_term
     out = [_ZERO] * n
@@ -226,26 +221,6 @@ def ps_pow(a: PowerSeries, k: int) -> PowerSeries:
         if k:
             base = ps_mul(base, base)
     return result
-
-
-def shift_factor(a: PowerSeries, m: int) -> PowerSeries:
-    """Remove an exact leading factor var**m, reducing the order by m.
-
-    The top m coefficients of the result are not determined by the
-    stored window of `a`, so the result honestly has order - m retained
-    coefficients instead of being padded with fabricated zeros.
-    """
-    if not isinstance(m, int) or m < 0:
-        raise ValueError(f"shift must be a nonnegative integer, got {m!r}")
-    if m == 0:
-        return a
-    if m >= a.order:
-        raise ValueError(f"cannot shift by {m} with only order {a.order}")
-    if any(c != 0 for c in a.coeffs[:m]):
-        raise ConstantTermError(
-            f"series has a nonzero coefficient below index {m}"
-        )
-    return PowerSeries(a.coeffs[m:], a.var)
 
 
 def kernel(

@@ -162,6 +162,18 @@ def test_catalog_command(capsys):
     )
 
 
+# sha256 of `umbralwalk catalog` as printed before the spec table
+_CATALOG_SHA256 = (
+    "9847bc262a03d14b05a461a33051dbb99a8018645313af010784b0e15edcd29b"
+)
+
+
+def test_catalog_output_bytes_unchanged(capsys):
+    code, out = run(capsys, "catalog")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _CATALOG_SHA256
+
+
 def test_simulate_command_deterministic(capsys, monkeypatch):
     monkeypatch.setenv("UMBRAL_WALK_SEED", "31415")
     args = (

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import re
 from fractions import Fraction as F
 from math import comb
 
@@ -26,6 +27,7 @@ from umbralwalk import (
 )
 from umbralwalk import identities
 from umbralwalk.identities import (
+    EngineConsistencyError,
     ensure_ground_truth,
     errata_report,
     four_general_term_blocks,
@@ -42,6 +44,7 @@ from umbralwalk.polynomials import (
     hop_bernoulli,
     hop_euler,
 )
+from umbralwalk.loopcalc import Walk, decomposition_residual
 from umbralwalk.series import PowerSeries, ps_div
 from umbralwalk.umbral import umbral_moment
 
@@ -95,6 +98,47 @@ def test_params_validation():
         eval_lhs(IdentityId.EVEN_BERNOULLI, IdentityParams())
     with pytest.raises(InvalidParamsError):
         eval_lhs(IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=-1))
+
+
+# every parameter requirement of every identity, with its error text
+_TWO_LEVELS = (
+    IdentityId.THREE_SITES_1D_STATED, IdentityId.THREE_SITES_1D_CORRECTED
+)
+_THREE_LEVELS = (IdentityId.FOUR_GENERAL_1D, IdentityId.N3_GENERAL)
+_INVALID_CASES = [
+    (identity, IdentityParams(n=1, levels=levels), message)
+    for count, ids in ((2, _TWO_LEVELS), (3, _THREE_LEVELS))
+    for identity in ids
+    for levels, message in (
+        (None, f"identity needs exactly {count} levels, got None"),
+        ((1, 2, 4, 5)[: count + 1], f"identity needs exactly {count} levels"),
+        ((0, 1, 2)[:count], "levels must be positive: (Fraction(0, 1), "),
+        ((3, 1, 2)[:count], "levels must strictly increase: (Fraction(3, 1)"),
+    )
+] + [
+    (IdentityId.EULER_CHEB, IdentityParams(n=1),
+     "EULER_CHEB needs a Chebyshev index >= 1, got None"),
+    (IdentityId.EULER_CHEB, IdentityParams(n=1, cheb_index=0),
+     "EULER_CHEB needs a Chebyshev index >= 1, got 0"),
+    (IdentityId.EVEN_BERNOULLI, IdentityParams(),
+     "EVEN_BERNOULLI needs half-degree m >= 1, got None"),
+    (IdentityId.EVEN_BERNOULLI, IdentityParams(m=0),
+     "EVEN_BERNOULLI needs half-degree m >= 1, got 0"),
+] + [
+    (identity, IdentityParams(n=-1), "degree must be nonnegative, got -1")
+    for identity in IdentityId
+]
+
+
+@pytest.mark.parametrize("identity,params,message", _INVALID_CASES,
+                         ids=lambda v: v.value if isinstance(v, IdentityId) else "")
+def test_invalid_params_rejected_with_message(identity, params, message):
+    with pytest.raises(InvalidParamsError, match=re.escape(message)):
+        eval_lhs(identity, params)
+    with pytest.raises(InvalidParamsError, match=re.escape(message)):
+        verify(identity, params)
+    with pytest.raises(InvalidParamsError, match=re.escape(message)):
+        next(rhs_terms(identity, params))
 
 
 # --- right-hand terms --------------------------------------------------------------
@@ -423,9 +467,33 @@ def test_errata_printed_blocks_stream_equals_double_loop(monkeypatch):
     assert entry["printed_partial_through_k80"] == str(
         _printed_four_general_partial(80)
     )
-    # 96 three-site block terms, the moments of the printed and implemented
-    # block sums at k = 0, 1, and a few left sides; the double loop made 3,321
+    # the moments of the printed and implemented block sums at k = 0, 1,
+    # the three-site block moments and a few left sides; the double loop
+    # made 3,321
     assert len(calls) < 120
+
+
+def test_errata_three_site_blocks_stream_equals_direct_sum(monkeypatch):
+    levels = (F(1), F(3))
+    direct = sum(
+        (three_sites_block_term(k, 2, F(0), levels) for k in range(96)), F(0)
+    )
+    lhs = eval_poly(
+        umbral_moment(UmbralExpr.build((Family.EULER, 6, 1), constant=3), 2),
+        F(0),
+    )
+    calls = []
+
+    def counting_moment(expr, n, order=None):
+        calls.append(n)
+        return umbral_moment(expr, n, order)
+
+    monkeypatch.setattr(identities, "umbral_moment", counting_moment)
+    entry = errata_report()["three_sites_corrected_degree_2"]
+    assert entry["block_level_partial"] == str(direct)
+    assert entry["block_level_residual"] == abs(float(lhs - direct))
+    # the direct sum makes one block moment per term, 96 of them
+    assert len(calls) < 20
 
 
 # --- work guards ------------------------------------------------------------------
@@ -528,6 +596,104 @@ def test_report_json_schema():
 
 
 # --- ground truth -------------------------------------------------------------------
+
+
+# per identity: an instance, its variant and its ground-truth level system
+_SPEC_FACTS = {
+    IdentityId.EULER_CHEB: (IdentityParams(n=1, cheb_index=2), "stated", None),
+    IdentityId.THREE_SITES_1D_STATED: (
+        IdentityParams(n=1, levels=(1, 3)), "stated",
+        (Walk.REFLECTED_1D, (0, 1, 3)),
+    ),
+    IdentityId.THREE_SITES_1D_CORRECTED: (
+        IdentityParams(n=1, levels=(2, 5)), "corrected",
+        (Walk.REFLECTED_1D, (0, 2, 5)),
+    ),
+    IdentityId.FOUR_UNIFORM_1D: (
+        IdentityParams(n=1), "stated", (Walk.REFLECTED_1D, (0, 1, 2, 3)),
+    ),
+    IdentityId.FOUR_GENERAL_1D: (
+        IdentityParams(n=1, levels=(1, 2, 4)), "corrected",
+        (Walk.REFLECTED_1D, (0, 1, 2, 4)),
+    ),
+    IdentityId.N3_GENERAL: (
+        IdentityParams(n=1, levels=(1, 3, 5)), "corrected",
+        (Walk.BESSEL_3D, (0, 1, 3, 5)),
+    ),
+    IdentityId.N3_UNIFORM: (
+        IdentityParams(n=1), "stated", (Walk.BESSEL_3D, (0, 1, 2, 3)),
+    ),
+    IdentityId.EVEN_BERNOULLI: (
+        IdentityParams(m=1), "stated", (Walk.BESSEL_3D, (0, 1, 2, 3)),
+    ),
+    IdentityId.N4_UNIFORM_STATED: (
+        IdentityParams(n=1), "stated", (Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
+    ),
+    IdentityId.N4_UNIFORM_CORRECTED: (
+        IdentityParams(n=1), "corrected", (Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
+    ),
+}
+
+
+def test_spec_facts_cover_every_identity():
+    assert list(_SPEC_FACTS) == list(IdentityId)
+    assert [e.identity for e in catalog()] == list(IdentityId)
+
+
+@pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.value)
+def test_variant_and_ground_truth_system_per_identity(identity):
+    params, variant, system = _SPEC_FACTS[identity]
+    report = IdentityReport(
+        identity, params, 0, F(0), F(0), 0.0, True, Status.VERIFIED
+    )
+    assert report.variant == variant
+    assert report.to_json()["variant"] == variant
+    got = ground_truth_system(identity, params)
+    if system is None:
+        assert got is None
+    else:
+        assert (got.walk, got.levels) == system
+
+
+def test_ground_truth_memo_computes_each_system_once(monkeypatch):
+    systems = []
+
+    def counting_residual(system, order):
+        systems.append(system)
+        return decomposition_residual(system, order)
+
+    monkeypatch.setattr(identities, "decomposition_residual", counting_residual)
+    identities._ground_truth_residual.cache_clear()
+    instances = [
+        (IdentityId.N3_UNIFORM, IdentityParams(n=1)),
+        (IdentityId.EVEN_BERNOULLI, IdentityParams(m=1)),  # the same system
+        (IdentityId.N4_UNIFORM_CORRECTED, IdentityParams(n=2)),
+        (IdentityId.THREE_SITES_1D_CORRECTED,
+         IdentityParams(n=1, levels=(1, 3))),
+        (IdentityId.EULER_CHEB, IdentityParams(n=1, cheb_index=2)),  # none
+    ]
+    for _ in range(3):
+        for identity, params in instances:
+            assert verify(identity, params).status is Status.VERIFIED
+    assert [(s.walk, s.levels) for s in systems] == [
+        (Walk.BESSEL_3D, (0, 1, 2, 3)),
+        (Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
+        (Walk.REFLECTED_1D, (0, 1, 3)),
+    ]
+
+
+def test_ground_truth_nonzero_residual_raises(monkeypatch):
+    monkeypatch.setattr(
+        identities, "decomposition_residual", lambda system, order: F(1, 7)
+    )
+    identities._ground_truth_residual.cache_clear()
+    try:
+        with pytest.raises(EngineConsistencyError, match="1/7"):
+            ensure_ground_truth(IdentityId.N3_UNIFORM, IdentityParams(n=1))
+        with pytest.raises(EngineConsistencyError):
+            verify(IdentityId.N3_UNIFORM, IdentityParams(n=1))
+    finally:
+        identities._ground_truth_residual.cache_clear()
 
 
 def test_ground_truth_systems_mapped():

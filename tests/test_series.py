@@ -18,7 +18,6 @@ from umbralwalk import (
     ps_div,
     ps_mul,
     ps_pow,
-    shift_factor,
     to_csv,
 )
 
@@ -233,20 +232,6 @@ def test_resum_half_sech_squared_roundtrip():
 def test_resum_constant_one_rejected():
     with pytest.raises(ConstantTermError):
         geometric_resum(PowerSeries.one(5))
-
-
-# --- shift helper -------------------------------------------------------------
-
-
-def test_shift_factor_removes_leading_power():
-    s = PowerSeries.from_coeffs([0, 0, 3, 4], 6)
-    got = shift_factor(s, 2)
-    assert got == PowerSeries.from_coeffs([3, 4], 4)
-
-
-def test_shift_factor_rejects_nonzero_low_coefficient():
-    with pytest.raises(ConstantTermError):
-        shift_factor(PowerSeries.from_coeffs([0, 1, 3], 6), 2)
 
 
 # --- ring laws (randomized) ---------------------------------------------------
