@@ -22,7 +22,6 @@ from .series import (
     kernel_power,
     ps_div,
     ps_mul,
-    ps_pow,
     to_csv,
 )
 from .polynomials import (

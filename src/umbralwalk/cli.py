@@ -62,6 +62,26 @@ def _levels(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(f"not a level list: {text!r}") from exc
 
 
+def _at_most(limit: int):
+    """Parse an int option, rejecting values above `limit`.
+
+    The bounds keep a single call from starting runaway exact
+    computation; each sits well above every value the test suite, the
+    verify-all matrix and the benchmark use.
+    """
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(
+                f"{value} is above the limit {limit}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its invalid-value error
+    return parse
+
+
 def _dump(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -78,19 +98,21 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
     p = sub.add_parser("poly", help="higher-order polynomial coefficients")
     p.add_argument("--family", choices=("bernoulli", "euler"), required=True)
-    p.add_argument("--n", type=int, required=True, help="degree")
-    p.add_argument("--order", type=int, required=True, help="polynomial order p")
+    p.add_argument("--n", type=_at_most(128), required=True, help="degree")
+    p.add_argument(
+        "--order", type=_at_most(256), required=True, help="polynomial order p"
+    )
     p.add_argument("--x", type=_rational, help="optional evaluation point")
 
     p = sub.add_parser("numbers", help="Bernoulli or Euler numbers")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--bernoulli", action="store_true")
     group.add_argument("--euler", action="store_true")
-    p.add_argument("--upto", type=int, required=True)
+    p.add_argument("--upto", type=_at_most(256), required=True)
 
     p = sub.add_parser("weights", help="reciprocal-Chebyshev weights")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--N", type=_at_most(32), required=True)
+    p.add_argument("--count", type=_at_most(4096), required=True)
 
     p = sub.add_parser("series", help="hitting-time series as CSV")
     p.add_argument("--walk", choices=[w.value for w in Walk], required=True)
@@ -101,26 +123,32 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     what.add_argument(
         "--move", help='site move "from,to" or "from,to,taboo" (indices)'
     )
-    p.add_argument("--order", type=int, default=48, help="series capacity")
+    p.add_argument(
+        "--order", type=_at_most(512), default=48, help="series capacity"
+    )
 
     p = sub.add_parser("verify", help="verify one identity instance")
     p.add_argument(
         "--id", choices=[i.value for i in IdentityId], required=True
     )
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=_at_most(64), default=0)
     p.add_argument("--x", type=_rational, default=Fraction(0))
     p.add_argument("--levels", type=_levels)
-    p.add_argument("--N", type=int, help="Chebyshev index (EULER_CHEB)")
-    p.add_argument("--m", type=int, help="half-degree (EVEN_BERNOULLI)")
+    p.add_argument(
+        "--N", type=_at_most(32), help="Chebyshev index (EULER_CHEB)"
+    )
+    p.add_argument(
+        "--m", type=_at_most(32), help="half-degree (EVEN_BERNOULLI)"
+    )
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--kmax", type=int, default=512)
+    p.add_argument("--kmax", type=_at_most(4096), default=512)
     p.add_argument("--stable-run", type=int, default=4)
 
     p = sub.add_parser(
         "verify-all", help="full expected matrix plus the errata audit"
     )
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--kmax", type=int, default=512)
+    p.add_argument("--kmax", type=_at_most(4096), default=512)
 
     p = sub.add_parser("simulate", help="Monte Carlo hitting estimate")
     p.add_argument("--walk", choices=[w.value for w in Walk], required=True)
@@ -129,7 +157,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     p.add_argument("--taboo", type=float)
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--dt", type=float, default=1e-4)
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--paths", type=_at_most(1 << 20), default=100_000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tmax", type=float, default=50.0)
 

@@ -659,10 +659,13 @@ def rhs_term(
 def rhs_terms(
     identity: IdentityId, params: IdentityParams
 ) -> Iterator[ExactScalar]:
-    """The exact addends k = 0, 1, 2, ... of the right side, unending."""
+    """The exact addends k = 0, 1, 2, ... of the right side, unending.
+
+    The parameters are checked at the call, before any term is drawn.
+    """
     params = normalize_params(identity, params)
-    for t, den in _term_numerators(_SPECS[identity], params):
-        yield Fraction(t, den)
+    terms = _term_numerators(_SPECS[identity], params)
+    return itertools.starmap(Fraction, terms)
 
 
 def eval_rhs_partial(
@@ -688,6 +691,7 @@ def ground_truth_system(
     identity: IdentityId, params: IdentityParams
 ) -> LevelSystem | None:
     """Level system whose exact series factorization underlies the identity."""
+    params = normalize_params(identity, params)
     return _SPECS[identity].system(params)
 
 

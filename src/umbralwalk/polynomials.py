@@ -2,8 +2,8 @@
 
 B_n^(p)(x) and E_n^(p)(x) are the coefficients of t^n/n! in
 (t/(e^t-1))^p e^(xt) and (2/(e^t+1))^p e^(xt). The order-p kernel power
-is taken from the shared series memo and the polynomial in x is
-assembled from the identity
+is taken from the shared series memo, as integer numerators over one
+denominator, and the polynomial in x is assembled from the identity
 
     n! [t^n] K(t) e^(xt) = sum_j (n!/(n-j)!) K_j x^(n-j),
 
@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Iterator
 
-from .series import ExactScalar, Kernel, as_scalar, kernel_power
+from .series import ExactScalar, Kernel, as_scalar, kernel_power_numerators
 
 _ZERO = Fraction(0)
 
@@ -53,6 +53,25 @@ class Poly:
             return _ZERO
         return self.coeffs[-1]
 
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[int, ...], int]:
+        """Coefficients as integer numerators over their common denominator."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+        return nums, den
+
+    @classmethod
+    def _from_numerators(cls, nums: list[int], den: int) -> "Poly":
+        """The polynomial with coefficients nums[i] / den, integer form kept."""
+        g = gcd(den, *nums)
+        nums = [c // g for c in nums]
+        while nums and not nums[-1]:
+            nums.pop()
+        den //= g
+        poly = cls(tuple(Fraction(c, den) for c in nums))
+        poly.__dict__["_integer_form"] = (tuple(nums), den)
+        return poly
+
     def eval(self, x0: int | Fraction) -> Fraction:
         """Exact Horner evaluation on integers.
 
@@ -61,13 +80,13 @@ class Poly:
         D xd^deg; only the final `Fraction` is normalised.
         """
         x0 = as_scalar(x0)
-        if not self.coeffs:
+        nums, denom = self._integer_form
+        if not nums:
             return _ZERO
-        denom = lcm(*(c.denominator for c in self.coeffs))
         xn, xd = x0.numerator, x0.denominator
         acc, xd_pow = 0, 1
-        for c in reversed(self.coeffs):
-            acc = acc * xn + c.numerator * (denom // c.denominator) * xd_pow
+        for c in reversed(nums):
+            acc = acc * xn + c * xd_pow
             xd_pow *= xd
         return Fraction(acc, denom * xd_pow // xd)
 
@@ -98,21 +117,26 @@ def eval_poly(q: Poly, x0: int | Fraction) -> ExactScalar:
     return q.eval(x0)
 
 
+def appell_polynomial(nums: list[int], den: int, n: int) -> Poly:
+    """Polynomial n![t^n] K(t) e^(xt) for the series K = nums / den.
+
+    The coefficient of x^(n-j) is K_j n!/(n-j)!; needs n + 1 numerators.
+    """
+    coeffs = []
+    falling = 1  # n!/(n-j)!
+    for j in range(n + 1):
+        coeffs.append(nums[j] * falling)
+        falling *= n - j
+    return Poly._from_numerators(coeffs[::-1], den)
+
+
 def _appell_from_kernel(kind: Kernel, n: int, p: int) -> Poly:
     """Polynomial n![t^n] of kernel(kind,1)**p * e^(xt), exact in x."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if p < 0:
         raise ValueError(f"order must be nonnegative, got {p}")
-    K = kernel_power(kind, 1, p, n + 1)
-    n_fact = factorial(n)
-    coeffs = [_ZERO] * (n + 1)
-    for j in range(n + 1):
-        kj = K.coefficient(j)
-        if kj != 0:
-            # contribution k_j * x^(n-j) * n!/(n-j)!
-            coeffs[n - j] = kj * (n_fact // factorial(n - j))
-    return Poly(tuple(coeffs))
+    return appell_polynomial(*kernel_power_numerators(kind, 1, p, n + 1), n)
 
 
 @lru_cache(maxsize=None)

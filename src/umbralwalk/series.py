@@ -1,10 +1,12 @@
 """Exact truncated formal power series over the rationals.
 
-This is the ground-truth layer of the engine: every coefficient is a
-`fractions.Fraction`, every operation is exact, and nothing ever rounds.
-A series stores a fixed number of coefficients (its *order*); binary
-operations require both operands to have the same order, and mismatches
-raise instead of silently truncating.
+This is the ground-truth layer of the engine: every operation is exact
+and nothing ever rounds. Public coefficients are `fractions.Fraction`s;
+the arithmetic runs on integer numerators over one common denominator
+per operand, and each result coefficient is normalised once. A series
+stores a fixed number of coefficients (its *order*); binary operations
+require both operands to have the same order, and mismatches raise
+instead of silently truncating.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 
 # All rational constants in the engine are plain `fractions.Fraction`
 # values: arbitrary precision, always in lowest terms, denominator > 0.
 ExactScalar = Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class OrderMismatchError(ValueError):
@@ -172,55 +174,63 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be a positive integer, got {order!r}")
 
 
+def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Coefficients as integer numerators over their least common denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def convolve(a: list[int], b: list[int], start: int, stop: int) -> list[int]:
+    """Coefficients start..stop-1 of the product of two integer series.
+
+    Both series need at least `stop` coefficients.
+    """
+    b_rev = b[stop - 1 :: -1]  # b_{stop-1}, ..., b_0
+    return [
+        sum(map(mul, a[: j + 1], b_rev[stop - 1 - j :]))
+        for j in range(start, stop)
+    ]
+
+
 def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product truncated at the common order."""
     a._require_same_order(b)
-    n = a.order
-    out = [_ZERO] * n
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        for j in range(n - i):
-            bj = b.coeffs[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return PowerSeries(tuple(out), a.var)
+    an, ad = _numerators(a.coeffs)
+    bn, bd = _numerators(b.coeffs)
+    den = ad * bd
+    return PowerSeries(
+        tuple(Fraction(c, den) for c in convolve(an, bn, 0, a.order)), a.var
+    )
 
 
 def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Quotient q with ps_mul(q, b) == a up to the common order.
 
-    Requires a nonzero constant term in the divisor.
+    Requires a nonzero constant term in the divisor. With a = an/ad,
+    b = bn/bd and the quotient so far as numerators Q over the least
+    common denominator E of its coefficients, the next coefficient is
+
+      q_k = (an_k bd E - ad sum_{j=1..k} bn_j Q_{k-j}) / (ad E bn_0).
     """
     a._require_same_order(b)
     if b.constant_term == 0:
         raise ConstantTermError("division by a series with zero constant term")
-    n = a.order
-    inv0 = _ONE / b.constant_term
-    out = [_ZERO] * n
-    for k in range(n):
-        acc = a.coeffs[k]
-        for j in range(1, k + 1):
-            bj = b.coeffs[j]
-            if bj != 0:
-                acc -= bj * out[k - j]
-        out[k] = acc * inv0
+    an, ad = _numerators(a.coeffs)
+    bn, bd = _numerators(b.coeffs)
+    head = ad * bn[0]
+    out: list[Fraction] = []
+    Q: list[int] = []
+    E = 1
+    for k in range(a.order):
+        acc = an[k] * bd * E - ad * sum(map(mul, bn[1 : k + 1], reversed(Q)))
+        q = Fraction(acc, head * E)
+        out.append(q)
+        if E % q.denominator:
+            grown = lcm(E, q.denominator)
+            Q = [x * (grown // E) for x in Q]
+            E = grown
+        Q.append(q.numerator * (E // q.denominator))
     return PowerSeries(tuple(out), a.var)
-
-
-def ps_pow(a: PowerSeries, k: int) -> PowerSeries:
-    """Integer power by repeated multiplication; a**0 is the unit series."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-    result = PowerSeries.one(a.order, a.var)
-    base = a
-    while k:
-        if k & 1:
-            result = ps_mul(result, base)
-        k >>= 1
-        if k:
-            base = ps_mul(base, base)
-    return result
 
 
 def kernel(
@@ -284,35 +294,92 @@ def geometric_resum(loop_kernel: PowerSeries) -> PowerSeries:
 # -- shared memo for integer powers of kernels ---------------------------
 #
 # Higher-order polynomial and moment evaluation repeatedly needs
-# kernel(kind, c)**p for consecutive p. Powers are extended one
-# multiplication at a time and memoized per (kind, scale, order).
+# kernel(kind, c)**p for consecutive p. The coefficient [t^j] K^p does not
+# depend on the truncation order, so one chain of powers is kept per
+# (kind, scale), each power as integer numerators over its least common
+# denominator. Power q + 1 never holds more coefficients than power q.
 
-_POWER_CACHE: dict[tuple[Kernel, Fraction, int], list[PowerSeries]] = {}
+
+class _PowerChain:
+    """The powers K^0, K^1, ... of one kernel K, held as integers."""
+
+    __slots__ = ("kind", "scale", "nums", "dens")
+
+    def __init__(self, kind: Kernel, scale: Fraction) -> None:
+        self.kind, self.scale = kind, scale
+        self.nums: list[list[int]] = [[1]]  # power q: numerators over dens[q]
+        self.dens: list[int] = [1]
+
+    def __len__(self) -> int:
+        """The number of powers held."""
+        return len(self.nums)
+
+    def power(self, p: int, order: int) -> tuple[list[int], int]:
+        """The first `order` numerators of K^p, and their denominator."""
+        nums = self.nums
+        for q in range(min(p, len(nums) - 1) + 1):
+            if len(nums[q]) < order:
+                self._extend(q, order)
+        while len(nums) <= p:
+            nums.append([])
+            self.dens.append(1)
+            self._extend(len(nums) - 1, order)
+        return nums[p][:order], self.dens[p]
+
+    def _extend(self, q: int, order: int) -> None:
+        """Bring power q to `order` coefficients; power q - 1 already is."""
+        nums, dens = self.nums, self.dens
+        if q == 0:
+            nums[0] += [0] * (order - len(nums[0]))
+        elif q == 1:
+            nums[1], dens[1] = _numerators(
+                kernel(self.kind, self.scale, order).coeffs
+            )
+        else:
+            # K^q = K^(q-1) K over dens[q-1] dens[1], which dens[q] divides
+            old = nums[q]
+            den = dens[q - 1] * dens[1]
+            f = den // dens[q]
+            new = [x * f for x in old] + convolve(
+                nums[q - 1], nums[1], len(old), order
+            )
+            g = gcd(den, *new)
+            nums[q] = [x // g for x in new]
+            dens[q] = den // g
+
+
+_POWER_CACHE: dict[tuple[Kernel, Fraction], _PowerChain] = {}
 _POWER_LOCK = threading.Lock()
+
+
+def kernel_power_numerators(
+    kind: Kernel | str, scale: int | Fraction, p: int, order: int
+) -> tuple[list[int], int]:
+    """kernel(kind, scale, order) ** p as integer numerators over one denominator.
+
+    Memoized in one chain of powers per (kind, scale): a request at a
+    longer order extends the powers up to p by only their new
+    coefficients, and a request at a shorter order reads a prefix. Safe
+    for concurrent use; the memo is guarded by a lock.
+    """
+    if not isinstance(p, int) or p < 0:
+        raise ValueError(f"power must be a nonnegative integer, got {p!r}")
+    _check_order(order)
+    kind = Kernel(kind)
+    c = as_scalar(scale)
+    with _POWER_LOCK:
+        chain = _POWER_CACHE.get((kind, c))
+        if chain is None:
+            chain = _POWER_CACHE[kind, c] = _PowerChain(kind, c)
+        return chain.power(p, order)
 
 
 def kernel_power(
     kind: Kernel | str, scale: int | Fraction, p: int, order: int
 ) -> PowerSeries:
-    """Memoized kernel(kind, scale, order) ** p.
-
-    Safe for concurrent use; the memo is guarded by a lock.
-    """
-    if not isinstance(p, int) or p < 0:
-        raise ValueError(f"power must be a nonnegative integer, got {p!r}")
-    kind = Kernel(kind)
-    c = as_scalar(scale)
-    key = (kind, c, order)
-    with _POWER_LOCK:
-        powers = _POWER_CACHE.setdefault(key, [PowerSeries.one(order)])
-        if len(powers) <= p:
-            # powers[1] is the kernel itself, built once per memo key
-            if len(powers) == 1:
-                powers.append(kernel(kind, c, order))
-            base = powers[1]
-            while len(powers) <= p:
-                powers.append(ps_mul(powers[-1], base))
-        return powers[p]
+    """Memoized kernel(kind, scale, order) ** p (see kernel_power_numerators)."""
+    nums, den = kernel_power_numerators(kind, scale, p, order)
+    return PowerSeries(tuple(Fraction(x, den) for x in nums))
 
 
 def to_csv(series: PowerSeries) -> str:

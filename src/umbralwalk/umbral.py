@@ -36,8 +36,8 @@ from math import factorial
 
 import numpy as np
 
-from .polynomials import Poly
-from .series import Kernel, PowerSeries, as_scalar, kernel_power, ps_mul
+from .polynomials import Poly, appell_polynomial
+from .series import Kernel, as_scalar, convolve, kernel_power_numerators
 
 _ZERO = Fraction(0)
 
@@ -150,27 +150,27 @@ def umbral_moment(expr: UmbralExpr, n: int, order: int | None = None) -> Poly:
         order = n + 1
     if order < n + 1:
         raise ValueError(f"series order {order} too small for moment {n}")
-    egf = _expr_egf(expr, order)
-    n_fact = factorial(n)
+    nums, den = _expr_egf(expr, n + 1)
     if not expr.has_x:
-        return Poly((n_fact * egf.coefficient(n),))
-    coeffs = [_ZERO] * (n + 1)
-    for j in range(n + 1):
-        kj = egf.coefficient(j)
-        if kj != 0:
-            coeffs[n - j] = kj * (n_fact // factorial(n - j))
-    return Poly(tuple(coeffs))
+        return Poly((Fraction(factorial(n) * nums[n], den),))
+    return appell_polynomial(nums, den, n)
 
 
-def _expr_egf(expr: UmbralExpr, order: int) -> PowerSeries:
-    """Product of the constant's exponential and all block kernels."""
-    egf = kernel_power(Kernel.EXP, expr.constant, 1 if expr.constant else 0, order)
+def _expr_egf(expr: UmbralExpr, order: int) -> tuple[list[int], int]:
+    """Product of the constant's exponential and all block kernels.
+
+    Integer numerators over one (unreduced) common denominator.
+    """
+    nums, den = kernel_power_numerators(
+        Kernel.EXP, expr.constant, 1 if expr.constant else 0, order
+    )
     for b in expr.blocks:
-        egf = ps_mul(
-            egf,
-            kernel_power(_FAMILY_KERNEL[b.family], b.coefficient, b.order, order),
+        bn, bd = kernel_power_numerators(
+            _FAMILY_KERNEL[b.family], b.coefficient, b.order, order
         )
-    return egf
+        nums = convolve(nums, bn, 0, order)
+        den *= bd
+    return nums, den
 
 
 def split_bernoulli(expr: UmbralExpr, copy_id: int) -> UmbralExpr:

@@ -51,6 +51,44 @@ def test_bad_rational_exits_2():
     assert err.value.code == 2
 
 
+# every bounded exact-arithmetic option: a command line, the option, its limit
+_BOUNDED_OPTIONS = [
+    (["poly", "--family", "euler", "--order", "2"], "--n", 128),
+    (["poly", "--family", "euler", "--n", "2"], "--order", 256),
+    (["numbers", "--euler"], "--upto", 256),
+    (["weights", "--count", "40"], "--N", 32),
+    (["weights", "--N", "2"], "--count", 4096),
+    (["series", "--walk", "1d", "--levels", "0,1,2", "--chain"], "--order", 512),
+    (["verify", "--id", "N3_UNIFORM"], "--n", 64),
+    (["verify", "--id", "N3_UNIFORM"], "--kmax", 4096),
+    (["verify", "--id", "EULER_CHEB", "--n", "1"], "--N", 32),
+    (["verify", "--id", "EVEN_BERNOULLI"], "--m", 32),
+    (["verify-all"], "--kmax", 4096),
+    (["simulate", "--walk", "1d", "--start", "0", "--target", "1",
+      "--z", "0.5"], "--paths", 1 << 20),
+]
+
+
+@pytest.mark.parametrize("argv,option,limit", _BOUNDED_OPTIONS,
+                         ids=[f"{a[0]}{o}" for a, o, _ in _BOUNDED_OPTIONS])
+def test_exact_arithmetic_options_are_bounded(capsys, argv, option, limit):
+    # parsed only: nothing is computed at or above a bound
+    ns = parse_args(argv + [option, str(limit)])
+    assert getattr(ns, option.lstrip("-")) == limit
+    with pytest.raises(SystemExit) as err:
+        main(argv + [option, str(limit + 1)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert f"argument {option}: {limit + 1} is above the limit {limit}" in message
+
+
+def test_bounded_option_keeps_the_invalid_int_message(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["numbers", "--euler", "--upto", "ten"])
+    assert err.value.code == 2
+    assert "argument --upto: invalid int value: 'ten'" in capsys.readouterr().err
+
+
 # --- outputs -------------------------------------------------------------------
 
 
@@ -94,6 +132,34 @@ def test_poly_output_with_value(capsys):
     assert code == 0
     assert payload["coefficients"] == ["1/6", "-1", "1"]
     assert payload["value"] == "-1/12"
+
+
+# sha256 of `umbralwalk poly` and `umbralwalk series` output as printed
+# by the Fraction-only series layer
+_POLY_SERIES_SHA256 = [
+    (("poly", "--family", "euler", "--n", "20", "--order", "43"),
+     "986ac30294f9157724cc303bab4eba72bd220b0ed2a1a8be908f3ead768f2db0"),
+    (("series", "--walk", "1d", "--levels", "0,1/2,2,3", "--chain",
+      "--order", "48"),
+     "e80f3f8d44caf10d58b9f803c8aaa703cd3396520e1221ecb1527846985282f8"),
+    (("series", "--walk", "bessel", "--levels", "0,1/2,2,3", "--chain",
+      "--order", "48"),
+     "8bdbf3383488d1eda83fe86e8176ba7cfe8cb3f996049e00551b8398e47bc433"),
+    (("series", "--walk", "bessel", "--levels", "0,1,3", "--direct",
+      "--order", "40"),
+     "29e08cece8f2028c6da84b01372881221aadc49d6c0ebe15150992bd615160ab"),
+    (("series", "--walk", "1d", "--levels", "0,1,3", "--move", "1,0,2",
+      "--order", "30"),
+     "dc7a7719d4d901e3a9bb820e99cd519d2dfa4f08597806fd0719946b8cab0ac3"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _POLY_SERIES_SHA256,
+                         ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_poly_and_series_output_bytes_unchanged(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_series_chain_csv(capsys):

@@ -138,7 +138,14 @@ def test_invalid_params_rejected_with_message(identity, params, message):
     with pytest.raises(InvalidParamsError, match=re.escape(message)):
         verify(identity, params)
     with pytest.raises(InvalidParamsError, match=re.escape(message)):
-        next(rhs_terms(identity, params))
+        rhs_terms(identity, params)
+
+
+@pytest.mark.parametrize("identity,params,message", _INVALID_CASES,
+                         ids=lambda v: v.value if isinstance(v, IdentityId) else "")
+def test_ground_truth_system_rejects_invalid_params(identity, params, message):
+    with pytest.raises(InvalidParamsError, match=re.escape(message)):
+        ground_truth_system(identity, params)
 
 
 # --- right-hand terms --------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -217,3 +218,43 @@ def test_eval_poly_examples():
 def test_poly_normalization():
     assert Poly((F(1), F(0), F(0))) == poly(1)
     assert Poly().degree == -1
+
+
+def test_integer_form_is_computed_once_per_polynomial(monkeypatch):
+    from umbralwalk import polynomials
+
+    lcms = []
+
+    def counting_lcm(*args):
+        lcms.append(args)
+        return lcm(*args)
+
+    monkeypatch.setattr(polynomials, "lcm", counting_lcm)
+    q = poly(F(1, 2), F(-3, 4), F(5, 6))
+    for x in (0, 1, F(-1, 3), F(7, 2)):
+        assert q.eval(x) == _fraction_horner(q, F(x))
+    assert len(lcms) == 1
+    # a polynomial built from kernel numerators carries its integer form
+    built = [
+        family(n, p)
+        for n, p in ((7, 5), (12, 3), (0, 4))
+        for family in (hop_euler, hop_bernoulli)
+    ]
+    for q in built:
+        for x in (0, F(1, 2), F(-5, 3)):
+            assert q.eval(x) == _fraction_horner(q, x)
+    assert len(lcms) == 1
+    monkeypatch.undo()
+    for q in built:
+        assert q._integer_form == Poly(q.coeffs)._integer_form
+
+
+def test_appell_polynomial_trims_a_zero_top_coefficient():
+    from umbralwalk.polynomials import appell_polynomial
+
+    # K = (0 + 3t + 5t^2) / 4: n! [t^2] K e^(xt) = 2 (3/4) x + 2 (5/4)
+    q = appell_polynomial([0, 3, 5], 4, 2)
+    assert q == poly(F(5, 2), F(3, 2))
+    assert q._integer_form == Poly(q.coeffs)._integer_form == ((5, 3), 2)
+    assert appell_polynomial([0, 0, 0], 7, 2) == Poly()
+    assert appell_polynomial([0, 0, 0], 7, 2)._integer_form == ((), 1)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umbralwalk import (
@@ -17,11 +17,25 @@ from umbralwalk import (
     kernel_power,
     ps_div,
     ps_mul,
-    ps_pow,
     to_csv,
 )
 
 ONE8 = PowerSeries.one(8)
+
+
+def ps_pow(a, k):
+    """Reference power by binary powering with ps_mul; a**0 is the unit series."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
+    result = PowerSeries.one(a.order, a.var)
+    base = a
+    while k:
+        if k & 1:
+            result = ps_mul(result, base)
+        k >>= 1
+        if k:
+            base = ps_mul(base, base)
+    return result
 
 
 def series(values, order=8):
@@ -270,6 +284,70 @@ def test_div_mul_roundtrip(triple):
     assert ps_mul(ps_div(a, b), b) == a
 
 
+# --- the integer layer against Fraction schoolbook arithmetic ------------------
+
+
+def _schoolbook_mul(a, b):
+    n = len(a)
+    out = [F(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def _schoolbook_div(a, b):
+    out = []
+    for k in range(len(a)):
+        acc = a[k] - sum((b[j] * out[k - j] for j in range(1, k + 1)), F(0))
+        out.append(acc / b[0])
+    return out
+
+
+wide_fracs = st.fractions(min_value=-50, max_value=50, max_denominator=720)
+
+
+@st.composite
+def series_pairs(draw):
+    order = draw(st.integers(min_value=1, max_value=14))
+    mk = lambda: PowerSeries(tuple(draw(wide_fracs) for _ in range(order)))
+    return mk(), mk()
+
+
+_NEGATIVE_A = series([F(-1, 3), F(5, 2), F(-7, 6), 0, F(-11, 10)], order=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_pairs())
+@example((series([F(-3, 4)], order=1), series([F(-2, 9)], order=1)))
+@example((series([F(-3, 4)], order=1), series([0], order=1)))
+@example(
+    (_NEGATIVE_A, series([F(-2, 5), F(-1, 7), 0, F(3, 4), F(-9, 2)], order=5))
+)
+@example((_NEGATIVE_A, series([0, F(-1, 2), 3], order=5)))
+def test_mul_and_div_equal_fraction_schoolbook(pair):
+    a, b = pair
+    assert list(ps_mul(a, b).coeffs) == _schoolbook_mul(a.coeffs, b.coeffs)
+    if b.constant_term == 0:
+        with pytest.raises(ConstantTermError):
+            ps_div(a, b)
+    else:
+        assert list(ps_div(a, b).coeffs) == _schoolbook_div(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("kind", [Kernel.EULER, Kernel.BERNOULLI, Kernel.SINH])
+def test_kernel_power_at_orders_going_up_and_down(kind):
+    # a scale no other test uses, so the chain starts empty
+    c = F(-13, 29)
+    for order, powers in (
+        (5, (0, 2, 4)), (12, (3, 1, 9)), (3, (0, 11, 6)), (21, (14, 2, 5)),
+        (7, (17, 8, 0)), (21, (17, 18)),
+    ):
+        base = kernel(kind, c, order)
+        for p in powers:
+            assert kernel_power(kind, c, p, order) == ps_pow(base, p), (order, p)
+
+
 # --- concurrency ----------------------------------------------------------------
 
 
@@ -287,6 +365,32 @@ def test_kernel_power_memo_safe_under_concurrent_use():
             )
         )
     assert all(series == reference[p] for p, series in results)
+
+
+def test_kernel_power_memo_safe_while_chains_lengthen_concurrently():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    # a scale no other test uses; requests mix lengthening and new powers
+    c = F(11, 17)
+    requests = [(p, order) for order in (4, 9, 2, 13, 6) for p in range(0, 20, 3)]
+    reference = {
+        order: [ps_pow(kernel(Kernel.BERNOULLI, c, order), p) for p in range(20)]
+        for order in {order for _, order in requests}
+    }
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(kernel_power, Kernel.BERNOULLI, c, p, order)
+                for p, order in requests * 3
+            ]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (p, order), got in zip(requests * 3, results):
+        assert got == reference[order][p], (p, order)
 
 
 # --- serialization -------------------------------------------------------------
