@@ -4,8 +4,8 @@ identities they encode.
 
 Layers, bottom up: exact rational power series (`series`), higher-order
 polynomials and Chebyshev weights (`polynomials`), moment symbols and
-their rewrite rules (`umbral`), hitting-time transforms with loop
-resummation (`loopcalc`), the identity catalog and verifier
+their rewrite rules (`umbral`), hitting-time transforms and their
+renewal recursion (`loopcalc`), the identity catalog and verifier
 (`identities`), and a deterministic Monte Carlo cross-check
 (`montecarlo`). The `cli` module ties them together.
 """
@@ -54,7 +54,6 @@ from .loopcalc import (
     chain_mgf,
     decomposition_residual,
     direct_mgf,
-    loop_kernels,
     phi,
 )
 from .identities import (

@@ -2,9 +2,10 @@
 
 Structured results are JSON (rationals rendered as "p/q" strings, never
 floats); series are CSV. Exit codes: 0 when every check in the
-invocation passed, 1 when a verification or comparison failed, 2 for
-usage errors. The stated-variant audits inside `verify-all` expect a
-nonzero residual and count as passing when they observe one.
+invocation passed, 1 when a verification or comparison failed or the
+reader closed stdout early, 2 for usage errors. The stated-variant
+audits inside `verify-all` expect a nonzero residual and count as
+passing when they observe one.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .series import to_csv
 from .umbral import Family, QuadratureParams, density_moment
 
 _DEFAULT_SEED = 2024
+_LEVEL_LIMIT = 8  # levels above the origin that --levels accepts
 
 
 def _rational(text: str) -> Fraction:
@@ -56,10 +58,21 @@ def _rational(text: str) -> Fraction:
 
 
 def _levels(text: str) -> tuple[Fraction, ...]:
+    """Parse a level list of at most `_LEVEL_LIMIT` levels above the origin.
+
+    `series` lists the origin first and `verify` leaves it out; a leading
+    0 is not counted. The bound keeps one chain from growing without end.
+    """
     try:
-        return tuple(Fraction(part) for part in text.split(","))
+        levels = tuple(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a level list: {text!r}") from exc
+    above = len(levels) - (levels[0] == 0)
+    if above > _LEVEL_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"{above} levels above the origin is above the limit {_LEVEL_LIMIT}"
+        )
+    return levels
 
 
 def _at_most(limit: int):
@@ -364,7 +377,17 @@ def execute(ns: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     ns = parse_args(sys.argv[1:] if argv is None else argv)
-    return execute(ns)
+    try:
+        code = execute(ns)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (`| head`): send the unflushed rest to devnull so
+        # the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

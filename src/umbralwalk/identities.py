@@ -475,8 +475,8 @@ class _Spec:
     lhs: Callable[[IdentityParams], ExactScalar]
     weights: Callable[[IdentityParams], _Weights]
     value: Callable[[IdentityParams, int], Fraction]
+    system: Callable[[IdentityParams], LevelSystem]
     degree: Callable[[IdentityParams], int] = lambda p: p.n
-    system: Callable[[IdentityParams], LevelSystem | None] = lambda p: None
     level_count: int = 0
     positive_field: tuple[str, str] | None = None
     degenerate: Callable[[IdentityParams], bool] = lambda p: False
@@ -505,6 +505,9 @@ _SPECS: dict[IdentityId, _Spec] = {
         lambda p: _euler_at(p.n, p.x),
         lambda p: (1, *chebyshev_recip_weight_numerators(p.cheb_index)),
         _euler_cheb_value,
+        system=lambda p: LevelSystem(
+            Walk.REFLECTED_1D, tuple(range(p.cheb_index + 1))
+        ),
         positive_field=("cheb_index", "a Chebyshev index"),
     ),
     IdentityId.THREE_SITES_1D_STATED: _THREE_SITES,
@@ -631,15 +634,14 @@ def _term_numerators(
     ]
     D = lcm(*(v.denominator for v in head))
     row = [v.numerator * (D // v.denominator) for v in head]
-    diffs = []  # diffs[j]: j-th backward difference of the numerators at d
+    diffs = []  # top-first: diffs[-1 - j] is the j-th backward difference
     for _ in range(d + 1):
-        diffs.append(row[-1])
+        diffs.insert(0, row[-1])
         row = [hi - lo for lo, hi in zip(row, row[1:])]
     den = scale * D
     for u in weights:
-        for j in range(d - 1, -1, -1):
-            diffs[j] += diffs[j + 1]
-        yield u * diffs[0], den
+        diffs = list(itertools.accumulate(diffs))
+        yield u * diffs[-1], den
         den *= b
 
 
@@ -689,7 +691,7 @@ class EngineConsistencyError(AssertionError):
 
 def ground_truth_system(
     identity: IdentityId, params: IdentityParams
-) -> LevelSystem | None:
+) -> LevelSystem:
     """Level system whose exact series factorization underlies the identity."""
     params = normalize_params(identity, params)
     return _SPECS[identity].system(params)
@@ -703,8 +705,6 @@ def _ground_truth_residual(system: LevelSystem) -> Fraction:
 def ensure_ground_truth(identity: IdentityId, params: IdentityParams) -> None:
     """Require the underlying series decomposition to be exactly zero."""
     system = ground_truth_system(identity, params)
-    if system is None:
-        return
     residual = _ground_truth_residual(system)
     if residual != 0:
         raise EngineConsistencyError(

@@ -1,4 +1,4 @@
-"""Hitting-time generating functions and loop resummation, bit-exact.
+"""Hitting-time generating functions and their renewal recursion, bit-exact.
 
 Levels 0 = a_0 < a_1 < ... < a_N are sites on the half-line (reflected
 Brownian motion) or concentric sphere radii (Bessel(3) process). All
@@ -18,11 +18,20 @@ Closed forms, with levels a < b < c:
     b -> 0 avoiding c      the zero series (the origin is never reached)
 
 Every sinh ratio is built from sinh(c w)/(c w) kernels, whose constant
-term is 1, so no leading-power bookkeeping is needed. The full transform
-from 0 to the top level factors as (forward taboo moves) x (geometric
-resummation of the loop kernels); `decomposition_residual` certifies the
-factorization against the closed form, coefficient by coefficient, and
-must be exactly zero.
+term is 1, so no leading-power bookkeeping is needed.
+
+The full transform from 0 to the top level is one renewal recursion, the
+birth-death continued fraction (Flajolet 1980): with H_i the transform
+of the first passage from a_i to a_{i+1},
+
+    H_0 = phi(0 -> 1),   H_i = up_i / (1 - down_i H_{i-1}),
+
+where up_i = phi(i -> i+1 avoiding i-1) and down_i = phi(i -> i-1
+avoiding i+1): every excursion below a_i is a step down followed by a
+first passage back up. The transform is H_0 H_1 ... H_{N-1}, for any
+number of levels and both walks (the Bessel walk's down_1 is the zero
+series). `decomposition_residual` certifies it against the free move
+0 -> a_N, coefficient by coefficient, and must be exactly zero.
 """
 
 from __future__ import annotations
@@ -36,7 +45,6 @@ from .series import (
     Kernel,
     PowerSeries,
     as_scalar,
-    geometric_resum,
     kernel,
     ps_div,
     ps_mul,
@@ -58,13 +66,6 @@ class Walk(str, Enum):
     BESSEL_3D = "bessel"
 
 
-# loops the engine resums: one kernel per adjacent site pair that the
-# walk can revisit. The reflected walk loops from the first site down to
-# the origin; the Bessel walk cannot return to the origin, so its first
-# loop sits one level higher and a fourth level stays within two loops.
-_MAX_LEVELS = {Walk.REFLECTED_1D: 3, Walk.BESSEL_3D: 4}
-
-
 @dataclass(frozen=True)
 class LevelSystem:
     walk: Walk
@@ -80,11 +81,6 @@ class LevelSystem:
             raise InvalidSystemError(f"a_0 must be exactly 0, got {levels[0]}")
         if any(a >= b for a, b in zip(levels, levels[1:])):
             raise InvalidSystemError(f"levels must strictly increase: {levels}")
-        if self.top_index > _MAX_LEVELS[self.walk]:
-            raise InvalidSystemError(
-                f"{self.walk.value} systems support at most "
-                f"{_MAX_LEVELS[self.walk]} levels above the origin"
-            )
 
     @property
     def top_index(self) -> int:
@@ -156,65 +152,21 @@ def phi(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
     return ratio
 
 
-def loop_kernels(system: LevelSystem, order: int) -> list[PowerSeries]:
-    """Back-and-forth excursion kernels I between adjacent revisitable sites."""
-    N = system.top_index
-    kernels = []
-    if system.walk is Walk.REFLECTED_1D:
-        if N >= 2:
-            kernels.append(
-                ps_mul(
-                    phi(system, PhiMove(0, 1), order),
-                    phi(system, PhiMove(1, 0, 2), order),
-                )
-            )
-        if N >= 3:
-            kernels.append(
-                ps_mul(
-                    phi(system, PhiMove(1, 2, 0), order),
-                    phi(system, PhiMove(2, 1, 3), order),
-                )
-            )
-    else:
-        if N >= 3:
-            kernels.append(
-                ps_mul(
-                    phi(system, PhiMove(1, 2, 0), order),
-                    phi(system, PhiMove(2, 1, 3), order),
-                )
-            )
-        if N >= 4:
-            kernels.append(
-                ps_mul(
-                    phi(system, PhiMove(2, 3, 1), order),
-                    phi(system, PhiMove(3, 2, 4), order),
-                )
-            )
-    return kernels
-
-
 def chain_mgf(system: LevelSystem, order: int) -> PowerSeries:
-    """0 -> a_N as forward taboo moves times the resummed loop sum."""
-    N = system.top_index
-    out = phi(system, PhiMove(0, 1), order)
-    for i in range(1, N):
-        out = ps_mul(out, phi(system, PhiMove(i, i + 1, i - 1), order))
-    kernels = loop_kernels(system, order)
-    if kernels:
-        total = kernels[0]
-        for extra in kernels[1:]:
-            total = total + extra
-        out = ps_mul(out, geometric_resum(total))
+    """0 -> a_N as the product of first passages H_i, by renewal."""
+    one = PowerSeries.one(order, "w")
+    passage = out = phi(system, PhiMove(0, 1), order)
+    for i in range(1, system.top_index):
+        up = phi(system, PhiMove(i, i + 1, i - 1), order)
+        down = phi(system, PhiMove(i, i - 1, i + 1), order)
+        passage = ps_div(up, one - ps_mul(down, passage))
+        out = ps_mul(out, passage)
     return out
 
 
 def direct_mgf(system: LevelSystem, order: int) -> PowerSeries:
-    """Closed form of the 0 -> a_N transform."""
-    top = system.levels[-1]
-    one = PowerSeries.one(order, "w")
-    if system.walk is Walk.REFLECTED_1D:
-        return ps_div(one, kernel(Kernel.COSH, top, order, "w"))
-    return ps_div(one, kernel(Kernel.SINH_OVER_ARG, top, order, "w"))
+    """Closed form of the 0 -> a_N transform: the free move."""
+    return phi(system, PhiMove(0, system.top_index), order)
 
 
 def decomposition_residual(system: LevelSystem, order: int) -> ExactScalar:

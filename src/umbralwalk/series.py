@@ -280,8 +280,10 @@ def kernel(
 def geometric_resum(loop_kernel: PowerSeries) -> PowerSeries:
     """Sum of all loop powers: 1 + I + I^2 + ... = 1/(1 - I).
 
-    The caller passes the sum of the individual loop kernels when several
-    loops coexist. Requires a constant term different from 1.
+    `I` is one loop: the transform of an excursion that returns to where
+    it started. Loops that share a site need a nested resummation (see
+    `loopcalc.chain_mgf`), not the sum of their kernels. Requires a
+    constant term different from 1.
     """
     if loop_kernel.constant_term == 1:
         raise ConstantTermError(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -80,6 +81,26 @@ def test_exact_arithmetic_options_are_bounded(capsys, argv, option, limit):
     assert err.value.code == 2
     message = capsys.readouterr().err
     assert f"argument {option}: {limit + 1} is above the limit {limit}" in message
+
+
+# --levels counts the levels above the origin; `series` lists the origin too
+_LEVEL_LISTS = [
+    (["series", "--walk", "bessel", "--chain"], "0,"),
+    (["verify", "--id", "THREE_SITES_1D_STATED"], ""),
+]
+
+
+@pytest.mark.parametrize("argv,origin", _LEVEL_LISTS, ids=["series", "verify"])
+def test_level_count_is_bounded(capsys, argv, origin):
+    # parsed only: a chain at the bound is never computed here
+    at_bound = origin + ",".join(str(a) for a in range(1, 9))
+    assert parse_args(argv + ["--levels", at_bound]).levels[-1] == 8
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--levels", at_bound + ",9"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "argument --levels: 9 levels above the origin is above the limit 8" \
+        in message
 
 
 def test_bounded_option_keeps_the_invalid_int_message(capsys):
@@ -307,3 +328,34 @@ def test_verify_all_roundtrip_stability(capsys):
     assert json.dumps(payload1, sort_keys=True) == json.dumps(
         payload2, sort_keys=True
     )
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, over a file of its own."""
+
+    def __init__(self, path):
+        self.file = open(path, "w")
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.file.fileno()
+
+
+def test_closed_stdout_exits_nonzero_without_traceback(
+    monkeypatch, tmp_path, capsys
+):
+    pipe = _ClosedPipe(tmp_path / "stdout")
+    monkeypatch.setattr("sys.stdout", pipe)
+    try:
+        assert main(["catalog"]) == 1
+        # the descriptor now points at the null device, so the flush at
+        # interpreter exit has nowhere to fail
+        assert os.path.samestat(os.fstat(pipe.fileno()), os.stat(os.devnull))
+    finally:
+        pipe.file.close()
+    assert capsys.readouterr().err == ""

@@ -607,7 +607,10 @@ def test_report_json_schema():
 
 # per identity: an instance, its variant and its ground-truth level system
 _SPEC_FACTS = {
-    IdentityId.EULER_CHEB: (IdentityParams(n=1, cheb_index=2), "stated", None),
+    IdentityId.EULER_CHEB: (
+        IdentityParams(n=1, cheb_index=2), "stated",
+        (Walk.REFLECTED_1D, (0, 1, 2)),
+    ),
     IdentityId.THREE_SITES_1D_STATED: (
         IdentityParams(n=1, levels=(1, 3)), "stated",
         (Walk.REFLECTED_1D, (0, 1, 3)),
@@ -656,10 +659,7 @@ def test_variant_and_ground_truth_system_per_identity(identity):
     assert report.variant == variant
     assert report.to_json()["variant"] == variant
     got = ground_truth_system(identity, params)
-    if system is None:
-        assert got is None
-    else:
-        assert (got.walk, got.levels) == system
+    assert (got.walk, got.levels) == system
 
 
 def test_ground_truth_memo_computes_each_system_once(monkeypatch):
@@ -677,7 +677,7 @@ def test_ground_truth_memo_computes_each_system_once(monkeypatch):
         (IdentityId.N4_UNIFORM_CORRECTED, IdentityParams(n=2)),
         (IdentityId.THREE_SITES_1D_CORRECTED,
          IdentityParams(n=1, levels=(1, 3))),
-        (IdentityId.EULER_CHEB, IdentityParams(n=1, cheb_index=2)),  # none
+        (IdentityId.EULER_CHEB, IdentityParams(n=1, cheb_index=2)),
     ]
     for _ in range(3):
         for identity, params in instances:
@@ -686,6 +686,7 @@ def test_ground_truth_memo_computes_each_system_once(monkeypatch):
         (Walk.BESSEL_3D, (0, 1, 2, 3)),
         (Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
         (Walk.REFLECTED_1D, (0, 1, 3)),
+        (Walk.REFLECTED_1D, (0, 1, 2)),
     ]
 
 
@@ -709,7 +710,10 @@ def test_ground_truth_systems_mapped():
         IdentityParams(n=1, levels=(1, 3)),
     )
     assert sys1.levels == (0, 1, 3)
-    assert ground_truth_system(IdentityId.EULER_CHEB, IdentityParams(n=1, cheb_index=2)) is None
+    sys2 = ground_truth_system(
+        IdentityId.EULER_CHEB, IdentityParams(n=1, cheb_index=2)
+    )
+    assert (sys2.walk, sys2.levels) == (Walk.REFLECTED_1D, (0, 1, 2))
     ensure_ground_truth(
         IdentityId.N4_UNIFORM_CORRECTED, IdentityParams(n=1, x=F(0))
     )

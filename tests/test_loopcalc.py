@@ -1,4 +1,4 @@
-"""Hitting-time series, taboo moves, loop resummation."""
+"""Hitting-time series, taboo moves, the renewal recursion."""
 
 from fractions import Fraction as F
 
@@ -15,11 +15,11 @@ from umbralwalk import (
     PowerSeries,
     Walk,
     chain_mgf,
+    chebyshev_recip_weights,
     decomposition_residual,
     direct_mgf,
     geometric_resum,
     kernel,
-    loop_kernels,
     phi,
     ps_div,
     ps_mul,
@@ -143,6 +143,11 @@ SYSTEMS = [
     bessel(0, 1, 2, 3, 4),
     bessel(0, 1, 2, 4),
     bessel(0, 1, 3, 5),
+    # beyond the two adjacent loops a single 1/(1 - sum of loops) covers
+    rbm(0, F(1, 2), 1, 3, 4, 9, 10, 12),
+    bessel(0, F(1, 2), 1, 3, 4, 9, 10, 12),
+    rbm(*range(9)),
+    bessel(*range(9)),
 ]
 
 
@@ -168,18 +173,40 @@ def test_phi_constant_terms_bounded():
         assert phi(system, PhiMove(0, target), 8).constant_term == 1
 
 
+def adjacent_loops(system, order):
+    """Loop i: from a_i down to a_(i-1) avoiding a_(i+1), then back up."""
+    loops = []
+    for i in range(1, system.top_index):
+        back = PhiMove(0, 1) if i == 1 else PhiMove(i - 1, i, i - 2)
+        loops.append(
+            ps_mul(
+                phi(system, PhiMove(i, i - 1, i + 1), order),
+                phi(system, back, order),
+            )
+        )
+    return loops
+
+
 def test_loop_kernels_strictly_subcritical():
     for system in SYSTEMS:
-        for loop in loop_kernels(system, 8):
+        for loop in adjacent_loops(system, 8):
             assert 0 <= loop.constant_term < 1
 
 
 def test_bessel_uniform_loop_sum_is_half_sech_squared():
-    kernels = loop_kernels(bessel(0, 1, 2, 3, 4), ORDER)
+    # the Bessel walk's first loop (through the origin) is the zero series
+    system = bessel(0, 1, 2, 3, 4)
+    zero, *kernels = adjacent_loops(system, ORDER)
+    assert zero == PowerSeries.zero(ORDER, "w")
     assert len(kernels) == 2
     total = kernels[0] + kernels[1]
     sech2 = ps_mul(sech_series(1), sech_series(1))
     assert total == sech2.scale(F(1, 2))
+    # two loops sharing a site: 1/(1 - I_2 - I_3) still equals the renewal
+    forward = phi(system, PhiMove(0, 1), ORDER)
+    for i in range(1, 4):
+        forward = ps_mul(forward, phi(system, PhiMove(i, i + 1, i - 1), ORDER))
+    assert ps_mul(forward, geometric_resum(total)) == chain_mgf(system, ORDER)
 
 
 def test_system_validation():
@@ -188,9 +215,38 @@ def test_system_validation():
     with pytest.raises(InvalidSystemError):
         LevelSystem(Walk.REFLECTED_1D, (F(0), F(2), F(1)))
     with pytest.raises(InvalidSystemError):
-        LevelSystem(Walk.REFLECTED_1D, (F(0), F(1), F(2), F(3), F(4)))
-    with pytest.raises(InvalidSystemError):
-        LevelSystem(Walk.BESSEL_3D, tuple(F(v) for v in range(6)))
+        LevelSystem(Walk.BESSEL_3D, (F(0),))
+    # the library caps nothing; the command line bounds its input
+    assert LevelSystem(Walk.BESSEL_3D, tuple(range(40))).top_index == 39
+
+
+# --- uniform reflected systems: the Chebyshev weights ------------------------------
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8])
+def test_uniform_moves_are_sech_and_half_sech(N):
+    system = rbm(*range(N + 1))
+    sech = sech_series(1)
+    half_sech = sech.scale(F(1, 2))
+    assert phi(system, PhiMove(0, 1), ORDER) == sech
+    for i in range(1, N):
+        assert phi(system, PhiMove(i, i + 1, i - 1), ORDER) == half_sech
+        assert phi(system, PhiMove(i, i - 1, i + 1), ORDER) == half_sech
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_renewal_in_sech_gives_chebyshev_weights(N):
+    # the recursion with H_0 = s and up = down = s/2, s = sech w: the
+    # uniform 0 -> N transform sech(N w) = 1/T_N(1/s) = sum_l p_l s^l
+    count = 60
+    s = PowerSeries(tuple(F(int(j == 1)) for j in range(count)), "s")
+    one = PowerSeries.one(count, "s")
+    half = s.scale(F(1, 2))
+    passage = total = s
+    for _ in range(1, N):
+        passage = ps_div(half, one - ps_mul(half, passage))
+        total = ps_mul(total, passage)
+    assert list(total.coeffs) == chebyshev_recip_weights(N, count)
 
 
 # --- randomized ground truth --------------------------------------------------------
@@ -201,8 +257,7 @@ positive_levels = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6
 @st.composite
 def random_systems(draw):
     walk = draw(st.sampled_from([Walk.REFLECTED_1D, Walk.BESSEL_3D]))
-    max_n = 3 if walk is Walk.REFLECTED_1D else 4
-    count = draw(st.integers(min_value=1, max_value=max_n))
+    count = draw(st.integers(min_value=1, max_value=7))
     levels = draw(
         st.lists(
             positive_levels, min_size=count, max_size=count, unique=True
