@@ -1,11 +1,16 @@
 """Command-line front end.
 
+The parser is built once, at import. Each subcommand registers its
+handler with `set_defaults`, so argparse both parses and dispatches:
+`main` parses and calls the handler it finds on the namespace.
+
 Structured results are JSON (rationals rendered as "p/q" strings, never
 floats); series are CSV. Exit codes: 0 when every check in the
 invocation passed, 1 when a verification or comparison failed or the
-reader closed stdout early, 2 for usage errors. The stated-variant
-audits inside `verify-all` expect a nonzero residual and count as
-passing when they observe one.
+reader closed stdout early, 2 for usage errors, whether argparse
+rejects the command line or the engine rejects the values. The
+stated-variant audits of the full matrix expect a nonzero residual and
+count as passing when they observe one.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import montecarlo
@@ -31,7 +37,6 @@ from .loopcalc import (
     PhiMove,
     Walk,
     chain_mgf,
-    decomposition_residual,
     direct_mgf,
     phi,
 )
@@ -48,6 +53,7 @@ from .umbral import Family, QuadratureParams, density_moment
 
 _DEFAULT_SEED = 2024
 _LEVEL_LIMIT = 8  # levels above the origin that --levels accepts
+_HOPS = {Family.BERNOULLI: hop_bernoulli, Family.EULER: hop_euler}
 
 
 def _rational(text: str) -> Fraction:
@@ -75,6 +81,19 @@ def _levels(text: str) -> tuple[Fraction, ...]:
     return levels
 
 
+def _move(text: str) -> PhiMove:
+    """Parse a site move "from,to" or "from,to,taboo" of level indices."""
+    try:
+        parts = [int(part) for part in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) not in (2, 3):
+        raise argparse.ArgumentTypeError(
+            f"move must be from,to or from,to,taboo: {text!r}"
+        )
+    return PhiMove(*parts)
+
+
 def _at_most(limit: int):
     """Parse an int option, rejecting values above `limit`.
 
@@ -99,97 +118,8 @@ def _dump(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="umbralwalk",
-        description=(
-            "exact verification engine for hitting-time generating "
-            "functions and higher-order Bernoulli/Euler identities"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("poly", help="higher-order polynomial coefficients")
-    p.add_argument("--family", choices=("bernoulli", "euler"), required=True)
-    p.add_argument("--n", type=_at_most(128), required=True, help="degree")
-    p.add_argument(
-        "--order", type=_at_most(256), required=True, help="polynomial order p"
-    )
-    p.add_argument("--x", type=_rational, help="optional evaluation point")
-
-    p = sub.add_parser("numbers", help="Bernoulli or Euler numbers")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--bernoulli", action="store_true")
-    group.add_argument("--euler", action="store_true")
-    p.add_argument("--upto", type=_at_most(256), required=True)
-
-    p = sub.add_parser("weights", help="reciprocal-Chebyshev weights")
-    p.add_argument("--N", type=_at_most(32), required=True)
-    p.add_argument("--count", type=_at_most(4096), required=True)
-
-    p = sub.add_parser("series", help="hitting-time series as CSV")
-    p.add_argument("--walk", choices=[w.value for w in Walk], required=True)
-    p.add_argument("--levels", type=_levels, required=True)
-    what = p.add_mutually_exclusive_group(required=True)
-    what.add_argument("--chain", action="store_true")
-    what.add_argument("--direct", action="store_true")
-    what.add_argument(
-        "--move", help='site move "from,to" or "from,to,taboo" (indices)'
-    )
-    p.add_argument(
-        "--order", type=_at_most(512), default=48, help="series capacity"
-    )
-
-    p = sub.add_parser("verify", help="verify one identity instance")
-    p.add_argument(
-        "--id", choices=[i.value for i in IdentityId], required=True
-    )
-    p.add_argument("--n", type=_at_most(64), default=0)
-    p.add_argument("--x", type=_rational, default=Fraction(0))
-    p.add_argument("--levels", type=_levels)
-    p.add_argument(
-        "--N", type=_at_most(32), help="Chebyshev index (EULER_CHEB)"
-    )
-    p.add_argument(
-        "--m", type=_at_most(32), help="half-degree (EVEN_BERNOULLI)"
-    )
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--kmax", type=_at_most(4096), default=512)
-    p.add_argument("--stable-run", type=int, default=4)
-
-    p = sub.add_parser(
-        "verify-all", help="full expected matrix plus the errata audit"
-    )
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--kmax", type=_at_most(4096), default=512)
-
-    p = sub.add_parser("simulate", help="Monte Carlo hitting estimate")
-    p.add_argument("--walk", choices=[w.value for w in Walk], required=True)
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--target", type=float, required=True)
-    p.add_argument("--taboo", type=float)
-    p.add_argument("--z", type=float, required=True)
-    p.add_argument("--dt", type=float, default=1e-4)
-    p.add_argument("--paths", type=_at_most(1 << 20), default=100_000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tmax", type=float, default=50.0)
-
-    p = sub.add_parser(
-        "quadrature", help="density moment versus the exact polynomial"
-    )
-    p.add_argument("--family", choices=("bernoulli", "euler"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", type=_rational, default=Fraction(0))
-    p.add_argument("--tol", type=float, default=1e-10)
-
-    p = sub.add_parser("catalog", help="list the identity catalog")
-
-    return parser.parse_args(argv)
-
-
 def _cmd_poly(ns: argparse.Namespace) -> int:
-    hop = hop_bernoulli if ns.family == "bernoulli" else hop_euler
-    poly = hop(ns.n, ns.order)
+    poly = _HOPS[Family(ns.family)](ns.n, ns.order)
     payload = {
         "family": ns.family,
         "n": ns.n,
@@ -223,15 +153,7 @@ def _cmd_series(ns: argparse.Namespace) -> int:
     elif ns.direct:
         series = direct_mgf(system, ns.order)
     else:
-        parts = [int(v) for v in ns.move.split(",")]
-        if len(parts) == 2:
-            move = PhiMove(parts[0], parts[1])
-        elif len(parts) == 3:
-            move = PhiMove(parts[0], parts[1], parts[2])
-        else:
-            print("move must be from,to or from,to,taboo", file=sys.stderr)
-            return 2
-        series = phi(system, move, ns.order)
+        series = phi(system, ns.move, ns.order)
     sys.stdout.write(to_csv(series))
     return 0
 
@@ -287,24 +209,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         )
     _dump(
         {
-            "config": {
-                "walk": cfg.walk.value,
-                "start": cfg.start,
-                "target": cfg.target,
-                "taboo": cfg.taboo,
-                "z": cfg.z,
-                "dt": cfg.dt,
-                "paths": cfg.paths,
-                "seed": seed,
-                "t_max": cfg.t_max,
-            },
-            "estimate": {
-                "mean": est.mean,
-                "stderr": est.stderr,
-                "n_hit_target": est.n_hit_target,
-                "n_hit_taboo": est.n_hit_taboo,
-                "n_censored": est.n_censored,
-            },
+            "config": asdict(cfg),
+            "estimate": asdict(est),
             "reference": reference,
             "comparison": {
                 "z_score": comparison.z_score,
@@ -317,12 +223,11 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_quadrature(ns: argparse.Namespace) -> int:
-    family = Family.BERNOULLI if ns.family == "bernoulli" else Family.EULER
+    family = Family(ns.family)
     value = density_moment(
         family, ns.n, ns.x, QuadratureParams(tol=ns.tol)
     )
-    hop = hop_bernoulli if family is Family.BERNOULLI else hop_euler
-    exact = eval_poly(hop(ns.n, 1), ns.x)
+    exact = eval_poly(_HOPS[family](ns.n, 1), ns.x)
     diff = abs(value - float(exact))
     ok = diff < 1e-8
     _dump(
@@ -340,46 +245,126 @@ def _cmd_quadrature(ns: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(ns: argparse.Namespace) -> int:
-    _dump(
-        [
-            {
-                "identity": e.identity.value,
-                "variant": e.variant,
-                "description": e.description,
-                "reference": e.reference,
-            }
-            for e in catalog()
-        ]
-    )
+    _dump([asdict(entry) for entry in catalog()])
     return 0
 
 
-_HANDLERS = {
-    "poly": _cmd_poly,
-    "numbers": _cmd_numbers,
-    "weights": _cmd_weights,
-    "series": _cmd_series,
-    "verify": _cmd_verify,
-    "verify-all": _cmd_verify_all,
-    "simulate": _cmd_simulate,
-    "quadrature": _cmd_quadrature,
-    "catalog": _cmd_catalog,
-}
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="umbralwalk",
+        description=(
+            "exact verification engine for hitting-time generating "
+            "functions and higher-order Bernoulli/Euler identities"
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    families = [f.value for f in _HOPS]
+    walks = [w.value for w in Walk]
+
+    p = sub.add_parser("poly", help="higher-order polynomial coefficients")
+    p.set_defaults(handler=_cmd_poly)
+    p.add_argument("--family", choices=families, required=True)
+    p.add_argument("--n", type=_at_most(128), required=True, help="degree")
+    p.add_argument(
+        "--order", type=_at_most(256), required=True, help="polynomial order p"
+    )
+    p.add_argument("--x", type=_rational, help="optional evaluation point")
+
+    p = sub.add_parser("numbers", help="Bernoulli or Euler numbers")
+    p.set_defaults(handler=_cmd_numbers)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--bernoulli", action="store_true")
+    group.add_argument("--euler", action="store_true")
+    p.add_argument("--upto", type=_at_most(256), required=True)
+
+    p = sub.add_parser("weights", help="reciprocal-Chebyshev weights")
+    p.set_defaults(handler=_cmd_weights)
+    p.add_argument("--N", type=_at_most(32), required=True)
+    p.add_argument("--count", type=_at_most(4096), required=True)
+
+    p = sub.add_parser("series", help="hitting-time series as CSV")
+    p.set_defaults(handler=_cmd_series)
+    p.add_argument("--walk", choices=walks, required=True)
+    p.add_argument("--levels", type=_levels, required=True)
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--chain", action="store_true")
+    what.add_argument("--direct", action="store_true")
+    what.add_argument(
+        "--move", type=_move,
+        help='site move "from,to" or "from,to,taboo" (indices)',
+    )
+    p.add_argument(
+        "--order", type=_at_most(512), default=48, help="series capacity"
+    )
+
+    p = sub.add_parser("verify", help="verify one identity instance")
+    p.set_defaults(handler=_cmd_verify)
+    p.add_argument(
+        "--id", choices=[i.value for i in IdentityId], required=True
+    )
+    p.add_argument("--n", type=_at_most(64), default=0)
+    p.add_argument("--x", type=_rational, default=Fraction(0))
+    p.add_argument("--levels", type=_levels)
+    p.add_argument(
+        "--N", type=_at_most(32), help="Chebyshev index (EULER_CHEB)"
+    )
+    p.add_argument(
+        "--m", type=_at_most(32), help="half-degree (EVEN_BERNOULLI)"
+    )
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--kmax", type=_at_most(4096), default=512)
+    p.add_argument("--stable-run", type=int, default=4)
+
+    p = sub.add_parser(
+        "verify-all", help="full expected matrix plus the errata audit"
+    )
+    p.set_defaults(handler=_cmd_verify_all)
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--kmax", type=_at_most(4096), default=512)
+
+    p = sub.add_parser("simulate", help="Monte Carlo hitting estimate")
+    p.set_defaults(handler=_cmd_simulate)
+    p.add_argument("--walk", choices=walks, required=True)
+    p.add_argument("--start", type=float, required=True)
+    p.add_argument("--target", type=float, required=True)
+    p.add_argument("--taboo", type=float)
+    p.add_argument("--z", type=float, required=True)
+    p.add_argument("--dt", type=float, default=1e-4)
+    p.add_argument("--paths", type=_at_most(1 << 20), default=100_000)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--tmax", type=float, default=50.0)
+
+    p = sub.add_parser(
+        "quadrature", help="density moment versus the exact polynomial"
+    )
+    p.set_defaults(handler=_cmd_quadrature)
+    p.add_argument("--family", choices=families, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--x", type=_rational, default=Fraction(0))
+    p.add_argument("--tol", type=float, default=1e-10)
+
+    p = sub.add_parser("catalog", help="list the identity catalog")
+    p.set_defaults(handler=_cmd_catalog)
+
+    return parser
 
 
-def execute(ns: argparse.Namespace) -> int:
-    try:
-        return _HANDLERS[ns.command](ns)
-    except (ValueError, montecarlo.ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+_PARSER = _build_parser()
+
+
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse a command line (`sys.argv[1:]` when `argv` is None)."""
+    return _PARSER.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = parse_args(sys.argv[1:] if argv is None else argv)
+    ns = parse_args(argv)
     try:
-        code = execute(ns)
+        code = ns.handler(ns)
         sys.stdout.flush()
+    except (ValueError, montecarlo.ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader left (`| head`): send the unflushed rest to devnull so
         # the flush at interpreter exit cannot raise again

@@ -42,7 +42,7 @@ import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, isfinite, lcm
 from typing import Callable, Iterator
 
 from .loopcalc import (
@@ -128,7 +128,13 @@ class TruncationPolicy:
     k_max: int = 512
 
     def __post_init__(self) -> None:
-        if self.tol <= 0 or self.stable_run < 2 or self.k_max < 1:
+        # an infinite tol accepts every term, a nan tol none
+        if (
+            not isfinite(self.tol)
+            or self.tol <= 0
+            or self.stable_run < 2
+            or self.k_max < 1
+        ):
             raise InvalidParamsError(f"bad truncation policy: {self}")
 
 
@@ -697,7 +703,8 @@ def ground_truth_system(
     return _SPECS[identity].system(params)
 
 
-@functools.cache
+# bounded, so a long run over many level sets keeps at most 64 residuals
+@functools.lru_cache(maxsize=64)
 def _ground_truth_residual(system: LevelSystem) -> Fraction:
     return decomposition_residual(system, _GROUND_TRUTH_ORDER)
 

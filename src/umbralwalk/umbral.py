@@ -138,18 +138,14 @@ class UmbralExpr:
         return self.canonical()
 
 
-def umbral_moment(expr: UmbralExpr, n: int, order: int | None = None) -> Poly:
+def umbral_moment(expr: UmbralExpr, n: int) -> Poly:
     """Exact n-th moment of the expression, as a polynomial in x.
 
-    Needs a series order of at least n+1 coefficients; with has_x the
-    result has degree exactly n and leading coefficient 1.
+    Works at series order n+1; with has_x the result has degree exactly n
+    and leading coefficient 1.
     """
     if n < 0:
         raise ValueError(f"moment degree must be nonnegative, got {n}")
-    if order is None:
-        order = n + 1
-    if order < n + 1:
-        raise ValueError(f"series order {order} too small for moment {n}")
     nums, den = _expr_egf(expr, n + 1)
     if not expr.has_x:
         return Poly((Fraction(factorial(n) * nums[n], den),))

@@ -1,12 +1,18 @@
 """Command-line surface: parsing, output formats, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import umbralwalk
 from umbralwalk.cli import main, parse_args
+from umbralwalk.loopcalc import PhiMove
 
 
 def run(capsys, *argv):
@@ -50,6 +56,42 @@ def test_bad_rational_exits_2():
     with pytest.raises(SystemExit) as err:
         parse_args(["verify", "--id", "N3_UNIFORM", "--x", "half"])
     assert err.value.code == 2
+
+
+_SERIES = ["series", "--walk", "1d", "--levels", "0,1,2"]
+
+
+@pytest.mark.parametrize("move", ["1", "0,1,2,3", "a,b"])
+def test_malformed_move_exits_2(capsys, move):
+    with pytest.raises(SystemExit) as err:
+        main(_SERIES + ["--move", move])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert (
+        f"argument --move: move must be from,to or from,to,taboo: {move!r}"
+        in message
+    )
+    assert "Traceback" not in message
+
+
+def test_parse_args_calls_share_no_state():
+    chain = parse_args(_SERIES + ["--chain"])
+    move = parse_args(_SERIES + ["--move", "0,1"])
+    assert (chain.chain, chain.direct, chain.move) == (True, False, None)
+    assert (move.chain, move.direct, move.move) == (False, False, PhiMove(0, 1))
+    assert chain.order == move.order == 48
+    assert parse_args(_SERIES + ["--chain"]) == chain
+
+
+def test_main_builds_no_parser(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("built an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", never)
+    for _ in range(3):
+        assert main(["numbers", "--euler", "--upto", "4"]) == 0
+        with pytest.raises(SystemExit):
+            main(["numbers", "--euler", "--upto", "ten"])
 
 
 # every bounded exact-arithmetic option: a command line, the option, its limit
@@ -231,6 +273,18 @@ def test_verify_invalid_params_exit_2(capsys):
     assert "Chebyshev" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_verify_non_finite_tol_exits_2(capsys, tol):
+    # the known-false stated instance would read VERIFIED under tol = inf
+    code = main([
+        "verify", "--id", "N4_UNIFORM_STATED", "--n", "1", "--tol", tol,
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "bad truncation policy" in err
+
+
 def test_quadrature_command(capsys):
     code, payload = run_json(
         capsys, "quadrature", "--family", "euler", "--n", "1", "--x", "1/2"
@@ -278,6 +332,22 @@ def test_simulate_command_deterministic(capsys, monkeypatch):
         counts["n_hit_target"] + counts["n_hit_taboo"] + counts["n_censored"]
         == 2000
     )
+
+
+# sha256 of `simulate --walk 1d --start 0 --target 1 --z 0.5 --dt 1e-3
+# --paths 64 --seed 7` as printed with the hand-built config and estimate
+_SIMULATE_SHA256 = (
+    "3199444630c83bcbe639981f57a2123cc9e9288af4f4c806375505755da6d06a"
+)
+
+
+def test_simulate_output_bytes_unchanged(capsys):
+    code, out = run(
+        capsys, "simulate", "--walk", "1d", "--start", "0", "--target", "1",
+        "--z", "0.5", "--dt", "1e-3", "--paths", "64", "--seed", "7",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SIMULATE_SHA256
 
 
 def test_simulate_rejects_non_finite_horizon(capsys):
@@ -359,3 +429,31 @@ def test_closed_stdout_exits_nonzero_without_traceback(
     finally:
         pipe.file.close()
     assert capsys.readouterr().err == ""
+
+
+# --- the module entry point -----------------------------------------------------
+
+
+def _run_module(*argv):
+    env = dict(os.environ)
+    src = str(Path(umbralwalk.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "umbralwalk", *argv],
+        capture_output=True, env=env, timeout=60,
+    )
+
+
+def test_module_entry_point_catalog():
+    done = _run_module("catalog")
+    assert done.returncode == 0
+    assert hashlib.sha256(done.stdout).hexdigest() == _CATALOG_SHA256
+
+
+def test_module_entry_point_unknown_command_exits_2():
+    done = _run_module("bogus")
+    assert done.returncode == 2
+    assert b"invalid choice: 'bogus'" in done.stderr
+    assert b"Traceback" not in done.stderr

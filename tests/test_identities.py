@@ -465,9 +465,9 @@ def _printed_four_general_partial(K):
 def test_errata_printed_blocks_stream_equals_double_loop(monkeypatch):
     calls = []
 
-    def counting_moment(expr, n, order=None):
+    def counting_moment(expr, n):
         calls.append(n)
-        return umbral_moment(expr, n, order)
+        return umbral_moment(expr, n)
 
     monkeypatch.setattr(identities, "umbral_moment", counting_moment)
     entry = errata_report()["four_general_printed_blocks"]
@@ -491,9 +491,9 @@ def test_errata_three_site_blocks_stream_equals_direct_sum(monkeypatch):
     )
     calls = []
 
-    def counting_moment(expr, n, order=None):
+    def counting_moment(expr, n):
         calls.append(n)
-        return umbral_moment(expr, n, order)
+        return umbral_moment(expr, n)
 
     monkeypatch.setattr(identities, "umbral_moment", counting_moment)
     entry = errata_report()["three_sites_corrected_degree_2"]
@@ -509,9 +509,9 @@ def test_errata_three_site_blocks_stream_equals_direct_sum(monkeypatch):
 def test_four_general_moments_bounded_by_the_degree_lattice(monkeypatch):
     calls = []
 
-    def counting_moment(expr, n, order=None):
+    def counting_moment(expr, n):
         calls.append(n)
-        return umbral_moment(expr, n, order)
+        return umbral_moment(expr, n)
 
     monkeypatch.setattr(identities, "umbral_moment", counting_moment)
     n = 4
@@ -690,6 +690,21 @@ def test_ground_truth_memo_computes_each_system_once(monkeypatch):
     ]
 
 
+def test_ground_truth_memo_is_bounded():
+    identities._ground_truth_residual.cache_clear()
+    try:
+        for a in range(2, 202):
+            ensure_ground_truth(
+                IdentityId.THREE_SITES_1D_CORRECTED,
+                IdentityParams(n=1, levels=(1, a)),
+            )
+        info = identities._ground_truth_residual.cache_info()
+        assert info.misses == 200
+        assert info.currsize <= 64
+    finally:
+        identities._ground_truth_residual.cache_clear()
+
+
 def test_ground_truth_nonzero_residual_raises(monkeypatch):
     monkeypatch.setattr(
         identities, "decomposition_residual", lambda system, order: F(1, 7)
@@ -720,6 +735,13 @@ def test_ground_truth_systems_mapped():
 
 
 # --- truncation behaviour -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_non_finite_tolerance_rejected(tol):
+    # an infinite tol would pass the known-false N4_UNIFORM_STATED instance
+    with pytest.raises(InvalidParamsError, match="bad truncation policy"):
+        TruncationPolicy(tol=tol)
 
 GEOMETRIC_CASES = [
     (IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=3, x=F(1))),

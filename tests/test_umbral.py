@@ -87,12 +87,6 @@ def test_moment_matches_egf_coefficients():
         assert moment.eval(0) == egf.coefficient(n) * factorial(n)
 
 
-def test_moment_order_too_small_rejected():
-    e = UmbralExpr.build((Family.EULER, 1, 1))
-    with pytest.raises(ValueError):
-        umbral_moment(e, 5, order=4)
-
-
 # --- structural validation ------------------------------------------------------
 
 
