@@ -39,6 +39,7 @@ import datetime
 import functools
 import itertools
 import operator
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -735,6 +736,8 @@ def verify(
     terms) either a nonzero term seen earlier or an exact match of the
     partial sum with the left side. Degenerate instances (uniformly
     spaced three-site systems) short-circuit to DEGENERATE_TRIVIAL.
+    The tail control runs in double precision, so a left side, term or
+    residual beyond the float range raises InvalidParamsError.
     """
     identity = IdentityId(identity)
     policy = policy or TruncationPolicy()
@@ -746,6 +749,28 @@ def verify(
             identity, params, -1, lhs, _ZERO, 0.0, True, Status.DEGENERATE_TRIVIAL
         )
     ensure_ground_truth(identity, params)
+    try:
+        return _sum_to_tolerance(identity, params, lhs, policy)
+    except OverflowError:
+        raise InvalidParamsError(
+            f"{identity.value}: the left side, a term or the residual is "
+            "outside the float range of the tail control (magnitudes up to "
+            f"{sys.float_info.max:.4g})"
+        ) from None
+
+
+def _sum_to_tolerance(
+    identity: IdentityId,
+    params: IdentityParams,
+    lhs: Fraction,
+    policy: TruncationPolicy,
+) -> IdentityReport:
+    """The summation and tail control of `verify`, in double precision.
+
+    Raises OverflowError when a magnitude it compares exceeds the float
+    range.
+    """
+    spec = _SPECS[identity]
     threshold = policy.tol * max(1.0, abs(float(lhs)))
     S, den = 0, 1  # the partial sum is S / den
     mags: list[float] = []

@@ -35,6 +35,11 @@ per-call overhead rather than arithmetic.
 Discretization overshoot bias is acknowledged, not corrected; the
 comparator's 2% relative allowance absorbs it and the dt-halving
 property test tracks it.
+
+numpy and scipy load at the first simulation, not with this module, so
+a process that only runs the exact engine never imports them. The
+simulator imports both before its pool forks, and the workers inherit
+them.
 """
 
 from __future__ import annotations
@@ -42,16 +47,17 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.special import ndtri
+from typing import TYPE_CHECKING
 
 from .loopcalc import Walk
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _P1 = 0x9E3779B97F4A7C15
 _P2 = 0xD1B54A32D192ED03
-_M2 = np.uint64(0xBF58476D1CE4E5B9)
-_M3 = np.uint64(0x94D049BB133111EB)
+_M2 = 0xBF58476D1CE4E5B9
+_M3 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 
 _CHUNK = 1 << 14
@@ -83,6 +89,12 @@ class WalkConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.start < 0 or self.target < 0:
             raise ConfigError("levels live on the nonnegative half-line")
+        if self.target == self.start:
+            # the stepper would credit every path with a hit at step 1,
+            # where the closed form is 1, or 0 for the Bessel origin
+            raise ConfigError(
+                f"target must differ from start, both are {self.start}"
+            )
         if self.z <= 0:
             raise ConfigError(f"z must be positive, got {self.z}")
         if self.dt <= 0 or self.t_max <= 0:
@@ -117,23 +129,41 @@ class ComparisonReport:
     passed: bool
 
 
+def ndtri(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile, elementwise (scipy's ndtri).
+
+    scipy loads at the first call, not with this module.
+    `_block_normals` calls through this module-level name, so it can be
+    replaced to observe the inversions.
+    """
+    from scipy.special import ndtri as scipy_ndtri
+
+    return scipy_ndtri(p)
+
+
 def _mix64(z: np.ndarray) -> np.ndarray:
     # finalizer rounds applied in place; callers pass a fresh array
+    import numpy as np
+
     z ^= z >> np.uint64(30)
-    z *= _M2
+    z *= np.uint64(_M2)
     z ^= z >> np.uint64(27)
-    z *= _M3
+    z *= np.uint64(_M3)
     z ^= z >> np.uint64(31)
     return z
 
 
 def _path_keys(seed: int, lo: int, hi: int) -> np.ndarray:
+    import numpy as np
+
     idx = np.arange(lo, hi, dtype=np.uint64)
     offsets = (idx * np.uint64(_P1 & _U64))  # wraps mod 2^64
     return _mix64(np.uint64(seed & _U64) ^ offsets)
 
 
 def _uniforms(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     u = (z >> np.uint64(11)).astype(np.float64)
     u += 0.5
     u *= 2.0**-53
@@ -142,6 +172,8 @@ def _uniforms(z: np.ndarray) -> np.ndarray:
 
 def _block_normals(keys: np.ndarray, first_counter: int, count: int) -> np.ndarray:
     """Normals for counters first..first+count-1, shape (count, len(keys))."""
+    import numpy as np
+
     counters = np.arange(first_counter, first_counter + count, dtype=np.uint64)
     counters *= np.uint64(_P2)  # wraps mod 2^64
     return ndtri(_uniforms(_mix64(keys[None, :] ^ counters[:, None])))
@@ -149,6 +181,8 @@ def _block_normals(keys: np.ndarray, first_counter: int, count: int) -> np.ndarr
 
 def _simulate_chunk(cfg: WalkConfig, lo: int, hi: int) -> tuple[np.ndarray, int, int]:
     """Per-path contributions for path indices [lo, hi); pure in (cfg, lo, hi)."""
+    import numpy as np
+
     n = hi - lo
     sqdt = math.sqrt(cfg.dt)
     n_steps = int(math.floor(cfg.t_max / cfg.dt + 1e-9))
@@ -253,6 +287,10 @@ def _run_chunks(
 
 
 def _simulate(cfg: WalkConfig, chunk_size: int = _CHUNK) -> HittingEstimate:
+    # loaded before _run_chunks forks, so no worker imports them again
+    import numpy as np
+    import scipy.special  # noqa: F401
+
     spans = [
         (lo, min(lo + chunk_size, cfg.paths))
         for lo in range(0, cfg.paths, chunk_size)

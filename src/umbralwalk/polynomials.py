@@ -139,13 +139,16 @@ def _appell_from_kernel(kind: Kernel, n: int, p: int) -> Poly:
     return appell_polynomial(*kernel_power_numerators(kind, 1, p, n + 1), n)
 
 
-@lru_cache(maxsize=None)
+# bounded, so a long run keeps at most 1024 polynomials per family; the
+# benchmark's hop_sums workload followed by verify-all leaves 38 Bernoulli
+# and 504 Euler entries
+@lru_cache(maxsize=1024)
 def hop_bernoulli(n: int, p: int) -> Poly:
     """Higher-order Bernoulli polynomial B_n^(p)(x); p = 0 gives x^n."""
     return _appell_from_kernel(Kernel.BERNOULLI, n, p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def hop_euler(n: int, p: int) -> Poly:
     """Higher-order Euler polynomial E_n^(p)(x); p = 0 gives x^n."""
     return _appell_from_kernel(Kernel.EULER, n, p)

@@ -23,7 +23,8 @@ Two rewrite rules are supported, both moment-preserving:
 The letters also admit probability densities on a vertical line in the
 complex plane; `density_moment` evaluates the corresponding integral
 numerically as an independent floating-point cross-check of the exact
-polynomial values.
+polynomial values. It is this module's only numpy user and imports numpy
+at its first call, so the exact evaluation starts without it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial
-
-import numpy as np
 
 from .polynomials import Poly, appell_polynomial
 from .series import Kernel, as_scalar, convolve, kernel_power_numerators
@@ -255,6 +254,8 @@ def density_moment(
     integral must vanish (the integrand's imaginary part is odd in t)
     and is checked as a self-diagnostic.
     """
+    import numpy as np
+
     family = Family(family)
     if family is Family.UNIFORM:
         raise ValueError("the uniform letter has no line density here")

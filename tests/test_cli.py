@@ -285,6 +285,22 @@ def test_verify_non_finite_tol_exits_2(capsys, tol):
     assert "bad truncation policy" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--id", "FOUR_UNIFORM_1D", "--n", "2", "--x=1e400"),
+        ("--id", "EULER_CHEB", "--N", "1", "--n", "3", "--x=1e120"),
+    ],
+)
+def test_verify_beyond_float_range_exits_2(capsys, argv):
+    code = main(["verify", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "float range of the tail control" in err
+
+
 def test_quadrature_command(capsys):
     code, payload = run_json(
         capsys, "quadrature", "--family", "euler", "--n", "1", "--x", "1/2"
@@ -370,6 +386,19 @@ def test_simulate_far_target_reports_instead_of_overflowing(capsys):
     assert payload["reference"] == 0.0
     assert payload["estimate"]["n_censored"] == 10
     assert payload["comparison"]["pass"] is True
+
+
+def test_simulate_rejects_zero_length_move(capsys):
+    # the stepper used to credit every path at step 1 against a closed
+    # form of 0, and report a failed comparison with exit 1
+    code = main([
+        "simulate", "--walk", "bessel", "--start", "0", "--target", "0",
+        "--z", "0.5", "--paths", "4",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "target must differ from start" in err
 
 
 def test_simulate_validates_the_move_before_simulating(capsys, monkeypatch):

@@ -583,6 +583,19 @@ def test_verify_all_zero_tail_short_circuits():
     assert report.K_used <= 5
 
 
+@pytest.mark.parametrize(
+    "identity, params",
+    [
+        (IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=2, x=F(10**400))),
+        (IdentityId.EULER_CHEB, IdentityParams(n=3, x=F(10**120), cheb_index=1)),
+    ],
+)
+def test_verify_rejects_values_beyond_the_float_range(identity, params):
+    # the left side exceeds the largest double, so no tolerance applies
+    with pytest.raises(InvalidParamsError, match="float range of the tail control"):
+        verify(identity, params)
+
+
 def test_four_uniform_full_matrix_verifies_at_engine_semantics():
     for n in range(0, 11):
         for x in (F(0), F(1, 2), F(1), F(-1, 3)):

@@ -189,6 +189,13 @@ def test_config_validation():
                                  z=0.5))
 
 
+@pytest.mark.parametrize("walk", list(Walk))
+@pytest.mark.parametrize("level", [0.0, 1.5])
+def test_config_rejects_zero_length_moves(walk, level):
+    with pytest.raises(ConfigError, match="target must differ from start"):
+        WalkConfig(walk=walk, start=level, target=level, z=0.5)
+
+
 @pytest.mark.parametrize("field", ["start", "target", "taboo", "z", "dt", "t_max"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_inputs(field, bad):

@@ -53,6 +53,21 @@ def test_order_zero_gives_plain_power():
     assert hop_euler(3, 0) == poly(0, 0, 0, 1)
 
 
+@pytest.mark.parametrize("hop", [hop_bernoulli, hop_euler])
+def test_hop_memo_is_bounded(hop):
+    hop.cache_clear()
+    try:
+        keys = [(n, p) for n in range(4) for p in range(275)]
+        assert len(keys) == 1100
+        for n, p in keys:
+            hop(n, p)
+        info = hop.cache_info()
+        assert info.misses == 1100
+        assert info.currsize <= 1024
+    finally:
+        hop.cache_clear()
+
+
 def test_degree_and_leading_coefficient():
     for n in range(13):
         for p in range(9):
