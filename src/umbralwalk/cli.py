@@ -6,11 +6,11 @@ handler with `set_defaults`, so argparse both parses and dispatches:
 
 Structured results are JSON (rationals rendered as "p/q" strings, never
 floats); series are CSV. Exit codes: 0 when every check in the
-invocation passed, 1 when a verification or comparison failed or the
-reader closed stdout early, 2 for usage errors, whether argparse
-rejects the command line or the engine rejects the values. The
-stated-variant audits of the full matrix expect a nonzero residual and
-count as passing when they observe one.
+invocation passed, 1 when a verification or comparison failed, a
+quadrature did not settle or the reader closed stdout early, 2 for usage
+errors, whether argparse rejects the command line or the engine rejects
+the values. The stated-variant audits of the full matrix expect a
+nonzero residual and count as passing when they observe one.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .polynomials import (
     hop_euler,
 )
 from .series import to_csv
-from .umbral import Family, QuadratureParams, density_moment
+from .umbral import Family, QuadratureError, QuadratureParams, density_moment
 
 _DEFAULT_SEED = 2024
 _LEVEL_LIMIT = 8  # levels above the origin that --levels accepts
@@ -224,9 +224,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
 def _cmd_quadrature(ns: argparse.Namespace) -> int:
     family = Family(ns.family)
-    value = density_moment(
-        family, ns.n, ns.x, QuadratureParams(tol=ns.tol)
-    )
+    value = density_moment(family, ns.n, ns.x, QuadratureParams(tol=ns.tol))
     exact = eval_poly(_HOPS[family](ns.n, 1), ns.x)
     diff = abs(value - float(exact))
     ok = diff < 1e-8
@@ -362,9 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = ns.handler(ns)
         sys.stdout.flush()
-    except (ValueError, montecarlo.ConfigError) as exc:
+    except (ValueError, montecarlo.ConfigError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, QuadratureError) else 2
     except BrokenPipeError:
         # the reader left (`| head`): send the unflushed rest to devnull so
         # the flush at interpreter exit cannot raise again

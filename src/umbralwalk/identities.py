@@ -722,6 +722,11 @@ def ensure_ground_truth(identity: IdentityId, params: IdentityParams) -> None:
 
 # -- verification loop ------------------------------------------------------
 
+_FLOAT_RANGE = (
+    "the left side, a term or the residual is outside the float range of "
+    f"the tail control (magnitudes up to {sys.float_info.max:.4g})"
+)
+
 
 def verify(
     identity: IdentityId,
@@ -752,11 +757,7 @@ def verify(
     try:
         return _sum_to_tolerance(identity, params, lhs, policy)
     except OverflowError:
-        raise InvalidParamsError(
-            f"{identity.value}: the left side, a term or the residual is "
-            "outside the float range of the tail control (magnitudes up to "
-            f"{sys.float_info.max:.4g})"
-        ) from None
+        raise InvalidParamsError(f"{identity.value}: {_FLOAT_RANGE}") from None
 
 
 def _sum_to_tolerance(
@@ -817,7 +818,11 @@ def term_magnitudes(
 ) -> list[float]:
     """Float magnitudes of the terms over an index range (inclusive)."""
     terms = itertools.islice(rhs_terms(identity, params), k_lo, k_hi + 1)
-    return [abs(float(t)) for t in terms]
+    try:
+        return [abs(float(t)) for t in terms]
+    except OverflowError:
+        name = IdentityId(identity).value
+        raise InvalidParamsError(f"{name}: {_FLOAT_RANGE}") from None
 
 
 # -- batch matrices ----------------------------------------------------------

@@ -1,28 +1,30 @@
 """Exact truncated formal power series over the rationals.
 
 This is the ground-truth layer of the engine: every operation is exact
-and nothing ever rounds. Public coefficients are `fractions.Fraction`s;
-the arithmetic runs on integer numerators over one common denominator
-per operand, and each result coefficient is normalised once. A series
-stores a fixed number of coefficients (its *order*); binary operations
-require both operands to have the same order, and mismatches raise
-instead of silently truncating.
+and nothing ever rounds. A series holds one integer form of its
+coefficients: numerators over one positive common denominator, with no
+factor common to all of them. That form is unique, so equality and
+hashing are exact. Every operation runs on the integers and normalises
+its result with one gcd; `coeffs` is the read-only `fractions.Fraction`
+view. A series stores a fixed number of coefficients (its *order*);
+binary operations require both operands to have the same order, and
+mismatches raise instead of silently truncating.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import factorial, gcd, lcm
 from operator import mul
 
 # All rational constants in the engine are plain `fractions.Fraction`
 # values: arbitrary precision, always in lowest terms, denominator > 0.
 ExactScalar = Fraction
-
-_ZERO = Fraction(0)
 
 
 class OrderMismatchError(ValueError):
@@ -40,11 +42,15 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _ratio(value: int | str | Fraction) -> tuple[int, int]:
+    """An exact rational as (numerator, denominator > 0) in lowest terms."""
+    v = value if isinstance(value, (int, Fraction)) else as_scalar(value)
+    return v.numerator, v.denominator
 
 
 class Kernel(str, Enum):
@@ -73,33 +79,35 @@ class Kernel(str, Enum):
     SINH_OVER_ARG = "sinh_over_arg"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PowerSeries:
     """Order-capped formal power series with exact rational coefficients.
 
-    ``coeffs[n]`` is the coefficient of ``var**n``; ``len(coeffs)`` is the
-    order (number of retained coefficients). The variable name is purely
-    a label and does not participate in equality.
+    The coefficient of ``var**n`` is ``nums[n] / den``, with ``den > 0``
+    and ``gcd(den, *nums) == 1``; ``coeffs`` gives the same values as
+    Fractions. The order is the number of retained coefficients. The
+    variable name is purely a label and does not participate in equality.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
     var: str = field(default="t", compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: Iterable[int | str | Fraction], var: str = "t"):
+        pairs = [_ratio(c) for c in coeffs]
+        if not pairs:
             raise ValueError("a series must retain at least one coefficient")
-        if not all(isinstance(c, Fraction) for c in self.coeffs):
-            object.__setattr__(
-                self, "coeffs", tuple(as_scalar(c) for c in self.coeffs)
-            )
+        # over the least common denominator no factor is left to cancel
+        den = lcm(*(d for _, d in pairs))
+        _new(tuple(n * (den // d) for n, d in pairs), den, var, self)
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def constant(value: int | Fraction, order: int, var: str = "t") -> "PowerSeries":
         _check_order(order)
-        v = as_scalar(value)
-        return PowerSeries((v,) + (_ZERO,) * (order - 1), var)
+        p, q = _ratio(value)
+        return _new((p,) + (0,) * (order - 1), q, var)
 
     @staticmethod
     def zero(order: int, var: str = "t") -> "PowerSeries":
@@ -110,31 +118,32 @@ class PowerSeries:
         return PowerSeries.constant(1, order, var)
 
     @staticmethod
-    def from_coeffs(
-        values: list | tuple, order: int, var: str = "t"
-    ) -> "PowerSeries":
+    def from_coeffs(values: list | tuple, order: int, var: str = "t") -> "PowerSeries":
         """Build a series from explicit low-order coefficients, zero-padded."""
         _check_order(order)
-        vals = [as_scalar(v) for v in values]
-        if len(vals) > order:
-            raise ValueError(f"{len(vals)} coefficients exceed order {order}")
-        return PowerSeries(tuple(vals) + (_ZERO,) * (order - len(vals)), var)
+        if len(values) > order:
+            raise ValueError(f"{len(values)} coefficients exceed order {order}")
+        return PowerSeries(tuple(values) + (0,) * (order - len(values)), var)
 
     # -- basic accessors -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self.nums)
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def coefficient(self, n: int) -> Fraction:
-        return self.coeffs[n]
+        return Fraction(self.nums[n], self.den)
 
     def _require_same_order(self, other: "PowerSeries") -> None:
-        if self.order != other.order:
+        if len(self.nums) != len(other.nums):
             raise OrderMismatchError(
                 f"series orders differ: {self.order} vs {other.order}"
             )
@@ -143,22 +152,21 @@ class PowerSeries:
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         self._require_same_order(other)
-        return PowerSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.var
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return _normalised(
+            [x * fa + y * fb for x, y in zip(self.nums, other.nums)], den, self.var
         )
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._require_same_order(other)
-        return PowerSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.var
-        )
+        return self + -other
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries(tuple(-a for a in self.coeffs), self.var)
+        return _new(tuple(-x for x in self.nums), self.den, self.var)
 
     def scale(self, value: int | Fraction) -> "PowerSeries":
-        v = as_scalar(value)
-        return PowerSeries(tuple(v * a for a in self.coeffs), self.var)
+        p, q = _ratio(value)
+        return _normalised([p * x for x in self.nums], q * self.den, self.var)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         return ps_mul(self, other)
@@ -169,18 +177,29 @@ class PowerSeries:
         return f"PowerSeries[{self.var}; order {self.order}]({head}{tail})"
 
 
+def _new(nums: tuple[int, ...], den: int, var: str, series=None) -> PowerSeries:
+    """A series (or the fields of `series`) from its normal form nums / den."""
+    series = object.__new__(PowerSeries) if series is None else series
+    object.__setattr__(series, "nums", nums)
+    object.__setattr__(series, "den", den)
+    object.__setattr__(series, "var", var)
+    return series
+
+
+def _normalised(nums: list[int], den: int, var: str) -> PowerSeries:
+    """The series nums / den (den > 0), reduced by one gcd."""
+    g = gcd(den, *nums)
+    if g > 1:
+        nums, den = [x // g for x in nums], den // g
+    return _new(tuple(nums), den, var)
+
+
 def _check_order(order: int) -> None:
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
 
 
-def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Coefficients as integer numerators over their least common denominator."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def convolve(a: list[int], b: list[int], start: int, stop: int) -> list[int]:
+def convolve(a: Sequence[int], b: Sequence[int], start: int, stop: int) -> list[int]:
     """Coefficients start..stop-1 of the product of two integer series.
 
     Both series need at least `stop` coefficients.
@@ -195,12 +214,7 @@ def convolve(a: list[int], b: list[int], start: int, stop: int) -> list[int]:
 def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product truncated at the common order."""
     a._require_same_order(b)
-    an, ad = _numerators(a.coeffs)
-    bn, bd = _numerators(b.coeffs)
-    den = ad * bd
-    return PowerSeries(
-        tuple(Fraction(c, den) for c in convolve(an, bn, 0, a.order)), a.var
-    )
+    return _normalised(convolve(a.nums, b.nums, 0, a.order), a.den * b.den, a.var)
 
 
 def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
@@ -210,71 +224,64 @@ def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     b = bn/bd and the quotient so far as numerators Q over the least
     common denominator E of its coefficients, the next coefficient is
 
-      q_k = (an_k bd E - ad sum_{j=1..k} bn_j Q_{k-j}) / (ad E bn_0).
+      q_k = (an_k bd E - ad sum_{j=1..k} bn_j Q_{k-j}) / (ad E bn_0),
+
+    reduced to lowest terms. Q over E is then already in normal form.
     """
     a._require_same_order(b)
-    if b.constant_term == 0:
+    an, ad, bn, bd = a.nums, a.den, b.nums, b.den
+    if bn[0] == 0:
         raise ConstantTermError("division by a series with zero constant term")
-    an, ad = _numerators(a.coeffs)
-    bn, bd = _numerators(b.coeffs)
     head = ad * bn[0]
-    out: list[Fraction] = []
-    Q: list[int] = []
-    E = 1
-    for k in range(a.order):
+    Q, E = [], 1
+    for k in range(len(an)):
         acc = an[k] * bd * E - ad * sum(map(mul, bn[1 : k + 1], reversed(Q)))
-        q = Fraction(acc, head * E)
-        out.append(q)
-        if E % q.denominator:
-            grown = lcm(E, q.denominator)
+        d = head * E
+        g = gcd(acc, d)
+        acc, d = acc // g, d // g
+        if E % d:
+            grown = lcm(E, d)
             Q = [x * (grown // E) for x in Q]
             E = grown
-        Q.append(q.numerator * (E // q.denominator))
-    return PowerSeries(tuple(out), a.var)
+        Q.append(acc * (E // d))
+    return _new(tuple(Q), E, a.var)
+
+
+_RECIPROCAL_OF = {Kernel.SECH: Kernel.COSH, Kernel.BERNOULLI: Kernel.UNIFORM}
+_SHIFTED = {Kernel.UNIFORM, Kernel.SINH_OVER_ARG}
+_ZEROED_FROM = {Kernel.SINH: 0, Kernel.COSH: 1, Kernel.SINH_OVER_ARG: 1}
 
 
 def kernel(
     kind: Kernel | str, scale: int | Fraction, order: int, var: str = "t"
 ) -> PowerSeries:
-    """Exact Taylor coefficients of a named kernel with scaled argument."""
+    """Exact Taylor coefficients of a named kernel with scaled argument.
+
+    The kinds that are not reciprocals are read off c^n / (n + s)!, with
+    s = 0 or 1: for c = p/q, numerator n is p^n q^(order-1-n)
+    (order-1+s)! / (n+s)! over the denominator q^(order-1) (order-1+s)!.
+    """
     _check_order(order)
     kind = Kernel(kind)
-    c = as_scalar(scale)
-    if kind is Kernel.EXP:
-        coeffs = [c**n / factorial(n) for n in range(order)]
-    elif kind is Kernel.SINH:
-        coeffs = [
-            c**n / factorial(n) if n % 2 else _ZERO for n in range(order)
-        ]
-    elif kind is Kernel.COSH:
-        coeffs = [
-            c**n / factorial(n) if n % 2 == 0 else _ZERO for n in range(order)
-        ]
-    elif kind is Kernel.SINH_OVER_ARG:
-        coeffs = [
-            c**n / factorial(n + 1) if n % 2 == 0 else _ZERO
-            for n in range(order)
-        ]
-    elif kind is Kernel.UNIFORM:
-        coeffs = [c**n / factorial(n + 1) for n in range(order)]
-    elif kind is Kernel.SECH:
-        return ps_div(
-            PowerSeries.one(order, var), kernel(Kernel.COSH, c, order, var)
-        )
-    elif kind is Kernel.BERNOULLI:
-        return ps_div(
-            PowerSeries.one(order, var), kernel(Kernel.UNIFORM, c, order, var)
-        )
-    elif kind is Kernel.EULER:
-        exp_plus_one = [c**n / factorial(n) for n in range(order)]
-        exp_plus_one[0] += 1
-        return ps_div(
-            PowerSeries.constant(2, order, var),
-            PowerSeries(tuple(exp_plus_one), var),
-        )
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    return PowerSeries(tuple(coeffs), var)
+    if kind in _RECIPROCAL_OF:
+        base = kernel(_RECIPROCAL_OF[kind], scale, order, var)
+        return ps_div(PowerSeries.one(order, var), base)
+    p, q = _ratio(scale)
+    s = 1 if kind in _SHIFTED else 0
+    nums = list(accumulate(repeat(p, order - 1), mul, initial=1))
+    f = 1
+    for n in range(order - 1, -1, -1):
+        nums[n] *= f
+        f *= q * (n + s)
+    den = q ** (order - 1) * factorial(order - 1 + s)
+    if kind is Kernel.EULER:
+        nums[0] += den
+        two = PowerSeries.constant(2, order, var)
+        return ps_div(two, _normalised(nums, den, var))
+    start = _ZEROED_FROM.get(kind)
+    if start is not None:
+        nums[start::2] = [0] * len(nums[start::2])
+    return _normalised(nums, den, var)
 
 
 def geometric_resum(loop_kernel: PowerSeries) -> PowerSeries:
@@ -285,7 +292,7 @@ def geometric_resum(loop_kernel: PowerSeries) -> PowerSeries:
     `loopcalc.chain_mgf`), not the sum of their kernels. Requires a
     constant term different from 1.
     """
-    if loop_kernel.constant_term == 1:
+    if loop_kernel.nums[0] == loop_kernel.den:
         raise ConstantTermError(
             "loop kernel has constant term 1; the resummation diverges"
         )
@@ -298,56 +305,44 @@ def geometric_resum(loop_kernel: PowerSeries) -> PowerSeries:
 # Higher-order polynomial and moment evaluation repeatedly needs
 # kernel(kind, c)**p for consecutive p. The coefficient [t^j] K^p does not
 # depend on the truncation order, so one chain of powers is kept per
-# (kind, scale), each power as integer numerators over its least common
-# denominator. Power q + 1 never holds more coefficients than power q.
+# (kind, scale), each power a series lengthened by its new coefficients.
+# Power q + 1 never holds more coefficients than power q.
 
 
 class _PowerChain:
-    """The powers K^0, K^1, ... of one kernel K, held as integers."""
+    """The powers K^0, K^1, ... of one kernel K, each held as a series."""
 
-    __slots__ = ("kind", "scale", "nums", "dens")
+    __slots__ = ("kind", "scale", "powers")
 
     def __init__(self, kind: Kernel, scale: Fraction) -> None:
         self.kind, self.scale = kind, scale
-        self.nums: list[list[int]] = [[1]]  # power q: numerators over dens[q]
-        self.dens: list[int] = [1]
+        self.powers: list[PowerSeries] = [PowerSeries.one(1)]
 
     def __len__(self) -> int:
         """The number of powers held."""
-        return len(self.nums)
+        return len(self.powers)
 
-    def power(self, p: int, order: int) -> tuple[list[int], int]:
+    def power(self, p: int, order: int) -> tuple[tuple[int, ...], int]:
         """The first `order` numerators of K^p, and their denominator."""
-        nums = self.nums
-        for q in range(min(p, len(nums) - 1) + 1):
-            if len(nums[q]) < order:
-                self._extend(q, order)
-        while len(nums) <= p:
-            nums.append([])
-            self.dens.append(1)
-            self._extend(len(nums) - 1, order)
-        return nums[p][:order], self.dens[p]
+        powers = self.powers
+        for q in range(p + 1):
+            if q == len(powers) or powers[q].order < order:
+                # replaces power q, or appends it as the next power
+                powers[q : q + 1] = [self._extended(q, order)]
+        return powers[p].nums[:order], powers[p].den
 
-    def _extend(self, q: int, order: int) -> None:
-        """Bring power q to `order` coefficients; power q - 1 already is."""
-        nums, dens = self.nums, self.dens
-        if q == 0:
-            nums[0] += [0] * (order - len(nums[0]))
-        elif q == 1:
-            nums[1], dens[1] = _numerators(
-                kernel(self.kind, self.scale, order).coeffs
-            )
-        else:
-            # K^q = K^(q-1) K over dens[q-1] dens[1], which dens[q] divides
-            old = nums[q]
-            den = dens[q - 1] * dens[1]
-            f = den // dens[q]
-            new = [x * f for x in old] + convolve(
-                nums[q - 1], nums[1], len(old), order
-            )
-            g = gcd(den, *new)
-            nums[q] = [x // g for x in new]
-            dens[q] = den // g
+    def _extended(self, q: int, order: int) -> PowerSeries:
+        """Power q at `order` coefficients; power q - 1 already has them."""
+        if q < 2:
+            return kernel(self.kind, self.scale, order) if q else PowerSeries.one(order)
+        # K^q = K^(q-1) K over the product of their denominators, which
+        # the denominator of the coefficients held so far divides
+        powers, prev, base = self.powers, self.powers[q - 1], self.powers[1]
+        den = prev.den * base.den
+        old = powers[q].nums if q < len(powers) else ()
+        f = den // powers[q].den if old else 0
+        new = [x * f for x in old] + convolve(prev.nums, base.nums, len(old), order)
+        return _normalised(new, den, "t")
 
 
 _POWER_CACHE: dict[tuple[Kernel, Fraction], _PowerChain] = {}
@@ -356,7 +351,7 @@ _POWER_LOCK = threading.Lock()
 
 def kernel_power_numerators(
     kind: Kernel | str, scale: int | Fraction, p: int, order: int
-) -> tuple[list[int], int]:
+) -> tuple[tuple[int, ...], int]:
     """kernel(kind, scale, order) ** p as integer numerators over one denominator.
 
     Memoized in one chain of powers per (kind, scale): a request at a
@@ -380,8 +375,7 @@ def kernel_power(
     kind: Kernel | str, scale: int | Fraction, p: int, order: int
 ) -> PowerSeries:
     """Memoized kernel(kind, scale, order) ** p (see kernel_power_numerators)."""
-    nums, den = kernel_power_numerators(kind, scale, p, order)
-    return PowerSeries(tuple(Fraction(x, den) for x in nums))
+    return _normalised(*kernel_power_numerators(kind, scale, p, order), "t")
 
 
 def to_csv(series: PowerSeries) -> str:

@@ -265,7 +265,10 @@ def density_moment(
         raise ValueError(f"density moments are limited to n <= 12, got {n}")
     quad = quad or QuadratureParams()
     half_width = quad.half_width if quad.half_width is not None else 8.0 + n
-    x0 = float(x)
+    try:
+        x0 = float(x)
+    except OverflowError:
+        raise ValueError("x is outside the float range of the quadrature") from None
     nodes, weights = np.polynomial.legendre.leggauss(quad.nodes)
     prev: complex | None = None
     panels = quad.initial_panels

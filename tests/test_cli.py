@@ -225,6 +225,29 @@ def test_poly_and_series_output_bytes_unchanged(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `umbralwalk series` output at order 192 as printed while each
+# series operation still converted to and from Fractions; the chain and the
+# free move agree, so each system has one digest
+_SERIES_192_SHA256 = {
+    ("bessel", "0,1,2,3,4"):
+        "05214abe1b20a65709584545e938518d181847c9237324c566a01856165e467d",
+    ("1d", "0,1/3,7/5,3,9/2"):
+        "c713d66e7db09192580a714b37b00ef20695d8b526c1880ef0483d3744a01459",
+}
+
+
+@pytest.mark.parametrize("mode", ["--chain", "--direct"])
+@pytest.mark.parametrize("walk,levels", list(_SERIES_192_SHA256))
+def test_series_order_192_output_bytes_unchanged(capsys, walk, levels, mode):
+    code, out = run(
+        capsys, "series", "--walk", walk, "--levels", levels, mode,
+        "--order", "192",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _SERIES_192_SHA256[walk, levels]
+
+
 def test_series_chain_csv(capsys):
     code, out = run(
         capsys, "series", "--walk", "1d", "--levels", "0,1,2", "--chain",
@@ -308,6 +331,26 @@ def test_quadrature_command(capsys):
     assert code == 0
     assert payload["exact"] == "0"
     assert abs(payload["quadrature"]) < 1e-8
+
+
+def test_quadrature_beyond_float_range_exits_2(capsys):
+    code = main(["quadrature", "--family", "euler", "--n", "2", "--x=1e400"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "float range" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_quadrature_that_does_not_settle_exits_1(capsys):
+    # x^2 overflows the double integrand, so the panels never agree
+    code = main(["quadrature", "--family", "euler", "--n", "2", "--x=1e200"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_catalog_command(capsys):
@@ -427,6 +470,21 @@ def test_verify_all_roundtrip_stability(capsys):
     assert json.dumps(payload1, sort_keys=True) == json.dumps(
         payload2, sort_keys=True
     )
+
+
+# sha256 of the `errata` object of `verify-all`, rendered as `_dump` does,
+# as computed while each series operation still converted to and from
+# Fractions
+_ERRATA_SHA256 = (
+    "86ae2dd00fe42a903052df4ac9773398be5b4310549a50e7b2870ffb8aca2edf"
+)
+
+
+def test_verify_all_errata_bytes_unchanged(capsys):
+    code, payload = run_json(capsys, "verify-all")
+    assert code == 0
+    rendered = json.dumps(payload["errata"], indent=2, sort_keys=True)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == _ERRATA_SHA256
 
 
 class _ClosedPipe:

@@ -596,6 +596,12 @@ def test_verify_rejects_values_beyond_the_float_range(identity, params):
         verify(identity, params)
 
 
+def test_term_magnitudes_reject_terms_beyond_the_float_range():
+    params = IdentityParams(n=2, x=F(10**400))
+    with pytest.raises(InvalidParamsError, match="float range of the tail control"):
+        term_magnitudes(IdentityId.FOUR_UNIFORM_1D, params, 0, 3)
+
+
 def test_four_uniform_full_matrix_verifies_at_engine_semantics():
     for n in range(0, 11):
         for x in (F(0), F(1, 2), F(1), F(-1, 3)):

@@ -1,7 +1,7 @@
 """Exact series layer: kernels, arithmetic, resummation."""
 
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -284,7 +284,7 @@ def test_div_mul_roundtrip(triple):
     assert ps_mul(ps_div(a, b), b) == a
 
 
-# --- the integer layer against Fraction schoolbook arithmetic ------------------
+# --- the integer layer against Fraction reference arithmetic ------------------
 
 
 def _schoolbook_mul(a, b):
@@ -314,6 +314,10 @@ def series_pairs(draw):
     return mk(), mk()
 
 
+def _in_normal_form(s):
+    return s.den > 0 and gcd(s.den, *s.nums) == 1
+
+
 _NEGATIVE_A = series([F(-1, 3), F(5, 2), F(-7, 6), 0, F(-11, 10)], order=5)
 
 
@@ -321,18 +325,160 @@ _NEGATIVE_A = series([F(-1, 3), F(5, 2), F(-7, 6), 0, F(-11, 10)], order=5)
 @given(series_pairs())
 @example((series([F(-3, 4)], order=1), series([F(-2, 9)], order=1)))
 @example((series([F(-3, 4)], order=1), series([0], order=1)))
+@example((series([1, F(1, 2)], order=2), series([F(1, 3), 0], order=2)))
 @example(
     (_NEGATIVE_A, series([F(-2, 5), F(-1, 7), 0, F(3, 4), F(-9, 2)], order=5))
 )
 @example((_NEGATIVE_A, series([0, F(-1, 2), 3], order=5)))
 def test_mul_and_div_equal_fraction_schoolbook(pair):
+    # every integer operation against the same values on Fractions; the
+    # scale factor is drawn with the pair (zero and negative included)
     a, b = pair
-    assert list(ps_mul(a, b).coeffs) == _schoolbook_mul(a.coeffs, b.coeffs)
+    v = b.coefficient(b.order - 1)
+    unit = [F(1)] + [F(0)] * (a.order - 1)
+    results = {
+        "+": (a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)]),
+        "-": (a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)]),
+        "neg": (-a, [-x for x in a.coeffs]),
+        "scale": (a.scale(v), [v * x for x in a.coeffs]),
+        "mul": (ps_mul(a, b), _schoolbook_mul(a.coeffs, b.coeffs)),
+    }
     if b.constant_term == 0:
         with pytest.raises(ConstantTermError):
             ps_div(a, b)
     else:
-        assert list(ps_div(a, b).coeffs) == _schoolbook_div(a.coeffs, b.coeffs)
+        results["div"] = (ps_div(a, b), _schoolbook_div(a.coeffs, b.coeffs))
+    if a.constant_term == 1:
+        with pytest.raises(ConstantTermError):
+            geometric_resum(a)
+    else:
+        one_minus = [u - x for u, x in zip(unit, a.coeffs)]
+        results["resum"] = (geometric_resum(a), _schoolbook_div(unit, one_minus))
+    for name, (got, want) in results.items():
+        assert list(got.coeffs) == want, name
+        assert _in_normal_form(got), name
+
+
+def _fraction_kernel(kind, c, order):
+    """Reference Taylor coefficients of a kernel, on Fractions throughout."""
+    exp = [c**n / factorial(n) for n in range(order)]
+    shifted = [c**n / factorial(n + 1) for n in range(order)]
+    odd = [v if n % 2 else F(0) for n, v in enumerate(exp)]
+    even = [F(0) if n % 2 else v for n, v in enumerate(exp)]
+    unit = [F(1)] + [F(0)] * (order - 1)
+    return {
+        Kernel.EXP: exp,
+        Kernel.SINH: odd,
+        Kernel.COSH: even,
+        Kernel.SINH_OVER_ARG: [F(0) if n % 2 else v for n, v in enumerate(shifted)],
+        Kernel.UNIFORM: shifted,
+        Kernel.SECH: _schoolbook_div(unit, even),
+        Kernel.BERNOULLI: _schoolbook_div(unit, shifted),
+        Kernel.EULER: _schoolbook_div([2 * v for v in unit], [exp[0] + 1] + exp[1:]),
+    }[kind]
+
+
+scales = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(Kernel)), scales, st.integers(1, 16))
+@example(Kernel.EULER, F(0), 5)
+@example(Kernel.SINH, F(0), 4)
+@example(Kernel.BERNOULLI, F(-5, 3), 9)
+@example(Kernel.SINH_OVER_ARG, F(-2, 7), 1)
+def test_kernel_equals_fraction_reference(kind, c, order):
+    got = kernel(kind, c, order)
+    assert list(got.coeffs) == _fraction_kernel(kind, c, order)
+    assert _in_normal_form(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(list(Kernel)), scales, st.integers(0, 9), st.integers(1, 12)
+)
+@example(Kernel.COSH, F(0), 3, 4)
+def test_kernel_power_equals_fraction_reference(kind, c, p, order):
+    base = _fraction_kernel(kind, c, order)
+    want = [F(1)] + [F(0)] * (order - 1)
+    for _ in range(p):
+        want = _schoolbook_mul(want, base)
+    got = kernel_power(kind, c, p, order)
+    assert list(got.coeffs) == want
+    assert _in_normal_form(got)
+
+
+def test_equal_values_in_different_forms_are_equal_and_hash_equal():
+    half = PowerSeries((F(1, 2), 0, F(-3, 4)))
+    forms = [
+        PowerSeries(("1/2", "0", "-3/4"), "w"),
+        PowerSeries.from_coeffs([F(2, 4), 0, F(-6, 8)], 3, "s"),
+        half.scale(6).scale(F(1, 6)),
+        (half + half) - half,
+        -(-half),
+        ps_mul(half, PowerSeries.one(3)),
+        ps_div(ps_mul(half, kernel(Kernel.COSH, F(2, 3), 3)),
+               kernel(Kernel.COSH, F(2, 3), 3)),
+    ]
+    for form in forms:
+        assert form == half
+        assert hash(form) == hash(half)
+        assert (form.nums, form.den) == ((2, 0, -3), 4)
+    assert len({half, *forms}) == 1
+    assert kernel(Kernel.EXP, 0, 4) == PowerSeries.one(4)
+    assert hash(PowerSeries.zero(3)) == hash(PowerSeries((0, 0, 0), "w"))
+    assert PowerSeries.one(3) != PowerSeries.one(4)
+
+
+def test_series_coefficient_view_is_read_only():
+    s = PowerSeries((1, F(1, 2)))
+    assert s.coeffs == (F(1), F(1, 2))
+    assert all(type(c) is F for c in s.coeffs)
+    with pytest.raises(AttributeError):
+        s.coeffs = (F(1), F(1))
+    with pytest.raises(AttributeError):
+        s.den = 3
+
+
+def test_certificate_builds_fractions_only_through_the_coeffs_view():
+    import sys
+
+    from umbralwalk import series as series_module
+    from umbralwalk.loopcalc import LevelSystem, Walk, decomposition_residual
+
+    series_file = series_module.__file__
+    fraction_file = F.__new__.__code__.co_filename
+    through_view, elsewhere = [], []
+
+    def profile(frame, event, arg):
+        if event != "call" or frame.f_code is not F.__new__.__code__:
+            return
+        caller = frame.f_back
+        while caller is not None and caller.f_code.co_filename == fraction_file:
+            caller = caller.f_back
+        names = []
+        while caller is not None and caller.f_code.co_filename == series_file:
+            names.append(caller.f_code.co_name)
+            caller = caller.f_back
+        if names:
+            (through_view if "coeffs" in names else elsewhere).append(names)
+
+    systems = [
+        LevelSystem(Walk.REFLECTED_1D, (0, 1, 3)),
+        LevelSystem(Walk.REFLECTED_1D, (0, 1, 2, 3)),
+        LevelSystem(Walk.BESSEL_3D, (0, 1, 3, 5)),
+        LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
+        LevelSystem(Walk.REFLECTED_1D, (0, F(1, 3), F(7, 5), 3, F(9, 2))),
+    ]
+    sys.setprofile(profile)
+    try:
+        residuals = [decomposition_residual(system, 30) for system in systems]
+    finally:
+        sys.setprofile(None)
+    assert residuals == [0] * len(systems)
+    assert elsewhere == []
+    # the residual reads each coefficient of each difference once
+    assert len(through_view) == 30 * len(systems)
 
 
 @pytest.mark.parametrize("kind", [Kernel.EULER, Kernel.BERNOULLI, Kernel.SINH])
