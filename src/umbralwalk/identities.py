@@ -40,6 +40,7 @@ import functools
 import itertools
 import operator
 import sys
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -739,8 +740,12 @@ def verify(
     `stable_run` term magnitudes below threshold plus a geometric tail
     estimate below threshold, and (to survive leading runs of zero
     terms) either a nonzero term seen earlier or an exact match of the
-    partial sum with the left side. Degenerate instances (uniformly
-    spaced three-site systems) short-circuit to DEGENERATE_TRIVIAL.
+    partial sum with the left side. The terms arrive as integer
+    numerators over growing denominators, and the rule costs one float
+    comparison per term until a run of `stable_run` small terms calls
+    for the tail estimate (see `_sum_to_tolerance`). Degenerate
+    instances (uniformly spaced three-site systems) short-circuit to
+    DEGENERATE_TRIVIAL.
     The tail control runs in double precision, so a left side, term or
     residual beyond the float range raises InvalidParamsError.
     """
@@ -768,13 +773,17 @@ def _sum_to_tolerance(
 ) -> IdentityReport:
     """The summation and tail control of `verify`, in double precision.
 
-    Raises OverflowError when a magnitude it compares exceeds the float
-    range.
+    The partial sum stays one integer over the latest term denominator.
+    Each term costs one comparison: `run` counts the consecutive term
+    magnitudes below threshold, and `window` keeps the last `stable_run`
+    of them, read only once the run is long enough. Raises OverflowError
+    when a magnitude it compares exceeds the float range.
     """
     spec = _SPECS[identity]
     threshold = policy.tol * max(1.0, abs(float(lhs)))
     S, den = 0, 1  # the partial sum is S / den
-    mags: list[float] = []
+    window: deque[float] = deque(maxlen=policy.stable_run)
+    run = 0
     seen_nonzero = False
     converged = False
     K = -1
@@ -783,13 +792,12 @@ def _sum_to_tolerance(
         S, den = S * (t_den // den) + t, t_den
         K = k
         # int true division rounds correctly, as float(Fraction(t, den))
-        mags.append(abs(t) / den)
+        mag = abs(t) / den
+        window.append(mag)
         if t:
             seen_nonzero = True
-        if k + 1 < policy.stable_run:
-            continue
-        window = mags[-policy.stable_run :]
-        if not all(m < threshold for m in window):
+        run = run + 1 if mag < threshold else 0
+        if run < policy.stable_run:
             continue
         if not (seen_nonzero or S * lhs.denominator == lhs.numerator * den):
             continue

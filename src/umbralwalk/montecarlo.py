@@ -167,6 +167,9 @@ def _uniforms(z: np.ndarray) -> np.ndarray:
     u = (z >> np.uint64(11)).astype(np.float64)
     u += 0.5
     u *= 2.0**-53
+    # 2^53 - 1 + 0.5 rounds to 2^53, which would make u = 1 and its normal
+    # infinite; the largest double below 1 takes its place
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     return u
 
 

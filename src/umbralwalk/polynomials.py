@@ -15,6 +15,8 @@ numbers and the reciprocal-Chebyshev weights p_l^(N) defined by
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -187,6 +189,9 @@ def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
     for l < N. Multiplied by q0^l it stays on integers:
 
       P_l = [l = N] q0^(N-1) - sum_{j=1..N} Q_j q0^(j-1) P_{l-j}.
+
+    The stream yields N zeros and q0^(N-1), then one dot product of the
+    N multipliers with the last N numerators per weight.
     """
     if N < 1:
         raise ValueError(f"Chebyshev index must be >= 1, got {N}")
@@ -196,12 +201,13 @@ def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
     q = [T[N - j] * q0 ** (j - 1) for j in range(1, N + 1)]
 
     def numerators() -> Iterator[int]:
-        recent = [0] * N  # P_{l-1}, ..., P_{l-N}
-        for l in itertools.count():
-            P = q0 ** (N - 1) if l == N else 0
-            for qj, Pj in zip(q, recent):
-                P -= qj * Pj
-            recent = [P] + recent[:-1]
+        yield from itertools.repeat(0, N)
+        P = q0 ** (N - 1)
+        yield P
+        recent = deque([P, *itertools.repeat(0, N - 1)], maxlen=N)
+        while True:  # recent holds P_{l-1}, ..., P_{l-N}
+            P = -sum(map(operator.mul, q, recent))
+            recent.appendleft(P)
             yield P
 
     return q0, numerators()

@@ -14,6 +14,7 @@ mismatches raise instead of silently truncating.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -345,7 +346,10 @@ class _PowerChain:
         return _normalised(new, den, "t")
 
 
-_POWER_CACHE: dict[tuple[Kernel, Fraction], _PowerChain] = {}
+# least recently used first; bounded, so a long run over many level sets
+# keeps at most 256 chains (verify-all leaves 28)
+_POWER_CACHE: OrderedDict[tuple[Kernel, Fraction], _PowerChain] = OrderedDict()
+_POWER_CACHE_MAX = 256
 _POWER_LOCK = threading.Lock()
 
 
@@ -356,18 +360,24 @@ def kernel_power_numerators(
 
     Memoized in one chain of powers per (kind, scale): a request at a
     longer order extends the powers up to p by only their new
-    coefficients, and a request at a shorter order reads a prefix. Safe
-    for concurrent use; the memo is guarded by a lock.
+    coefficients, and a request at a shorter order reads a prefix. The
+    memo keeps the 256 most recently used chains. Safe for concurrent
+    use; the memo is guarded by a lock.
     """
     if not isinstance(p, int) or p < 0:
         raise ValueError(f"power must be a nonnegative integer, got {p!r}")
     _check_order(order)
     kind = Kernel(kind)
     c = as_scalar(scale)
+    key = (kind, c)
     with _POWER_LOCK:
-        chain = _POWER_CACHE.get((kind, c))
+        chain = _POWER_CACHE.get(key)
         if chain is None:
-            chain = _POWER_CACHE[kind, c] = _PowerChain(kind, c)
+            chain = _POWER_CACHE[key] = _PowerChain(kind, c)
+            if len(_POWER_CACHE) > _POWER_CACHE_MAX:
+                _POWER_CACHE.popitem(last=False)
+        else:
+            _POWER_CACHE.move_to_end(key)
         return chain.power(p, order)
 
 

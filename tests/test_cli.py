@@ -544,3 +544,11 @@ def test_module_entry_point_unknown_command_exits_2():
     assert done.returncode == 2
     assert b"invalid choice: 'bogus'" in done.stderr
     assert b"Traceback" not in done.stderr
+
+
+def test_quadrature_that_does_not_settle_prints_only_the_error():
+    # the overflowing integrand raises no numpy warning on stderr
+    done = _run_module("quadrature", "--family", "euler", "--n", "2", "--x=1e200")
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert done.stderr == b"error: no convergence within 4096 panels (tol 1e-10)\n"

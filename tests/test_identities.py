@@ -8,6 +8,8 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umbralwalk import (
     Family,
@@ -433,6 +435,37 @@ def test_verify_equals_fraction_only_reference(identity, params, policy, status)
     report = verify(identity, params, policy)
     assert report == _reference_verify(identity, params, policy)
     assert report.status is status
+
+
+# the last case of each identity: among them EULER_CHEB at N = 3, whose
+# weights vanish at every even index, and FOUR_UNIFORM_1D at n = 7,
+# x = 1/2, whose terms are all zero
+_ONE_CASE_PER_IDENTITY = {
+    identity: params for identity, params, *_ in _VERIFY_CASES
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(list(_ONE_CASE_PER_IDENTITY.items())),
+    stable_run=st.integers(2, 6),
+    tol_exponent=st.floats(-14, -4),
+    k_max=st.integers(1, 64),
+)
+@example(case=(IdentityId.FOUR_UNIFORM_1D,
+               _ONE_CASE_PER_IDENTITY[IdentityId.FOUR_UNIFORM_1D]),
+         stable_run=6, tol_exponent=-4, k_max=5)
+@example(case=(IdentityId.EULER_CHEB,
+               _ONE_CASE_PER_IDENTITY[IdentityId.EULER_CHEB]),
+         stable_run=2, tol_exponent=-14, k_max=64)
+def test_verify_equals_reference_under_any_policy(
+    case, stable_run, tol_exponent, k_max
+):
+    identity, params = case
+    policy = TruncationPolicy(10.0**tol_exponent, stable_run, k_max)
+    assert verify(identity, params, policy) == _reference_verify(
+        identity, params, policy
+    )
 
 
 def _printed_four_general_partial(K):

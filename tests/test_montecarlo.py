@@ -264,6 +264,17 @@ def test_mean_strictly_decreasing_in_z_on_fixed_seed():
     assert means[0] > means[1] > means[2]
 
 
+def test_uniforms_lie_strictly_inside_the_unit_interval():
+    words = np.array([0, 2**64 - 2**11 - 1, 2**64 - 1], dtype=np.uint64)
+    u = mc._uniforms(words)
+    assert u[0] == 2.0**-54
+    # the next-to-top h keeps its value; the top h + 1/2 rounds to 2^53,
+    # and the double below 1 takes its place
+    assert u[1] == 1.0 - 2.0**-52
+    assert u[2] == np.nextafter(1.0, 0.0)
+    assert np.all(np.isfinite(mc.ndtri(u)))
+
+
 # --- blocked chunk against the per-step loop ---------------------------------------
 
 

@@ -539,6 +539,19 @@ def test_kernel_power_memo_safe_while_chains_lengthen_concurrently():
         assert got == reference[order][p], (p, order)
 
 
+def test_kernel_power_memo_stays_bounded_over_many_level_sets():
+    from umbralwalk import IdentityId, IdentityParams, series, verify
+
+    # each level set brings its own block coefficients, hence new chains:
+    # unbounded, these 200 sets alone would leave over a thousand
+    for a in range(1, 101):
+        for b in (a + 1, a + 2):
+            levels = (1, F(b, a), F(b + 1, a))
+            verify(IdentityId.FOUR_GENERAL_1D,
+                   IdentityParams(n=1, x=F(1, 2), levels=levels))
+    assert len(series._POWER_CACHE) <= series._POWER_CACHE_MAX == 256
+
+
 # --- serialization -------------------------------------------------------------
 
 
