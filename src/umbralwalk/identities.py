@@ -52,6 +52,7 @@ from .loopcalc import (
 )
 from .polynomials import (
     ExactScalar,
+    Poly,
     bernoulli_number,
     chebyshev_recip_weight_numerators,
     eval_poly,
@@ -61,7 +62,7 @@ from .polynomials import (
 from .series import (
     Kernel, PowerSeries, as_scalar, geometric_resum, kernel, ps_div, ps_mul
 )
-from .umbral import Family, UmbralExpr, umbral_moment
+from .umbral import Family, UmbralExpr, moment_rows, umbral_moment
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -123,6 +124,10 @@ class TruncationPolicy:
     Terms accumulate until the last `stable_run` term magnitudes are
     each below tol * max(1, |lhs|) and a geometric estimate of the
     remaining tail is below the same threshold, or `k_max` is reached.
+    The estimate reads the nonzero magnitudes of that window: all of
+    them zero stops the sum; a single one, or a consecutive ratio of 1
+    or more (terms still growing), keeps it going; otherwise the largest
+    ratio r, capped at 0.99, estimates the tail as m_last r / (1 - r).
     """
 
     tol: float = 1e-12
@@ -283,12 +288,80 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # orders and the constant, which are affine in the loop counts.
 # `_term_numerators` therefore continues value(0..d) by integer differences
 # over their common denominator D and gives term k as an integer over C D b^k.
+#
+# A block-level right side is given by a loop table: per block its family,
+# coefficient and orders, and the constant, each as a vector whose dot
+# product with the counts (1, k), or (1, l, k - l) for the four-site sum's
+# two loops, gives term k's (or term (k, l)'s) value. Every order is thus
+# a nonnegative combination of the loop counts, so the term's generating
+# function is EGF_0 G^k (EGF_0 G_1^l G_2^(k-l)): `moment_rows` streams it
+# from the start expression (counts (1, 0, ...)) and each loop's
+# expression (a unit count), at one series product per loop count or
+# lattice point, with every block kernel at power 1.
+
+_LoopTable = tuple[tuple[tuple[Family, Fraction, tuple[int, ...]], ...],
+                   tuple[Fraction, ...]]
 
 
-def four_general_term_blocks(
-    k: int, l: int, levels: tuple[Fraction, Fraction, Fraction]
-) -> tuple[Fraction, UmbralExpr]:
-    """Weight and block expression of the (k, l) term, four general sites.
+def _blocks_at(
+    table: _LoopTable, counts: tuple[int, ...], has_x: bool = True
+) -> UmbralExpr:
+    """The block expression of a loop table at the given loop counts."""
+    blocks, constants = table
+
+    def dot(v):
+        return sum(map(operator.mul, v, counts))
+
+    return UmbralExpr.build(
+        *((family, c, dot(orders)) for family, c, orders in blocks),
+        constant=dot(constants),
+        has_x=has_x,
+    )
+
+
+def _table_rows(table: _LoopTable, n: int) -> Iterator[list[Poly]]:
+    """`moment_rows` of a loop table: its start, at counts (1, 0, ...),
+    and its loops, each at one unit count and without x."""
+    width = len(table[1])
+    start, *loops = (
+        _blocks_at(table, tuple(int(i == j) for j in range(width)), i == 0)
+        for i in range(width)
+    )
+    return moment_rows(start, tuple(loops), n)
+
+
+def _block_values(
+    params: IdentityParams,
+    table: Callable[..., _LoopTable],
+    split: Fraction = _ZERO,
+) -> Callable[[int], Fraction]:
+    """value(k) of a block-level right side, from one running product.
+
+    value(k) is the mean at x of row k's moments (see `_table_rows`) of
+    `table(*levels)` over l ~ Binomial(k, split); with one loop (split
+    0) that is its one moment. Rows are drawn once, in order, and the
+    values reached are kept, since `_term_numerators` may ask later for
+    a value it put off.
+    """
+    rows = _table_rows(table(*params.levels), params.n)
+    values: list[Fraction] = []
+
+    def value(k: int) -> Fraction:
+        for j, row in zip(range(len(values), k + 1), rows):
+            values.append(sum(
+                (comb(j, l) * split**l * (1 - split) ** (j - l)
+                 * eval_poly(m, params.x) for l, m in enumerate(row)),
+                _ZERO,
+            ))
+        return values[k]
+
+    return value
+
+
+def _four_general_table(
+    a1: Fraction, a2: Fraction, a3: Fraction
+) -> _LoopTable:
+    """Term (k, l) of the four-site block sum, over counts (1, l, k - l).
 
     Translated factor-by-factor from the two-loop chain product
 
@@ -296,8 +369,37 @@ def four_general_term_blocks(
         sinh^(k-l)((a3-a2) w) / (sinh^(k+1)(a2 w) sinh^(k-l+1)((a3-a1) w)),
 
     whose powers of w cancel exactly, leaving the geometric weight
-    q_{k,l} and an affine block expression.
+    q_{k,l} (see `four_general_term_blocks`) and affine block orders.
     """
+    return (
+        (Family.EULER, 2 * a1, (1, 1, 0)),
+        (Family.UNIFORM, 2 * (a2 - a1), (1, 1, 0)),
+        (Family.UNIFORM, 2 * a1, (1, 0, 1)),
+        (Family.UNIFORM, 2 * (a3 - a2), (0, 0, 1)),
+        (Family.BERNOULLI, 2 * a2, (1, 1, 1)),
+        (Family.BERNOULLI, 2 * (a3 - a1), (1, 0, 1)),
+    ), (a3, 2 * a1, 2 * (a2 - a1))
+
+
+def _printed_fg_table(
+    a1: Fraction, a2: Fraction, a3: Fraction
+) -> _LoopTable:
+    """The boxed statement's block list for (k, l), over (1, l, k - l)."""
+    return (
+        (Family.BERNOULLI, 2 * (a2 - a1), (1, 0, 0)),
+        (Family.BERNOULLI, 2 * (a3 - a2), (1, 0, 0)),
+        (Family.EULER, a1, (0, 1, 0)),
+        (Family.UNIFORM, 2 * (a2 - a1), (0, 1, 0)),
+        (Family.UNIFORM, 2 * a1, (0, 0, 1)),
+        (Family.BERNOULLI, 2 * (a2 - a1), (0, 0, 1)),
+    ), (a3 + a1, 2 * a1, 2 * a2 - a1)
+
+
+def four_general_term_blocks(
+    k: int, l: int, levels: tuple[Fraction, Fraction, Fraction]
+) -> tuple[Fraction, UmbralExpr]:
+    """Weight and block expression of the (k, l) term, four general sites
+    (see `_four_general_table`)."""
     a1, a2, a3 = levels
     q = (
         comb(k, l)
@@ -306,64 +408,50 @@ def four_general_term_blocks(
         * (a3 - a2) ** (k - l)
         / (a2 ** (k + 1) * (a3 - a1) ** (k - l + 1))
     )
-    const = a3 + 2 * (k - l) * a2 + 2 * (2 * l - k) * a1
-    expr = UmbralExpr.build(
-        (Family.EULER, 2 * a1, l + 1),
-        (Family.UNIFORM, 2 * (a2 - a1), l + 1),
-        (Family.UNIFORM, 2 * a1, k - l + 1),
-        (Family.UNIFORM, 2 * (a3 - a2), k - l),
-        (Family.BERNOULLI, 2 * a2, k + 1),
-        (Family.BERNOULLI, 2 * (a3 - a1), k - l + 1),
-        constant=const,
-    )
-    return q, expr
+    return q, _blocks_at(_four_general_table(*levels), (1, l, k - l))
 
 
-def _printed_fg_blocks(
-    k: int, l: int, levels: tuple[Fraction, Fraction, Fraction]
-) -> tuple[Fraction, UmbralExpr]:
-    """The boxed statement's block list for (k, l), with the same q_{k,l}."""
-    a1, a2, a3 = levels
-    expr = UmbralExpr.build(
-        (Family.BERNOULLI, 2 * (a2 - a1), 1),
-        (Family.BERNOULLI, 2 * (a3 - a2), 1),
-        (Family.EULER, a1, l),
-        (Family.UNIFORM, 2 * (a2 - a1), l),
-        (Family.UNIFORM, 2 * a1, k - l),
-        (Family.BERNOULLI, 2 * (a2 - a1), k - l),
-        constant=a3 + (2 * k - 2 * l) * a2 + (3 * l - k + 1) * a1,
-    )
-    return four_general_term_blocks(k, l, levels)[0], expr
-
-
-def _four_general_ratio(
+def _four_general_rates(
     levels: tuple[Fraction, Fraction, Fraction]
-) -> tuple[Fraction, Fraction]:
-    """c0 and alpha + beta, where q_{k,l} = c0 C(k,l) alpha^l beta^(k-l)."""
+) -> tuple[Fraction, Fraction, Fraction]:
+    """c0, alpha and beta, where q_{k,l} = c0 C(k,l) alpha^l beta^(k-l)."""
     a1, a2, a3 = levels
     alpha = (a2 - a1) / a2
     beta = a1 * (a3 - a2) / (a2 * (a3 - a1))
     c0 = a1 * (a2 - a1) / (a2 * (a3 - a1))
-    return c0, alpha + beta
+    return c0, alpha, beta
 
 
-def _four_general_value(
-    params: IdentityParams, k: int, blocks: Callable = four_general_term_blocks
-) -> Fraction:
+def _four_general_values(
+    params: IdentityParams, table: Callable = _four_general_table
+) -> Callable[[int], Fraction]:
     """The block sum over l of term k, divided by c0 (alpha + beta)^k.
 
     That quotient is the mean of the moment, a polynomial of total degree
     <= n in (l, k-l), over l ~ Binomial(k, alpha/(alpha+beta)); the mean
     of l^(a) (k-l)^(b) is a multiple of k^(a+b), so the quotient is a
-    polynomial of degree <= n in k. `blocks(k, l, levels)` gives q_{k,l}
-    and the (k, l) block expression.
+    polynomial of degree <= n in k.
     """
-    total = _ZERO
-    for l in range(k + 1):
-        q, expr = blocks(k, l, params.levels)
-        total += q * eval_poly(umbral_moment(expr, params.n), params.x)
-    c0, ratio = _four_general_ratio(params.levels)
-    return total / (c0 * ratio**k)
+    _, alpha, beta = _four_general_rates(params.levels)
+    return _block_values(params, table, alpha / (alpha + beta))
+
+
+def _four_general_weights(params: IdentityParams) -> _Weights:
+    c0, alpha, beta = _four_general_rates(params.levels)
+    return _geometric(c0, alpha + beta)
+
+
+def _n3_general_table(
+    a1: Fraction, a2: Fraction, a3: Fraction
+) -> _LoopTable:
+    """Term k of the three-sphere block sum, over counts (1, k)."""
+    return (
+        (Family.UNIFORM, 2 * (a2 - a1), (1, 0)),
+        (Family.UNIFORM, 2 * (a3 - a2), (0, 1)),
+        (Family.UNIFORM, 2 * a1, (0, 1)),
+        (Family.BERNOULLI, 2 * (a3 - a1), (1, 1)),
+        (Family.BERNOULLI, 2 * a2, (1, 1)),
+    ), (a3, 2 * (a2 - a1))
 
 
 def n3_general_term_blocks(
@@ -378,33 +466,17 @@ def n3_general_term_blocks(
         * a1**k
         / ((a3 - a1) ** (k + 1) * a2 ** (k + 1))
     )
-    s_k = a3 + 2 * k * a2 - 2 * k * a1
-    expr = UmbralExpr.build(
-        (Family.UNIFORM, 2 * (a2 - a1), 1),
-        (Family.UNIFORM, 2 * (a3 - a2), k),
-        (Family.UNIFORM, 2 * a1, k),
-        (Family.BERNOULLI, 2 * (a3 - a1), k + 1),
-        (Family.BERNOULLI, 2 * a2, k + 1),
-        constant=s_k,
-    )
-    return r_k, expr
+    return r_k, _blocks_at(_n3_general_table(*levels), (1, k))
 
 
-def _three_sites_blocks(
-    k: int, levels: tuple[Fraction, Fraction]
-) -> tuple[Fraction, UmbralExpr]:
-    """Weight p_k = (a1/a2) (1 - a1/a2)^k and block expression of the
-    k-th term of the sound three-site moment identity."""
-    a1, a2 = levels
-    p_k = (a1 / a2) * (1 - a1 / a2) ** k
-    expr = UmbralExpr.build(
-        (Family.UNIFORM, 2 * a1, 1),
-        (Family.UNIFORM, 2 * (a2 - a1), k),
-        (Family.BERNOULLI, 2 * a2, k + 1),
-        (Family.EULER, 2 * a1, k + 1),
-        constant=a2 + 2 * a1 * k,
-    )
-    return p_k, expr
+def _three_sites_table(a1: Fraction, a2: Fraction) -> _LoopTable:
+    """Term k of the sound three-site block sum, over counts (1, k)."""
+    return (
+        (Family.UNIFORM, 2 * a1, (1, 0)),
+        (Family.UNIFORM, 2 * (a2 - a1), (0, 1)),
+        (Family.BERNOULLI, 2 * a2, (1, 1)),
+        (Family.EULER, 2 * a1, (1, 1)),
+    ), (a2, 2 * a1)
 
 
 def three_sites_block_term(
@@ -412,18 +484,21 @@ def three_sites_block_term(
 ) -> ExactScalar:
     """k-th term of the sound three-site moment identity, block form.
 
-    This is the direct translation of the one-loop chain term; its sum
-    equals (x + 2*a2*E + a2)^n exactly. It is what the printed
+    This is the direct translation of the one-loop chain term, with
+    weight p_k = (a1/a2) (1 - a1/a2)^k; its sum equals
+    (x + 2*a2*E + a2)^n exactly. It is what the printed
     geometric-Bernoulli right side would need to reduce to, and is kept
     as the engine's ground truth for the three-site errata.
     """
-    p_k, expr = _three_sites_blocks(k, levels)
+    a1, a2 = levels
+    p_k = (a1 / a2) * (1 - a1 / a2) ** k
+    expr = _blocks_at(_three_sites_table(*levels), (1, k))
     return p_k * eval_poly(umbral_moment(expr, n), x)
 
 
 def _three_sites_block_weights(params: IdentityParams) -> _Weights:
-    p0, p1 = (_three_sites_blocks(k, params.levels)[0] for k in (0, 1))
-    return _geometric(p0, p1 / p0)
+    a1, a2 = params.levels
+    return _geometric(a1 / a2, 1 - a1 / a2)
 
 
 def _geometric(c: Fraction, r: Fraction) -> _Weights:
@@ -434,10 +509,12 @@ def _geometric(c: Fraction, r: Fraction) -> _Weights:
     return c.denominator, r.denominator, numerators
 
 
-def _euler_cheb_value(params: IdentityParams, k: int) -> Fraction:
-    N = params.cheb_index
-    arg = Fraction(k - N, 2) + N * params.x
-    return eval_poly(hop_euler(params.n, k), arg) / Fraction(N) ** params.n
+def _euler_cheb_values(params: IdentityParams) -> Callable[[int], Fraction]:
+    N, n = params.cheb_index, params.n
+    scale = Fraction(N) ** n
+    return lambda k: (
+        eval_poly(hop_euler(n, k), Fraction(k - N, 2) + N * params.x) / scale
+    )
 
 
 def _three_sites_weights(params: IdentityParams) -> _Weights:
@@ -446,10 +523,12 @@ def _three_sites_weights(params: IdentityParams) -> _Weights:
     return _geometric(prefactor * (a1 / a2), 1 - a1 / a2)
 
 
-def _three_sites_value(params: IdentityParams, k: int) -> Fraction:
+def _three_sites_values(params: IdentityParams) -> Callable[[int], Fraction]:
     a1, a2 = params.levels
-    arg = params.x / (4 * a1) + a2 / (4 * a1) + Fraction(k, 2)
-    return eval_poly(hop_bernoulli(params.n, k + 1), arg)
+    shift = params.x / (4 * a1) + a2 / (4 * a1)
+    return lambda k: eval_poly(
+        hop_bernoulli(params.n, k + 1), shift + Fraction(k, 2)
+    )
 
 
 def _n3_general_weights(params: IdentityParams) -> _Weights:
@@ -471,8 +550,9 @@ def _even_bernoulli_weights(params: IdentityParams) -> _Weights:
 class _Spec:
     """One identity: catalog text, left side, right side, ground truth.
 
-    Term k of the right side is u_k / (C b^k) * value(params, k) with
-    (C, b, u) = weights(params), value of degree <= degree(params) in k.
+    Term k of the right side is u_k / (C b^k) * value(k) with
+    (C, b, u) = weights(params) and value = values(params), of degree
+    <= degree(params) in k.
     An instance needs `level_count` levels and, by `positive_field`, an
     integer field >= 1 (and the phrase naming it in the error).
     """
@@ -482,7 +562,7 @@ class _Spec:
     reference: str
     lhs: Callable[[IdentityParams], ExactScalar]
     weights: Callable[[IdentityParams], _Weights]
-    value: Callable[[IdentityParams, int], Fraction]
+    values: Callable[[IdentityParams], Callable[[int], Fraction]]
     system: Callable[[IdentityParams], LevelSystem]
     degree: Callable[[IdentityParams], int] = lambda p: p.n
     level_count: int = 0
@@ -497,7 +577,7 @@ _THREE_SITES = _Spec(
     "three sites on the half-line / reflected walk",
     _three_sites_lhs,
     _three_sites_weights,
-    _three_sites_value,
+    _three_sites_values,
     system=lambda p: LevelSystem(Walk.REFLECTED_1D, (0, *p.levels)),
     level_count=2,
     # uniformly spaced sites zero the weights' factor 1 - 2 a1/a2
@@ -512,7 +592,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         "Euler polynomials via N-site transition weights",
         lambda p: _euler_at(p.n, p.x),
         lambda p: (1, *chebyshev_recip_weight_numerators(p.cheb_index)),
-        _euler_cheb_value,
+        _euler_cheb_values,
         system=lambda p: LevelSystem(
             Walk.REFLECTED_1D, tuple(range(p.cheb_index + 1))
         ),
@@ -532,7 +612,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         "four uniform sites on the half-line / reflected walk",
         lambda p: _euler_at(p.n, p.x),
         lambda p: _geometric(Fraction(1, 4 * 3**p.n), Fraction(3, 4)),
-        lambda p, k: eval_poly(hop_euler(p.n, 2 * k + 3), 3 * p.x + k),
+        lambda p: lambda k: eval_poly(hop_euler(p.n, 2 * k + 3), 3 * p.x + k),
         system=lambda p: LevelSystem(Walk.REFLECTED_1D, (0, 1, 2, 3)),
     ),
     IdentityId.FOUR_GENERAL_1D: _Spec(
@@ -541,8 +621,8 @@ _SPECS: dict[IdentityId, _Spec] = {
         "at block level from the two-loop product",
         "four arbitrary sites on the half-line / reflected walk",
         lambda p: _top_block_lhs(p, Family.EULER),
-        lambda p: _geometric(*_four_general_ratio(p.levels)),
-        _four_general_value,
+        _four_general_weights,
+        _four_general_values,
         system=lambda p: LevelSystem(Walk.REFLECTED_1D, (0, *p.levels)),
         level_count=3,
     ),
@@ -553,9 +633,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         "Thm 4.1 / three concentric spheres",
         lambda p: _top_block_lhs(p, Family.BERNOULLI),
         _n3_general_weights,
-        lambda p, k: eval_poly(
-            umbral_moment(n3_general_term_blocks(k, p.levels)[1], p.n), p.x
-        ),
+        lambda p: _block_values(p, _n3_general_table),
         system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, *p.levels)),
         level_count=3,
     ),
@@ -568,7 +646,7 @@ _SPECS: dict[IdentityId, _Spec] = {
             p, Fraction(3) ** (p.n + 1), (p.x + 3) / 6, (p.x + 5) / 6
         ),
         lambda p: _geometric(Fraction(3, 4), Fraction(1, 4)),
-        lambda p, k: eval_poly(
+        lambda p: lambda k: eval_poly(
             hop_euler(p.n, 2 * k + 2), Fraction(p.x + 3 + 2 * k, 2)
         ),
         system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3)),
@@ -580,7 +658,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         "specialization of the three-sphere identity at x=0, odd degree",
         lambda p: bernoulli_number(2 * p.m),
         _even_bernoulli_weights,
-        lambda p, k: eval_poly(
+        lambda p: lambda k: eval_poly(
             hop_euler(2 * p.m - 1, 2 * k + 2), k + Fraction(3, 2)
         ),
         degree=lambda p: 2 * p.m - 1,
@@ -594,7 +672,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         "four concentric spheres of radii 1..4",
         lambda p: _bernoulli_at(p.n, (p.x + 4) / 6),
         lambda p: _geometric(Fraction(1, 3**p.n), Fraction(1, 2)),
-        lambda p, k: eval_poly(
+        lambda p: lambda k: eval_poly(
             hop_euler(p.n, 2 * k + 2), Fraction(p.x + 2 * k + 3, 2)
         ),
         system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
@@ -608,7 +686,7 @@ _SPECS: dict[IdentityId, _Spec] = {
             p, 4 * Fraction(8) ** p.n, (p.x + 4) / 8, (p.x + 6) / 8
         ),
         lambda p: _geometric(Fraction(2**p.n, 2), Fraction(1, 2)),
-        lambda p, k: eval_poly(
+        lambda p: lambda k: eval_poly(
             hop_euler(p.n, 2 * k + 3), Fraction(p.x + 2 * k + 4, 2)
         ),
         system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
@@ -628,18 +706,17 @@ def _term_numerators(
     """
     d = spec.degree(params)
     C, b, weights = spec.weights(params)
+    value = spec.values(params)
     scale, D = C, 1  # scale is C b^k
     head: list[Fraction | None] = []
     for k in range(d + 1):
         u = next(weights)
-        v = spec.value(params, k) if u else _ZERO
+        v = value(k) if u else _ZERO
         head.append(v if u else None)
         D = lcm(D, v.denominator)
         yield u * v.numerator * (D // v.denominator), scale * D
         scale *= b
-    head = [
-        spec.value(params, k) if v is None else v for k, v in enumerate(head)
-    ]
+    head = [value(k) if v is None else v for k, v in enumerate(head)]
     D = lcm(*(v.denominator for v in head))
     row = [v.numerator * (D // v.denominator) for v in head]
     diffs = []  # top-first: diffs[-1 - j] is the j-th backward difference
@@ -738,9 +815,10 @@ def verify(
 
     The threshold is tol * max(1, |lhs|). Convergence requires the last
     `stable_run` term magnitudes below threshold plus a geometric tail
-    estimate below threshold, and (to survive leading runs of zero
-    terms) either a nonzero term seen earlier or an exact match of the
-    partial sum with the left side. The terms arrive as integer
+    estimate below threshold, which a window of still-growing terms
+    never gives (see `TruncationPolicy`), and (to survive leading runs
+    of zero terms) either a nonzero term seen earlier or an exact match
+    of the partial sum with the left side. The terms arrive as integer
     numerators over growing denominators, and the rule costs one float
     comparison per term until a run of `stable_run` small terms calls
     for the tail estimate (see `_sum_to_tolerance`). Degenerate
@@ -805,8 +883,10 @@ def _sum_to_tolerance(
         if not nonzero:
             converged = True
             break
-        ratios = [b / a for a, b in zip(nonzero, nonzero[1:]) if a > 0.0]
-        ratio = min(max(ratios, default=0.0), 0.99)
+        ratio = max((b / a for a, b in zip(nonzero, nonzero[1:])), default=1.0)
+        if ratio >= 1.0:
+            continue
+        ratio = min(ratio, 0.99)
         if nonzero[-1] * ratio / (1.0 - ratio) < threshold:
             converged = True
             break
@@ -982,9 +1062,7 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     blocks = replace(
         _SPECS[IdentityId.THREE_SITES_1D_CORRECTED],
         weights=_three_sites_block_weights,
-        value=lambda p, k: eval_poly(
-            umbral_moment(_three_sites_blocks(k, p.levels)[1], p.n), p.x
-        ),
+        values=lambda p: _block_values(p, _three_sites_table),
     )
     block_partial = _partial(blocks, n2, 95)
     lhs_block = _top_block_lhs(n2, Family.EULER)
@@ -1067,7 +1145,7 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     fg = IdentityParams(n=1, x=_ZERO, levels=(1, 2, 4))
     printed = replace(
         _SPECS[IdentityId.FOUR_GENERAL_1D],
-        value=lambda p, k: _four_general_value(p, k, _printed_fg_blocks),
+        values=lambda p: _four_general_values(p, _printed_fg_table),
     )
     printed_partial = _partial(printed, fg, 80)
     lhs_fg = eval_lhs(IdentityId.FOUR_GENERAL_1D, fg)

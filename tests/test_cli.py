@@ -289,6 +289,24 @@ def test_verify_exit_codes(capsys):
     assert payload["status"] == "DEGENERATE_TRIVIAL"
 
 
+@pytest.mark.parametrize(
+    "argv, K_used",
+    [
+        (("--id", "FOUR_GENERAL_1D", "--n", "40", "--levels", "1,2,4"), 382),
+        (("--id", "FOUR_UNIFORM_1D", "--n", "43"), 249),
+        (("--id", "EULER_CHEB", "--N", "2", "--n", "41"), 200),
+        (("--id", "EULER_CHEB", "--N", "3", "--n", "29"), 417),
+    ],
+)
+def test_verify_keeps_summing_while_terms_grow(capsys, argv, K_used):
+    # the first terms are small next to the left side but still growing;
+    # a tail estimate read from a growing window once stopped these at k = 3
+    code, payload = run_json(capsys, "verify", *argv)
+    assert code == 0
+    assert payload["status"] == "VERIFIED"
+    assert payload["K_used"] == K_used
+
+
 def test_verify_invalid_params_exit_2(capsys):
     code = main(["verify", "--id", "EULER_CHEB", "--n", "2"])
     err = capsys.readouterr().err

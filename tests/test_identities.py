@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import re
+from collections import OrderedDict
 from fractions import Fraction as F
 from math import comb
 
@@ -27,7 +28,7 @@ from umbralwalk import (
     verify,
     verify_all_payload,
 )
-from umbralwalk import identities
+from umbralwalk import identities, series
 from umbralwalk.identities import (
     EngineConsistencyError,
     ensure_ground_truth,
@@ -47,7 +48,7 @@ from umbralwalk.polynomials import (
     hop_euler,
 )
 from umbralwalk.loopcalc import Walk, decomposition_residual
-from umbralwalk.series import PowerSeries, ps_div
+from umbralwalk.series import Kernel, PowerSeries, ps_div
 from umbralwalk.umbral import umbral_moment
 
 
@@ -364,8 +365,11 @@ def _reference_verify(identity, params, policy=TruncationPolicy()):
         if not nonzero:
             converged = True
             break
-        ratios = [b / a for a, b in zip(nonzero, nonzero[1:]) if a > 0.0]
-        ratio = min(max(ratios, default=0.0), 0.99)
+        # one nonzero magnitude, or a ratio >= 1, keeps the sum going
+        ratios = [b / a for a, b in zip(nonzero, nonzero[1:])]
+        if not ratios or max(ratios) >= 1.0:
+            continue
+        ratio = min(max(ratios), 0.99)
         if nonzero[-1] * ratio / (1.0 - ratio) < threshold:
             converged = True
             break
@@ -536,6 +540,86 @@ def test_errata_three_site_blocks_stream_equals_direct_sum(monkeypatch):
     assert len(calls) < 20
 
 
+# --- block-level running products against one-shot moments ------------------------
+
+
+def _paper_n3_blocks(k, levels):
+    """Term k's block list for three general spheres, as the chain gives it."""
+    a1, a2, a3 = levels
+    return UmbralExpr.build(
+        (Family.UNIFORM, 2 * (a2 - a1), 1),
+        (Family.UNIFORM, 2 * (a3 - a2), k),
+        (Family.UNIFORM, 2 * a1, k),
+        (Family.BERNOULLI, 2 * (a3 - a1), k + 1),
+        (Family.BERNOULLI, 2 * a2, k + 1),
+        constant=a3 + 2 * k * a2 - 2 * k * a1,
+    )
+
+
+def _paper_four_general_blocks(k, l, levels):
+    """Term (k, l)'s block list for four general sites, from the two-loop
+    chain product."""
+    a1, a2, a3 = levels
+    return UmbralExpr.build(
+        (Family.EULER, 2 * a1, l + 1),
+        (Family.UNIFORM, 2 * (a2 - a1), l + 1),
+        (Family.UNIFORM, 2 * a1, k - l + 1),
+        (Family.UNIFORM, 2 * (a3 - a2), k - l),
+        (Family.BERNOULLI, 2 * a2, k + 1),
+        (Family.BERNOULLI, 2 * (a3 - a1), k - l + 1),
+        constant=a3 + 2 * (k - l) * a2 + 2 * (2 * l - k) * a1,
+    )
+
+
+def _paper_three_site_blocks(k, levels):
+    """Term k's block list of the sound three-site moment identity."""
+    a1, a2 = levels
+    return UmbralExpr.build(
+        (Family.UNIFORM, 2 * a1, 1),
+        (Family.UNIFORM, 2 * (a2 - a1), k),
+        (Family.BERNOULLI, 2 * a2, k + 1),
+        (Family.EULER, 2 * a1, k + 1),
+        constant=a2 + 2 * a1 * k,
+    )
+
+
+_LEVELS = st.lists(
+    st.fractions(min_value=F(1, 4), max_value=6, max_denominator=4),
+    min_size=3, max_size=3, unique=True,
+).map(lambda v: tuple(sorted(v)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    levels=_LEVELS,
+    n=st.integers(0, 8),
+    k_max=st.integers(0, 10),
+    x=st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+def test_streamed_block_values_equal_one_shot_moments(levels, n, k_max, x):
+    def one_shot(expr):
+        return eval_poly(umbral_moment(expr, n), x)
+
+    params = IdentityParams(n=n, x=x, levels=levels)
+    n3 = identities._SPECS[IdentityId.N3_GENERAL].values(params)
+    for k in range(k_max + 1):
+        assert n3(k) == one_shot(_paper_n3_blocks(k, levels))
+
+    rows = identities._table_rows(identities._four_general_table(*levels), n)
+    for k, row in zip(range(k_max + 1), rows):
+        assert len(row) == k + 1
+        for l, moment in enumerate(row):
+            expr = _paper_four_general_blocks(k, l, levels)
+            assert eval_poly(moment, x) == one_shot(expr)
+
+    pair = levels[:2]
+    three_sites = identities._block_values(
+        IdentityParams(n=n, x=x, levels=pair), identities._three_sites_table
+    )
+    for k in range(k_max + 1):
+        assert three_sites(k) == one_shot(_paper_three_site_blocks(k, pair))
+
+
 # --- work guards ------------------------------------------------------------------
 
 
@@ -556,6 +640,47 @@ def test_four_general_moments_bounded_by_the_degree_lattice(monkeypatch):
     assert report.K_used > n
     # terms 0..n hold (n+1)(n+2)/2 block moments; one more is the left side
     assert len(calls) <= (n + 1) * (n + 2) // 2 + 1
+
+
+def test_n3_general_takes_kernel_powers_once_per_instance(monkeypatch):
+    from umbralwalk import polynomials, umbral
+
+    def counted(fn, calls):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
+
+    def requests(n):
+        moments, powers = [], []
+        monkeypatch.setattr(
+            identities, "umbral_moment", counted(umbral_moment, moments)
+        )
+        for module in (umbral, polynomials):
+            monkeypatch.setattr(
+                module, "kernel_power_numerators",
+                counted(series.kernel_power_numerators, powers),
+            )
+        params = IdentityParams(n=n, x=F(1), levels=(1, 2, 4))
+        report = verify(IdentityId.N3_GENERAL, params)
+        monkeypatch.undo()
+        assert report.status is Status.VERIFIED
+        assert report.K_used > n
+        # the left side only: the right side streams its moments
+        assert [args[1] for args in moments] == [n]
+        return len(powers)
+
+    # the start blocks, the loop blocks and the left side's block, at
+    # power 1 whatever the degree
+    assert requests(4) == requests(12) == 8
+
+
+def test_constant_exponentials_take_no_kernel_power_chain(monkeypatch):
+    monkeypatch.setattr(series, "_POWER_CACHE", OrderedDict())
+    payload = verify_all_payload()
+    assert payload["all_passed"]
+    assert series._POWER_CACHE
+    assert all(kind is not Kernel.EXP for kind, _ in series._POWER_CACHE)
 
 
 def test_four_uniform_asks_for_no_order_beyond_the_direct_terms(monkeypatch):
