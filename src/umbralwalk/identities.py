@@ -125,9 +125,13 @@ class TruncationPolicy:
     each below tol * max(1, |lhs|) and a geometric estimate of the
     remaining tail is below the same threshold, or `k_max` is reached.
     The estimate reads the nonzero magnitudes of that window: all of
-    them zero stops the sum; a single one, or a consecutive ratio of 1
-    or more (terms still growing), keeps it going; otherwise the largest
-    ratio r, capped at 0.99, estimates the tail as m_last r / (1 - r).
+    them zero stops the sum; a consecutive ratio of 1 or more (terms
+    still growing) keeps it going; otherwise the largest ratio r, capped
+    at 0.99, estimates the tail as m_last r / (1 - r). A window holding
+    a single nonzero magnitude (as the Chebyshev sums give at a short
+    `stable_run`, their weights vanishing at every other index) takes r
+    from it and the last nonzero magnitude before it, and keeps the sum
+    going if there is none.
     """
 
     tol: float = 1e-12
@@ -854,8 +858,11 @@ def _sum_to_tolerance(
     The partial sum stays one integer over the latest term denominator.
     Each term costs one comparison: `run` counts the consecutive term
     magnitudes below threshold, and `window` keeps the last `stable_run`
-    of them, read only once the run is long enough. Raises OverflowError
-    when a magnitude it compares exceeds the float range.
+    of them, read only once the run is long enough; `prev_nz` and
+    `last_nz` are the last two nonzero magnitudes (0.0 while fewer were
+    seen), whose ratio a window with one nonzero magnitude reads.
+    Raises OverflowError when a magnitude it compares exceeds the float
+    range.
     """
     spec = _SPECS[identity]
     threshold = policy.tol * max(1.0, abs(float(lhs)))
@@ -863,6 +870,7 @@ def _sum_to_tolerance(
     window: deque[float] = deque(maxlen=policy.stable_run)
     run = 0
     seen_nonzero = False
+    prev_nz = last_nz = 0.0
     converged = False
     K = -1
     terms = _term_numerators(spec, params)
@@ -874,6 +882,8 @@ def _sum_to_tolerance(
         window.append(mag)
         if t:
             seen_nonzero = True
+            if mag:
+                prev_nz, last_nz = last_nz, mag
         run = run + 1 if mag < threshold else 0
         if run < policy.stable_run:
             continue
@@ -883,7 +893,13 @@ def _sum_to_tolerance(
         if not nonzero:
             converged = True
             break
-        ratio = max((b / a for a, b in zip(nonzero, nonzero[1:])), default=1.0)
+        if len(nonzero) == 1:
+            # its magnitude is last_nz; the ratio reaches back past the window
+            if not prev_nz:
+                continue
+            ratio = last_nz / prev_nz
+        else:
+            ratio = max(b / a for a, b in zip(nonzero, nonzero[1:]))
         if ratio >= 1.0:
             continue
         ratio = min(ratio, 0.99)

@@ -365,9 +365,14 @@ def _reference_verify(identity, params, policy=TruncationPolicy()):
         if not nonzero:
             converged = True
             break
-        # one nonzero magnitude, or a ratio >= 1, keeps the sum going
+        if len(nonzero) == 1:
+            # a lone magnitude pairs with the nonzero one before the window
+            nonzero = [m for m in mags if m > 0.0][-2:]
+        if len(nonzero) == 1:
+            continue
+        # a ratio >= 1 (terms still growing) keeps the sum going
         ratios = [b / a for a, b in zip(nonzero, nonzero[1:])]
-        if not ratios or max(ratios) >= 1.0:
+        if max(ratios) >= 1.0:
             continue
         ratio = min(max(ratios), 0.99)
         if nonzero[-1] * ratio / (1.0 - ratio) < threshold:
@@ -470,6 +475,29 @@ def test_verify_equals_reference_under_any_policy(
     assert verify(identity, params, policy) == _reference_verify(
         identity, params, policy
     )
+
+
+@pytest.mark.parametrize(
+    "n, x, stable_run, K_used",
+    [
+        (2, F(-1, 3), 2, 86),
+        (2, F(-1, 3), 3, 87),
+        # a lone magnitude once estimated its tail as 0 and stopped at K 96
+        (5, F(0), 2, 98),
+    ],
+)
+def test_chebyshev_windows_with_one_nonzero_magnitude_still_converge(
+    n, x, stable_run, K_used
+):
+    # T_2 is even, so every other weight vanishes and a window of two or
+    # three magnitudes may hold one nonzero magnitude; its ratio to the
+    # nonzero magnitude before the window ends the sum
+    params = IdentityParams(n=n, x=x, cheb_index=2)
+    policy = TruncationPolicy(stable_run=stable_run)
+    report = verify(IdentityId.EULER_CHEB, params, policy)
+    assert report == _reference_verify(IdentityId.EULER_CHEB, params, policy)
+    assert report.status is Status.VERIFIED
+    assert report.K_used == K_used
 
 
 def _printed_four_general_partial(K):
