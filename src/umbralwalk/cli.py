@@ -197,16 +197,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         est = montecarlo.simulate_hit(cfg)
     else:
         est = montecarlo.simulate_taboo(cfg)
-    if est.stderr > 0:
-        comparison = montecarlo.compare_closed_form(est, reference)
-    else:
-        # degenerate sample (every contribution identical): fall back to
-        # a direct comparison with an absolute floor for zero references
-        diff = abs(est.mean - reference)
-        rel = diff / max(abs(reference), 1e-300)
-        comparison = montecarlo.ComparisonReport(
-            0.0, rel, rel <= 0.02 or diff < 1e-9
-        )
+    comparison = montecarlo.compare_closed_form(est, reference)
     _dump(
         {
             "config": asdict(cfg),

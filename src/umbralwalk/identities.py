@@ -125,7 +125,8 @@ class TruncationPolicy:
     each below tol * max(1, |lhs|) and a geometric estimate of the
     remaining tail is below the same threshold, or `k_max` is reached.
     The estimate reads the nonzero magnitudes of that window: all of
-    them zero stops the sum; a consecutive ratio of 1 or more (terms
+    them zero stops the sum only on an exact partial sum (zero terms
+    tell nothing of the tail); a consecutive ratio of 1 or more (terms
     still growing) keeps it going; otherwise the largest ratio r, capped
     at 0.99, estimates the tail as m_last r / (1 - r). A window holding
     a single nonzero magnitude (as the Chebyshev sums give at a short
@@ -820,14 +821,13 @@ def verify(
     The threshold is tol * max(1, |lhs|). Convergence requires the last
     `stable_run` term magnitudes below threshold plus a geometric tail
     estimate below threshold, which a window of still-growing terms
-    never gives (see `TruncationPolicy`), and (to survive leading runs
-    of zero terms) either a nonzero term seen earlier or an exact match
-    of the partial sum with the left side. The terms arrive as integer
-    numerators over growing denominators, and the rule costs one float
-    comparison per term until a run of `stable_run` small terms calls
-    for the tail estimate (see `_sum_to_tolerance`). Degenerate
-    instances (uniformly spaced three-site systems) short-circuit to
-    DEGENERATE_TRIVIAL.
+    never gives, and which a window of zero terms gives only when the
+    partial sum equals the left side exactly (see `TruncationPolicy`).
+    The terms arrive as integer numerators over growing denominators,
+    and the rule costs one float comparison per term until a run of
+    `stable_run` small terms calls for the tail estimate (see
+    `_sum_to_tolerance`). Degenerate instances (uniformly spaced
+    three-site systems) short-circuit to DEGENERATE_TRIVIAL.
     The tail control runs in double precision, so a left side, term or
     residual beyond the float range raises InvalidParamsError.
     """
@@ -860,7 +860,9 @@ def _sum_to_tolerance(
     magnitudes below threshold, and `window` keeps the last `stable_run`
     of them, read only once the run is long enough; `prev_nz` and
     `last_nz` are the last two nonzero magnitudes (0.0 while fewer were
-    seen), whose ratio a window with one nonzero magnitude reads.
+    seen), whose ratio a window with one nonzero magnitude reads. A
+    window of zero magnitudes compares the partial sum with the left
+    side exactly.
     Raises OverflowError when a magnitude it compares exceeds the float
     range.
     """
@@ -869,7 +871,6 @@ def _sum_to_tolerance(
     S, den = 0, 1  # the partial sum is S / den
     window: deque[float] = deque(maxlen=policy.stable_run)
     run = 0
-    seen_nonzero = False
     prev_nz = last_nz = 0.0
     converged = False
     K = -1
@@ -880,19 +881,18 @@ def _sum_to_tolerance(
         # int true division rounds correctly, as float(Fraction(t, den))
         mag = abs(t) / den
         window.append(mag)
-        if t:
-            seen_nonzero = True
-            if mag:
-                prev_nz, last_nz = last_nz, mag
+        if mag:
+            prev_nz, last_nz = last_nz, mag
         run = run + 1 if mag < threshold else 0
         if run < policy.stable_run:
             continue
-        if not (seen_nonzero or S * lhs.denominator == lhs.numerator * den):
-            continue
         nonzero = [m for m in window if m > 0.0]
         if not nonzero:
-            converged = True
-            break
+            # zero terms say nothing of the tail; only an exact sum ends here
+            if S * lhs.denominator == lhs.numerator * den:
+                converged = True
+                break
+            continue
         if len(nonzero) == 1:
             # its magnitude is last_nz; the ratio reaches back past the window
             if not prev_nz:

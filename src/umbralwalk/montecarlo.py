@@ -397,12 +397,11 @@ def compare_closed_form(
 
     A vanishing reference (an unreachable target) defeats any relative
     test, because censored paths contribute a deliberately conservative
-    upper bound; an absolute floor of 1e-9 covers that case.
+    upper bound; an absolute floor of 1e-9 covers that case. A sample
+    with no spread has no z-score (it reads 0.0), so only those two pass it.
     """
-    if est.stderr <= 0:
-        raise ConfigError("comparison needs a positive standard error")
     diff = abs(est.mean - reference)
-    z_score = (est.mean - reference) / est.stderr
     rel_err = diff / max(abs(reference), 1e-300)
-    passed = abs(z_score) <= 4.0 or rel_err <= 0.02 or diff <= 1e-9
+    z_score = (est.mean - reference) / est.stderr if est.stderr > 0 else 0.0
+    passed = (est.stderr > 0 and abs(z_score) <= 4.0) or rel_err <= 0.02 or diff <= 1e-9
     return ComparisonReport(z_score, rel_err, passed)

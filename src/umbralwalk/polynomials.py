@@ -7,9 +7,11 @@ denominator, and the polynomial in x is assembled from the identity
 
     n! [t^n] K(t) e^(xt) = sum_j (n!/(n-j)!) K_j x^(n-j),
 
-so no bivariate series type is needed. Also provides Bernoulli/Euler
-numbers and the reciprocal-Chebyshev weights p_l^(N) defined by
-1/T_N(1/t) = sum_l p_l^(N) t^l, streamed by their linear recurrence.
+so no bivariate series type is needed. A `Poly` holds integer numerators
+over one denominator in a normal form, as a `PowerSeries` does. Also
+provides Bernoulli/Euler numbers and the reciprocal-Chebyshev weights
+p_l^(N) defined by 1/T_N(1/t) = sum_l p_l^(N) t^l, streamed by their
+linear recurrence.
 """
 
 from __future__ import annotations
@@ -19,117 +21,120 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .series import ExactScalar, Kernel, as_scalar, kernel_power_numerators
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
-    Coefficients ascend by degree, trailing zeros are trimmed, and the
-    zero polynomial is the empty tuple.
+    The coefficient of ``x**i`` is ``nums[i] / den``, with ``den > 0``,
+    ``gcd(den, *nums) == 1`` and no trailing zero numerator, so the zero
+    polynomial is ``nums == ()`` over 1. That form is unique, so equality
+    and hashing are exact; ``coeffs`` gives the same values as Fractions,
+    ascending by degree.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        vals = [as_scalar(c) for c in self.coeffs]
-        while vals and vals[-1] == 0:
+    def __init__(self, coeffs: Iterable[int | str | Fraction] = ()):
+        vals = [as_scalar(c) for c in coeffs]
+        while vals and not vals[-1]:
             vals.pop()
-        object.__setattr__(self, "coeffs", tuple(vals))
+        # over the least common denominator no factor is left to cancel
+        den = lcm(*(v.denominator for v in vals))
+        _new(tuple(v.numerator * (den // v.denominator) for v in vals), den, self)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned degree -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return _ZERO
-        return self.coeffs[-1]
-
-    @cached_property
-    def _integer_form(self) -> tuple[tuple[int, ...], int]:
-        """Coefficients as integer numerators over their common denominator."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        nums = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
-        return nums, den
-
-    @classmethod
-    def _from_numerators(cls, nums: list[int], den: int) -> "Poly":
-        """The polynomial with coefficients nums[i] / den, integer form kept."""
-        g = gcd(den, *nums)
-        nums = [c // g for c in nums]
-        while nums and not nums[-1]:
-            nums.pop()
-        den //= g
-        poly = cls(tuple(Fraction(c, den) for c in nums))
-        poly.__dict__["_integer_form"] = (tuple(nums), den)
-        return poly
+        return Fraction(self.nums[-1], self.den) if self.nums else _ZERO
 
     def eval(self, x0: int | Fraction) -> Fraction:
         """Exact Horner evaluation on integers.
 
-        With D the common denominator of the coefficients c_i and
-        x0 = xn/xd, the value is sum_i (D c_i) xn^i xd^(deg-i) over
-        D xd^deg; only the final `Fraction` is normalised.
+        With x0 = xn/xd, the value is sum_i nums_i xn^i xd^(deg-i) over
+        den xd^deg; only the final `Fraction` is normalised.
         """
         x0 = as_scalar(x0)
-        nums, denom = self._integer_form
-        if not nums:
+        if not self.nums:
             return _ZERO
         xn, xd = x0.numerator, x0.denominator
         acc, xd_pow = 0, 1
-        for c in reversed(nums):
+        for c in reversed(self.nums):
             acc = acc * xn + c * xd_pow
             xd_pow *= xd
-        return Fraction(acc, denom * xd_pow // xd)
+        return Fraction(acc, self.den * xd_pow // xd)
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        nums = [i * c for i, c in enumerate(self.nums)]
+        return poly_from_numerators(nums[1:], self.den)
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (_ZERO,) * (n - len(self.coeffs))
-        b = other.coeffs + (_ZERO,) * (n - len(other.coeffs))
-        return Poly(tuple(x + y for x, y in zip(a, b)))
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        pairs = itertools.zip_longest(self.nums, other.nums, fillvalue=0)
+        return poly_from_numerators([x * fa + y * fb for x, y in pairs], den)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + Poly(tuple(-c for c in other.coeffs))
+        return self + _new(tuple(-x for x in other.nums), other.den)
 
     def scale(self, value: int | Fraction) -> "Poly":
-        v = as_scalar(value)
-        return Poly(tuple(v * c for c in self.coeffs))
+        p, q = as_scalar(value).as_integer_ratio()
+        return poly_from_numerators([p * x for x in self.nums], q * self.den)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = [f"({c})*x^{i}" if i else f"({c})" for i, c in enumerate(self.coeffs) if c]
         return " + ".join(parts)
+
+
+def _new(nums: tuple[int, ...], den: int, poly: Poly | None = None) -> Poly:
+    """A polynomial (or the fields of `poly`) from its normal form nums / den."""
+    poly = object.__new__(Poly) if poly is None else poly
+    object.__setattr__(poly, "nums", nums)
+    object.__setattr__(poly, "den", den)
+    return poly
+
+
+def poly_from_numerators(nums: list[int], den: int) -> Poly:
+    """The polynomial nums[i] / den (den > 0) in normal form; trims `nums`."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    if g > 1:
+        nums, den = [x // g for x in nums], den // g
+    return _new(tuple(nums), den)
 
 
 def eval_poly(q: Poly, x0: int | Fraction) -> ExactScalar:
     return q.eval(x0)
 
 
-def appell_polynomial(nums: list[int], den: int, n: int) -> Poly:
+def appell_polynomial(nums: Sequence[int], den: int, n: int) -> Poly:
     """Polynomial n![t^n] K(t) e^(xt) for the series K = nums / den.
 
     The coefficient of x^(n-j) is K_j n!/(n-j)!; needs n + 1 numerators.
     """
-    coeffs = []
-    falling = 1  # n!/(n-j)!
-    for j in range(n + 1):
-        coeffs.append(nums[j] * falling)
-        falling *= n - j
-    return Poly._from_numerators(coeffs[::-1], den)
+    # n!/(n-j)! for j = 0..n
+    falling = itertools.accumulate(range(n, 0, -1), operator.mul, initial=1)
+    return poly_from_numerators([x * f for x, f in zip(nums, falling)][::-1], den)
 
 
 def _appell_from_kernel(kind: Kernel, n: int, p: int) -> Poly:
@@ -170,13 +175,14 @@ def chebyshev_polynomial(N: int) -> Poly:
     """Chebyshev polynomial of the first kind, exact coefficients."""
     if N < 0:
         raise ValueError(f"index must be nonnegative, got {N}")
-    t_prev, t_cur = Poly((Fraction(1),)), Poly((_ZERO, Fraction(1)))
-    if N == 0:
-        return t_prev
+    t_prev, t_cur = [1], [0, 1]
     for _ in range(N - 1):
-        doubled = Poly((_ZERO,) + tuple(2 * c for c in t_cur.coeffs))
-        t_prev, t_cur = t_cur, doubled - t_prev
-    return t_cur
+        # T_(k+1) = 2x T_k - T_(k-1)
+        doubled = [0] + [2 * c for c in t_cur]
+        t_prev, t_cur = t_cur, [
+            a - b for a, b in itertools.zip_longest(doubled, t_prev, fillvalue=0)
+        ]
+    return _new(tuple(t_cur if N else t_prev), 1)
 
 
 def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
@@ -195,7 +201,7 @@ def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
     """
     if N < 1:
         raise ValueError(f"Chebyshev index must be >= 1, got {N}")
-    T = [int(c) for c in chebyshev_polynomial(N).coeffs]
+    T = chebyshev_polynomial(N).nums
     # Q coefficient of t^j is the x^(N-j) coefficient of T_N
     q0 = T[N]
     q = [T[N - j] * q0 ** (j - 1) for j in range(1, N + 1)]
@@ -213,19 +219,13 @@ def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
     return q0, numerators()
 
 
-def chebyshev_recip_weight_stream(N: int) -> Iterator[ExactScalar]:
-    """The coefficients p_0, p_1, ... of 1/T_N(1/t), without end."""
-    q0, numerators = chebyshev_recip_weight_numerators(N)
-    scale = 1  # q0^l
-    for P in numerators:
-        yield Fraction(P, scale)
-        scale *= q0
-
-
 def chebyshev_recip_weights(N: int, count: int) -> list[ExactScalar]:
     """First `count` coefficients p_0..p_{count-1} of 1/T_N(1/t)."""
-    if N < 1:
-        raise ValueError(f"Chebyshev index must be >= 1, got {N}")
+    q0, numerators = chebyshev_recip_weight_numerators(N)
     if count < N:
         raise ValueError(f"need count >= N, got count={count}, N={N}")
-    return list(itertools.islice(chebyshev_recip_weight_stream(N), count))
+    scales = itertools.accumulate(itertools.repeat(q0), operator.mul, initial=1)
+    return [
+        Fraction(P, scale)
+        for P, scale in zip(itertools.islice(numerators, count), scales)
+    ]

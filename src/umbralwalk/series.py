@@ -8,13 +8,14 @@ hashing are exact. Every operation runs on the integers and normalises
 its result with one gcd; `coeffs` is the read-only `fractions.Fraction`
 view. A series stores a fixed number of coefficients (its *order*);
 binary operations require both operands to have the same order, and
-mismatches raise instead of silently truncating.
+mismatches raise instead of silently truncating. A kernel at scale c is
+its unit kernel with t replaced by c t, so the kernel-power memo keeps
+one chain per kind.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -248,7 +249,12 @@ def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     return _new(tuple(Q), E, a.var)
 
 
-_RECIPROCAL_OF = {Kernel.SECH: Kernel.COSH, Kernel.BERNOULLI: Kernel.UNIFORM}
+# kind: (dividend, kind of the divisor, constant added to the divisor)
+_QUOTIENTS = {
+    Kernel.SECH: (1, Kernel.COSH, 0),
+    Kernel.BERNOULLI: (1, Kernel.UNIFORM, 0),
+    Kernel.EULER: (2, Kernel.EXP, 1),
+}
 _SHIFTED = {Kernel.UNIFORM, Kernel.SINH_OVER_ARG}
 _ZEROED_FROM = {Kernel.SINH: 0, Kernel.COSH: 1, Kernel.SINH_OVER_ARG: 1}
 
@@ -258,31 +264,36 @@ def kernel(
 ) -> PowerSeries:
     """Exact Taylor coefficients of a named kernel with scaled argument.
 
-    The kinds that are not reciprocals are read off c^n / (n + s)!, with
-    s = 0 or 1: for c = p/q, numerator n is p^n q^(order-1-n)
-    (order-1+s)! / (n+s)! over the denominator q^(order-1) (order-1+s)!.
+    The kinds that are not quotients are read off 1 / (n + s)!, with
+    s = 0 or 1, at scale 1: numerator n is (order-1+s)! / (n+s)! over the
+    denominator (order-1+s)!. The scale is then substituted.
     """
     _check_order(order)
     kind = Kernel(kind)
-    if kind in _RECIPROCAL_OF:
-        base = kernel(_RECIPROCAL_OF[kind], scale, order, var)
-        return ps_div(PowerSeries.one(order, var), base)
-    p, q = _ratio(scale)
+    if kind in _QUOTIENTS:
+        top, base, shift = _QUOTIENTS[kind]
+        divisor = kernel(base, scale, order, var) + PowerSeries.constant(shift, order)
+        return ps_div(PowerSeries.constant(top, order, var), divisor)
     s = 1 if kind in _SHIFTED else 0
-    nums = list(accumulate(repeat(p, order - 1), mul, initial=1))
-    f = 1
-    for n in range(order - 1, -1, -1):
-        nums[n] *= f
-        f *= q * (n + s)
-    den = q ** (order - 1) * factorial(order - 1 + s)
-    if kind is Kernel.EULER:
-        nums[0] += den
-        two = PowerSeries.constant(2, order, var)
-        return ps_div(two, _normalised(nums, den, var))
+    nums = list(accumulate(range(order - 1 + s, s, -1), mul, initial=1))[::-1]
     start = _ZEROED_FROM.get(kind)
     if start is not None:
         nums[start::2] = [0] * len(nums[start::2])
-    return _normalised(nums, den, var)
+    return _normalised(*_substituted(nums, factorial(order - 1 + s), scale), var)
+
+
+def _substituted(
+    nums: Sequence[int], den: int, c: int | Fraction
+) -> tuple[Sequence[int], int]:
+    """nums / den with t replaced by c t, unreduced: for c = p/q, numerator
+    j becomes nums_j p^j q^(order-1-j), over den q^(order-1)."""
+    p, q = _ratio(c)
+    if p == q:
+        return nums, den
+    p_pows = accumulate(repeat(p, len(nums) - 1), mul, initial=1)
+    q_pows = list(accumulate(repeat(q, len(nums) - 1), mul, initial=1))
+    scaled = [x * a * b for x, a, b in zip(nums, p_pows, reversed(q_pows))]
+    return scaled, den * q_pows[-1]
 
 
 def geometric_resum(loop_kernel: PowerSeries) -> PowerSeries:
@@ -304,19 +315,20 @@ def geometric_resum(loop_kernel: PowerSeries) -> PowerSeries:
 # -- shared memo for integer powers of kernels ---------------------------
 #
 # Higher-order polynomial and moment evaluation repeatedly needs
-# kernel(kind, c)**p for consecutive p. The coefficient [t^j] K^p does not
-# depend on the truncation order, so one chain of powers is kept per
-# (kind, scale), each power a series lengthened by its new coefficients.
-# Power q + 1 never holds more coefficients than power q.
+# kernel(kind, c)**p for consecutive p. That power is the unit kernel's
+# power with t replaced by c t, and the coefficient [t^j] K^p does not
+# depend on the truncation order, so one chain of powers of the unit
+# kernel is kept per kind, each power a series lengthened by its new
+# coefficients. Power q + 1 never holds more coefficients than power q.
 
 
 class _PowerChain:
-    """The powers K^0, K^1, ... of one kernel K, each held as a series."""
+    """The powers K^0, K^1, ... of one unit kernel K, each held as a series."""
 
-    __slots__ = ("kind", "scale", "powers")
+    __slots__ = ("kind", "powers")
 
-    def __init__(self, kind: Kernel, scale: Fraction) -> None:
-        self.kind, self.scale = kind, scale
+    def __init__(self, kind: Kernel) -> None:
+        self.kind = kind
         self.powers: list[PowerSeries] = [PowerSeries.one(1)]
 
     def __len__(self) -> int:
@@ -335,7 +347,7 @@ class _PowerChain:
     def _extended(self, q: int, order: int) -> PowerSeries:
         """Power q at `order` coefficients; power q - 1 already has them."""
         if q < 2:
-            return kernel(self.kind, self.scale, order) if q else PowerSeries.one(order)
+            return kernel(self.kind, 1, order) if q else PowerSeries.one(order)
         # K^q = K^(q-1) K over the product of their denominators, which
         # the denominator of the coefficients held so far divides
         powers, prev, base = self.powers, self.powers[q - 1], self.powers[1]
@@ -346,39 +358,33 @@ class _PowerChain:
         return _normalised(new, den, "t")
 
 
-# least recently used first; bounded, so a long run over many level sets
-# keeps at most 256 chains (verify-all leaves 28)
-_POWER_CACHE: OrderedDict[tuple[Kernel, Fraction], _PowerChain] = OrderedDict()
-_POWER_CACHE_MAX = 256
+# one chain per kind, so the memo never holds more than len(Kernel) chains
+_POWER_CACHE: dict[Kernel, _PowerChain] = {}
 _POWER_LOCK = threading.Lock()
 
 
 def kernel_power_numerators(
     kind: Kernel | str, scale: int | Fraction, p: int, order: int
-) -> tuple[tuple[int, ...], int]:
+) -> tuple[Sequence[int], int]:
     """kernel(kind, scale, order) ** p as integer numerators over one denominator.
 
-    Memoized in one chain of powers per (kind, scale): a request at a
-    longer order extends the powers up to p by only their new
-    coefficients, and a request at a shorter order reads a prefix. The
-    memo keeps the 256 most recently used chains. Safe for concurrent
-    use; the memo is guarded by a lock.
+    The unit kernel's powers are memoized in one chain per kind: a
+    request at a longer order extends the powers up to p by only their
+    new coefficients, and a request at a shorter order reads a prefix.
+    The scale is substituted into that prefix. Safe for concurrent use;
+    the memo is guarded by a lock.
     """
     if not isinstance(p, int) or p < 0:
         raise ValueError(f"power must be a nonnegative integer, got {p!r}")
     _check_order(order)
     kind = Kernel(kind)
     c = as_scalar(scale)
-    key = (kind, c)
     with _POWER_LOCK:
-        chain = _POWER_CACHE.get(key)
+        chain = _POWER_CACHE.get(kind)
         if chain is None:
-            chain = _POWER_CACHE[key] = _PowerChain(kind, c)
-            if len(_POWER_CACHE) > _POWER_CACHE_MAX:
-                _POWER_CACHE.popitem(last=False)
-        else:
-            _POWER_CACHE.move_to_end(key)
-        return chain.power(p, order)
+            chain = _POWER_CACHE[kind] = _PowerChain(kind)
+        nums, den = chain.power(p, order)
+    return _substituted(nums, den, c)
 
 
 def kernel_power(

@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import factorial, gcd
 from typing import Iterator
 
-from .polynomials import Poly, appell_polynomial
+from .polynomials import Poly, appell_polynomial, poly_from_numerators
 from .series import (
     Kernel, as_scalar, convolve, kernel, kernel_power_numerators
 )
@@ -163,7 +163,7 @@ def umbral_moment(expr: UmbralExpr, n: int) -> Poly:
 def _moment(nums: list[int], den: int, n: int, has_x: bool) -> Poly:
     """n! [w^n] of the series nums / den, times e^(xw) when has_x."""
     if not has_x:
-        return Poly((Fraction(factorial(n) * nums[n], den),))
+        return poly_from_numerators([factorial(n) * nums[n]], den)
     return appell_polynomial(nums, den, n)
 
 

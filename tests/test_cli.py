@@ -498,11 +498,22 @@ _ERRATA_SHA256 = (
 )
 
 
+# sha256 of the whole `verify-all` payload but `generated_at`, rendered as
+# `_dump` does, as computed while the kernel-power memo kept one chain per
+# (kind, scale)
+_VERIFY_ALL_SHA256 = (
+    "9de7219d0cf9f6ecbd54ed129d3c5699ace4ad10df3c5b20a9b24d4427333655"
+)
+
+
 def test_verify_all_errata_bytes_unchanged(capsys):
     code, payload = run_json(capsys, "verify-all")
     assert code == 0
     rendered = json.dumps(payload["errata"], indent=2, sort_keys=True)
     assert hashlib.sha256(rendered.encode()).hexdigest() == _ERRATA_SHA256
+    payload.pop("generated_at")
+    rendered = json.dumps(payload, indent=2, sort_keys=True)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == _VERIFY_ALL_SHA256
 
 
 class _ClosedPipe:

@@ -4,7 +4,6 @@ import functools
 import itertools
 import json
 import re
-from collections import OrderedDict
 from fractions import Fraction as F
 from math import comb
 
@@ -347,24 +346,24 @@ def _reference_verify(identity, params, policy=TruncationPolicy()):
     params = normalize_params(identity, params)
     lhs = eval_lhs(identity, params)
     threshold = policy.tol * max(1.0, abs(float(lhs)))
-    partial, mags, seen_nonzero, converged, K = F(0), [], False, False, -1
+    partial, mags, converged, K = F(0), [], False, -1
     for k in range(policy.k_max + 1):
         term = _reference_term(identity, params, k)
         partial += term
         K = k
         mags.append(abs(float(term)))
-        seen_nonzero = seen_nonzero or term != 0
         if k + 1 < policy.stable_run:
             continue
         window = mags[-policy.stable_run :]
         if not all(m < threshold for m in window):
             continue
-        if not (seen_nonzero or partial == lhs):
-            continue
         nonzero = [m for m in window if m > 0.0]
         if not nonzero:
-            converged = True
-            break
+            # zero terms end the sum only where it is exact
+            converged = partial == lhs
+            if converged:
+                break
+            continue
         if len(nonzero) == 1:
             # a lone magnitude pairs with the nonzero one before the window
             nonzero = [m for m in mags if m > 0.0][-2:]
@@ -484,6 +483,9 @@ def test_verify_equals_reference_under_any_policy(
         (2, F(-1, 3), 3, 87),
         # a lone magnitude once estimated its tail as 0 and stopped at K 96
         (5, F(0), 2, 98),
+        # the terms read 0, 0, 1/16, 0, 0, 0, 1/64, ...: the zero window
+        # at k = 3..5 once stopped the sum at K 5, inexact (1/16 against 0)
+        (2, F(0), 3, 87),
     ],
 )
 def test_chebyshev_windows_with_one_nonzero_magnitude_still_converge(
@@ -704,11 +706,11 @@ def test_n3_general_takes_kernel_powers_once_per_instance(monkeypatch):
 
 
 def test_constant_exponentials_take_no_kernel_power_chain(monkeypatch):
-    monkeypatch.setattr(series, "_POWER_CACHE", OrderedDict())
+    monkeypatch.setattr(series, "_POWER_CACHE", {})
     payload = verify_all_payload()
     assert payload["all_passed"]
     assert series._POWER_CACHE
-    assert all(kind is not Kernel.EXP for kind, _ in series._POWER_CACHE)
+    assert all(kind is not Kernel.EXP for kind in series._POWER_CACHE)
 
 
 def test_four_uniform_asks_for_no_order_beyond_the_direct_terms(monkeypatch):

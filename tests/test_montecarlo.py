@@ -151,9 +151,16 @@ def test_comparator_rejects_shifted_reference():
     assert not report.passed
 
 
-def test_comparator_needs_positive_stderr():
-    with pytest.raises(ConfigError):
-        compare_closed_form(HittingEstimate(0.5, 0.0, 1, 0, 0), 0.5)
+def test_comparator_without_spread_uses_only_the_allowances():
+    # every contribution identical: no z-score, so it reads 0.0 and only
+    # the relative (2%) and absolute (1e-9) allowances can pass
+    exact = compare_closed_form(HittingEstimate(0.5, 0.0, 1, 0, 0), 0.5)
+    assert exact.z_score == 0.0 and exact.rel_err == 0.0 and exact.passed
+    assert compare_closed_form(HittingEstimate(0.505, 0.0, 1, 0, 0), 0.5).passed
+    shifted = compare_closed_form(HittingEstimate(0.7, 0.0, 1, 0, 0), 0.5)
+    assert shifted.z_score == 0.0 and not shifted.passed
+    assert compare_closed_form(HittingEstimate(1e-9, 0.0, 0, 0, 1), 0.0).passed
+    assert not compare_closed_form(HittingEstimate(2e-9, 0.0, 0, 0, 1), 0.0).passed
 
 
 def test_comparator_absolute_floor_for_vanishing_reference():

@@ -261,7 +261,8 @@ def test_integer_form_is_computed_once_per_polynomial(monkeypatch):
     assert len(lcms) == 1
     monkeypatch.undo()
     for q in built:
-        assert q._integer_form == Poly(q.coeffs)._integer_form
+        rebuilt = Poly(q.coeffs)
+        assert (q.nums, q.den) == (rebuilt.nums, rebuilt.den)
 
 
 def test_appell_polynomial_trims_a_zero_top_coefficient():
@@ -270,6 +271,56 @@ def test_appell_polynomial_trims_a_zero_top_coefficient():
     # K = (0 + 3t + 5t^2) / 4: n! [t^2] K e^(xt) = 2 (3/4) x + 2 (5/4)
     q = appell_polynomial([0, 3, 5], 4, 2)
     assert q == poly(F(5, 2), F(3, 2))
-    assert q._integer_form == Poly(q.coeffs)._integer_form == ((5, 3), 2)
-    assert appell_polynomial([0, 0, 0], 7, 2) == Poly()
-    assert appell_polynomial([0, 0, 0], 7, 2)._integer_form == ((), 1)
+    rebuilt = Poly(q.coeffs)
+    assert (q.nums, q.den) == (rebuilt.nums, rebuilt.den) == ((5, 3), 2)
+    zero = appell_polynomial([0, 0, 0], 7, 2)
+    assert zero == Poly()
+    assert (zero.nums, zero.den) == ((), 1)
+
+
+# --- ring operations against Fraction references -----------------------------------
+
+
+def _trimmed(values):
+    values = list(values)
+    while values and values[-1] == 0:
+        values.pop()
+    return values
+
+
+def _fraction_sum(a, b, sign):
+    n = max(len(a), len(b))
+    a, b = list(a) + [F(0)] * (n - len(a)), list(b) + [F(0)] * (n - len(b))
+    return _trimmed(x + sign * y for x, y in zip(a, b))
+
+
+_coeff_lists = st.lists(
+    _rationals | st.integers(-9, 9).map(F) | st.just(F(0)), max_size=8
+)
+
+
+@given(_coeff_lists, _coeff_lists, _rationals | st.integers(-5, 5), _rationals)
+@example([F(1, 2), F(1, 3)], [F(1, 2), F(1, 3)], 0, F(0))
+@example([F(1, 6), F(0), F(-1, 4)], [F(0), F(0), F(-1, 4)], F(2, 3), F(-3, 2))
+@settings(max_examples=300, deadline=None)
+def test_poly_operations_equal_fraction_references(a, b, v, x):
+    p, q = Poly(a), Poly(b)
+    v = F(v)
+    results = {
+        "coeffs": (p, _trimmed(a)),
+        "+": (p + q, _fraction_sum(a, b, 1)),
+        "-": (p - q, _fraction_sum(a, b, -1)),
+        "scale": (p.scale(v), _trimmed(v * c for c in a)),
+        "derivative": (p.derivative(), _trimmed(i * c for i, c in enumerate(a) if i)),
+    }
+    for name, (got, want) in results.items():
+        assert list(got.coeffs) == want, name
+        assert all(type(c) is F for c in got.coeffs), name
+        # the unique normal form: lowest common denominator, no trailing zero
+        assert got.den == lcm(*(c.denominator for c in want)), name
+        assert got.nums == tuple(c * got.den for c in want), name
+        assert got == Poly(want) and hash(got) == hash(Poly(want)), name
+        assert got.degree == len(want) - 1, name
+        assert got.eval(x) == sum(
+            (c * x**i for i, c in enumerate(want)), F(0)
+        ), name

@@ -210,13 +210,16 @@ def test_kernel_power_builds_the_kernel_once_per_memo_key(monkeypatch):
         built.append((kind, scale, order))
         return kernel(kind, scale, order, var)
 
+    scales = (F(31, 977), F(-2, 5), F(1))
+    bases = [kernel(Kernel.EULER, c, 5) for c in scales]
+    monkeypatch.setattr(series_module, "_POWER_CACHE", {})
     monkeypatch.setattr(series_module, "kernel", counting_kernel)
-    # a scale no other test uses, so the memo key starts empty
-    c = F(31, 977)
-    base = kernel(Kernel.EULER, c, 5)
-    for p in (0, 1, 3, 2, 7, 12):
-        assert kernel_power(Kernel.EULER, c, p, 5) == ps_pow(base, p)
-    assert built == [(Kernel.EULER, c, 5)]
+    # every scale reads the one chain of the unit kernel's powers
+    for c, base in zip(scales, bases):
+        for p in (0, 1, 3, 2, 7, 12):
+            assert kernel_power(Kernel.EULER, c, p, 5) == ps_pow(base, p)
+    # the unit Euler kernel, once, from the unit exponential
+    assert built == [(Kernel.EULER, 1, 5), (Kernel.EXP, 1, 5)]
 
 
 def test_kernel_bad_order_rejected():
@@ -482,8 +485,10 @@ def test_certificate_builds_fractions_only_through_the_coeffs_view():
 
 
 @pytest.mark.parametrize("kind", [Kernel.EULER, Kernel.BERNOULLI, Kernel.SINH])
-def test_kernel_power_at_orders_going_up_and_down(kind):
-    # a scale no other test uses, so the chain starts empty
+def test_kernel_power_at_orders_going_up_and_down(kind, monkeypatch):
+    from umbralwalk import series as series_module
+
+    monkeypatch.setattr(series_module, "_POWER_CACHE", {})
     c = F(-13, 29)
     for order, powers in (
         (5, (0, 2, 4)), (12, (3, 1, 9)), (3, (0, 11, 6)), (21, (14, 2, 5)),
@@ -542,14 +547,14 @@ def test_kernel_power_memo_safe_while_chains_lengthen_concurrently():
 def test_kernel_power_memo_stays_bounded_over_many_level_sets():
     from umbralwalk import IdentityId, IdentityParams, series, verify
 
-    # each level set brings its own block coefficients, hence new chains:
-    # unbounded, these 200 sets alone would leave over a thousand
+    # each level set brings its own block coefficients; a chain per
+    # (kind, scale) would leave over a thousand chains after these 200
     for a in range(1, 101):
         for b in (a + 1, a + 2):
             levels = (1, F(b, a), F(b + 1, a))
             verify(IdentityId.FOUR_GENERAL_1D,
                    IdentityParams(n=1, x=F(1, 2), levels=levels))
-    assert len(series._POWER_CACHE) <= series._POWER_CACHE_MAX == 256
+    assert len(series._POWER_CACHE) <= len(Kernel)
 
 
 # --- serialization -------------------------------------------------------------
