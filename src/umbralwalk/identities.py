@@ -44,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import comb, isfinite, lcm
+from math import comb, gcd, isfinite, lcm
 from typing import Callable, Iterator
 
 from .loopcalc import (
@@ -205,33 +205,30 @@ def catalog() -> list[CatalogEntry]:
 # -- parameter validation --------------------------------------------------
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvalidParamsError(msg)
-
-
 def validate_params(identity: IdentityId, params: IdentityParams) -> None:
-    _require(params.n >= 0, f"degree must be nonnegative, got {params.n}")
+    # each message is built only when its check fails
+    if not params.n >= 0:
+        raise InvalidParamsError(f"degree must be nonnegative, got {params.n}")
     spec = _SPECS.get(identity)
-    _require(spec is not None, f"unknown identity {identity!r}")
+    if spec is None:
+        raise InvalidParamsError(f"unknown identity {identity!r}")
     if spec.level_count:
         lv, count = params.levels, spec.level_count
-        _require(
-            lv is not None and len(lv) == count,
-            f"identity needs exactly {count} levels, got {lv}",
-        )
-        _require(all(v > 0 for v in lv), f"levels must be positive: {lv}")
-        _require(
-            all(a < b for a, b in zip(lv, lv[1:])),
-            f"levels must strictly increase: {lv}",
-        )
+        if lv is None or len(lv) != count:
+            raise InvalidParamsError(
+                f"identity needs exactly {count} levels, got {lv}"
+            )
+        if not all(v > 0 for v in lv):
+            raise InvalidParamsError(f"levels must be positive: {lv}")
+        if not all(a < b for a, b in zip(lv, lv[1:])):
+            raise InvalidParamsError(f"levels must strictly increase: {lv}")
     if spec.positive_field:
         field, phrase = spec.positive_field
         value = getattr(params, field)
-        _require(
-            value is not None and value >= 1,
-            f"{IdentityId(identity).value} needs {phrase} >= 1, got {value}",
-        )
+        if value is None or not value >= 1:
+            raise InvalidParamsError(
+                f"{IdentityId(identity).value} needs {phrase} >= 1, got {value}"
+            )
 
 
 def normalize_params(
@@ -291,8 +288,15 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # (Norlund), and the identities take p and y affine in k; a block moment
 # is n! [w^n] of an exponential whose exponent is linear in the block
 # orders and the constant, which are affine in the loop counts.
-# `_term_numerators` therefore continues value(0..d) by integer differences
-# over their common denominator D and gives term k as an integer over C D b^k.
+# value(k) comes as an unreduced integer pair (num, den), den > 0, and no
+# `Fraction` is built per value: a hop-family value is one row of `_hop`
+# (the family, the order o0 + o1 k, the point (a + c k) / q and an integer
+# divisor) evaluated by `Poly.at` on integers.
+# `_term_numerators` continues value(0..d) by integer differences over
+# their common denominator D and gives term k as an integer t_k over
+# den_k = C D b^k. It yields (t_k, m_k) with den_k = m_0 m_1 ... m_k, so a
+# partial sum S / den takes term k as (S m_k + t_k) / (den m_k); past the
+# head m_k = b.
 #
 # A block-level right side is given by a loop table: per block its family,
 # coefficient and orders, and the constant, each as a vector whose dot
@@ -304,6 +308,7 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # expression (a unit count), at one series product per loop count or
 # lattice point, with every block kernel at power 1.
 
+_Value = Callable[[int], tuple[int, int]]
 _LoopTable = tuple[tuple[tuple[Family, Fraction, tuple[int, ...]], ...],
                    tuple[Fraction, ...]]
 
@@ -339,7 +344,7 @@ def _block_values(
     params: IdentityParams,
     table: Callable[..., _LoopTable],
     split: Fraction = _ZERO,
-) -> Callable[[int], Fraction]:
+) -> _Value:
     """value(k) of a block-level right side, from one running product.
 
     value(k) is the mean at x of row k's moments (see `_table_rows`) of
@@ -351,14 +356,14 @@ def _block_values(
     rows = _table_rows(table(*params.levels), params.n)
     values: list[Fraction] = []
 
-    def value(k: int) -> Fraction:
+    def value(k: int) -> tuple[int, int]:
         for j, row in zip(range(len(values), k + 1), rows):
             values.append(sum(
                 (comb(j, l) * split**l * (1 - split) ** (j - l)
                  * eval_poly(m, params.x) for l, m in enumerate(row)),
                 _ZERO,
             ))
-        return values[k]
+        return values[k].as_integer_ratio()
 
     return value
 
@@ -429,7 +434,7 @@ def _four_general_rates(
 
 def _four_general_values(
     params: IdentityParams, table: Callable = _four_general_table
-) -> Callable[[int], Fraction]:
+) -> _Value:
     """The block sum over l of term k, divided by c0 (alpha + beta)^k.
 
     That quotient is the mean of the moment, a polynomial of total degree
@@ -514,26 +519,40 @@ def _geometric(c: Fraction, r: Fraction) -> _Weights:
     return c.denominator, r.denominator, numerators
 
 
-def _euler_cheb_values(params: IdentityParams) -> Callable[[int], Fraction]:
-    N, n = params.cheb_index, params.n
-    scale = Fraction(N) ** n
-    return lambda k: (
-        eval_poly(hop_euler(n, k), Fraction(k - N, 2) + N * params.x) / scale
-    )
-
-
 def _three_sites_weights(params: IdentityParams) -> _Weights:
     (a1, a2), n = params.levels, params.n
     prefactor = (n + 1) * (1 - 2 * a1 / a2) * (2 * a1 / a2) ** n
     return _geometric(prefactor * (a1 / a2), 1 - a1 / a2)
 
 
-def _three_sites_values(params: IdentityParams) -> Callable[[int], Fraction]:
-    a1, a2 = params.levels
-    shift = params.x / (4 * a1) + a2 / (4 * a1)
-    return lambda k: eval_poly(
-        hop_bernoulli(params.n, k + 1), shift + Fraction(k, 2)
-    )
+# family, degree n, order (o0, o1), point (y0, dy), integer divisor s
+_HopRow = tuple[Callable[[int, int], Poly], int, tuple[int, int],
+                tuple[Fraction | int, Fraction | int], int]
+
+
+def _hop(
+    row: Callable[[IdentityParams], _HopRow]
+) -> Callable[[IdentityParams], _Value]:
+    """The values of a hop-family right side, read from its row.
+
+    value(k) is family(n, o0 + o1 k) at the point y0 + k dy, divided by
+    s. Over the one integer q = lcm of the denominators of y0 and dy the
+    point is (a + c k) / q, so each value is one integer Horner loop.
+    """
+
+    def values(params: IdentityParams) -> _Value:
+        family, n, (o0, o1), (y0, dy), s = row(params)
+        (a, qa), (c, qc) = y0.as_integer_ratio(), dy.as_integer_ratio()
+        q = lcm(qa, qc)
+        a, c = a * (q // qa), c * (q // qc)
+
+        def value(k: int) -> tuple[int, int]:
+            num, den = family(n, o0 + o1 * k).at(a + c * k, q)
+            return num, den * s
+
+        return value
+
+    return values
 
 
 def _n3_general_weights(params: IdentityParams) -> _Weights:
@@ -557,7 +576,7 @@ class _Spec:
 
     Term k of the right side is u_k / (C b^k) * value(k) with
     (C, b, u) = weights(params) and value = values(params), of degree
-    <= degree(params) in k.
+    <= degree(params) in k and given as an integer pair (num, den).
     An instance needs `level_count` levels and, by `positive_field`, an
     integer field >= 1 (and the phrase naming it in the error).
     """
@@ -567,7 +586,7 @@ class _Spec:
     reference: str
     lhs: Callable[[IdentityParams], ExactScalar]
     weights: Callable[[IdentityParams], _Weights]
-    values: Callable[[IdentityParams], Callable[[int], Fraction]]
+    values: Callable[[IdentityParams], _Value]
     system: Callable[[IdentityParams], LevelSystem]
     degree: Callable[[IdentityParams], int] = lambda p: p.n
     level_count: int = 0
@@ -582,7 +601,10 @@ _THREE_SITES = _Spec(
     "three sites on the half-line / reflected walk",
     _three_sites_lhs,
     _three_sites_weights,
-    _three_sites_values,
+    _hop(lambda p: (
+        hop_bernoulli, p.n, (1, 1),
+        ((p.x + p.levels[1]) / (4 * p.levels[0]), _HALF), 1,
+    )),
     system=lambda p: LevelSystem(Walk.REFLECTED_1D, (0, *p.levels)),
     level_count=2,
     # uniformly spaced sites zero the weights' factor 1 - 2 a1/a2
@@ -597,7 +619,11 @@ _SPECS: dict[IdentityId, _Spec] = {
         "Euler polynomials via N-site transition weights",
         lambda p: _euler_at(p.n, p.x),
         lambda p: (1, *chebyshev_recip_weight_numerators(p.cheb_index)),
-        _euler_cheb_values,
+        _hop(lambda p: (
+            hop_euler, p.n, (0, 1),
+            (p.cheb_index * p.x - Fraction(p.cheb_index, 2), _HALF),
+            p.cheb_index**p.n,
+        )),
         system=lambda p: LevelSystem(
             Walk.REFLECTED_1D, tuple(range(p.cheb_index + 1))
         ),
@@ -617,7 +643,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         "four uniform sites on the half-line / reflected walk",
         lambda p: _euler_at(p.n, p.x),
         lambda p: _geometric(Fraction(1, 4 * 3**p.n), Fraction(3, 4)),
-        lambda p: lambda k: eval_poly(hop_euler(p.n, 2 * k + 3), 3 * p.x + k),
+        _hop(lambda p: (hop_euler, p.n, (3, 2), (3 * p.x, 1), 1)),
         system=lambda p: LevelSystem(Walk.REFLECTED_1D, (0, 1, 2, 3)),
     ),
     IdentityId.FOUR_GENERAL_1D: _Spec(
@@ -651,9 +677,7 @@ _SPECS: dict[IdentityId, _Spec] = {
             p, Fraction(3) ** (p.n + 1), (p.x + 3) / 6, (p.x + 5) / 6
         ),
         lambda p: _geometric(Fraction(3, 4), Fraction(1, 4)),
-        lambda p: lambda k: eval_poly(
-            hop_euler(p.n, 2 * k + 2), Fraction(p.x + 3 + 2 * k, 2)
-        ),
+        _hop(lambda p: (hop_euler, p.n, (2, 2), ((p.x + 3) / 2, 1), 1)),
         system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3)),
     ),
     IdentityId.EVEN_BERNOULLI: _Spec(
@@ -663,9 +687,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         "specialization of the three-sphere identity at x=0, odd degree",
         lambda p: bernoulli_number(2 * p.m),
         _even_bernoulli_weights,
-        lambda p: lambda k: eval_poly(
-            hop_euler(2 * p.m - 1, 2 * k + 2), k + Fraction(3, 2)
-        ),
+        _hop(lambda p: (hop_euler, 2 * p.m - 1, (2, 2), (Fraction(3, 2), 1), 1)),
         degree=lambda p: 2 * p.m - 1,
         system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3)),
         positive_field=("m", "half-degree m"),
@@ -677,9 +699,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         "four concentric spheres of radii 1..4",
         lambda p: _bernoulli_at(p.n, (p.x + 4) / 6),
         lambda p: _geometric(Fraction(1, 3**p.n), Fraction(1, 2)),
-        lambda p: lambda k: eval_poly(
-            hop_euler(p.n, 2 * k + 2), Fraction(p.x + 2 * k + 3, 2)
-        ),
+        _hop(lambda p: (hop_euler, p.n, (2, 2), ((p.x + 3) / 2, 1), 1)),
         system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
     ),
     IdentityId.N4_UNIFORM_CORRECTED: _Spec(
@@ -691,9 +711,7 @@ _SPECS: dict[IdentityId, _Spec] = {
             p, 4 * Fraction(8) ** p.n, (p.x + 4) / 8, (p.x + 6) / 8
         ),
         lambda p: _geometric(Fraction(2**p.n, 2), Fraction(1, 2)),
-        lambda p: lambda k: eval_poly(
-            hop_euler(p.n, 2 * k + 3), Fraction(p.x + 2 * k + 4, 2)
-        ),
+        _hop(lambda p: (hop_euler, p.n, (3, 2), ((p.x + 4) / 2, 1), 1)),
         system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
     ),
 }
@@ -702,49 +720,71 @@ _SPECS: dict[IdentityId, _Spec] = {
 def _term_numerators(
     spec: _Spec, params: IdentityParams
 ) -> Iterator[tuple[int, int]]:
-    """Term k = 0, 1, 2, ... of a right side as integers (t_k, C D b^k).
+    """Term k = 0, 1, 2, ... of a right side as integers (t_k, m_k).
 
-    Terms 0..d are computed directly, each only when it is reached, over
-    the common denominator D of the values so far; a zero weight puts off
-    its value. Later values continue through a backward-difference table
-    of integer numerators over D. Each denominator divides the next.
+    Term k is t_k / den_k with den_k = m_0 m_1 ... m_k = C D_k b^k, D_k
+    a common denominator of the values reached, so a partial sum S / den
+    takes the term as (S m_k + t_k) / (den m_k) without a division.
+    Values 0..d are computed directly as integer pairs, each only when it
+    is reached; a zero weight puts off its value (its term is 0 over the
+    growth m_k alone). Later values continue through a backward-difference
+    table of integer numerators over the common denominator D of all d + 1
+    values: the first later term takes m = b D / D_d, every one after it
+    m = b.
     """
     d = spec.degree(params)
     C, b, weights = spec.weights(params)
     value = spec.values(params)
-    scale, D = C, 1  # scale is C b^k
-    head: list[Fraction | None] = []
+    m, D = C, 1
+    head: list[tuple[int, int] | None] = []
     for k in range(d + 1):
         u = next(weights)
-        v = value(k) if u else _ZERO
-        head.append(v if u else None)
-        D = lcm(D, v.denominator)
-        yield u * v.numerator * (D // v.denominator), scale * D
-        scale *= b
+        if u:
+            num, den = v = value(k)
+            grow = den // gcd(D, den)  # D grows to lcm(D, den)
+            D *= grow
+            head.append(v)
+            yield u * num * (D // den), m * grow
+        else:
+            head.append(None)
+            yield 0, m
+        m = b
     head = [value(k) if v is None else v for k, v in enumerate(head)]
-    D = lcm(*(v.denominator for v in head))
-    row = [v.numerator * (D // v.denominator) for v in head]
+    D_all = lcm(*(den for _, den in head))
+    row = [num * (D_all // den) for num, den in head]
     diffs = []  # top-first: diffs[-1 - j] is the j-th backward difference
     for _ in range(d + 1):
         diffs.insert(0, row[-1])
         row = [hi - lo for lo, hi in zip(row, row[1:])]
-    den = scale * D
+    m = b * (D_all // D)
     for u in weights:
         diffs = list(itertools.accumulate(diffs))
-        yield u * diffs[-1], den
-        den *= b
+        yield u * diffs[-1], m
+        m = b
+
+
+def _terms(spec: _Spec, params: IdentityParams) -> Iterator[tuple[int, int]]:
+    """Term k = 0, 1, 2, ... of a right side as (t_k, den_k)."""
+    den = 1
+    for t, m in _term_numerators(spec, params):
+        den *= m
+        yield t, den
 
 
 def _partial(spec: _Spec, params: IdentityParams, K: int) -> Fraction:
     """Exact sum of the terms k = 0..K of a spec's right side."""
-    terms = itertools.islice(_term_numerators(spec, params), K + 1)
-    return sum(itertools.starmap(Fraction, terms), _ZERO)
+    S, den = 0, 1
+    for t, m in itertools.islice(_term_numerators(spec, params), K + 1):
+        S, den = S * m + t, den * m
+    return Fraction(S, den)
 
 
 def rhs_term(
     identity: IdentityId, params: IdentityParams, k: int
 ) -> ExactScalar:
     """Exact k-th addend of the right-hand side."""
+    if k < 0:
+        raise InvalidParamsError(f"term index must be >= 0, got {k}")
     return next(itertools.islice(rhs_terms(identity, params), k, None))
 
 
@@ -756,8 +796,7 @@ def rhs_terms(
     The parameters are checked at the call, before any term is drawn.
     """
     params = normalize_params(identity, params)
-    terms = _term_numerators(_SPECS[identity], params)
-    return itertools.starmap(Fraction, terms)
+    return itertools.starmap(Fraction, _terms(_SPECS[identity], params))
 
 
 def eval_rhs_partial(
@@ -795,7 +834,10 @@ def _ground_truth_residual(system: LevelSystem) -> Fraction:
 
 def ensure_ground_truth(identity: IdentityId, params: IdentityParams) -> None:
     """Require the underlying series decomposition to be exactly zero."""
-    system = ground_truth_system(identity, params)
+    _require_exact_decomposition(ground_truth_system(identity, params))
+
+
+def _require_exact_decomposition(system: LevelSystem) -> None:
     residual = _ground_truth_residual(system)
     if residual != 0:
         raise EngineConsistencyError(
@@ -823,8 +865,8 @@ def verify(
     estimate below threshold, which a window of still-growing terms
     never gives, and which a window of zero terms gives only when the
     partial sum equals the left side exactly (see `TruncationPolicy`).
-    The terms arrive as integer numerators over growing denominators,
-    and the rule costs one float comparison per term until a run of
+    The terms arrive as integer numerators, each with the integer factor
+    by which the common denominator grows, and the rule costs one float comparison per term until a run of
     `stable_run` small terms calls for the tail estimate (see
     `_sum_to_tolerance`). Degenerate instances (uniformly spaced
     three-site systems) short-circuit to DEGENERATE_TRIVIAL.
@@ -833,14 +875,15 @@ def verify(
     """
     identity = IdentityId(identity)
     policy = policy or TruncationPolicy()
+    # checked once here; the spec's parts below take the normalised params
     params = normalize_params(identity, params)
     spec = _SPECS[identity]
-    lhs = eval_lhs(identity, params)
+    lhs = spec.lhs(params)
     if spec.degenerate(params):
         return IdentityReport(
             identity, params, -1, lhs, _ZERO, 0.0, True, Status.DEGENERATE_TRIVIAL
         )
-    ensure_ground_truth(identity, params)
+    _require_exact_decomposition(spec.system(params))
     try:
         return _sum_to_tolerance(identity, params, lhs, policy)
     except OverflowError:
@@ -855,7 +898,9 @@ def _sum_to_tolerance(
 ) -> IdentityReport:
     """The summation and tail control of `verify`, in double precision.
 
-    The partial sum stays one integer over the latest term denominator.
+    The partial sum stays one integer S over den and takes each term
+    (t, m) of `_term_numerators` as S m + t over den m, with no division;
+    a zero term's magnitude needs no integer division either.
     Each term costs one comparison: `run` counts the consecutive term
     magnitudes below threshold, and `window` keeps the last `stable_run`
     of them, read only once the run is long enough; `prev_nz` and
@@ -875,18 +920,18 @@ def _sum_to_tolerance(
     converged = False
     K = -1
     terms = _term_numerators(spec, params)
-    for k, (t, t_den) in zip(range(policy.k_max + 1), terms):
-        S, den = S * (t_den // den) + t, t_den
+    for k, (t, m) in zip(range(policy.k_max + 1), terms):
+        S, den = S * m + t, den * m
         K = k
         # int true division rounds correctly, as float(Fraction(t, den))
-        mag = abs(t) / den
+        mag = abs(t) / den if t else 0.0
         window.append(mag)
         if mag:
             prev_nz, last_nz = last_nz, mag
         run = run + 1 if mag < threshold else 0
         if run < policy.stable_run:
             continue
-        nonzero = [m for m in window if m > 0.0]
+        nonzero = [v for v in window if v > 0.0]
         if not nonzero:
             # zero terms say nothing of the tail; only an exact sum ends here
             if S * lhs.denominator == lhs.numerator * den:
@@ -921,9 +966,15 @@ def term_magnitudes(
     identity: IdentityId, params: IdentityParams, k_lo: int, k_hi: int
 ) -> list[float]:
     """Float magnitudes of the terms over an index range (inclusive)."""
-    terms = itertools.islice(rhs_terms(identity, params), k_lo, k_hi + 1)
+    if k_lo < 0:
+        raise InvalidParamsError(f"term index must be >= 0, got {k_lo}")
+    params = normalize_params(identity, params)
+    terms = itertools.islice(
+        _terms(_SPECS[identity], params), k_lo, max(k_lo, k_hi + 1)
+    )
     try:
-        return [abs(float(t)) for t in terms]
+        # int true division rounds correctly, as float(Fraction(t, den))
+        return [abs(t) / den for t, den in terms]
     except OverflowError:
         name = IdentityId(identity).value
         raise InvalidParamsError(f"{name}: {_FLOAT_RANGE}") from None

@@ -66,20 +66,23 @@ class Poly:
         return Fraction(self.nums[-1], self.den) if self.nums else _ZERO
 
     def eval(self, x0: int | Fraction) -> Fraction:
-        """Exact Horner evaluation on integers.
-
-        With x0 = xn/xd, the value is sum_i nums_i xn^i xd^(deg-i) over
-        den xd^deg; only the final `Fraction` is normalised.
-        """
+        """Exact value at x0, normalised once from `at`."""
         x0 = as_scalar(x0)
+        return Fraction(*self.at(x0.numerator, x0.denominator))
+
+    def at(self, xn: int, xd: int) -> tuple[int, int]:
+        """Exact Horner evaluation at xn / xd (xd > 0) on integers.
+
+        The value is sum_i nums_i xn^i xd^(deg-i) over den xd^deg,
+        returned as that unreduced pair (0 over 1 for the zero polynomial).
+        """
         if not self.nums:
-            return _ZERO
-        xn, xd = x0.numerator, x0.denominator
+            return 0, 1
         acc, xd_pow = 0, 1
         for c in reversed(self.nums):
             acc = acc * xn + c * xd_pow
             xd_pow *= xd
-        return Fraction(acc, self.den * xd_pow // xd)
+        return acc, self.den * xd_pow // xd
 
     def derivative(self) -> "Poly":
         nums = [i * c for i, c in enumerate(self.nums)]

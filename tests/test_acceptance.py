@@ -428,6 +428,7 @@ def test_criterion_10_density_quadrature():
 # -- 11: Monte Carlo cross-validation ----------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_11_monte_carlo(canonical_mc):
     failures = []
     total_elapsed = 0.0

@@ -1,9 +1,11 @@
 """Identity catalog, evaluation, verification loop, errata machinery."""
 
 import functools
+import hashlib
 import itertools
 import json
 import re
+import sys
 from fractions import Fraction as F
 from math import comb
 
@@ -185,6 +187,18 @@ def test_euler_cheb_n2_partial_approaches_euler_value():
 def test_rhs_partial_negative_bound_rejected():
     with pytest.raises(InvalidParamsError):
         eval_rhs_partial(IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=1), -1)
+
+
+def test_negative_term_indices_rejected():
+    identity, params = IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=1)
+    message = "term index must be >= 0, got "
+    with pytest.raises(InvalidParamsError, match=message + "-1"):
+        rhs_term(identity, params, -1)
+    with pytest.raises(InvalidParamsError, match=message + "-2"):
+        term_magnitudes(identity, params, -2, 3)
+    # a range that ends before it starts is empty, as it was for k_lo > 0
+    assert term_magnitudes(identity, params, 0, -2) == []
+    assert term_magnitudes(identity, params, 3, 1) == []
 
 
 # --- streamed terms against the direct formulas --------------------------------------
@@ -633,7 +647,7 @@ def test_streamed_block_values_equal_one_shot_moments(levels, n, k_max, x):
     params = IdentityParams(n=n, x=x, levels=levels)
     n3 = identities._SPECS[IdentityId.N3_GENERAL].values(params)
     for k in range(k_max + 1):
-        assert n3(k) == one_shot(_paper_n3_blocks(k, levels))
+        assert F(*n3(k)) == one_shot(_paper_n3_blocks(k, levels))
 
     rows = identities._table_rows(identities._four_general_table(*levels), n)
     for k, row in zip(range(k_max + 1), rows):
@@ -647,7 +661,7 @@ def test_streamed_block_values_equal_one_shot_moments(levels, n, k_max, x):
         IdentityParams(n=n, x=x, levels=pair), identities._three_sites_table
     )
     for k in range(k_max + 1):
-        assert three_sites(k) == one_shot(_paper_three_site_blocks(k, pair))
+        assert F(*three_sites(k)) == one_shot(_paper_three_site_blocks(k, pair))
 
 
 # --- work guards ------------------------------------------------------------------
@@ -1031,6 +1045,75 @@ def test_verify_all_payload_stable_and_passing():
         errata["three_sites_stated_vs_corrected"]["corrected"]["status"]
         == "VERIFIED"
     )
+
+
+def _hop_sums_cases():
+    """The 514 single-index instances of the benchmark's hop_sums workload,
+    in a fixed order."""
+    xs = (F(0), F(1, 2), F(1), F(-1, 3))
+    cases = [
+        (IdentityId.EULER_CHEB, IdentityParams(n=n, x=x, cheb_index=N))
+        for N in (1, 2, 3) for n in range(21) for x in xs
+    ]
+    cases += [
+        (identity, IdentityParams(n=n, x=x))
+        for identity in (
+            IdentityId.FOUR_UNIFORM_1D,
+            IdentityId.N3_UNIFORM,
+            IdentityId.N4_UNIFORM_CORRECTED,
+        )
+        for n in range(21) for x in xs
+    ]
+    return cases + [
+        (IdentityId.EVEN_BERNOULLI, IdentityParams(m=m)) for m in range(1, 11)
+    ]
+
+
+# sha256 of the reports of `_hop_sums_cases()` as computed while each
+# right-side value was a `Fraction`
+_HOP_SUMS_SHA256 = (
+    "3081b0f11fff9bb892697bf795d4aed4bea7ef38e6d7906bbbed23d8d003b90b"
+)
+
+
+def test_hop_sums_reports_bytes_unchanged():
+    cases = _hop_sums_cases()
+    assert len(cases) == 514
+    reports = [verify(identity, params).to_json() for identity, params in cases]
+    rendered = json.dumps(reports)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == _HOP_SUMS_SHA256
+    # EULER_CHEB at N = 3, n = 20 and x in {0, 1} is known not to verify
+    failed = [
+        (r["N"], r["n"], r["x"]) for r in reports if r["status"] != "VERIFIED"
+    ]
+    assert failed == [(3, 20, "0"), (3, 20, "1")]
+
+
+def test_verify_builds_fractions_independent_of_the_degree():
+    """Right-side values and terms stay on integers: the Fractions one
+    EULER_CHEB verify builds (left side, report, fixed weights) do not
+    grow with the degree, though its head of d + 1 values does."""
+    fraction_new = F.__new__.__code__
+    built = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is fraction_new:
+            built.append(1)
+
+    def fractions_built(n):
+        params = IdentityParams(n=n, x=F(1, 2), cheb_index=3)
+        verify(IdentityId.EULER_CHEB, params)  # fills the memos
+        built.clear()
+        sys.setprofile(profile)
+        try:
+            report = verify(IdentityId.EULER_CHEB, params)
+        finally:
+            sys.setprofile(None)
+        assert report.status is Status.VERIFIED
+        assert report.K_used > n
+        return len(built)
+
+    assert fractions_built(4) == fractions_built(12) == fractions_built(20)
 
 
 def test_normalize_even_bernoulli_pins_degree():

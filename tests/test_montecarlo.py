@@ -20,6 +20,8 @@ from umbralwalk import (
 from umbralwalk import montecarlo as mc
 from umbralwalk.montecarlo import _simulate, _simulate_chunk
 
+pytestmark = pytest.mark.slow
+
 SMALL = dict(dt=1e-3, paths=4000, seed=777, t_max=30.0)
 
 

@@ -211,17 +211,24 @@ _rationals = st.fractions(min_value=-20, max_value=20, max_denominator=60)
 @given(
     st.lists(_rationals | st.integers(-9, 9).map(F), max_size=10),
     _rationals | st.integers(-30, 30),
+    st.integers(1, 12),
 )
-@example([], F(5, 3))
-@example([F(0), F(0)], F(-2))
-@example([F(1, 2), F(-3, 4), F(5, 6)], 0)
-@example([F(1, 2), F(-3, 4), F(5, 6)], F(-7, 9))
+@example([], F(5, 3), 3)
+@example([F(0), F(0)], F(-2), 1)
+@example([F(1, 2), F(-3, 4), F(5, 6)], 0, 1)
+@example([F(1, 2), F(-3, 4), F(5, 6)], F(-7, 9), 4)
 @settings(max_examples=300, deadline=None)
-def test_integer_horner_equals_fraction_horner(coeffs, x):
+def test_integer_horner_equals_fraction_horner(coeffs, x, common):
     q = Poly(tuple(coeffs))
     value = q.eval(x)
     assert type(value) is F
     assert value == _fraction_horner(q, F(x))
+    # `at` takes the point as an unreduced pair xn / xd and returns the
+    # value unreduced, over den xd^deg
+    xn, xd = F(x).numerator * common, F(x).denominator * common
+    num, den = q.at(xn, xd)
+    assert F(num, den) == _fraction_horner(q, F(xn, xd))
+    assert den == (q.den * xd ** q.degree if q.nums else 1)
 
 
 def test_eval_poly_examples():
