@@ -53,6 +53,8 @@ from .umbral import Family, QuadratureError, QuadratureParams, density_moment
 
 _DEFAULT_SEED = 2024
 _LEVEL_LIMIT = 8  # levels above the origin that --levels accepts
+# steps t_max / dt that `simulate` accepts: 32 times the default 5 * 10^5
+_STEP_LIMIT = 1 << 24
 _HOPS = {Family.BERNOULLI: hop_bernoulli, Family.EULER: hop_euler}
 
 
@@ -189,6 +191,11 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         seed=seed,
         t_max=ns.tmax,
     )
+    steps = cfg.t_max / cfg.dt
+    if steps > _STEP_LIMIT:
+        raise ValueError(
+            f"t_max / dt = {steps:.4g} steps is above the limit {_STEP_LIMIT}"
+        )
     # the closed form validates the move, so evaluate it before simulating
     reference = montecarlo.eval_phi_numeric(
         cfg.walk, cfg.start, cfg.target, cfg.z, cfg.taboo

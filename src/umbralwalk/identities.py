@@ -309,6 +309,8 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # lattice point, with every block kernel at power 1.
 
 _Value = Callable[[int], tuple[int, int]]
+# a level system as (walk, levels): the ground-truth memo's key
+_SystemKey = tuple[Walk, tuple[ExactScalar, ...]]
 _LoopTable = tuple[tuple[tuple[Family, Fraction, tuple[int, ...]], ...],
                    tuple[Fraction, ...]]
 
@@ -587,7 +589,7 @@ class _Spec:
     lhs: Callable[[IdentityParams], ExactScalar]
     weights: Callable[[IdentityParams], _Weights]
     values: Callable[[IdentityParams], _Value]
-    system: Callable[[IdentityParams], LevelSystem]
+    system: Callable[[IdentityParams], _SystemKey]
     degree: Callable[[IdentityParams], int] = lambda p: p.n
     level_count: int = 0
     positive_field: tuple[str, str] | None = None
@@ -605,7 +607,7 @@ _THREE_SITES = _Spec(
         hop_bernoulli, p.n, (1, 1),
         ((p.x + p.levels[1]) / (4 * p.levels[0]), _HALF), 1,
     )),
-    system=lambda p: LevelSystem(Walk.REFLECTED_1D, (0, *p.levels)),
+    system=lambda p: (Walk.REFLECTED_1D, (0, *p.levels)),
     level_count=2,
     # uniformly spaced sites zero the weights' factor 1 - 2 a1/a2
     degenerate=lambda p: p.levels[1] == 2 * p.levels[0],
@@ -624,9 +626,7 @@ _SPECS: dict[IdentityId, _Spec] = {
             (p.cheb_index * p.x - Fraction(p.cheb_index, 2), _HALF),
             p.cheb_index**p.n,
         )),
-        system=lambda p: LevelSystem(
-            Walk.REFLECTED_1D, tuple(range(p.cheb_index + 1))
-        ),
+        system=lambda p: (Walk.REFLECTED_1D, tuple(range(p.cheb_index + 1))),
         positive_field=("cheb_index", "a Chebyshev index"),
     ),
     IdentityId.THREE_SITES_1D_STATED: _THREE_SITES,
@@ -644,7 +644,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         lambda p: _euler_at(p.n, p.x),
         lambda p: _geometric(Fraction(1, 4 * 3**p.n), Fraction(3, 4)),
         _hop(lambda p: (hop_euler, p.n, (3, 2), (3 * p.x, 1), 1)),
-        system=lambda p: LevelSystem(Walk.REFLECTED_1D, (0, 1, 2, 3)),
+        system=lambda p: (Walk.REFLECTED_1D, (0, 1, 2, 3)),
     ),
     IdentityId.FOUR_GENERAL_1D: _Spec(
         "corrected",
@@ -654,7 +654,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         lambda p: _top_block_lhs(p, Family.EULER),
         _four_general_weights,
         _four_general_values,
-        system=lambda p: LevelSystem(Walk.REFLECTED_1D, (0, *p.levels)),
+        system=lambda p: (Walk.REFLECTED_1D, (0, *p.levels)),
         level_count=3,
     ),
     IdentityId.N3_GENERAL: _Spec(
@@ -665,7 +665,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         lambda p: _top_block_lhs(p, Family.BERNOULLI),
         _n3_general_weights,
         lambda p: _block_values(p, _n3_general_table),
-        system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, *p.levels)),
+        system=lambda p: (Walk.BESSEL_3D, (0, *p.levels)),
         level_count=3,
     ),
     IdentityId.N3_UNIFORM: _Spec(
@@ -678,7 +678,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         ),
         lambda p: _geometric(Fraction(3, 4), Fraction(1, 4)),
         _hop(lambda p: (hop_euler, p.n, (2, 2), ((p.x + 3) / 2, 1), 1)),
-        system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3)),
+        system=lambda p: (Walk.BESSEL_3D, (0, 1, 2, 3)),
     ),
     IdentityId.EVEN_BERNOULLI: _Spec(
         "stated",
@@ -689,7 +689,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         _even_bernoulli_weights,
         _hop(lambda p: (hop_euler, 2 * p.m - 1, (2, 2), (Fraction(3, 2), 1), 1)),
         degree=lambda p: 2 * p.m - 1,
-        system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3)),
+        system=lambda p: (Walk.BESSEL_3D, (0, 1, 2, 3)),
         positive_field=("m", "half-degree m"),
     ),
     IdentityId.N4_UNIFORM_STATED: _Spec(
@@ -700,7 +700,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         lambda p: _bernoulli_at(p.n, (p.x + 4) / 6),
         lambda p: _geometric(Fraction(1, 3**p.n), Fraction(1, 2)),
         _hop(lambda p: (hop_euler, p.n, (2, 2), ((p.x + 3) / 2, 1), 1)),
-        system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
+        system=lambda p: (Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
     ),
     IdentityId.N4_UNIFORM_CORRECTED: _Spec(
         "corrected",
@@ -712,7 +712,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         ),
         lambda p: _geometric(Fraction(2**p.n, 2), Fraction(1, 2)),
         _hop(lambda p: (hop_euler, p.n, (3, 2), ((p.x + 4) / 2, 1), 1)),
-        system=lambda p: LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
+        system=lambda p: (Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
     ),
 }
 
@@ -823,29 +823,35 @@ def ground_truth_system(
 ) -> LevelSystem:
     """Level system whose exact series factorization underlies the identity."""
     params = normalize_params(identity, params)
-    return _SPECS[identity].system(params)
+    return LevelSystem(*_SPECS[identity].system(params))
 
 
-# bounded, so a long run over many level sets keeps at most 64 residuals
+# Keyed by the plain (walk, levels) pair, so a hit builds no LevelSystem:
+# a system is certified once, however many instances rest on it. Bounded,
+# so a long run over many level sets keeps the 64 most recently used.
 @functools.lru_cache(maxsize=64)
-def _ground_truth_residual(system: LevelSystem) -> Fraction:
-    return decomposition_residual(system, _GROUND_TRUTH_ORDER)
+def _ground_truth_residual(key: _SystemKey) -> Fraction:
+    return decomposition_residual(LevelSystem(*key), _GROUND_TRUTH_ORDER)
 
 
 def ensure_ground_truth(identity: IdentityId, params: IdentityParams) -> None:
     """Require the underlying series decomposition to be exactly zero."""
-    _require_exact_decomposition(ground_truth_system(identity, params))
+    params = normalize_params(identity, params)
+    _require_exact_decomposition(_SPECS[identity].system(params))
 
 
-def _require_exact_decomposition(system: LevelSystem) -> None:
-    residual = _ground_truth_residual(system)
+def _require_exact_decomposition(key: _SystemKey) -> None:
+    residual = _ground_truth_residual(key)
     if residual != 0:
         raise EngineConsistencyError(
-            f"series decomposition residual {residual} != 0 for {system}"
+            f"series decomposition residual {residual} != 0 for "
+            f"{LevelSystem(*key)}"
         )
 
 
 # -- verification loop ------------------------------------------------------
+
+_DEFAULT_POLICY = TruncationPolicy()
 
 _FLOAT_RANGE = (
     "the left side, a term or the residual is outside the float range of "
@@ -866,15 +872,17 @@ def verify(
     never gives, and which a window of zero terms gives only when the
     partial sum equals the left side exactly (see `TruncationPolicy`).
     The terms arrive as integer numerators, each with the integer factor
-    by which the common denominator grows, and the rule costs one float comparison per term until a run of
-    `stable_run` small terms calls for the tail estimate (see
-    `_sum_to_tolerance`). Degenerate instances (uniformly spaced
+    by which the common denominator grows, and the rule costs one float
+    comparison per term until a run of `stable_run` small terms calls for
+    the tail estimate (see `_sum_to_tolerance`). The level system's
+    ground truth is certified at its first instance and looked up by its
+    (walk, levels) key after that. Degenerate instances (uniformly spaced
     three-site systems) short-circuit to DEGENERATE_TRIVIAL.
     The tail control runs in double precision, so a left side, term or
     residual beyond the float range raises InvalidParamsError.
     """
     identity = IdentityId(identity)
-    policy = policy or TruncationPolicy()
+    policy = policy or _DEFAULT_POLICY
     # checked once here; the spec's parts below take the normalised params
     params = normalize_params(identity, params)
     spec = _SPECS[identity]
@@ -907,14 +915,16 @@ def _sum_to_tolerance(
     `last_nz` are the last two nonzero magnitudes (0.0 while fewer were
     seen), whose ratio a window with one nonzero magnitude reads. A
     window of zero magnitudes compares the partial sum with the left
-    side exactly.
-    Raises OverflowError when a magnitude it compares exceeds the float
-    range.
+    side exactly. The residual is taken on the integers too (`_residual`).
+    Raises OverflowError when a magnitude it compares or the residual
+    exceeds the float range.
     """
     spec = _SPECS[identity]
     threshold = policy.tol * max(1.0, abs(float(lhs)))
     S, den = 0, 1  # the partial sum is S / den
-    window: deque[float] = deque(maxlen=policy.stable_run)
+    stable_run = policy.stable_run
+    window: deque[float] = deque(maxlen=stable_run)
+    append = window.append
     run = 0
     prev_nz = last_nz = 0.0
     converged = False
@@ -925,11 +935,11 @@ def _sum_to_tolerance(
         K = k
         # int true division rounds correctly, as float(Fraction(t, den))
         mag = abs(t) / den if t else 0.0
-        window.append(mag)
+        append(mag)
         if mag:
             prev_nz, last_nz = last_nz, mag
         run = run + 1 if mag < threshold else 0
-        if run < policy.stable_run:
+        if run < stable_run:
             continue
         nonzero = [v for v in window if v > 0.0]
         if not nonzero:
@@ -951,15 +961,24 @@ def _sum_to_tolerance(
         if nonzero[-1] * ratio / (1.0 - ratio) < threshold:
             converged = True
             break
-    partial = Fraction(S, den)
-    residual = abs(float(lhs - partial))
+    residual = _residual(lhs, S, den)
     if converged:
         status = Status.VERIFIED if residual < threshold else Status.RESIDUAL_NONZERO
     else:
         status = Status.NOT_CONVERGED
     return IdentityReport(
-        identity, params, K, lhs, partial, residual, converged, status
+        identity, params, K, lhs, Fraction(S, den), residual, converged, status
     )
+
+
+def _residual(lhs: Fraction, S: int, den: int) -> float:
+    """|lhs - S/den| as a float, on integers: no `Fraction` is built.
+
+    int true division rounds correctly, so this is float(lhs - S/den)'s
+    magnitude to the bit, and it raises OverflowError where that does.
+    """
+    ld = lhs.denominator
+    return abs(lhs.numerator * den - S * ld) / (ld * den)
 
 
 def term_magnitudes(
@@ -1105,7 +1124,7 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     structure separates surviving identities from typographical or
     structural misprints in their published statements.
     """
-    policy = policy or TruncationPolicy()
+    policy = policy or _DEFAULT_POLICY
     order = 24
     entries: dict[str, dict] = {}
 
@@ -1237,7 +1256,7 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
 
 def verify_all_payload(policy: TruncationPolicy | None = None) -> dict:
     """Run the full expected matrix, audits, and errata; canonical order."""
-    policy = policy or TruncationPolicy()
+    policy = policy or _DEFAULT_POLICY
 
     def sort_key(item: dict):
         return (item["identity"], item.get("N") or 0, item["n"], item["x"],

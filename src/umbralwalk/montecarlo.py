@@ -99,6 +99,14 @@ class WalkConfig:
             raise ConfigError(f"z must be positive, got {self.z}")
         if self.dt <= 0 or self.t_max <= 0:
             raise ConfigError("dt and t_max must be positive")
+        # _simulate_chunk runs floor(t_max / dt + 1e-9) steps
+        steps = self.t_max / self.dt
+        if steps + 1e-9 < 1:
+            raise ConfigError(
+                f"t_max = {self.t_max} is shorter than one step dt = {self.dt}"
+            )
+        if steps == math.inf:
+            raise ConfigError(f"t_max / dt overflows at dt = {self.dt}")
         if self.paths < 1:
             raise ConfigError(f"need at least one path, got {self.paths}")
         if self.taboo is not None:
@@ -306,11 +314,12 @@ def _simulate(cfg: WalkConfig, chunk_size: int = _CHUNK) -> HittingEstimate:
         hit_count += hits
         taboo_count += taboos
     censored = cfg.paths - hit_count - taboo_count
-    mean = float(contribs.sum() / cfg.paths)
-    if cfg.paths > 1:
-        stderr = float(contribs.std(ddof=1) / math.sqrt(cfg.paths))
+    if (contribs == contribs[0]).all():
+        # no spread: the value itself, not its sum's rounding, and no error
+        mean, stderr = float(contribs[0]), 0.0
     else:
-        stderr = 0.0
+        mean = float(contribs.sum() / cfg.paths)
+        stderr = float(contribs.std(ddof=1) / math.sqrt(cfg.paths))
     return HittingEstimate(mean, stderr, hit_count, taboo_count, censored)
 
 

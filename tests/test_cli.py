@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -392,6 +393,7 @@ def test_catalog_output_bytes_unchanged(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _CATALOG_SHA256
 
 
+@pytest.mark.slow
 def test_simulate_command_deterministic(capsys, monkeypatch):
     monkeypatch.setenv("UMBRAL_WALK_SEED", "31415")
     args = (
@@ -418,6 +420,7 @@ _SIMULATE_SHA256 = (
 )
 
 
+@pytest.mark.slow
 def test_simulate_output_bytes_unchanged(capsys):
     code, out = run(
         capsys, "simulate", "--walk", "1d", "--start", "0", "--target", "1",
@@ -436,6 +439,7 @@ def test_simulate_rejects_non_finite_horizon(capsys):
     assert "t_max must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.slow
 def test_simulate_far_target_reports_instead_of_overflowing(capsys):
     # 1 / cosh(1000 sqrt 2) underflows to 0; every path is censored, and
     # each censored path's bound e^(-z t_max) is far below 1e-9
@@ -447,6 +451,60 @@ def test_simulate_far_target_reports_instead_of_overflowing(capsys):
     assert payload["reference"] == 0.0
     assert payload["estimate"]["n_censored"] == 10
     assert payload["comparison"]["pass"] is True
+
+
+@pytest.mark.slow
+def test_simulate_without_spread_reports_no_stderr(capsys):
+    # every path censored: the sample's one value with stderr 0.0, so the
+    # comparator's no-spread rule, not a z-score of rounding noise, decides
+    code, payload = run_json(
+        capsys, "simulate", "--walk", "1d", "--start", "0", "--target", "5",
+        "--z", "0.5", "--paths", "64", "--tmax", "0.01", "--dt", "1e-3",
+    )
+    assert code == 1
+    assert payload["estimate"]["n_censored"] == 64
+    assert payload["estimate"]["mean"] == math.exp(-0.5 * 0.01)
+    assert payload["estimate"]["stderr"] == 0.0
+    assert payload["comparison"]["z_score"] == 0.0
+    assert payload["comparison"]["pass"] is False
+
+
+def test_simulate_rejects_a_horizon_shorter_than_one_step(capsys):
+    code = main([
+        "simulate", "--walk", "1d", "--start", "0", "--target", "1",
+        "--z", "0.5", "--paths", "64", "--dt", "10", "--tmax", "1",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "shorter than one step" in err
+
+
+def test_simulate_step_count_is_bounded(capsys, monkeypatch):
+    from umbralwalk import montecarlo
+
+    reached = []
+
+    def record(cfg, chunk_size=None):
+        reached.append(cfg.t_max / cfg.dt)
+        return montecarlo.HittingEstimate(0.5, 0.01, cfg.paths, 0, 0)
+
+    monkeypatch.setattr(montecarlo, "_simulate", record)
+    base = ["simulate", "--walk", "1d", "--start", "0", "--target", "1",
+            "--z", "0.5", "--paths", "4"]
+    # 5 * 10^10 steps, and just above 2^24
+    for dt, tmax in (("1e-9", "50"), (str(2**-20), "16.001")):
+        assert main(base + ["--dt", dt, "--tmax", tmax]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"steps is above the limit {1 << 24}" in err
+    # a step so small the count is infinite
+    assert main(base + ["--dt", "5e-324", "--tmax", "50"]) == 2
+    assert "t_max / dt overflows" in capsys.readouterr().err
+    assert reached == []
+    # exactly 2^24 steps is allowed
+    main(base + ["--dt", str(2**-20), "--tmax", "16"])
+    assert reached == [1 << 24]
 
 
 def test_simulate_rejects_zero_length_move(capsys):

@@ -48,7 +48,7 @@ from umbralwalk.polynomials import (
     hop_bernoulli,
     hop_euler,
 )
-from umbralwalk.loopcalc import Walk, decomposition_residual
+from umbralwalk.loopcalc import LevelSystem, Walk, decomposition_residual
 from umbralwalk.series import Kernel, PowerSeries, ps_div
 from umbralwalk.umbral import umbral_moment
 
@@ -909,6 +909,67 @@ def test_ground_truth_memo_computes_each_system_once(monkeypatch):
         (Walk.REFLECTED_1D, (0, 1, 3)),
         (Walk.REFLECTED_1D, (0, 1, 2)),
     ]
+
+
+def test_repeated_verify_builds_no_level_system_after_the_first(monkeypatch):
+    # the memo is keyed by (walk, levels): a hit builds no LevelSystem
+    built = []
+    post_init = LevelSystem.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.walk)
+        post_init(self)
+
+    monkeypatch.setattr(LevelSystem, "__post_init__", counting_post_init)
+    identities._ground_truth_residual.cache_clear()
+    try:
+        for n in range(4):
+            verify(IdentityId.N3_UNIFORM, IdentityParams(n=n))
+        assert built == [Walk.BESSEL_3D]
+        for _ in range(3):
+            for n in range(4):
+                assert verify(
+                    IdentityId.N3_UNIFORM, IdentityParams(n=n)
+                ).status is Status.VERIFIED
+            # another identity resting on the same system
+            verify(IdentityId.EVEN_BERNOULLI, IdentityParams(m=2))
+        assert built == [Walk.BESSEL_3D]
+    finally:
+        identities._ground_truth_residual.cache_clear()
+
+
+# rationals around the float range, where float(lhs - S/den) starts to
+# overflow: a 53-bit mantissa times 2^e, over a small denominator
+_NEAR_FLOAT_MAX = st.builds(
+    lambda m, e: m << e,
+    st.integers(-(2**54), 2**54),
+    st.integers(960, 1030),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lhs_num=st.one_of(st.integers(-(10**30), 10**30), _NEAR_FLOAT_MAX),
+    lhs_den=st.integers(1, 10**6),
+    S=st.one_of(st.integers(-(10**30), 10**30), _NEAR_FLOAT_MAX),
+    den=st.integers(1, 10**6),
+)
+# the largest float, and the halfway point above it, which rounds to inf
+@example(lhs_num=2**1024 - 2**971, lhs_den=1, S=0, den=1)
+@example(lhs_num=2**1024 - 2**970, lhs_den=1, S=0, den=1)
+@example(lhs_num=2**1024 - 2**970 - 1, lhs_den=1, S=0, den=1)
+@example(lhs_num=2**1025, lhs_den=2, S=-(2**1023), den=1)
+@example(lhs_num=2**1030, lhs_den=1, S=2**1030 - 1, den=1)
+@example(lhs_num=1, lhs_den=3, S=2, den=6)
+def test_integer_residual_equals_the_fraction_residual(lhs_num, lhs_den, S, den):
+    lhs = F(lhs_num, lhs_den)
+    try:
+        want = abs(float(lhs - F(S, den)))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            identities._residual(lhs, S, den)
+    else:
+        assert identities._residual(lhs, S, den) == want
 
 
 def test_ground_truth_memo_is_bounded():

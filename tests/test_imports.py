@@ -8,6 +8,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import umbralwalk
 
 _NUMERIC = """
@@ -61,6 +63,7 @@ def test_quadrature_loads_numpy_on_first_use():
     """)
 
 
+@pytest.mark.slow
 def test_simulation_loads_scipy_before_its_pool_forks():
     _run_python("""
         from umbralwalk import montecarlo as mc

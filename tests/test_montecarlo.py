@@ -198,6 +198,24 @@ def test_config_validation():
                                  z=0.5))
 
 
+@pytest.mark.parametrize("dt,t_max", [(10.0, 1.0), (1e-3, 5e-4)])
+def test_config_rejects_a_horizon_shorter_than_one_step(dt, t_max):
+    # zero steps would censor every path and compare nothing
+    with pytest.raises(ConfigError, match="shorter than one step"):
+        WalkConfig(walk=Walk.REFLECTED_1D, start=0.0, target=1.0, z=0.5,
+                   dt=dt, t_max=t_max)
+    # a horizon of exactly one step is a run of one step
+    WalkConfig(walk=Walk.REFLECTED_1D, start=0.0, target=1.0, z=0.5,
+               dt=dt, t_max=dt)
+
+
+def test_config_rejects_a_step_count_beyond_the_float_range():
+    # 50 / 5e-324 is inf, whose floor the stepper cannot take
+    with pytest.raises(ConfigError, match="t_max / dt overflows"):
+        WalkConfig(walk=Walk.REFLECTED_1D, start=0.0, target=1.0, z=0.5,
+                   dt=5e-324, t_max=50.0)
+
+
 @pytest.mark.parametrize("walk", list(Walk))
 @pytest.mark.parametrize("level", [0.0, 1.5])
 def test_config_rejects_zero_length_moves(walk, level):
@@ -211,6 +229,30 @@ def test_config_rejects_non_finite_inputs(field, bad):
     kw = dict(walk=Walk.REFLECTED_1D, start=1.0, target=2.0, z=0.5, taboo=0.0)
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         WalkConfig(**{**kw, field: bad})
+
+
+# --- the estimate's fold ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("paths", [1, 64, 20_000])
+def test_sample_without_spread_reports_its_value_and_no_error(paths):
+    # every path censored at a horizon of 10 steps: one value, no spread,
+    # where the summed fold left rounding noise as a stderr
+    cfg = WalkConfig(walk=Walk.REFLECTED_1D, start=0.0, target=5.0, z=0.5,
+                     dt=1e-3, paths=paths, seed=3, t_max=0.01)
+    est = simulate_hit(cfg)
+    assert est.n_censored == paths
+    assert est.mean == math.exp(-0.5 * 0.01)
+    assert est.stderr == 0.0
+
+
+def test_sample_with_spread_keeps_the_summed_fold():
+    cfg = small_cfg(walk=Walk.REFLECTED_1D, start=1.0, target=2.0, z=0.5,
+                    taboo=0.0, paths=1500)
+    contrib, _, _ = _simulate_chunk(cfg, 0, cfg.paths)
+    est = _simulate(cfg)
+    assert est.mean == float(contrib.sum() / cfg.paths)
+    assert est.stderr == float(contrib.std(ddof=1) / math.sqrt(cfg.paths))
 
 
 # --- determinism contract ----------------------------------------------------------
