@@ -44,8 +44,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd, isfinite, lcm
-from typing import Callable, Iterator
+from math import comb, cos, gcd, isfinite, lcm, log, pi
+from typing import Callable, Iterator, NamedTuple
 
 from .loopcalc import (
     LevelSystem, PhiMove, Walk, decomposition_residual, direct_mgf, phi
@@ -66,7 +66,23 @@ from .umbral import Family, UmbralExpr, moment_rows, umbral_moment
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
-_Weights = tuple[int, int, Iterator[int]]
+
+
+class _Weights(NamedTuple):
+    """The weights of a right side: weight k is numerators[k] / (C b^k).
+
+    Every weight off the lattice k = phase (mod stride) is 0, with stride
+    1 or 2 and 0 <= phase < stride, and the weights shrink like decay^k:
+    decay is one over the smallest modulus of a pole of their generating
+    function.
+    """
+
+    C: int
+    b: int
+    numerators: Iterator[int]
+    decay: float
+    stride: int = 1
+    phase: int = 0
 
 
 class IdentityId(str, Enum):
@@ -132,7 +148,14 @@ class TruncationPolicy:
     a single nonzero magnitude (as the Chebyshev sums give at a short
     `stable_run`, their weights vanishing at every other index) takes r
     from it and the last nonzero magnitude before it, and keeps the sum
-    going if there is none.
+    going if there is none. A stop on such an estimate also waits for
+    the peak gate: term k is a weight of decay rate rho times a value of
+    degree d in k, whose envelope k^d rho^k peaks at k = d / ln(1/rho),
+    and before that k a window of small terms may be a dip between larger
+    ones, not the tail, so the sum goes on. rho is the weights' `decay`:
+    |r| for geometric weights c r^k, cos(pi / 2N) for the Chebyshev ones.
+    This is a heuristic, not a bound; the zero-window stop on an exact
+    partial sum is not gated.
     """
 
     tol: float = 1e-12
@@ -296,7 +319,8 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # their common denominator D and gives term k as an integer t_k over
 # den_k = C D b^k. It yields (t_k, m_k) with den_k = m_0 m_1 ... m_k, so a
 # partial sum S / den takes term k as (S m_k + t_k) / (den m_k); past the
-# head m_k = b.
+# head m_k = b. Where the weights vanish at every other index (stride 2),
+# it steps the differences on the lattice of the nonzero ones only.
 #
 # A block-level right side is given by a loop table: per block its family,
 # coefficient and orders, and the constant, each as a vector whose dot
@@ -518,7 +542,18 @@ def _geometric(c: Fraction, r: Fraction) -> _Weights:
     numerators = itertools.accumulate(
         itertools.repeat(r.numerator), operator.mul, initial=c.numerator
     )
-    return c.denominator, r.denominator, numerators
+    return _Weights(c.denominator, r.denominator, numerators, abs(float(r)))
+
+
+def _chebyshev_weights(params: IdentityParams) -> _Weights:
+    """The reciprocal-Chebyshev weights p_l of 1/T_N(1/t), as integers.
+
+    They vanish whenever l - N is odd, and decay like cos(pi / 2N)^l,
+    since the largest root of T_N is cos(pi / 2N).
+    """
+    N = params.cheb_index
+    q0, numerators = chebyshev_recip_weight_numerators(N)
+    return _Weights(1, q0, numerators, cos(pi / (2 * N)), 2, N % 2)
 
 
 def _three_sites_weights(params: IdentityParams) -> _Weights:
@@ -576,9 +611,10 @@ def _even_bernoulli_weights(params: IdentityParams) -> _Weights:
 class _Spec:
     """One identity: catalog text, left side, right side, ground truth.
 
-    Term k of the right side is u_k / (C b^k) * value(k) with
-    (C, b, u) = weights(params) and value = values(params), of degree
-    <= degree(params) in k and given as an integer pair (num, den).
+    Term k of the right side is u_k / (C b^k) * value(k) with C, b and
+    u the first fields of weights(params) (see `_Weights`) and value =
+    values(params), of degree <= degree(params) in k and given as an
+    integer pair (num, den).
     An instance needs `level_count` levels and, by `positive_field`, an
     integer field >= 1 (and the phrase naming it in the error).
     """
@@ -620,7 +656,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         "polynomials with reciprocal-Chebyshev weights",
         "Euler polynomials via N-site transition weights",
         lambda p: _euler_at(p.n, p.x),
-        lambda p: (1, *chebyshev_recip_weight_numerators(p.cheb_index)),
+        _chebyshev_weights,
         _hop(lambda p: (
             hop_euler, p.n, (0, 1),
             (p.cheb_index * p.x - Fraction(p.cheb_index, 2), _HALF),
@@ -718,7 +754,7 @@ _SPECS: dict[IdentityId, _Spec] = {
 
 
 def _term_numerators(
-    spec: _Spec, params: IdentityParams
+    spec: _Spec, params: IdentityParams, weights: _Weights
 ) -> Iterator[tuple[int, int]]:
     """Term k = 0, 1, 2, ... of a right side as integers (t_k, m_k).
 
@@ -730,15 +766,20 @@ def _term_numerators(
     growth m_k alone). Later values continue through a backward-difference
     table of integer numerators over the common denominator D of all d + 1
     values: the first later term takes m = b D / D_d, every one after it
-    m = b.
+    m = b. For weights of stride 2 the unit-step table runs on past the
+    head to the (d + 1)-th lattice index, its lattice values taken by
+    index parity; from there a table of step 2 on the lattice takes over.
+    Each later lattice index advances it once, and each index between two
+    lattice indices gives t = 0 without touching it (and raises
+    ValueError if its weight is not 0).
     """
     d = spec.degree(params)
-    C, b, weights = spec.weights(params)
+    C, b, numerators, _, stride, phase = weights
     value = spec.values(params)
     m, D = C, 1
     head: list[tuple[int, int] | None] = []
     for k in range(d + 1):
-        u = next(weights)
+        u = next(numerators)
         if u:
             num, den = v = value(k)
             grow = den // gcd(D, den)  # D grows to lcm(D, den)
@@ -752,21 +793,56 @@ def _term_numerators(
     head = [value(k) if v is None else v for k, v in enumerate(head)]
     D_all = lcm(*(den for _, den in head))
     row = [num * (D_all // den) for num, den in head]
-    diffs = []  # top-first: diffs[-1 - j] is the j-th backward difference
-    for _ in range(d + 1):
+    diffs = _difference_table(row)
+    m = b * (D_all // D)
+    advance = _advance
+    if stride == 1:
+        for u in numerators:
+            diffs = advance(diffs)
+            yield u * diffs[-1], m
+            m = b
+        return
+    # stride 2: the unit-step table runs on to the (d + 1)-th lattice index
+    lattice = row[phase::2]
+    k = d
+    while len(lattice) <= d:
+        k += 1
+        diffs = advance(diffs)
+        if (k - phase) % 2 == 0:
+            lattice.append(diffs[-1])
+        yield next(numerators) * diffs[-1], m
+        m = b
+    # k is a lattice index, so the weights now come in (off, on) pairs
+    diffs = _difference_table(lattice)
+    for u_off, u in zip(numerators, numerators):
+        if u_off:
+            raise ValueError(f"a stride-2 weight off its lattice is {u_off}")
+        yield 0, m
+        diffs = advance(diffs)
+        yield u * diffs[-1], b
+        m = b
+
+
+def _difference_table(row: list[int]) -> list[int]:
+    """The backward differences of equally spaced values at the last one,
+    top-first: entry -1 - j is the j-th."""
+    diffs = []
+    for _ in range(len(row)):
         diffs.insert(0, row[-1])
         row = [hi - lo for lo, hi in zip(row, row[1:])]
-    m = b * (D_all // D)
-    for u in weights:
-        diffs = list(itertools.accumulate(diffs))
-        yield u * diffs[-1], m
-        m = b
+    return diffs
+
+
+def _advance(diffs: list[int]) -> list[int]:
+    """The backward differences one step on, top-first (see
+    `_difference_table`): a prefix sum."""
+    return list(itertools.accumulate(diffs))
 
 
 def _terms(spec: _Spec, params: IdentityParams) -> Iterator[tuple[int, int]]:
     """Term k = 0, 1, 2, ... of a right side as (t_k, den_k)."""
     den = 1
-    for t, m in _term_numerators(spec, params):
+    for t, m in _term_numerators(spec, params, spec.weights(params)):
         den *= m
         yield t, den
 
@@ -774,7 +850,8 @@ def _terms(spec: _Spec, params: IdentityParams) -> Iterator[tuple[int, int]]:
 def _partial(spec: _Spec, params: IdentityParams, K: int) -> Fraction:
     """Exact sum of the terms k = 0..K of a spec's right side."""
     S, den = 0, 1
-    for t, m in itertools.islice(_term_numerators(spec, params), K + 1):
+    terms = _term_numerators(spec, params, spec.weights(params))
+    for t, m in itertools.islice(terms, K + 1):
         S, den = S * m + t, den * m
     return Fraction(S, den)
 
@@ -915,9 +992,10 @@ def _sum_to_tolerance(
     `last_nz` are the last two nonzero magnitudes (0.0 while fewer were
     seen), whose ratio a window with one nonzero magnitude reads. A
     window of zero magnitudes compares the partial sum with the left
-    side exactly. The residual is taken on the integers too (`_residual`).
-    Raises OverflowError when a magnitude it compares or the residual
-    exceeds the float range.
+    side exactly. Any other stop waits for the peak k = d / ln(1/decay)
+    of the terms' envelope k^d decay^k. The residual is taken on the
+    integers too (`_residual`). Raises OverflowError when a magnitude it
+    compares or the residual exceeds the float range.
     """
     spec = _SPECS[identity]
     threshold = policy.tol * max(1.0, abs(float(lhs)))
@@ -929,7 +1007,10 @@ def _sum_to_tolerance(
     prev_nz = last_nz = 0.0
     converged = False
     K = -1
-    terms = _term_numerators(spec, params)
+    weights = spec.weights(params)
+    # before the envelope's peak, small terms may be a dip, not the tail
+    peak = spec.degree(params) / -log(weights.decay)
+    terms = _term_numerators(spec, params, weights)
     for k, (t, m) in zip(range(policy.k_max + 1), terms):
         S, den = S * m + t, den * m
         K = k
@@ -947,6 +1028,8 @@ def _sum_to_tolerance(
             if S * lhs.denominator == lhs.numerator * den:
                 converged = True
                 break
+            continue
+        if k < peak:
             continue
         if len(nonzero) == 1:
             # its magnitude is last_nz; the ratio reaches back past the window

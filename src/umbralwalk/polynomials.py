@@ -199,22 +199,27 @@ def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
 
       P_l = [l = N] q0^(N-1) - sum_{j=1..N} Q_j q0^(j-1) P_{l-j}.
 
-    The stream yields N zeros and q0^(N-1), then one dot product of the
-    N multipliers with the last N numerators per weight.
+    T_N has the parity of N, so Q is even: Q_j = 0 at odd j, and P_l = 0
+    whenever l - N is odd. The recurrence therefore runs over the even
+    taps Q_2, Q_4, ... and the lattice l = N, N + 2, ... only. The stream
+    yields N zeros and q0^(N-1), then per lattice step an off-parity 0
+    and one dot product of the N // 2 even-tap multipliers with the last
+    N // 2 lattice numerators.
     """
     if N < 1:
         raise ValueError(f"Chebyshev index must be >= 1, got {N}")
     T = chebyshev_polynomial(N).nums
     # Q coefficient of t^j is the x^(N-j) coefficient of T_N
     q0 = T[N]
-    q = [T[N - j] * q0 ** (j - 1) for j in range(1, N + 1)]
+    q = [T[N - j] * q0 ** (j - 1) for j in range(2, N + 1, 2)]
 
     def numerators() -> Iterator[int]:
         yield from itertools.repeat(0, N)
         P = q0 ** (N - 1)
         yield P
-        recent = deque([P, *itertools.repeat(0, N - 1)], maxlen=N)
-        while True:  # recent holds P_{l-1}, ..., P_{l-N}
+        recent = deque([P, *itertools.repeat(0, len(q) - 1)], maxlen=len(q))
+        while True:  # recent holds P_{l-2}, P_{l-4}, ..., P_{l-2 len(q)}
+            yield 0
             P = -sum(map(operator.mul, q, recent))
             recent.appendleft(P)
             yield P

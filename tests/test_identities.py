@@ -4,8 +4,10 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 
@@ -355,11 +357,41 @@ def test_verify_stopping_before_degree_computes_only_reached_terms(
 # --- verify against a Fraction-only reference ---------------------------------------
 
 
+def _reference_decay(identity, params):
+    """The rate at which the weights of `_reference_term` shrink."""
+    if identity is IdentityId.EULER_CHEB:
+        # the largest root of T_N
+        return math.cos(math.pi / (2 * params.cheb_index))
+    if identity in (
+        IdentityId.THREE_SITES_1D_STATED,
+        IdentityId.THREE_SITES_1D_CORRECTED,
+    ):
+        a1, a2 = params.levels
+        return float(1 - a1 / a2)
+    if identity is IdentityId.FOUR_GENERAL_1D:
+        # sum over l of C(k, l) alpha^l beta^(k-l): (alpha + beta)^k
+        a1, a2, a3 = params.levels
+        return float((a2 - a1) / a2 + a1 * (a3 - a2) / (a2 * (a3 - a1)))
+    if identity is IdentityId.N3_GENERAL:
+        a1, a2, a3 = params.levels
+        return float((a3 - a2) * a1 / ((a3 - a1) * a2))
+    return {
+        IdentityId.FOUR_UNIFORM_1D: 0.75,
+        IdentityId.N3_UNIFORM: 0.25,
+        IdentityId.EVEN_BERNOULLI: 0.25,
+        IdentityId.N4_UNIFORM_STATED: 0.5,
+        IdentityId.N4_UNIFORM_CORRECTED: 0.5,
+    }[identity]
+
+
 def _reference_verify(identity, params, policy=TruncationPolicy()):
     """`verify`'s stopping rule over `_reference_term`, on Fractions only."""
     params = normalize_params(identity, params)
     lhs = eval_lhs(identity, params)
     threshold = policy.tol * max(1.0, abs(float(lhs)))
+    # a stop on a tail estimate waits for the peak of the envelope k^d rho^k
+    d = 2 * params.m - 1 if identity is IdentityId.EVEN_BERNOULLI else params.n
+    peak = d / math.log(1 / _reference_decay(identity, params))
     partial, mags, converged, K = F(0), [], False, -1
     for k in range(policy.k_max + 1):
         term = _reference_term(identity, params, k)
@@ -377,6 +409,8 @@ def _reference_verify(identity, params, policy=TruncationPolicy()):
             converged = partial == lhs
             if converged:
                 break
+            continue
+        if k < peak:
             continue
         if len(nonzero) == 1:
             # a lone magnitude pairs with the nonzero one before the window
@@ -411,6 +445,10 @@ _VERIFY_CASES = [
      None, Status.VERIFIED),
     (IdentityId.EULER_CHEB, IdentityParams(n=2, x=F(-1, 3), cheb_index=2),
      None, Status.VERIFIED),
+    # a tail estimate would stop the sum at K_used 88, but it waits for
+    # the envelope's peak 31 / ln(1/cos(pi/4)) = 89.4 and stops at 90
+    (IdentityId.EULER_CHEB, IdentityParams(n=31, x=F(0), cheb_index=2),
+     TruncationPolicy(tol=1e-3), Status.VERIFIED),
     # the weights decay too slowly against the degree-20 values
     (IdentityId.EULER_CHEB, IdentityParams(n=20, x=F(0), cheb_index=3),
      None, Status.NOT_CONVERGED),
@@ -514,6 +552,89 @@ def test_chebyshev_windows_with_one_nonzero_magnitude_still_converge(
     assert report == _reference_verify(IdentityId.EULER_CHEB, params, policy)
     assert report.status is Status.VERIFIED
     assert report.K_used == K_used
+
+
+# Each identity holds, but a window of small terms sits in a dip before
+# the peak d / ln(1/rho) of the terms' envelope k^d rho^k (382 at N = 3,
+# n = 55): there the window at k = 28..31 reads [0, 2.2e33, 0, 1.2e33],
+# the terms then grow to 2e39, and a tail estimate stopped the sum at
+# K_used 31 and reported RESIDUAL_NONZERO.
+_LOCAL_DIP_CASES = (
+    [(3, n, x) for n in (55, 57, 59) for x in (F(0), F(1))]
+    + [(4, n, x) for n in (57, 59) for x in (F(0), F(1))]
+    + [(5, 40, F(1, 3)), (6, 40, F(1, 3))]
+)
+
+
+@pytest.mark.parametrize("N, n, x", _LOCAL_DIP_CASES)
+def test_verify_does_not_stop_on_a_local_dip(N, n, x):
+    params = IdentityParams(n=n, x=x, cheb_index=N)
+    report = verify(IdentityId.EULER_CHEB, params)
+    assert report.status is Status.NOT_CONVERGED
+    assert report == _reference_verify(IdentityId.EULER_CHEB, params)
+
+
+# --- the Chebyshev terms on their lattice ---------------------------------------------
+
+_LATTICE_CASES = [
+    IdentityParams(n=n, x=x, cheb_index=N)
+    for N in range(1, 7) for n in (0, 1, 7, 20, 40) for x in (F(0), F(1, 3), F(1))
+]
+
+
+@pytest.mark.parametrize(
+    "params", _LATTICE_CASES,
+    ids=lambda p: f"N{p.cheb_index}-n{p.n}-x{p.x.numerator}_{p.x.denominator}",
+)
+def test_lattice_terms_equal_direct_formulas(params):
+    # the step-2 table takes over at k = N % 2 + 2n <= 81, well inside 400
+    count = 400
+    identity = IdentityId.EULER_CHEB
+    reference = [_reference_term(identity, params, k) for k in range(count)]
+    assert list(itertools.islice(rhs_terms(identity, params), count)) == reference
+    assert eval_rhs_partial(identity, params, count - 1) == sum(reference)
+    assert term_magnitudes(identity, params, 0, count - 1) == [
+        abs(float(t)) for t in reference
+    ]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_stride_two_stream_advances_once_per_lattice_step(monkeypatch, N):
+    calls = []
+    advance = identities._advance
+
+    def counting_advance(diffs):
+        calls.append(len(diffs))
+        return advance(diffs)
+
+    monkeypatch.setattr(identities, "_advance", counting_advance)
+    n, count = 7, 200
+    params = IdentityParams(n=n, x=F(1, 3), cheb_index=N)
+    list(itertools.islice(rhs_terms(IdentityId.EULER_CHEB, params), count))
+    # the unit-step table runs past the head to the (n + 1)-th lattice
+    # index L; after L only the lattice indices advance the step-2 table
+    L = N % 2 + 2 * n
+    assert calls == [n + 1] * ((L - n) + (count - 1 - L) // 2)
+    # a stride-1 stream advances at every index past the head
+    calls.clear()
+    params = IdentityParams(n=n, x=F(1, 3))
+    list(itertools.islice(rhs_terms(IdentityId.FOUR_UNIFORM_1D, params), count))
+    assert calls == [n + 1] * (count - 1 - n)
+
+
+def test_nonzero_weight_off_the_lattice_raises():
+    # geometric weights, none of them 0, declared to vanish at odd indices
+    spec = replace(
+        identities._SPECS[IdentityId.FOUR_UNIFORM_1D],
+        weights=lambda p: identities._geometric(F(1, 4), F(3, 4))._replace(stride=2),
+    )
+    params = IdentityParams(n=2, x=F(1, 3))
+    terms = identities._term_numerators(spec, params, spec.weights(params))
+    # the unit-step table serves k <= 4, the third lattice index; k = 5 is
+    # the first index the lattice table skips
+    assert len(list(itertools.islice(terms, 5))) == 5
+    with pytest.raises(ValueError, match="off its lattice is 243"):
+        next(terms)
 
 
 def _printed_four_general_partial(K):
@@ -881,6 +1002,14 @@ def test_variant_and_ground_truth_system_per_identity(identity):
     assert report.to_json()["variant"] == variant
     got = ground_truth_system(identity, params)
     assert (got.walk, got.levels) == system
+
+
+@pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.value)
+def test_weights_record_states_stride_and_decay(identity):
+    params = normalize_params(identity, _SPEC_FACTS[identity][0])
+    weights = identities._SPECS[identity].weights(params)
+    assert weights.decay == _reference_decay(identity, params)
+    assert weights.stride == (2 if identity is IdentityId.EULER_CHEB else 1)
 
 
 def test_ground_truth_memo_computes_each_system_once(monkeypatch):

@@ -177,7 +177,7 @@ def _fraction_recurrence_weights(N, count):
     return out
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 7])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_integer_weight_recurrence_equals_fraction_recurrence(N):
     reference = _fraction_recurrence_weights(N, 300)
     assert chebyshev_recip_weights(N, 300) == reference
@@ -186,6 +186,15 @@ def test_integer_weight_recurrence_equals_fraction_recurrence(N):
     P = list(itertools.islice(numerators, 300))
     assert all(type(v) is int for v in P)
     assert [F(v, q0**l) for l, v in enumerate(P)] == reference
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_weights_vanish_off_the_parity_of_N(N):
+    # T_N has the parity of N, so t^N / Q(t) with Q(t) = t^N T_N(1/t) is
+    # t^N times an even series
+    _, numerators = chebyshev_recip_weight_numerators(N)
+    P = list(itertools.islice(numerators, 300))
+    assert all(v == 0 for l, v in enumerate(P) if (l - N) % 2)
 
 
 def test_weights_domain_errors():
