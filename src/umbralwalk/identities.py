@@ -765,13 +765,15 @@ def _term_numerators(
     is reached; a zero weight puts off its value (its term is 0 over the
     growth m_k alone). Later values continue through a backward-difference
     table of integer numerators over the common denominator D of all d + 1
-    values: the first later term takes m = b D / D_d, every one after it
-    m = b. For weights of stride 2 the unit-step table runs on past the
+    values (see `_values_after`): the first later term takes m = b D / D_d,
+    every one after it m = b. Past the head a stride-1 right side is one
+    chain of C iterators, passed on by `yield from` with no loop body per
+    term. For weights of stride 2 the unit-step table runs on past the
     head to the (d + 1)-th lattice index, its lattice values taken by
-    index parity; from there a table of step 2 on the lattice takes over.
-    Each later lattice index advances it once, and each index between two
-    lattice indices gives t = 0 without touching it (and raises
-    ValueError if its weight is not 0).
+    index parity; from there a table of step 2 on the lattice takes
+    over, drawn the same way. Each later lattice index draws one value
+    from it, and each index between two lattice indices gives t = 0
+    without drawing one (and raises ValueError if its weight is not 0).
     """
     d = spec.degree(params)
     C, b, numerators, _, stride, phase = weights
@@ -793,33 +795,31 @@ def _term_numerators(
     head = [value(k) if v is None else v for k, v in enumerate(head)]
     D_all = lcm(*(den for _, den in head))
     row = [num * (D_all // den) for num, den in head]
-    diffs = _difference_table(row)
+    values = _values_after(_difference_table(row))
     m = b * (D_all // D)
-    advance = _advance
     if stride == 1:
-        for u in numerators:
-            diffs = advance(diffs)
-            yield u * diffs[-1], m
-            m = b
+        yield from zip(
+            map(operator.mul, numerators, values),
+            itertools.chain((m,), itertools.repeat(b)),
+        )
         return
     # stride 2: the unit-step table runs on to the (d + 1)-th lattice index
     lattice = row[phase::2]
     k = d
     while len(lattice) <= d:
         k += 1
-        diffs = advance(diffs)
+        v = next(values)
         if (k - phase) % 2 == 0:
-            lattice.append(diffs[-1])
-        yield next(numerators) * diffs[-1], m
+            lattice.append(v)
+        yield next(numerators) * v, m
         m = b
     # k is a lattice index, so the weights now come in (off, on) pairs
-    diffs = _difference_table(lattice)
+    values = _values_after(_difference_table(lattice))
     for u_off, u in zip(numerators, numerators):
         if u_off:
             raise ValueError(f"a stride-2 weight off its lattice is {u_off}")
         yield 0, m
-        diffs = advance(diffs)
-        yield u * diffs[-1], b
+        yield u * next(values), b
         m = b
 
 
@@ -833,10 +833,19 @@ def _difference_table(row: list[int]) -> list[int]:
     return diffs
 
 
-def _advance(diffs: list[int]) -> list[int]:
-    """The backward differences one step on, top-first (see
-    `_difference_table`): a prefix sum."""
-    return list(itertools.accumulate(diffs))
+def _values_after(diffs: list[int]) -> Iterator[int]:
+    """The values after the last one of a difference table (see
+    `_difference_table`), unending.
+
+    Each difference of order j - 1 is the running sum of the one of order
+    j, so the values are d nested `itertools.accumulate` sums over the
+    constant d-th difference: one C-level addition per order and value.
+    """
+    values = itertools.repeat(diffs[0])
+    for start in diffs[1:]:
+        values = itertools.accumulate(values, initial=start)
+        next(values)  # start itself, the difference at the last value
+    return values
 
 
 def _terms(spec: _Spec, params: IdentityParams) -> Iterator[tuple[int, int]]:
@@ -983,9 +992,11 @@ def _sum_to_tolerance(
 ) -> IdentityReport:
     """The summation and tail control of `verify`, in double precision.
 
-    The partial sum stays one integer S over den and takes each term
-    (t, m) of `_term_numerators` as S m + t over den m, with no division;
-    a zero term's magnitude needs no integer division either.
+    The partial sum stays one integer S over den and takes each nonzero
+    term (t, m) of `_term_numerators` as S m + t over den m, with no
+    division. A zero term only multiplies the pending growth `grow` by
+    its m, which S and den take at the next nonzero term and at the stop,
+    so every magnitude is still over the term's true den_k.
     Each term costs one comparison: `run` counts the consecutive term
     magnitudes below threshold, and `window` keeps the last `stable_run`
     of them, read only once the run is long enough; `prev_nz` and
@@ -999,7 +1010,8 @@ def _sum_to_tolerance(
     """
     spec = _SPECS[identity]
     threshold = policy.tol * max(1.0, abs(float(lhs)))
-    S, den = 0, 1  # the partial sum is S / den
+    S, den = 0, 1  # the partial sum is S / den; den_k is den grow
+    grow = 1
     stable_run = policy.stable_run
     window: deque[float] = deque(maxlen=stable_run)
     append = window.append
@@ -1012,13 +1024,18 @@ def _sum_to_tolerance(
     peak = spec.degree(params) / -log(weights.decay)
     terms = _term_numerators(spec, params, weights)
     for k, (t, m) in zip(range(policy.k_max + 1), terms):
-        S, den = S * m + t, den * m
         K = k
-        # int true division rounds correctly, as float(Fraction(t, den))
-        mag = abs(t) / den if t else 0.0
-        append(mag)
-        if mag:
+        if t:
+            m *= grow
+            grow = 1
+            S, den = S * m + t, den * m
+            # int true division rounds correctly, as float(Fraction(t, den))
+            mag = abs(t) / den
             prev_nz, last_nz = last_nz, mag
+        else:
+            grow *= m
+            mag = 0.0
+        append(mag)
         run = run + 1 if mag < threshold else 0
         if run < stable_run:
             continue
@@ -1044,6 +1061,7 @@ def _sum_to_tolerance(
         if nonzero[-1] * ratio / (1.0 - ratio) < threshold:
             converged = True
             break
+    S, den = S * grow, den * grow
     residual = _residual(lhs, S, den)
     if converged:
         status = Status.VERIFIED if residual < threshold else Status.RESIDUAL_NONZERO

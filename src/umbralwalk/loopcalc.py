@@ -3,7 +3,9 @@
 Levels 0 = a_0 < a_1 < ... < a_N are sites on the half-line (reflected
 Brownian motion) or concentric sphere radii (Bessel(3) process). All
 generating functions are exact series in w, where w^2 = 2z for the
-Laplace variable z.
+Laplace variable z. Each is even in w, so it is computed as a series in
+u = w^2 with (order + 1) // 2 coefficients and spread back into w only
+when returned: the odd coefficients, all 0, are never computed.
 
 Closed forms, with levels a < b < c:
 
@@ -31,7 +33,7 @@ avoiding i+1): every excursion below a_i is a step down followed by a
 first passage back up. The transform is H_0 H_1 ... H_{N-1}, for any
 number of levels and both walks (the Bessel walk's down_1 is the zero
 series). `decomposition_residual` certifies it against the free move
-0 -> a_N, coefficient by coefficient, and must be exactly zero.
+0 -> a_N, coefficient by coefficient in u, and must be exactly zero.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .series import (
     ExactScalar,
     Kernel,
     PowerSeries,
+    _new,
     as_scalar,
     kernel,
     ps_div,
@@ -96,17 +99,37 @@ class PhiMove:
     taboo_level: int | None = None
 
 
+def _even(series: PowerSeries) -> PowerSeries:
+    """An even series in w as the series in u = w^2 of its even coefficients.
+
+    The odd numerators are 0, so the denominator stays the normal one.
+    """
+    return _new(series.nums[::2], series.den, "u")
+
+
+def _in_w(series: PowerSeries, order: int) -> PowerSeries:
+    """A series in u = w^2 spread back into w, with `order` coefficients."""
+    nums = [0] * order
+    nums[::2] = series.nums
+    return _new(tuple(nums), series.den, "w")
+
+
 def _sinh_ratio(num_arg: Fraction, den_arg: Fraction, order: int) -> PowerSeries:
-    """sinh(num_arg w)/sinh(den_arg w) for 0 < num_arg < den_arg."""
+    """sinh(num_arg w)/sinh(den_arg w) in u, for 0 < num_arg < den_arg."""
     ratio = ps_div(
-        kernel(Kernel.SINH_OVER_ARG, num_arg, order, "w"),
-        kernel(Kernel.SINH_OVER_ARG, den_arg, order, "w"),
+        _even(kernel(Kernel.SINH_OVER_ARG, num_arg, order, "w")),
+        _even(kernel(Kernel.SINH_OVER_ARG, den_arg, order, "w")),
     )
     return ratio.scale(num_arg / den_arg)
 
 
 def phi(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
     """Exact series in w of the move's hitting-time transform."""
+    return _in_w(_phi(system, move, order), order)
+
+
+def _phi(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
+    """`phi` in u = w^2, with (order + 1) // 2 coefficients."""
     levels = system.levels
     f, t, tb = move.from_level, move.to_level, move.taboo_level
     top = system.top_index
@@ -118,15 +141,14 @@ def phi(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
     if tb is None:
         if t < f:
             raise InvalidMoveError("downward moves require a taboo level")
-        if system.walk is Walk.REFLECTED_1D:
-            return ps_div(
-                kernel(Kernel.COSH, levels[f], order, "w"),
-                kernel(Kernel.COSH, levels[t], order, "w"),
-            )
         # (b/a) sinh(a w)/sinh(b w) == shifted-sinh ratio, exact at a = 0 too
+        if system.walk is Walk.REFLECTED_1D:
+            kind = Kernel.COSH
+        else:
+            kind = Kernel.SINH_OVER_ARG
         return ps_div(
-            kernel(Kernel.SINH_OVER_ARG, levels[f], order, "w"),
-            kernel(Kernel.SINH_OVER_ARG, levels[t], order, "w"),
+            _even(kernel(kind, levels[f], order, "w")),
+            _even(kernel(kind, levels[t], order, "w")),
         )
     # taboo moves: the avoided site sits adjacent on the far side
     if t > f:
@@ -143,7 +165,7 @@ def phi(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
                 f"downward move {f}->{t} must avoid level {f + 1}, got {tb}"
             )
         if system.walk is Walk.BESSEL_3D and levels[t] == 0:
-            return PowerSeries.zero(order, "w")
+            return _even(PowerSeries.zero(order, "w"))
         ratio = _sinh_ratio(
             levels[tb] - levels[f], levels[tb] - levels[t], order
         )
@@ -154,11 +176,16 @@ def phi(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
 
 def chain_mgf(system: LevelSystem, order: int) -> PowerSeries:
     """0 -> a_N as the product of first passages H_i, by renewal."""
-    one = PowerSeries.one(order, "w")
-    passage = out = phi(system, PhiMove(0, 1), order)
+    return _in_w(_chain(system, order), order)
+
+
+def _chain(system: LevelSystem, order: int) -> PowerSeries:
+    """`chain_mgf` in u = w^2."""
+    passage = out = _phi(system, PhiMove(0, 1), order)
+    one = PowerSeries.one(out.order, "u")
     for i in range(1, system.top_index):
-        up = phi(system, PhiMove(i, i + 1, i - 1), order)
-        down = phi(system, PhiMove(i, i - 1, i + 1), order)
+        up = _phi(system, PhiMove(i, i + 1, i - 1), order)
+        down = _phi(system, PhiMove(i, i - 1, i + 1), order)
         passage = ps_div(up, one - ps_mul(down, passage))
         out = ps_mul(out, passage)
     return out
@@ -170,6 +197,11 @@ def direct_mgf(system: LevelSystem, order: int) -> PowerSeries:
 
 
 def decomposition_residual(system: LevelSystem, order: int) -> ExactScalar:
-    """Max |chain - direct| over all retained coefficients; exactly 0."""
-    delta = chain_mgf(system, order) - direct_mgf(system, order)
+    """Max |chain - direct| over all retained coefficients; exactly 0.
+
+    Compared in u = w^2, where the odd coefficients in w, all 0, are not
+    held.
+    """
+    direct = _phi(system, PhiMove(0, system.top_index), order)
+    delta = _chain(system, order) - direct
     return max((abs(c) for c in delta.coeffs), default=_ZERO)

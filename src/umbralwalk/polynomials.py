@@ -202,9 +202,11 @@ def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
     T_N has the parity of N, so Q is even: Q_j = 0 at odd j, and P_l = 0
     whenever l - N is odd. The recurrence therefore runs over the even
     taps Q_2, Q_4, ... and the lattice l = N, N + 2, ... only. The stream
-    yields N zeros and q0^(N-1), then per lattice step an off-parity 0
-    and one dot product of the N // 2 even-tap multipliers with the last
-    N // 2 lattice numerators.
+    is N zeros, then the lattice numerators from q0^(N-1) on, each
+    followed by an off-parity 0 from `itertools.repeat`; the generator of
+    the lattice numerators resumes once per lattice step, for one dot
+    product of the N // 2 even-tap multipliers with the last N // 2
+    lattice numerators.
     """
     if N < 1:
         raise ValueError(f"Chebyshev index must be >= 1, got {N}")
@@ -213,18 +215,19 @@ def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
     q0 = T[N]
     q = [T[N - j] * q0 ** (j - 1) for j in range(2, N + 1, 2)]
 
-    def numerators() -> Iterator[int]:
-        yield from itertools.repeat(0, N)
+    def lattice() -> Iterator[int]:
         P = q0 ** (N - 1)
         yield P
         recent = deque([P, *itertools.repeat(0, len(q) - 1)], maxlen=len(q))
         while True:  # recent holds P_{l-2}, P_{l-4}, ..., P_{l-2 len(q)}
-            yield 0
             P = -sum(map(operator.mul, q, recent))
             recent.appendleft(P)
             yield P
 
-    return q0, numerators()
+    interleaved = zip(lattice(), itertools.repeat(0))
+    return q0, itertools.chain(
+        itertools.repeat(0, N), itertools.chain.from_iterable(interleaved)
+    )
 
 
 def chebyshev_recip_weights(N: int, count: int) -> list[ExactScalar]:

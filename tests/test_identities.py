@@ -600,26 +600,33 @@ def test_lattice_terms_equal_direct_formulas(params):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_stride_two_stream_advances_once_per_lattice_step(monkeypatch, N):
-    calls = []
-    advance = identities._advance
+    # per value stream: the length of its difference table, values drawn
+    streams = []
+    values_after = identities._values_after
 
-    def counting_advance(diffs):
-        calls.append(len(diffs))
-        return advance(diffs)
+    def counting_values_after(diffs):
+        stream = [len(diffs), 0]
+        streams.append(stream)
 
-    monkeypatch.setattr(identities, "_advance", counting_advance)
+        def draw(v):
+            stream[1] += 1
+            return v
+
+        return map(draw, values_after(diffs))
+
+    monkeypatch.setattr(identities, "_values_after", counting_values_after)
     n, count = 7, 200
     params = IdentityParams(n=n, x=F(1, 3), cheb_index=N)
     list(itertools.islice(rhs_terms(IdentityId.EULER_CHEB, params), count))
     # the unit-step table runs past the head to the (n + 1)-th lattice
-    # index L; after L only the lattice indices advance the step-2 table
+    # index L; after L only the lattice indices draw from the step-2 table
     L = N % 2 + 2 * n
-    assert calls == [n + 1] * ((L - n) + (count - 1 - L) // 2)
-    # a stride-1 stream advances at every index past the head
-    calls.clear()
+    assert streams == [[n + 1, L - n], [n + 1, (count - 1 - L) // 2]]
+    # a stride-1 stream draws one value at every index past the head
+    streams.clear()
     params = IdentityParams(n=n, x=F(1, 3))
     list(itertools.islice(rhs_terms(IdentityId.FOUR_UNIFORM_1D, params), count))
-    assert calls == [n + 1] * (count - 1 - n)
+    assert streams == [[n + 1, count - 1 - n]]
 
 
 def test_nonzero_weight_off_the_lattice_raises():
@@ -635,6 +642,47 @@ def test_nonzero_weight_off_the_lattice_raises():
     assert len(list(itertools.islice(terms, 5))) == 5
     with pytest.raises(ValueError, match="off its lattice is 243"):
         next(terms)
+
+
+# A zero term only grows the pending denominator, which the partial sum
+# takes at the next nonzero term or at the stop. Each case stops, or is
+# cut off by k_max, on a zero term: off the Chebyshev lattice (its weight
+# is 0) or in FOUR_UNIFORM_1D's all-zero window at n = 7, x = 1/2.
+_ZERO_STOP_CASES = [
+    (IdentityId.EULER_CHEB, IdentityParams(n=n, x=x, cheb_index=N),
+     TruncationPolicy(tol, stable_run, k_max))
+    for N, n, x, tol, stable_run, k_max in (
+        # tail-estimate and exact stops on an off-lattice zero
+        (2, 2, F(0), 1e-12, 3, 400),
+        (2, 7, F(-1, 3), 1e-12, 3, 400),
+        (2, 1, F(1, 2), 1e-12, 4, 400),
+        (3, 2, F(2), 1e-6, 3, 400),
+        (3, 8, F(1, 2), 1e-6, 5, 400),
+        (3, 1, F(1, 2), 1e-12, 5, 400),
+        (3, 2, F(0), 1e-12, 3, 400),
+        # k_max cut-offs on an off-lattice zero, in the tail and the head
+        (2, 5, F(1, 3), 1e-12, 4, 41),
+        (3, 5, F(1, 3), 1e-12, 4, 40),
+        (3, 5, F(1, 3), 1e-12, 4, 1),
+    )
+] + [
+    (IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=7, x=F(1, 2)), policy)
+    for policy in (
+        TruncationPolicy(),
+        TruncationPolicy(stable_run=6, k_max=5),
+        TruncationPolicy(k_max=2),
+    )
+]
+
+
+@pytest.mark.parametrize("identity, params, policy", _ZERO_STOP_CASES)
+def test_pending_zero_growth_is_taken_at_the_stop(identity, params, policy):
+    report = verify(identity, params, policy)
+    assert rhs_term(identity, params, report.K_used) == 0
+    assert report == _reference_verify(identity, params, policy)
+    assert report.rhs_partial_exact == eval_rhs_partial(
+        identity, params, report.K_used
+    )
 
 
 def _printed_four_general_partial(K):

@@ -270,3 +270,73 @@ def random_systems(draw):
 @given(random_systems())
 def test_random_systems_decompose_exactly(system):
     assert decomposition_residual(system, ORDER) == 0
+
+
+# --- even transforms: computed in u = w^2, equal to the series in w ---------------
+
+
+def _w_phi(system, move, order):
+    """The move's closed form restated on series in w (see the module)."""
+    lv, bessel_walk = system.levels, system.walk is Walk.BESSEL_3D
+    f, t, tb = move.from_level, move.to_level, move.taboo_level
+
+    def ratio(kind, a, b):
+        return ps_div(kernel(kind, a, order, "w"), kernel(kind, b, order, "w"))
+
+    if tb is None:
+        kind = Kernel.SINH_OVER_ARG if bessel_walk else Kernel.COSH
+        return ratio(kind, lv[f], lv[t])
+    if bessel_walk and lv[t] == 0:
+        return PowerSeries.zero(order, "w")
+    near, far = abs(lv[f] - lv[tb]), abs(lv[t] - lv[tb])
+    out = ratio(Kernel.SINH_OVER_ARG, near, far).scale(near / far)
+    return out.scale(lv[t] / lv[f]) if bessel_walk else out
+
+
+def _w_chain(system, order):
+    one = PowerSeries.one(order, "w")
+    passage = out = _w_phi(system, PhiMove(0, 1), order)
+    for i in range(1, system.top_index):
+        up = _w_phi(system, PhiMove(i, i + 1, i - 1), order)
+        down = _w_phi(system, PhiMove(i, i - 1, i + 1), order)
+        passage = ps_div(up, one - ps_mul(down, passage))
+        out = ps_mul(out, passage)
+    return out
+
+
+def _legal_moves(top):
+    """Every free upward move and every taboo move `phi` accepts."""
+    for f in range(top + 1):
+        for t in range(top + 1):
+            if f < t:
+                yield PhiMove(f, t)
+                if f >= 1:
+                    yield PhiMove(f, t, f - 1)
+            elif t < f < top:
+                yield PhiMove(f, t, f + 1)
+
+
+@st.composite
+def small_systems(draw):
+    walk = draw(st.sampled_from([Walk.REFLECTED_1D, Walk.BESSEL_3D]))
+    count = draw(st.integers(min_value=1, max_value=4))
+    levels = draw(
+        st.lists(positive_levels, min_size=count, max_size=count, unique=True)
+    )
+    return LevelSystem(walk, (F(0),) + tuple(sorted(levels)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems(), st.integers(min_value=1, max_value=40))
+def test_transforms_are_even_and_equal_their_w_series(system, order):
+    def check(got, want):
+        assert got == want
+        assert got.var == "w" and got.order == order
+        assert not any(got.nums[1::2])
+
+    for move in _legal_moves(system.top_index):
+        check(phi(system, move, order), _w_phi(system, move, order))
+    check(chain_mgf(system, order), _w_chain(system, order))
+    free = PhiMove(0, system.top_index)
+    check(direct_mgf(system, order), _w_phi(system, free, order))
+    assert decomposition_residual(system, order) == 0

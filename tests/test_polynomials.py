@@ -197,6 +197,31 @@ def test_weights_vanish_off_the_parity_of_N(N):
     assert all(v == 0 for l, v in enumerate(P) if (l - N) % 2)
 
 
+def _integer_recurrence_numerators(N, count):
+    """P_l = [l = N] q0^(N-1) - sum_{j=1..N} Q_j q0^(j-1) P_{l-j} over
+    every tap, zeros included: the stream the lattice generator replaced."""
+    T = chebyshev_polynomial(N).nums
+    q0 = T[N]
+    q = [T[N - j] * q0 ** (j - 1) for j in range(1, N + 1)]
+    recent, out = [0] * N, []
+    for l in range(count):
+        P = int(l == N) * q0 ** (N - 1) - sum(
+            qj * pj for qj, pj in zip(q, recent)
+        )
+        recent = [P] + recent[:-1]
+        out.append(P)
+    return out
+
+
+@pytest.mark.parametrize("N", range(1, 33))
+def test_interleaved_stream_equals_the_full_recurrence(N):
+    q0, numerators = chebyshev_recip_weight_numerators(N)
+    assert q0 == 2 ** (N - 1)
+    assert list(itertools.islice(numerators, 600)) == (
+        _integer_recurrence_numerators(N, 600)
+    )
+
+
 def test_weights_domain_errors():
     with pytest.raises(ValueError):
         chebyshev_recip_weights(0, 5)
