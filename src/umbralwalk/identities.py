@@ -19,8 +19,8 @@ the discrepancies live instead of hiding them:
     geometric-Bernoulli right side relies on splitting a Bernoulli
     block by coefficient, which the evaluation rules do not license;
     the corrected form therefore still only holds for n <= 1, and the
-    sound identity keeps the full block structure (see
-    `three_sites_block_term`).
+    sound identity keeps the full block structure, read from the walk's
+    moves like the block-level identities.
   * FOUR_GENERAL_1D: the boxed statement's block list does not match
     the sech/sinh product it is read from; the engine evaluates the
     translation forced by that product, which the series ground truth
@@ -44,15 +44,17 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import comb, cos, gcd, isfinite, lcm, log, pi
+from math import cos, gcd, isfinite, lcm, log, pi
 from typing import Callable, Iterator, NamedTuple
 
 from .loopcalc import (
-    LevelSystem, PhiMove, Walk, decomposition_residual, direct_mgf, phi
+    LevelSystem, PhiMove, Walk, decomposition_residual, direct_mgf, phi,
+    renewal_loops,
 )
 from .polynomials import (
     ExactScalar,
     Poly,
+    appell_polynomial,
     bernoulli_number,
     chebyshev_recip_weight_numerators,
     eval_poly,
@@ -62,7 +64,7 @@ from .polynomials import (
 from .series import (
     Kernel, PowerSeries, as_scalar, geometric_resum, kernel, ps_div, ps_mul
 )
-from .umbral import Family, UmbralExpr, moment_rows, umbral_moment
+from .umbral import Family, UmbralExpr, expr_egf
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -283,13 +285,6 @@ def _three_sites_lhs(params: IdentityParams, shift: int = 0) -> Fraction:
     return hi - _euler_at(n, u + _HALF)
 
 
-def _top_block_lhs(params: IdentityParams, family: Family) -> Fraction:
-    """Moment n of x + a + one `family` block of scale 2a (a: top level)."""
-    a = params.levels[-1]
-    expr = UmbralExpr.build((family, 2 * a, 1), constant=a)
-    return eval_poly(umbral_moment(expr, params.n), params.x)
-
-
 def _bernoulli_integral(
     params: IdentityParams, c: Fraction, lo: Fraction, hi: Fraction
 ) -> Fraction:
@@ -309,8 +304,7 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # u_k over C b^k (C, b fixed integers) and value(k) a polynomial of degree
 # <= d in k: E_n^(p)(y) and B_n^(p)(y) have total degree n in (p, y)
 # (Norlund), and the identities take p and y affine in k; a block moment
-# is n! [w^n] of an exponential whose exponent is linear in the block
-# orders and the constant, which are affine in the loop counts.
+# is n! [w^n] of an exponential whose exponent is linear in k.
 # value(k) comes as an unreduced integer pair (num, den), den > 0, and no
 # `Fraction` is built per value: a hop-family value is one row of `_hop`
 # (the family, the order o0 + o1 k, the point (a + c k) / q and an integer
@@ -322,219 +316,120 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # head m_k = b. Where the weights vanish at every other index (stride 2),
 # it steps the differences on the lattice of the nonzero ones only.
 #
-# A block-level right side is given by a loop table: per block its family,
-# coefficient and orders, and the constant, each as a vector whose dot
-# product with the counts (1, k), or (1, l, k - l) for the four-site sum's
-# two loops, gives term k's (or term (k, l)'s) value. Every order is thus
-# a nonnegative combination of the loop counts, so the term's generating
-# function is EGF_0 G^k (EGF_0 G_1^l G_2^(k-l)): `moment_rows` streams it
-# from the start expression (counts (1, 0, ...)) and each loop's
-# expression (a unit count), at one series product per loop count or
-# lattice point, with every block kernel at power 1.
+# A block-level right side is read from the walk's moves. While the
+# renewal chain is linear in its loops it is S / (1 - L), with S its start
+# and L the sum of its loops (`renewal_loops`), so term k is S L^k taken
+# at the moment: weight S(0) L(0)^k times n![w^n] e^(xw) S1 L1^k, where
+# S1 = S / S(0) and L1 = L / L(0) have constant term 1. Each move is a
+# product of blocks: sech(aw) is e^(aw) times the Euler kernel at scale
+# 2a, sinh(aw)/(aw) is e^(-aw) times the uniform kernel at 2a and its
+# reciprocal e^(aw) times the Bernoulli kernel at 2a, so these are the
+# moments of the paper's block lists. S1 L1^k is one running product, at
+# one series product per loop count.
 
 _Value = Callable[[int], tuple[int, int]]
+# a right side: its weights and value(k)
+_Right = tuple[_Weights, _Value]
 # a level system as (walk, levels): the ground-truth memo's key
 _SystemKey = tuple[Walk, tuple[ExactScalar, ...]]
-_LoopTable = tuple[tuple[tuple[Family, Fraction, tuple[int, ...]], ...],
-                   tuple[Fraction, ...]]
 
 
-def _blocks_at(
-    table: _LoopTable, counts: tuple[int, ...], has_x: bool = True
-) -> UmbralExpr:
-    """The block expression of a loop table at the given loop counts."""
-    blocks, constants = table
-
-    def dot(v):
-        return sum(map(operator.mul, v, counts))
-
-    return UmbralExpr.build(
-        *((family, c, dot(orders)) for family, c, orders in blocks),
-        constant=dot(constants),
-        has_x=has_x,
-    )
+def _moment_at(series: PowerSeries, params: IdentityParams) -> tuple[int, int]:
+    """n! [w^n] e^(xw) series at the instance's n and x, as an unreduced
+    integer pair; the series needs n + 1 coefficients."""
+    xn, xd = params.x.as_integer_ratio()
+    return appell_polynomial(series.nums, series.den, params.n).at(xn, xd)
 
 
-def _table_rows(table: _LoopTable, n: int) -> Iterator[list[Poly]]:
-    """`moment_rows` of a loop table: its start, at counts (1, 0, ...),
-    and its loops, each at one unit count and without x."""
-    width = len(table[1])
-    start, *loops = (
-        _blocks_at(table, tuple(int(i == j) for j in range(width)), i == 0)
-        for i in range(width)
-    )
-    return moment_rows(start, tuple(loops), n)
+def _free_moment(walk: Walk) -> Callable[[IdentityParams], Fraction]:
+    """The left side of a block-level identity: the moment of the free
+    move from 0 to the top level."""
+
+    def lhs(params: IdentityParams) -> Fraction:
+        system = LevelSystem(walk, (0, *params.levels))
+        return Fraction(*_moment_at(direct_mgf(system, params.n + 1), params))
+
+    return lhs
 
 
-def _block_values(
-    params: IdentityParams,
-    table: Callable[..., _LoopTable],
-    split: Fraction = _ZERO,
-) -> _Value:
-    """value(k) of a block-level right side, from one running product.
+def _loop_sum(
+    start: PowerSeries, loop: PowerSeries, params: IdentityParams
+) -> _Right:
+    """The right side of S / (1 - L), S = start and L = loop: term k is
+    S L^k at the moment.
 
-    value(k) is the mean at x of row k's moments (see `_table_rows`) of
-    `table(*levels)` over l ~ Binomial(k, split); with one loop (split
-    0) that is its one moment. Rows are drawn once, in order, and the
-    values reached are kept, since `_term_numerators` may ask later for
-    a value it put off.
+    Its weight is S(0) L(0)^k and its value n![w^n] e^(xw) S1 L1^k, with
+    S1 = S / S(0) and L1 = L / L(0). The products S1 L1^k are drawn once,
+    in order, at one `ps_mul` each, and the values reached are kept,
+    since `_term_numerators` may ask later for a value it put off.
     """
-    rows = _table_rows(table(*params.levels), params.n)
-    values: list[Fraction] = []
+    s0, l0 = start.constant_term, loop.constant_term
+    products = itertools.accumulate(
+        itertools.repeat(loop.scale(1 / l0)), ps_mul, initial=start.scale(1 / s0)
+    )
+    values: list[tuple[int, int]] = []
 
     def value(k: int) -> tuple[int, int]:
-        for j, row in zip(range(len(values), k + 1), rows):
-            values.append(sum(
-                (comb(j, l) * split**l * (1 - split) ** (j - l)
-                 * eval_poly(m, params.x) for l, m in enumerate(row)),
-                _ZERO,
-            ))
-        return values[k].as_integer_ratio()
+        for _, product in zip(range(len(values), k + 1), products):
+            values.append(_moment_at(product, params))
+        return values[k]
 
-    return value
+    return _geometric(s0, l0), value
 
 
-def _four_general_table(
-    a1: Fraction, a2: Fraction, a3: Fraction
-) -> _LoopTable:
-    """Term (k, l) of the four-site block sum, over counts (1, l, k - l).
+def _renewal(walk: Walk) -> Callable[[IdentityParams], _Right]:
+    """The block-level right side of the walk's chain on (0, *levels)."""
 
-    Translated factor-by-factor from the two-loop chain product
+    def right(params: IdentityParams) -> _Right:
+        system = LevelSystem(walk, (0, *params.levels))
+        start, loops = renewal_loops(system, params.n + 1)
+        return _loop_sum(start, functools.reduce(operator.add, loops), params)
 
-      sech^(l+1)(a1 w) sinh^(l+1)((a2-a1) w) sinh^(k-l+1)(a1 w)
-        sinh^(k-l)((a3-a2) w) / (sinh^(k+1)(a2 w) sinh^(k-l+1)((a3-a1) w)),
-
-    whose powers of w cancel exactly, leaving the geometric weight
-    q_{k,l} (see `four_general_term_blocks`) and affine block orders.
-    """
-    return (
-        (Family.EULER, 2 * a1, (1, 1, 0)),
-        (Family.UNIFORM, 2 * (a2 - a1), (1, 1, 0)),
-        (Family.UNIFORM, 2 * a1, (1, 0, 1)),
-        (Family.UNIFORM, 2 * (a3 - a2), (0, 0, 1)),
-        (Family.BERNOULLI, 2 * a2, (1, 1, 1)),
-        (Family.BERNOULLI, 2 * (a3 - a1), (1, 0, 1)),
-    ), (a3, 2 * a1, 2 * (a2 - a1))
+    return right
 
 
 def _printed_fg_table(
     a1: Fraction, a2: Fraction, a3: Fraction
-) -> _LoopTable:
-    """The boxed statement's block list for (k, l), over (1, l, k - l)."""
+) -> tuple[UmbralExpr, UmbralExpr, UmbralExpr]:
+    """The boxed statement's start and two loop expressions: its term
+    (k, l) is the start plus l copies of the first loop and k - l of the
+    second."""
     return (
-        (Family.BERNOULLI, 2 * (a2 - a1), (1, 0, 0)),
-        (Family.BERNOULLI, 2 * (a3 - a2), (1, 0, 0)),
-        (Family.EULER, a1, (0, 1, 0)),
-        (Family.UNIFORM, 2 * (a2 - a1), (0, 1, 0)),
-        (Family.UNIFORM, 2 * a1, (0, 0, 1)),
-        (Family.BERNOULLI, 2 * (a2 - a1), (0, 0, 1)),
-    ), (a3 + a1, 2 * a1, 2 * a2 - a1)
-
-
-def four_general_term_blocks(
-    k: int, l: int, levels: tuple[Fraction, Fraction, Fraction]
-) -> tuple[Fraction, UmbralExpr]:
-    """Weight and block expression of the (k, l) term, four general sites
-    (see `_four_general_table`)."""
-    a1, a2, a3 = levels
-    q = (
-        comb(k, l)
-        * (a2 - a1) ** (l + 1)
-        * a1 ** (k - l + 1)
-        * (a3 - a2) ** (k - l)
-        / (a2 ** (k + 1) * (a3 - a1) ** (k - l + 1))
+        UmbralExpr.build(
+            (Family.BERNOULLI, 2 * (a2 - a1), 1),
+            (Family.BERNOULLI, 2 * (a3 - a2), 1),
+            constant=a3 + a1,
+        ),
+        UmbralExpr.build(
+            (Family.EULER, a1, 1), (Family.UNIFORM, 2 * (a2 - a1), 1),
+            constant=2 * a1,
+        ),
+        UmbralExpr.build(
+            (Family.UNIFORM, 2 * a1, 1), (Family.BERNOULLI, 2 * (a2 - a1), 1),
+            constant=2 * a2 - a1,
+        ),
     )
-    return q, _blocks_at(_four_general_table(*levels), (1, l, k - l))
 
 
-def _four_general_rates(
-    levels: tuple[Fraction, Fraction, Fraction]
-) -> tuple[Fraction, Fraction, Fraction]:
-    """c0, alpha and beta, where q_{k,l} = c0 C(k,l) alpha^l beta^(k-l)."""
-    a1, a2, a3 = levels
-    alpha = (a2 - a1) / a2
-    beta = a1 * (a3 - a2) / (a2 * (a3 - a1))
-    c0 = a1 * (a2 - a1) / (a2 * (a3 - a1))
-    return c0, alpha, beta
+def _printed_fg_right(params: IdentityParams) -> _Right:
+    """The boxed statement's right side, on `FOUR_GENERAL_1D`'s weights.
 
-
-def _four_general_values(
-    params: IdentityParams, table: Callable = _four_general_table
-) -> _Value:
-    """The block sum over l of term k, divided by c0 (alpha + beta)^k.
-
-    That quotient is the mean of the moment, a polynomial of total degree
-    <= n in (l, k-l), over l ~ Binomial(k, alpha/(alpha+beta)); the mean
-    of l^(a) (k-l)^(b) is a multiple of k^(a+b), so the quotient is a
-    polynomial of degree <= n in k.
+    Term (k, l) weighs c0 C(k, l) alpha^l beta^(k-l), with c0 the constant
+    term of the chain's start and alpha, beta those of its two loops. As
+    n![w^n] is linear, the sum over l of term (k, l) is term k of one loop,
+    the mixture alpha G1 + beta G2 of the two loop series.
     """
-    _, alpha, beta = _four_general_rates(params.levels)
-    return _block_values(params, table, alpha / (alpha + beta))
-
-
-def _four_general_weights(params: IdentityParams) -> _Weights:
-    c0, alpha, beta = _four_general_rates(params.levels)
-    return _geometric(c0, alpha + beta)
-
-
-def _n3_general_table(
-    a1: Fraction, a2: Fraction, a3: Fraction
-) -> _LoopTable:
-    """Term k of the three-sphere block sum, over counts (1, k)."""
-    return (
-        (Family.UNIFORM, 2 * (a2 - a1), (1, 0)),
-        (Family.UNIFORM, 2 * (a3 - a2), (0, 1)),
-        (Family.UNIFORM, 2 * a1, (0, 1)),
-        (Family.BERNOULLI, 2 * (a3 - a1), (1, 1)),
-        (Family.BERNOULLI, 2 * a2, (1, 1)),
-    ), (a3, 2 * (a2 - a1))
-
-
-def n3_general_term_blocks(
-    k: int, levels: tuple[Fraction, Fraction, Fraction]
-) -> tuple[Fraction, UmbralExpr]:
-    """Weight and block expression of the k-th term, three spheres."""
-    a1, a2, a3 = levels
-    r_k = (
-        a3
-        * (a2 - a1)
-        * (a3 - a2) ** k
-        * a1**k
-        / ((a3 - a1) ** (k + 1) * a2 ** (k + 1))
+    order = params.n + 1
+    start, first, second = (
+        expr_egf(expr, order) for expr in _printed_fg_table(*params.levels)
     )
-    return r_k, _blocks_at(_n3_general_table(*levels), (1, k))
-
-
-def _three_sites_table(a1: Fraction, a2: Fraction) -> _LoopTable:
-    """Term k of the sound three-site block sum, over counts (1, k)."""
-    return (
-        (Family.UNIFORM, 2 * a1, (1, 0)),
-        (Family.UNIFORM, 2 * (a2 - a1), (0, 1)),
-        (Family.BERNOULLI, 2 * a2, (1, 1)),
-        (Family.EULER, 2 * a1, (1, 1)),
-    ), (a2, 2 * a1)
-
-
-def three_sites_block_term(
-    k: int, n: int, x: Fraction, levels: tuple[Fraction, Fraction]
-) -> ExactScalar:
-    """k-th term of the sound three-site moment identity, block form.
-
-    This is the direct translation of the one-loop chain term, with
-    weight p_k = (a1/a2) (1 - a1/a2)^k; its sum equals
-    (x + 2*a2*E + a2)^n exactly. It is what the printed
-    geometric-Bernoulli right side would need to reduce to, and is kept
-    as the engine's ground truth for the three-site errata.
-    """
-    a1, a2 = levels
-    p_k = (a1 / a2) * (1 - a1 / a2) ** k
-    expr = _blocks_at(_three_sites_table(*levels), (1, k))
-    return p_k * eval_poly(umbral_moment(expr, n), x)
-
-
-def _three_sites_block_weights(params: IdentityParams) -> _Weights:
-    a1, a2 = params.levels
-    return _geometric(a1 / a2, 1 - a1 / a2)
+    system = LevelSystem(Walk.REFLECTED_1D, (0, *params.levels))
+    chain_start, (loop1, loop2) = renewal_loops(system, 1)
+    return _loop_sum(
+        start.scale(chain_start.constant_term),
+        first.scale(loop1.constant_term) + second.scale(loop2.constant_term),
+        params,
+    )
 
 
 def _geometric(c: Fraction, r: Fraction) -> _Weights:
@@ -568,16 +463,18 @@ _HopRow = tuple[Callable[[int, int], Poly], int, tuple[int, int],
 
 
 def _hop(
-    row: Callable[[IdentityParams], _HopRow]
-) -> Callable[[IdentityParams], _Value]:
-    """The values of a hop-family right side, read from its row.
+    weights: Callable[[IdentityParams], _Weights],
+    row: Callable[[IdentityParams], _HopRow],
+) -> Callable[[IdentityParams], _Right]:
+    """The right side of a hop-family identity: its weights, and its
+    values read from its row.
 
     value(k) is family(n, o0 + o1 k) at the point y0 + k dy, divided by
     s. Over the one integer q = lcm of the denominators of y0 and dy the
     point is (a + c k) / q, so each value is one integer Horner loop.
     """
 
-    def values(params: IdentityParams) -> _Value:
+    def right(params: IdentityParams) -> _Right:
         family, n, (o0, o1), (y0, dy), s = row(params)
         (a, qa), (c, qc) = y0.as_integer_ratio(), dy.as_integer_ratio()
         q = lcm(qa, qc)
@@ -587,15 +484,9 @@ def _hop(
             num, den = family(n, o0 + o1 * k).at(a + c * k, q)
             return num, den * s
 
-        return value
+        return weights(params), value
 
-    return values
-
-
-def _n3_general_weights(params: IdentityParams) -> _Weights:
-    a1, a2, a3 = params.levels
-    base = (a3 - a1) * a2
-    return _geometric(a3 * (a2 - a1) / base, (a3 - a2) * a1 / base)
+    return right
 
 
 def _even_bernoulli_weights(params: IdentityParams) -> _Weights:
@@ -611,10 +502,10 @@ def _even_bernoulli_weights(params: IdentityParams) -> _Weights:
 class _Spec:
     """One identity: catalog text, left side, right side, ground truth.
 
-    Term k of the right side is u_k / (C b^k) * value(k) with C, b and
-    u the first fields of weights(params) (see `_Weights`) and value =
-    values(params), of degree <= degree(params) in k and given as an
-    integer pair (num, den).
+    right(params) gives the right side as (weights, value): term k is
+    u_k / (C b^k) * value(k) with C, b and u the first fields of the
+    weights (see `_Weights`) and value(k) of degree <= degree(params) in
+    k, given as an integer pair (num, den).
     An instance needs `level_count` levels and, by `positive_field`, an
     integer field >= 1 (and the phrase naming it in the error).
     """
@@ -623,8 +514,7 @@ class _Spec:
     description: str
     reference: str
     lhs: Callable[[IdentityParams], ExactScalar]
-    weights: Callable[[IdentityParams], _Weights]
-    values: Callable[[IdentityParams], _Value]
+    right: Callable[[IdentityParams], _Right]
     system: Callable[[IdentityParams], _SystemKey]
     degree: Callable[[IdentityParams], int] = lambda p: p.n
     level_count: int = 0
@@ -638,8 +528,7 @@ _THREE_SITES = _Spec(
     "higher-order Bernoulli polynomials (three sites, as printed)",
     "three sites on the half-line / reflected walk",
     _three_sites_lhs,
-    _three_sites_weights,
-    _hop(lambda p: (
+    _hop(_three_sites_weights, lambda p: (
         hop_bernoulli, p.n, (1, 1),
         ((p.x + p.levels[1]) / (4 * p.levels[0]), _HALF), 1,
     )),
@@ -656,8 +545,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         "polynomials with reciprocal-Chebyshev weights",
         "Euler polynomials via N-site transition weights",
         lambda p: _euler_at(p.n, p.x),
-        _chebyshev_weights,
-        _hop(lambda p: (
+        _hop(_chebyshev_weights, lambda p: (
             hop_euler, p.n, (0, 1),
             (p.cheb_index * p.x - Fraction(p.cheb_index, 2), _HALF),
             p.cheb_index**p.n,
@@ -678,8 +566,10 @@ _SPECS: dict[IdentityId, _Spec] = {
         "E_n(x) as a combination of E_n^(2k+3)(3x+k) over loop counts",
         "four uniform sites on the half-line / reflected walk",
         lambda p: _euler_at(p.n, p.x),
-        lambda p: _geometric(Fraction(1, 4 * 3**p.n), Fraction(3, 4)),
-        _hop(lambda p: (hop_euler, p.n, (3, 2), (3 * p.x, 1), 1)),
+        _hop(
+            lambda p: _geometric(Fraction(1, 4 * 3**p.n), Fraction(3, 4)),
+            lambda p: (hop_euler, p.n, (3, 2), (3 * p.x, 1), 1),
+        ),
         system=lambda p: (Walk.REFLECTED_1D, (0, 1, 2, 3)),
     ),
     IdentityId.FOUR_GENERAL_1D: _Spec(
@@ -687,9 +577,8 @@ _SPECS: dict[IdentityId, _Spec] = {
         "degree-n moment identity for four arbitrary sites, evaluated "
         "at block level from the two-loop product",
         "four arbitrary sites on the half-line / reflected walk",
-        lambda p: _top_block_lhs(p, Family.EULER),
-        _four_general_weights,
-        _four_general_values,
+        _free_moment(Walk.REFLECTED_1D),
+        _renewal(Walk.REFLECTED_1D),
         system=lambda p: (Walk.REFLECTED_1D, (0, *p.levels)),
         level_count=3,
     ),
@@ -698,9 +587,8 @@ _SPECS: dict[IdentityId, _Spec] = {
         "Bernoulli moment expansion for three concentric spheres of "
         "arbitrary radii, evaluated at block level",
         "Thm 4.1 / three concentric spheres",
-        lambda p: _top_block_lhs(p, Family.BERNOULLI),
-        _n3_general_weights,
-        lambda p: _block_values(p, _n3_general_table),
+        _free_moment(Walk.BESSEL_3D),
+        _renewal(Walk.BESSEL_3D),
         system=lambda p: (Walk.BESSEL_3D, (0, *p.levels)),
         level_count=3,
     ),
@@ -712,8 +600,10 @@ _SPECS: dict[IdentityId, _Spec] = {
         lambda p: _bernoulli_integral(
             p, Fraction(3) ** (p.n + 1), (p.x + 3) / 6, (p.x + 5) / 6
         ),
-        lambda p: _geometric(Fraction(3, 4), Fraction(1, 4)),
-        _hop(lambda p: (hop_euler, p.n, (2, 2), ((p.x + 3) / 2, 1), 1)),
+        _hop(
+            lambda p: _geometric(Fraction(3, 4), Fraction(1, 4)),
+            lambda p: (hop_euler, p.n, (2, 2), ((p.x + 3) / 2, 1), 1),
+        ),
         system=lambda p: (Walk.BESSEL_3D, (0, 1, 2, 3)),
     ),
     IdentityId.EVEN_BERNOULLI: _Spec(
@@ -722,8 +612,10 @@ _SPECS: dict[IdentityId, _Spec] = {
         "Euler polynomial values",
         "specialization of the three-sphere identity at x=0, odd degree",
         lambda p: bernoulli_number(2 * p.m),
-        _even_bernoulli_weights,
-        _hop(lambda p: (hop_euler, 2 * p.m - 1, (2, 2), (Fraction(3, 2), 1), 1)),
+        _hop(
+            _even_bernoulli_weights,
+            lambda p: (hop_euler, 2 * p.m - 1, (2, 2), (Fraction(3, 2), 1), 1),
+        ),
         degree=lambda p: 2 * p.m - 1,
         system=lambda p: (Walk.BESSEL_3D, (0, 1, 2, 3)),
         positive_field=("m", "half-degree m"),
@@ -734,8 +626,10 @@ _SPECS: dict[IdentityId, _Spec] = {
         "polynomials of order 2k+2 (as printed; fails at n=1)",
         "four concentric spheres of radii 1..4",
         lambda p: _bernoulli_at(p.n, (p.x + 4) / 6),
-        lambda p: _geometric(Fraction(1, 3**p.n), Fraction(1, 2)),
-        _hop(lambda p: (hop_euler, p.n, (2, 2), ((p.x + 3) / 2, 1), 1)),
+        _hop(
+            lambda p: _geometric(Fraction(1, 3**p.n), Fraction(1, 2)),
+            lambda p: (hop_euler, p.n, (2, 2), ((p.x + 3) / 2, 1), 1),
+        ),
         system=lambda p: (Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
     ),
     IdentityId.N4_UNIFORM_CORRECTED: _Spec(
@@ -746,17 +640,20 @@ _SPECS: dict[IdentityId, _Spec] = {
         lambda p: _bernoulli_integral(
             p, 4 * Fraction(8) ** p.n, (p.x + 4) / 8, (p.x + 6) / 8
         ),
-        lambda p: _geometric(Fraction(2**p.n, 2), Fraction(1, 2)),
-        _hop(lambda p: (hop_euler, p.n, (3, 2), ((p.x + 4) / 2, 1), 1)),
+        _hop(
+            lambda p: _geometric(Fraction(2**p.n, 2), Fraction(1, 2)),
+            lambda p: (hop_euler, p.n, (3, 2), ((p.x + 4) / 2, 1), 1),
+        ),
         system=lambda p: (Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
     ),
 }
 
 
 def _term_numerators(
-    spec: _Spec, params: IdentityParams, weights: _Weights
+    d: int, weights: _Weights, value: _Value
 ) -> Iterator[tuple[int, int]]:
-    """Term k = 0, 1, 2, ... of a right side as integers (t_k, m_k).
+    """Term k = 0, 1, 2, ... of a right side of degree d as integers
+    (t_k, m_k).
 
     Term k is t_k / den_k with den_k = m_0 m_1 ... m_k = C D_k b^k, D_k
     a common denominator of the values reached, so a partial sum S / den
@@ -775,9 +672,7 @@ def _term_numerators(
     from it, and each index between two lattice indices gives t = 0
     without drawing one (and raises ValueError if its weight is not 0).
     """
-    d = spec.degree(params)
     C, b, numerators, _, stride, phase = weights
-    value = spec.values(params)
     m, D = C, 1
     head: list[tuple[int, int] | None] = []
     for k in range(d + 1):
@@ -851,7 +746,7 @@ def _values_after(diffs: list[int]) -> Iterator[int]:
 def _terms(spec: _Spec, params: IdentityParams) -> Iterator[tuple[int, int]]:
     """Term k = 0, 1, 2, ... of a right side as (t_k, den_k)."""
     den = 1
-    for t, m in _term_numerators(spec, params, spec.weights(params)):
+    for t, m in _term_numerators(spec.degree(params), *spec.right(params)):
         den *= m
         yield t, den
 
@@ -859,7 +754,7 @@ def _terms(spec: _Spec, params: IdentityParams) -> Iterator[tuple[int, int]]:
 def _partial(spec: _Spec, params: IdentityParams, K: int) -> Fraction:
     """Exact sum of the terms k = 0..K of a spec's right side."""
     S, den = 0, 1
-    terms = _term_numerators(spec, params, spec.weights(params))
+    terms = _term_numerators(spec.degree(params), *spec.right(params))
     for t, m in itertools.islice(terms, K + 1):
         S, den = S * m + t, den * m
     return Fraction(S, den)
@@ -1019,10 +914,11 @@ def _sum_to_tolerance(
     prev_nz = last_nz = 0.0
     converged = False
     K = -1
-    weights = spec.weights(params)
+    d = spec.degree(params)
+    weights, value = spec.right(params)
     # before the envelope's peak, small terms may be a dip, not the tail
-    peak = spec.degree(params) / -log(weights.decay)
-    terms = _term_numerators(spec, params, weights)
+    peak = d / -log(weights.decay)
+    terms = _term_numerators(d, weights, value)
     for k, (t, m) in zip(range(policy.k_max + 1), terms):
         K = k
         if t:
@@ -1248,11 +1144,10 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     n2 = IdentityParams(n=2, x=_ZERO, levels=(1, 3))
     blocks = replace(
         _SPECS[IdentityId.THREE_SITES_1D_CORRECTED],
-        weights=_three_sites_block_weights,
-        values=lambda p: _block_values(p, _three_sites_table),
+        right=_renewal(Walk.REFLECTED_1D),
     )
     block_partial = _partial(blocks, n2, 95)
-    lhs_block = _top_block_lhs(n2, Family.EULER)
+    lhs_block = _free_moment(Walk.REFLECTED_1D)(n2)
     entries["three_sites_corrected_degree_2"] = {
         "corrected": verify(
             IdentityId.THREE_SITES_1D_CORRECTED, n2, policy
@@ -1332,7 +1227,7 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     fg = IdentityParams(n=1, x=_ZERO, levels=(1, 2, 4))
     printed = replace(
         _SPECS[IdentityId.FOUR_GENERAL_1D],
-        values=lambda p: _four_general_values(p, _printed_fg_table),
+        right=_printed_fg_right,
     )
     printed_partial = _partial(printed, fg, 80)
     lhs_fg = eval_lhs(IdentityId.FOUR_GENERAL_1D, fg)

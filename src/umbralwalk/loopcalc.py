@@ -34,6 +34,10 @@ first passage back up. The transform is H_0 H_1 ... H_{N-1}, for any
 number of levels and both walks (the Bessel walk's down_1 is the zero
 series). `decomposition_residual` certifies it against the free move
 0 -> a_N, coefficient by coefficient in u, and must be exactly zero.
+
+While the fraction is linear in its loops, `renewal_loops` gives the
+same transform as S / (1 - sum L_i), a start S times any number of
+loops L_i: the block-level identities expand it in the loop count.
 """
 
 from __future__ import annotations
@@ -189,6 +193,38 @@ def _chain(system: LevelSystem, order: int) -> PowerSeries:
         passage = ps_div(up, one - ps_mul(down, passage))
         out = ps_mul(out, passage)
     return out
+
+
+# the most levels above 0 on which the renewal chain is linear in its loops
+_LINEAR_TOP = {Walk.REFLECTED_1D: 3, Walk.BESSEL_3D: 4}
+
+
+def renewal_loops(
+    system: LevelSystem, order: int
+) -> tuple[PowerSeries, tuple[PowerSeries, ...]]:
+    """The chain's start S and loops L_i, with chain == S / (1 - sum L_i).
+
+    S = H_0 up_1 ... up_{N-1} is the straight climb, and L_i =
+    down_i up_{i-1} for i = 1..N-1, with up_0 = H_0, a step down from
+    a_i and the step back up. Unwinding `_chain`'s continued fraction
+    gives the denominator 1 - L_1 - ... - L_{N-1} only while no product
+    of two loops survives in it: up to 3 levels above 0 on the reflected
+    walk, 4 on the Bessel walk, whose L_1 is the zero series. A larger
+    system raises InvalidSystemError.
+    """
+    top = system.top_index
+    if top > _LINEAR_TOP[system.walk]:
+        raise InvalidSystemError(
+            f"the {system.walk.value} renewal chain is linear in its loops "
+            f"up to {_LINEAR_TOP[system.walk]} levels above 0, got {top}"
+        )
+    start = up = _phi(system, PhiMove(0, 1), order)
+    loops = []
+    for i in range(1, top):
+        loops.append(ps_mul(_phi(system, PhiMove(i, i - 1, i + 1), order), up))
+        up = _phi(system, PhiMove(i, i + 1, i - 1), order)
+        start = ps_mul(start, up)
+    return _in_w(start, order), tuple(_in_w(loop, order) for loop in loops)
 
 
 def direct_mgf(system: LevelSystem, order: int) -> PowerSeries:

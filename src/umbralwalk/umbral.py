@@ -15,13 +15,10 @@ generating kernels:
     moment_n = n! [w^n] e^(dw) * prod_j kernel_j(c_j w)^(p_j) * e^(xw).
 
 The exponential e^(dw) is built directly from d^j / j!; the block
-kernels' powers come from the shared kernel-power memo. Independent
-copies multiply generating functions, so the moments of a start
-expression plus k copies of a loop expression form one running product,
-EGF_0 * G^k with G the loop's series at power 1: `moment_rows` streams
-them at one series product per loop count (per lattice point, for two
-kinds of loop), where a one-shot `umbral_moment` per k would rebuild
-every block from its order-k kernel power.
+kernels' powers come from the shared kernel-power memo. `expr_egf`
+returns that product without e^(xw), as a series: independent copies
+multiply generating functions, so a caller can combine the series of
+several expressions before taking a moment.
 
 Two rewrite rules are supported, both moment-preserving:
   * a Bernoulli block of coefficient 2c splits into independent
@@ -42,12 +39,12 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial, gcd
-from typing import Iterator
+from math import factorial
 
 from .polynomials import Poly, appell_polynomial, poly_from_numerators
 from .series import (
-    Kernel, as_scalar, convolve, kernel, kernel_power_numerators
+    Kernel, PowerSeries, _normalised, as_scalar, convolve, kernel,
+    kernel_power_numerators,
 )
 
 _ZERO = Fraction(0)
@@ -157,21 +154,15 @@ def umbral_moment(expr: UmbralExpr, n: int) -> Poly:
     """
     if n < 0:
         raise ValueError(f"moment degree must be nonnegative, got {n}")
-    return _moment(*_expr_egf(expr, n + 1), n, expr.has_x)
+    egf = expr_egf(expr, n + 1)
+    if not expr.has_x:
+        return poly_from_numerators([factorial(n) * egf.nums[n]], egf.den)
+    return appell_polynomial(egf.nums, egf.den, n)
 
 
-def _moment(nums: list[int], den: int, n: int, has_x: bool) -> Poly:
-    """n! [w^n] of the series nums / den, times e^(xw) when has_x."""
-    if not has_x:
-        return poly_from_numerators([factorial(n) * nums[n]], den)
-    return appell_polynomial(nums, den, n)
-
-
-def _expr_egf(expr: UmbralExpr, order: int) -> tuple[list[int], int]:
-    """Product of the constant's exponential and all block kernels.
-
-    Integer numerators over one (unreduced) common denominator.
-    """
+def expr_egf(expr: UmbralExpr, order: int) -> PowerSeries:
+    """The constant's exponential times every block kernel, a series in w:
+    the generating function of the expression's moments, without e^(xw)."""
     exp = kernel(Kernel.EXP, expr.constant, order)
     nums, den = exp.nums, exp.den
     for b in expr.blocks:
@@ -180,42 +171,7 @@ def _expr_egf(expr: UmbralExpr, order: int) -> tuple[list[int], int]:
         )
         nums = convolve(nums, bn, 0, order)
         den *= bd
-    return nums, den
-
-
-def moment_rows(
-    start: UmbralExpr, loops: tuple[UmbralExpr, ...], n: int
-) -> Iterator[list[Poly]]:
-    """The n-th moments of `start` plus k loop copies, k = 0, 1, 2, ...
-
-    A copy of a loop is an independent copy of its blocks and constant;
-    x, if `start` has it, enters once. With one loop, row k holds the
-    moment of start plus k copies of it. With two, row k holds, for
-    l = 0..k, the moment of start plus l copies of the first loop and
-    k - l of the second. Each series of row k + 1 is one of row k times
-    a loop's series, reduced by one gcd, so every block kernel is taken
-    at power 1 only.
-    """
-    if n < 0:
-        raise ValueError(f"moment degree must be nonnegative, got {n}")
-    if len(loops) not in (1, 2):
-        raise ValueError(f"need one or two loops, got {len(loops)}")
-    order = n + 1
-
-    def times(a: tuple[list[int], int], b: tuple[list[int], int]):
-        nums, den = convolve(a[0], b[0], 0, order), a[1] * b[1]
-        g = gcd(den, *nums)
-        return [x // g for x in nums], den // g
-
-    egfs = [_expr_egf(loop, order) for loop in loops]
-    first, last = egfs[0], egfs[-1]
-    row = [_expr_egf(start, order)]
-    while True:
-        yield [_moment(nums, den, n, start.has_x) for nums, den in row]
-        grown = [times(egf, last) for egf in row]
-        if len(loops) == 2:
-            grown.append(times(row[-1], first))
-        row = grown
+    return _normalised(nums, den, "w")
 
 
 def split_bernoulli(expr: UmbralExpr, copy_id: int) -> UmbralExpr:

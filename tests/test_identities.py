@@ -7,7 +7,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 
@@ -36,13 +35,10 @@ from umbralwalk.identities import (
     EngineConsistencyError,
     ensure_ground_truth,
     errata_report,
-    four_general_term_blocks,
     ground_truth_system,
-    n3_general_term_blocks,
     normalize_params,
     rhs_terms,
     term_magnitudes,
-    three_sites_block_term,
 )
 from umbralwalk.polynomials import (
     chebyshev_polynomial,
@@ -244,14 +240,20 @@ def _reference_term(identity, params, k):
             * eval_poly(hop_euler(n, 2 * k + 3), 3 * x + k)
         )
     if identity is IdentityId.FOUR_GENERAL_1D:
-        total = F(0)
-        for l in range(k + 1):
-            q, expr = four_general_term_blocks(k, l, params.levels)
-            total += q * eval_poly(umbral_moment(expr, n), x)
-        return total
+        lv = params.levels
+        return sum(
+            (
+                _paper_four_general_weight(k, l, lv)
+                * eval_poly(umbral_moment(_paper_four_general_blocks(k, l, lv), n), x)
+                for l in range(k + 1)
+            ),
+            F(0),
+        )
     if identity is IdentityId.N3_GENERAL:
-        r_k, expr = n3_general_term_blocks(k, params.levels)
-        return r_k * eval_poly(umbral_moment(expr, n), x)
+        expr = _paper_n3_blocks(k, params.levels)
+        return _paper_n3_weight(k, params.levels) * eval_poly(
+            umbral_moment(expr, n), x
+        )
     if identity is IdentityId.N3_UNIFORM:
         return (
             F(3, 4) * F(1, 4) ** k
@@ -631,12 +633,10 @@ def test_stride_two_stream_advances_once_per_lattice_step(monkeypatch, N):
 
 def test_nonzero_weight_off_the_lattice_raises():
     # geometric weights, none of them 0, declared to vanish at odd indices
-    spec = replace(
-        identities._SPECS[IdentityId.FOUR_UNIFORM_1D],
-        weights=lambda p: identities._geometric(F(1, 4), F(3, 4))._replace(stride=2),
-    )
     params = IdentityParams(n=2, x=F(1, 3))
-    terms = identities._term_numerators(spec, params, spec.weights(params))
+    _, value = identities._SPECS[IdentityId.FOUR_UNIFORM_1D].right(params)
+    weights = identities._geometric(F(1, 4), F(3, 4))._replace(stride=2)
+    terms = identities._term_numerators(params.n, weights, value)
     # the unit-step table serves k <= 4, the third lattice index; k = 5 is
     # the first index the lattice table skips
     assert len(list(itertools.islice(terms, 5))) == 5
@@ -712,40 +712,54 @@ def _printed_four_general_partial(K):
     return total
 
 
-def test_errata_printed_blocks_stream_equals_double_loop(monkeypatch):
+def _count_errata_moments(monkeypatch):
+    """The degrees of the block moments `errata_report` takes: each is one
+    `appell_polynomial` call in `identities`."""
     calls = []
+    appell = identities.appell_polynomial
 
-    def counting_moment(expr, n):
+    def counting_appell(nums, den, n):
         calls.append(n)
-        return umbral_moment(expr, n)
+        return appell(nums, den, n)
 
-    monkeypatch.setattr(identities, "umbral_moment", counting_moment)
+    monkeypatch.setattr(identities, "appell_polynomial", counting_appell)
+    return calls
+
+
+def test_errata_printed_blocks_stream_equals_double_loop(monkeypatch):
+    calls = _count_errata_moments(monkeypatch)
     entry = errata_report()["four_general_printed_blocks"]
     assert entry["printed_partial_through_k80"] == str(
         _printed_four_general_partial(80)
     )
     # the moments of the printed and implemented block sums at k = 0, 1,
-    # the three-site block moments and a few left sides; the double loop
-    # made 3,321
-    assert len(calls) < 120
+    # the three-site block moments and the block sums' left sides; the
+    # double loop made 3,321
+    assert len(calls) < 20
+
+
+def _paper_three_site_weight(k, levels):
+    """Term k's weight p_k of the sound three-site moment identity."""
+    a1, a2 = levels
+    return (a1 / a2) * (1 - a1 / a2) ** k
+
+
+def _paper_three_site_term(k, n, x, levels):
+    """Term k of the sound three-site moment identity, block form."""
+    moment = umbral_moment(_paper_three_site_blocks(k, levels), n)
+    return _paper_three_site_weight(k, levels) * eval_poly(moment, x)
 
 
 def test_errata_three_site_blocks_stream_equals_direct_sum(monkeypatch):
     levels = (F(1), F(3))
     direct = sum(
-        (three_sites_block_term(k, 2, F(0), levels) for k in range(96)), F(0)
+        (_paper_three_site_term(k, 2, F(0), levels) for k in range(96)), F(0)
     )
     lhs = eval_poly(
         umbral_moment(UmbralExpr.build((Family.EULER, 6, 1), constant=3), 2),
         F(0),
     )
-    calls = []
-
-    def counting_moment(expr, n):
-        calls.append(n)
-        return umbral_moment(expr, n)
-
-    monkeypatch.setattr(identities, "umbral_moment", counting_moment)
+    calls = _count_errata_moments(monkeypatch)
     entry = errata_report()["three_sites_corrected_degree_2"]
     assert entry["block_level_partial"] == str(direct)
     assert entry["block_level_residual"] == abs(float(lhs - direct))
@@ -754,6 +768,18 @@ def test_errata_three_site_blocks_stream_equals_direct_sum(monkeypatch):
 
 
 # --- block-level running products against one-shot moments ------------------------
+
+
+def _paper_n3_weight(k, levels):
+    """Term k's weight for three general spheres."""
+    a1, a2, a3 = levels
+    return (
+        a3
+        * (a2 - a1)
+        * (a3 - a2) ** k
+        * a1**k
+        / ((a3 - a1) ** (k + 1) * a2 ** (k + 1))
+    )
 
 
 def _paper_n3_blocks(k, levels):
@@ -766,6 +792,18 @@ def _paper_n3_blocks(k, levels):
         (Family.BERNOULLI, 2 * (a3 - a1), k + 1),
         (Family.BERNOULLI, 2 * a2, k + 1),
         constant=a3 + 2 * k * a2 - 2 * k * a1,
+    )
+
+
+def _paper_four_general_weight(k, l, levels):
+    """Term (k, l)'s weight for four general sites."""
+    a1, a2, a3 = levels
+    return (
+        comb(k, l)
+        * (a2 - a1) ** (l + 1)
+        * a1 ** (k - l + 1)
+        * (a3 - a2) ** (k - l)
+        / (a2 ** (k + 1) * (a3 - a1) ** (k - l + 1))
     )
 
 
@@ -810,40 +848,58 @@ _LEVELS = st.lists(
     x=st.fractions(min_value=-3, max_value=3, max_denominator=5),
 )
 def test_streamed_block_values_equal_one_shot_moments(levels, n, k_max, x):
+    """The weights and values the block-level right sides read from the
+    walk's moves equal the paper's block lists, weight by weight and
+    moment by moment."""
+
     def one_shot(expr):
         return eval_poly(umbral_moment(expr, n), x)
 
-    params = IdentityParams(n=n, x=x, levels=levels)
-    n3 = identities._SPECS[IdentityId.N3_GENERAL].values(params)
-    for k in range(k_max + 1):
-        assert F(*n3(k)) == one_shot(_paper_n3_blocks(k, levels))
+    def terms(right, levels):
+        weights, value = right(IdentityParams(n=n, x=x, levels=levels))
+        for k, u in zip(range(k_max + 1), weights.numerators):
+            yield k, F(u, weights.C * weights.b**k), F(*value(k))
 
-    rows = identities._table_rows(identities._four_general_table(*levels), n)
-    for k, row in zip(range(k_max + 1), rows):
-        assert len(row) == k + 1
-        for l, moment in enumerate(row):
-            expr = _paper_four_general_blocks(k, l, levels)
-            assert eval_poly(moment, x) == one_shot(expr)
+    n3 = identities._SPECS[IdentityId.N3_GENERAL].right
+    for k, weight, value in terms(n3, levels):
+        assert weight == _paper_n3_weight(k, levels)
+        assert value == one_shot(_paper_n3_blocks(k, levels))
+
+    # term k of the four-site sum is the sum over l of its terms (k, l)
+    four = identities._SPECS[IdentityId.FOUR_GENERAL_1D].right
+    for k, weight, value in terms(four, levels):
+        weights = [_paper_four_general_weight(k, l, levels) for l in range(k + 1)]
+        assert weight == sum(weights)
+        assert weight * value == sum(
+            q * one_shot(_paper_four_general_blocks(k, l, levels))
+            for l, q in enumerate(weights)
+        )
 
     pair = levels[:2]
-    three_sites = identities._block_values(
-        IdentityParams(n=n, x=x, levels=pair), identities._three_sites_table
-    )
-    for k in range(k_max + 1):
-        assert F(*three_sites(k)) == one_shot(_paper_three_site_blocks(k, pair))
+    three_sites = identities._renewal(Walk.REFLECTED_1D)
+    for k, weight, value in terms(three_sites, pair):
+        assert weight == _paper_three_site_weight(k, pair)
+        assert value == one_shot(_paper_three_site_blocks(k, pair))
 
 
 # --- work guards ------------------------------------------------------------------
 
 
+def _counted(fn, calls):
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapper
+
+
 def test_four_general_moments_bounded_by_the_degree_lattice(monkeypatch):
-    calls = []
+    from umbralwalk import umbral
 
-    def counting_moment(expr, n):
-        calls.append(n)
-        return umbral_moment(expr, n)
-
-    monkeypatch.setattr(identities, "umbral_moment", counting_moment)
+    egfs, products = [], []
+    # every `umbral_moment` call takes its series from `umbral.expr_egf`
+    for module in (umbral, identities):
+        monkeypatch.setattr(module, "expr_egf", _counted(umbral.expr_egf, egfs))
+    monkeypatch.setattr(identities, "ps_mul", _counted(identities.ps_mul, products))
     n = 4
     report = verify(
         IdentityId.FOUR_GENERAL_1D,
@@ -851,41 +907,37 @@ def test_four_general_moments_bounded_by_the_degree_lattice(monkeypatch):
     )
     assert report.status is Status.VERIFIED
     assert report.K_used > n
-    # terms 0..n hold (n+1)(n+2)/2 block moments; one more is the left side
-    assert len(calls) <= (n + 1) * (n + 2) // 2 + 1
+    assert egfs == []
+    # terms 0..n take one running product each, k = 0 none; the lattice
+    # of two loop counts took (n+1)(n+2)/2 block moments
+    assert len(products) == n
 
 
 def test_n3_general_takes_kernel_powers_once_per_instance(monkeypatch):
-    from umbralwalk import polynomials, umbral
-
-    def counted(fn, calls):
-        def wrapper(*args):
-            calls.append(args)
-            return fn(*args)
-        return wrapper
+    from umbralwalk import loopcalc, polynomials, umbral
 
     def requests(n):
-        moments, powers = [], []
-        monkeypatch.setattr(
-            identities, "umbral_moment", counted(umbral_moment, moments)
-        )
-        for module in (umbral, polynomials):
+        params = IdentityParams(n=n, x=F(1), levels=(1, 2, 4))
+        # the certificate, once per level system, is not this count
+        ensure_ground_truth(IdentityId.N3_GENERAL, params)
+        moves, powers = [], []
+        monkeypatch.setattr(loopcalc, "_phi", _counted(loopcalc._phi, moves))
+        for module in (series, umbral, polynomials):
             monkeypatch.setattr(
                 module, "kernel_power_numerators",
-                counted(series.kernel_power_numerators, powers),
+                _counted(series.kernel_power_numerators, powers),
             )
-        params = IdentityParams(n=n, x=F(1), levels=(1, 2, 4))
         report = verify(IdentityId.N3_GENERAL, params)
         monkeypatch.undo()
         assert report.status is Status.VERIFIED
         assert report.K_used > n
-        # the left side only: the right side streams its moments
-        assert [args[1] for args in moments] == [n]
-        return len(powers)
+        # the right side reads its moves, not the kernel-power memo
+        assert powers == []
+        return len(moves)
 
-    # the start blocks, the loop blocks and the left side's block, at
-    # power 1 whatever the degree
-    assert requests(4) == requests(12) == 8
+    # the chain's five moves and the left side's free move, whatever the
+    # degree
+    assert requests(4) == requests(12) == 6
 
 
 def test_constant_exponentials_take_no_kernel_power_chain(monkeypatch):
@@ -1055,7 +1107,7 @@ def test_variant_and_ground_truth_system_per_identity(identity):
 @pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.value)
 def test_weights_record_states_stride_and_decay(identity):
     params = normalize_params(identity, _SPEC_FACTS[identity][0])
-    weights = identities._SPECS[identity].weights(params)
+    weights, _ = identities._SPECS[identity].right(params)
     assert weights.decay == _reference_decay(identity, params)
     assert weights.stride == (2 if identity is IdentityId.EULER_CHEB else 1)
 
@@ -1237,7 +1289,7 @@ def test_three_sites_block_sum_matches_exact_left_side():
             F(1),
         )
         partial = sum(
-            three_sites_block_term(k, 3, F(1), levels) for k in range(90)
+            _paper_three_site_term(k, 3, F(1), levels) for k in range(90)
         )
         assert abs(float(lhs - partial)) < 1e-9
 
@@ -1325,6 +1377,45 @@ def test_hop_sums_reports_bytes_unchanged():
         (r["N"], r["n"], r["x"]) for r in reports if r["status"] != "VERIFIED"
     ]
     assert failed == [(3, 20, "0"), (3, 20, "1")]
+
+
+def _block_level_cases():
+    """FOUR_GENERAL_1D and N3_GENERAL over five level sets, in a fixed
+    order; at (1, 3, 4) two distances between levels coincide."""
+    levels = ((1, 2, 4), (1, 3, 5), (F(1, 3), F(7, 5), 3), (2, 3, 7), (1, 3, 4))
+    return [
+        (identity, IdentityParams(n=n, x=x, levels=lv))
+        for identity in (IdentityId.FOUR_GENERAL_1D, IdentityId.N3_GENERAL)
+        for lv in levels
+        for n in (0, 1, 3, 6, 9)
+        for x in (F(0), F(1, 2), F(-1, 3))
+    ]
+
+
+# sha256 of the reports of `_block_level_cases()` and of their first 30
+# right-side terms, as computed while the block-level right sides were
+# hand-written loop tables
+_BLOCK_LEVEL_REPORTS_SHA256 = (
+    "ddbe2dfdaa7f9b7066680d847f8b2ccec824418ea9dc6ceec7e492a702abc1d7"
+)
+_BLOCK_LEVEL_TERMS_SHA256 = (
+    "d5c1885089fd52ae271badc44523c8e3facb77c8b24ccec3838fda2051af6974"
+)
+
+
+def test_block_level_reports_and_terms_bytes_unchanged():
+    cases = _block_level_cases()
+    assert len(cases) == 150
+    reports = [verify(identity, params).to_json() for identity, params in cases]
+    rendered = json.dumps(reports)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == _BLOCK_LEVEL_REPORTS_SHA256
+    assert all(r["status"] == "VERIFIED" for r in reports)
+    terms = [
+        [str(t) for t in itertools.islice(rhs_terms(identity, params), 30)]
+        for identity, params in cases
+    ]
+    rendered = json.dumps(terms)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == _BLOCK_LEVEL_TERMS_SHA256
 
 
 def test_verify_builds_fractions_independent_of_the_degree():

@@ -1,7 +1,9 @@
 """Start-up cost: numpy and scipy load only when a simulation or a
 quadrature first runs. Each check runs in a fresh interpreter, because
-this test process has long since loaded both."""
+this test process has long since loaded both. And no private name of the
+package is left defined but unused."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -82,3 +84,54 @@ def test_simulation_loads_scipy_before_its_pool_forks():
         assert seen == [(True, True)], seen
         assert est.paths == 8
     """)
+
+
+def _private_definitions(tree: ast.Module):
+    """The private names a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (
+            n for n in names if n.startswith("_") and not n.startswith("__")
+        )
+
+
+def _references(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Per module, the names read from it: its own bare names, the names
+    other modules import from it, and every attribute name anywhere (an
+    attribute's module is not known from the tree alone)."""
+    refs = {module: set() for module in trees}
+    attributes = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs[module].add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+                # `from .series import x`; `from . import m` names modules
+                source = f"{node.module}.py"
+                refs[source].update(alias.name for alias in node.names)
+    return {module: names | attributes for module, names in refs.items()}
+
+
+def test_every_private_definition_is_used():
+    package = Path(umbralwalk.__file__).resolve().parent
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in sorted(package.glob("*.py"))
+    }
+    refs = _references(trees)
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in refs[module]
+    ]
+    assert unused == []

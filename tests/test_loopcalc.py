@@ -24,6 +24,7 @@ from umbralwalk import (
     ps_div,
     ps_mul,
 )
+from umbralwalk.loopcalc import renewal_loops
 
 ORDER = 30
 
@@ -340,3 +341,62 @@ def test_transforms_are_even_and_equal_their_w_series(system, order):
     free = PhiMove(0, system.top_index)
     check(direct_mgf(system, order), _w_phi(system, free, order))
     assert decomposition_residual(system, order) == 0
+
+
+# --- the chain as a start and its loops ---------------------------------------
+
+
+# the most levels above 0 on which the chain is linear in its loops
+_LINEAR_TOP = {Walk.REFLECTED_1D: 3, Walk.BESSEL_3D: 4}
+
+
+@st.composite
+def linear_systems(draw):
+    walk = draw(st.sampled_from([Walk.REFLECTED_1D, Walk.BESSEL_3D]))
+    count = draw(st.integers(min_value=2, max_value=_LINEAR_TOP[walk]))
+    levels = draw(
+        st.lists(positive_levels, min_size=count, max_size=count, unique=True)
+    )
+    return LevelSystem(walk, (F(0),) + tuple(sorted(levels)))
+
+
+def _exit_up(walk, a, r, b):
+    """P(from r, hit b before a), by the walk's scale function: r on the
+    reflected walk, -1/r on the Bessel(3) process."""
+    if walk is Walk.REFLECTED_1D:
+        return (r - a) / (b - a)
+    return b * (r - a) / (r * (b - a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(linear_systems(), st.integers(min_value=1, max_value=16))
+def test_renewal_loops_resum_to_the_free_move(system, order):
+    start, loops = renewal_loops(system, order)
+    one = PowerSeries.one(order, "w")
+    denominator = one
+    for loop in loops:
+        denominator = denominator - loop
+    assert ps_div(start, denominator) == direct_mgf(system, order)
+
+    # constant terms: up_0 = H_0 is certain, and from a_i the walk leaves
+    # (a_(i-1), a_(i+1)) surely, so down_i = 1 - up_i
+    lv, walk = system.levels, system.walk
+    ups = [F(1)] + [
+        _exit_up(walk, lv[i - 1], lv[i], lv[i + 1])
+        for i in range(1, system.top_index)
+    ]
+    want_start = F(1)
+    for up in ups:
+        want_start *= up
+    assert start.constant_term == want_start
+    assert [loop.constant_term for loop in loops] == [
+        (1 - ups[i]) * ups[i - 1] for i in range(1, system.top_index)
+    ]
+
+    # one level more than the linear range: the fraction keeps loop products
+    top = lv[-1]
+    extra = range(1, _LINEAR_TOP[walk] + 2 - system.top_index)
+    wider = LevelSystem(walk, lv + tuple(top + j for j in extra))
+    assert wider.top_index == _LINEAR_TOP[walk] + 1
+    with pytest.raises(InvalidSystemError, match="linear in its loops"):
+        renewal_loops(wider, order)

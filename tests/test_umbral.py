@@ -23,7 +23,7 @@ from umbralwalk import (
     umbral_moment,
 )
 from umbralwalk.series import Kernel
-from umbralwalk.umbral import moment_rows
+from umbralwalk.umbral import expr_egf
 
 
 def poly(*coeffs):
@@ -86,41 +86,7 @@ def test_moment_matches_egf_coefficients():
     for n in range(0, order):
         moment = umbral_moment(e, n)
         assert moment.eval(0) == egf.coefficient(n) * factorial(n)
-
-
-def test_moment_rows_equal_moments_of_start_plus_copies():
-    start = UmbralExpr.build(
-        (Family.EULER, F(1, 2), 1), constant=F(-2, 3), has_x=False
-    )
-    first = UmbralExpr.build((Family.BERNOULLI, 3, 1), constant=1)
-    second = UmbralExpr.build(
-        (Family.UNIFORM, F(5, 4), 1), (Family.BERNOULLI, 3, 1)
-    )
-    n = 5
-    rows = moment_rows(start, (first, second), n)
-    for k, row in zip(range(5), rows):
-        for l, moment in enumerate(row):
-            copies = UmbralExpr.build(
-                (Family.EULER, F(1, 2), 1),
-                (Family.BERNOULLI, 3, k),
-                (Family.UNIFORM, F(5, 4), k - l),
-                constant=F(-2, 3) + l,
-                has_x=False,
-            )
-            assert moment == umbral_moment(copies, n)
-    for k, (moment,) in zip(range(4), moment_rows(start, (first,), n)):
-        copies = UmbralExpr.build(
-            (Family.EULER, F(1, 2), 1), (Family.BERNOULLI, 3, k),
-            constant=F(-2, 3) + k, has_x=False,
-        )
-        assert moment == umbral_moment(copies, n)
-
-
-@pytest.mark.parametrize("loops, n", [((), 2), ((UmbralExpr(),) * 3, 2),
-                                      ((UmbralExpr(),), -1)])
-def test_moment_rows_rejects_bad_arguments(loops, n):
-    with pytest.raises(ValueError):
-        next(moment_rows(UmbralExpr(), loops, n))
+    assert expr_egf(e, order) == egf
 
 
 # --- structural validation ------------------------------------------------------
