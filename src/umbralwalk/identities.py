@@ -48,8 +48,8 @@ from math import cos, gcd, isfinite, lcm, log, pi
 from typing import Callable, Iterator, NamedTuple
 
 from .loopcalc import (
-    LevelSystem, PhiMove, Walk, decomposition_residual, direct_mgf, phi,
-    renewal_loops,
+    LevelSystem, Moves, Walk, _in_w, decomposition_residual, direct_mgf,
+    free_move, linear_in_loops, renewal_loops, renewal_moves, start_and_loops,
 )
 from .polynomials import (
     ExactScalar,
@@ -325,7 +325,10 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # 2a, sinh(aw)/(aw) is e^(-aw) times the uniform kernel at 2a and its
 # reciprocal e^(aw) times the Bernoulli kernel at 2a, so these are the
 # moments of the paper's block lists. S1 L1^k is one running product, at
-# one series product per loop count.
+# one series product per loop count. Up to the certificate's order, S, the
+# loops and the left side's free move are prefixes of the system's
+# certified record (`_ground_truth_residual`), so an instance on a
+# certified system derives no move.
 
 _Value = Callable[[int], tuple[int, int]]
 # a right side: its weights and value(k)
@@ -341,13 +344,37 @@ def _moment_at(series: PowerSeries, params: IdentityParams) -> tuple[int, int]:
     return appell_polynomial(series.nums, series.den, params.n).at(xn, xd)
 
 
+def _read(series: PowerSeries, order: int) -> PowerSeries:
+    """A record's series in u, read in w with `order` coefficients."""
+    return _in_w(series.prefix((order + 1) // 2), order)
+
+
+def _free_at(key: _SystemKey, order: int) -> PowerSeries:
+    """The system's free move in w: up to the certificate's order a
+    prefix of its certified record, above it a fresh derivation that is
+    kept nowhere."""
+    if order > _GROUND_TRUTH_ORDER:
+        return direct_mgf(LevelSystem(*key), order)
+    return _read(_ground_truth_residual(key).free, order)
+
+
+def _renewal_at(
+    key: _SystemKey, order: int
+) -> tuple[PowerSeries, tuple[PowerSeries, ...]]:
+    """The system's renewal start and loops in w, read as in `_free_at`."""
+    if order > _GROUND_TRUTH_ORDER:
+        return renewal_loops(LevelSystem(*key), order)
+    start, loops = _ground_truth_residual(key).renewal
+    return _read(start, order), tuple(_read(loop, order) for loop in loops)
+
+
 def _free_moment(walk: Walk) -> Callable[[IdentityParams], Fraction]:
     """The left side of a block-level identity: the moment of the free
     move from 0 to the top level."""
 
     def lhs(params: IdentityParams) -> Fraction:
-        system = LevelSystem(walk, (0, *params.levels))
-        return Fraction(*_moment_at(direct_mgf(system, params.n + 1), params))
+        free = _free_at((walk, (0, *params.levels)), params.n + 1)
+        return Fraction(*_moment_at(free, params))
 
     return lhs
 
@@ -381,8 +408,7 @@ def _renewal(walk: Walk) -> Callable[[IdentityParams], _Right]:
     """The block-level right side of the walk's chain on (0, *levels)."""
 
     def right(params: IdentityParams) -> _Right:
-        system = LevelSystem(walk, (0, *params.levels))
-        start, loops = renewal_loops(system, params.n + 1)
+        start, loops = _renewal_at((walk, (0, *params.levels)), params.n + 1)
         return _loop_sum(start, functools.reduce(operator.add, loops), params)
 
     return right
@@ -423,8 +449,9 @@ def _printed_fg_right(params: IdentityParams) -> _Right:
     start, first, second = (
         expr_egf(expr, order) for expr in _printed_fg_table(*params.levels)
     )
-    system = LevelSystem(Walk.REFLECTED_1D, (0, *params.levels))
-    chain_start, (loop1, loop2) = renewal_loops(system, 1)
+    chain_start, (loop1, loop2) = _renewal_at(
+        (Walk.REFLECTED_1D, (0, *params.levels)), 1
+    )
     return _loop_sum(
         start.scale(chain_start.constant_term),
         first.scale(loop1.constant_term) + second.scale(loop2.constant_term),
@@ -807,27 +834,48 @@ def ground_truth_system(
     return LevelSystem(*_SPECS[identity].system(params))
 
 
+class _Record(NamedTuple):
+    """A certified level system's series in u = w^2, at the certificate's
+    order: its moves, its free move and, in `renewal_loops`' range, its
+    renewal start and loops (else None)."""
+
+    moves: Moves
+    free: PowerSeries
+    renewal: tuple[PowerSeries, tuple[PowerSeries, ...]] | None
+
+
 # Keyed by the plain (walk, levels) pair, so a hit builds no LevelSystem:
 # a system is certified once, however many instances rest on it. Bounded,
 # so a long run over many level sets keeps the 64 most recently used.
+# A record is immutable, so two threads that both miss build equal ones.
 @functools.lru_cache(maxsize=64)
-def _ground_truth_residual(key: _SystemKey) -> Fraction:
-    return decomposition_residual(LevelSystem(*key), _GROUND_TRUTH_ORDER)
+def _ground_truth_residual(key: _SystemKey) -> _Record:
+    """The system's certified record.
+
+    Its moves and free move are derived once, at `_GROUND_TRUTH_ORDER`,
+    and the decomposition residual is computed on exactly those series;
+    a nonzero residual raises EngineConsistencyError and stores nothing.
+    Every side of an identity on the system read up to that order is a
+    prefix of the record, which is the series a fresh derivation gives,
+    as coefficient j of a move, product or quotient does not depend on
+    the order it is truncated at.
+    """
+    system = LevelSystem(*key)
+    moves = renewal_moves(system, _GROUND_TRUTH_ORDER)
+    free = free_move(system, _GROUND_TRUTH_ORDER)
+    residual = decomposition_residual(system, _GROUND_TRUTH_ORDER, moves, free)
+    if residual != 0:
+        raise EngineConsistencyError(
+            f"series decomposition residual {residual} != 0 for {system}"
+        )
+    renewal = start_and_loops(moves) if linear_in_loops(system) else None
+    return _Record(moves, free, renewal)
 
 
 def ensure_ground_truth(identity: IdentityId, params: IdentityParams) -> None:
     """Require the underlying series decomposition to be exactly zero."""
     params = normalize_params(identity, params)
-    _require_exact_decomposition(_SPECS[identity].system(params))
-
-
-def _require_exact_decomposition(key: _SystemKey) -> None:
-    residual = _ground_truth_residual(key)
-    if residual != 0:
-        raise EngineConsistencyError(
-            f"series decomposition residual {residual} != 0 for "
-            f"{LevelSystem(*key)}"
-        )
+    _ground_truth_residual(_SPECS[identity].system(params))
 
 
 # -- verification loop ------------------------------------------------------
@@ -857,7 +905,9 @@ def verify(
     comparison per term until a run of `stable_run` small terms calls for
     the tail estimate (see `_sum_to_tolerance`). The level system's
     ground truth is certified at its first instance and looked up by its
-    (walk, levels) key after that. Degenerate instances (uniformly spaced
+    (walk, levels) key after that; the certified record also holds the
+    moves, free move, start and loops that the block-level sides read,
+    so an instance on a certified system derives no move. Degenerate instances (uniformly spaced
     three-site systems) short-circuit to DEGENERATE_TRIVIAL.
     The tail control runs in double precision, so a left side, term or
     residual beyond the float range raises InvalidParamsError.
@@ -872,7 +922,7 @@ def verify(
         return IdentityReport(
             identity, params, -1, lhs, _ZERO, 0.0, True, Status.DEGENERATE_TRIVIAL
         )
-    _require_exact_decomposition(spec.system(params))
+    _ground_truth_residual(spec.system(params))
     try:
         return _sum_to_tolerance(identity, params, lhs, policy)
     except OverflowError:
@@ -1187,9 +1237,8 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     resum = geometric_resum(sech2.scale(_HALF))
     printed = ps_mul(w_over_sinh, ps_mul(sech2, resum))
     recomputed = ps_mul(w_over_sinh, ps_mul(sech3.scale(_HALF), resum))
-    target = direct_mgf(
-        LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3, 4)), order
-    )
+    # the four-sphere system, certified by the pair above
+    target = _free_at((Walk.BESSEL_3D, (0, 1, 2, 3, 4)), order)
     entries["four_sphere_chain_display"] = {
         "printed_residual": float(_sup(printed - target)),
         "recomputed_residual": str(_sup(recomputed - target)),
@@ -1200,19 +1249,16 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
         ),
     }
 
-    # radial taboo prefactor: target/start versus the printed target/taboo
+    # radial taboo prefactor: target/start versus the printed target/taboo.
+    # The three-sphere system is not certified here, so its moves are
+    # derived directly: the straight climb H_0 up_1 up_2, and the one loop
+    # down_2 up_1 (its L_1 is the zero series).
     sys3 = LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3))
-    fwd = ps_mul(
-        phi(sys3, PhiMove(0, 1), order), phi(sys3, PhiMove(1, 2, 0), order)
-    )
-    fwd = ps_mul(fwd, phi(sys3, PhiMove(2, 3, 1), order))
-    up = phi(sys3, PhiMove(1, 2, 0), order)
-    down_ok = phi(sys3, PhiMove(2, 1, 3), order)
-    # printed prefactor reads target/taboo = 1/3 instead of target/start = 1/2
-    down_printed = down_ok.scale(Fraction(2, 3))
+    fwd, (_, loop) = renewal_loops(sys3, order)
     direct3 = direct_mgf(sys3, order)
-    chain_ok = ps_mul(fwd, geometric_resum(ps_mul(up, down_ok)))
-    chain_printed = ps_mul(fwd, geometric_resum(ps_mul(up, down_printed)))
+    chain_ok = ps_mul(fwd, geometric_resum(loop))
+    # printed prefactor reads target/taboo = 1/3 instead of target/start = 1/2
+    chain_printed = ps_mul(fwd, geometric_resum(loop.scale(Fraction(2, 3))))
     entries["bessel_taboo_prefactor"] = {
         "adopted_residual": str(_sup(chain_ok - direct3)),
         "printed_residual": float(_sup(chain_printed - direct3)),

@@ -38,13 +38,21 @@ series). `decomposition_residual` certifies it against the free move
 While the fraction is linear in its loops, `renewal_loops` gives the
 same transform as S / (1 - sum L_i), a start S times any number of
 loops L_i: the block-level identities expand it in the loop count.
+
+The chain, its start and loops, and the certificate all read one set of
+moves, H_0 and each (up_i, down_i), walked once by `renewal_moves`. The
+u-series forms (`renewal_moves`, `start_and_loops`, `free_move`) let a
+caller that keeps a system's moves build every side from them; this
+module keeps none.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import (
     ExactScalar,
@@ -178,18 +186,41 @@ def _phi(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
     return ratio
 
 
+class Moves(NamedTuple):
+    """The moves of a system's renewal recursion, as series in u = w^2.
+
+    first is H_0 = phi(0 -> 1), and for i = 1..N-1 ups[i - 1] is up_i =
+    phi(i -> i+1 avoiding i-1) and downs[i - 1] is down_i = phi(i -> i-1
+    avoiding i+1).
+    """
+
+    first: PowerSeries
+    ups: tuple[PowerSeries, ...]
+    downs: tuple[PowerSeries, ...]
+
+
+def renewal_moves(system: LevelSystem, order: int) -> Moves:
+    """The system's moves, each derived once: the one walk over the move
+    pattern that the chain, its start and loops, and the certificate
+    read."""
+    inner = range(1, system.top_index)
+    return Moves(
+        _phi(system, PhiMove(0, 1), order),
+        tuple(_phi(system, PhiMove(i, i + 1, i - 1), order) for i in inner),
+        tuple(_phi(system, PhiMove(i, i - 1, i + 1), order) for i in inner),
+    )
+
+
 def chain_mgf(system: LevelSystem, order: int) -> PowerSeries:
     """0 -> a_N as the product of first passages H_i, by renewal."""
-    return _in_w(_chain(system, order), order)
+    return _in_w(_chain(renewal_moves(system, order)), order)
 
 
-def _chain(system: LevelSystem, order: int) -> PowerSeries:
-    """`chain_mgf` in u = w^2."""
-    passage = out = _phi(system, PhiMove(0, 1), order)
+def _chain(moves: Moves) -> PowerSeries:
+    """`chain_mgf` in u = w^2, from the system's moves."""
+    passage = out = moves.first
     one = PowerSeries.one(out.order, "u")
-    for i in range(1, system.top_index):
-        up = _phi(system, PhiMove(i, i + 1, i - 1), order)
-        down = _phi(system, PhiMove(i, i - 1, i + 1), order)
+    for up, down in zip(moves.ups, moves.downs):
         passage = ps_div(up, one - ps_mul(down, passage))
         out = ps_mul(out, passage)
     return out
@@ -197,6 +228,11 @@ def _chain(system: LevelSystem, order: int) -> PowerSeries:
 
 # the most levels above 0 on which the renewal chain is linear in its loops
 _LINEAR_TOP = {Walk.REFLECTED_1D: 3, Walk.BESSEL_3D: 4}
+
+
+def linear_in_loops(system: LevelSystem) -> bool:
+    """Whether the system is in `renewal_loops`' range."""
+    return system.top_index <= _LINEAR_TOP[system.walk]
 
 
 def renewal_loops(
@@ -210,34 +246,56 @@ def renewal_loops(
     gives the denominator 1 - L_1 - ... - L_{N-1} only while no product
     of two loops survives in it: up to 3 levels above 0 on the reflected
     walk, 4 on the Bessel walk, whose L_1 is the zero series. A larger
-    system raises InvalidSystemError.
+    system raises InvalidSystemError. Both are built from the moves of
+    `renewal_moves` (`start_and_loops` builds them in u from moves
+    already held).
     """
-    top = system.top_index
-    if top > _LINEAR_TOP[system.walk]:
+    if not linear_in_loops(system):
         raise InvalidSystemError(
             f"the {system.walk.value} renewal chain is linear in its loops "
-            f"up to {_LINEAR_TOP[system.walk]} levels above 0, got {top}"
+            f"up to {_LINEAR_TOP[system.walk]} levels above 0, "
+            f"got {system.top_index}"
         )
-    start = up = _phi(system, PhiMove(0, 1), order)
-    loops = []
-    for i in range(1, top):
-        loops.append(ps_mul(_phi(system, PhiMove(i, i - 1, i + 1), order), up))
-        up = _phi(system, PhiMove(i, i + 1, i - 1), order)
-        start = ps_mul(start, up)
+    start, loops = start_and_loops(renewal_moves(system, order))
     return _in_w(start, order), tuple(_in_w(loop, order) for loop in loops)
+
+
+def start_and_loops(
+    moves: Moves,
+) -> tuple[PowerSeries, tuple[PowerSeries, ...]]:
+    """`renewal_loops` in u = w^2, from the system's moves."""
+    start = functools.reduce(ps_mul, moves.ups, moves.first)
+    return start, tuple(map(ps_mul, moves.downs, (moves.first, *moves.ups)))
 
 
 def direct_mgf(system: LevelSystem, order: int) -> PowerSeries:
     """Closed form of the 0 -> a_N transform: the free move."""
-    return phi(system, PhiMove(0, system.top_index), order)
+    return _in_w(free_move(system, order), order)
 
 
-def decomposition_residual(system: LevelSystem, order: int) -> ExactScalar:
+def free_move(system: LevelSystem, order: int) -> PowerSeries:
+    """`direct_mgf` in u = w^2."""
+    return _phi(system, PhiMove(0, system.top_index), order)
+
+
+def decomposition_residual(
+    system: LevelSystem,
+    order: int,
+    moves: Moves | None = None,
+    free: PowerSeries | None = None,
+) -> ExactScalar:
     """Max |chain - direct| over all retained coefficients; exactly 0.
 
     Compared in u = w^2, where the odd coefficients in w, all 0, are not
-    held.
+    held. The chain is built from the system's moves and compared with
+    its free move, both at `order`; a caller that already holds them
+    (`renewal_moves`, `free_move`) passes them, so the certificate checks
+    exactly the series the caller keeps, and whichever is not given is
+    derived here.
     """
-    direct = _phi(system, PhiMove(0, system.top_index), order)
-    delta = _chain(system, order) - direct
+    if moves is None:
+        moves = renewal_moves(system, order)
+    if free is None:
+        free = free_move(system, order)
+    delta = _chain(moves) - free
     return max((abs(c) for c in delta.coeffs), default=_ZERO)

@@ -144,6 +144,20 @@ class PowerSeries:
     def coefficient(self, n: int) -> Fraction:
         return Fraction(self.nums[n], self.den)
 
+    def prefix(self, order: int) -> "PowerSeries":
+        """The first `order` coefficients, at one slice and one gcd.
+
+        Coefficient j of a product or a quotient does not depend on the
+        order it is truncated at, so the prefix of a result is the result
+        at the shorter order, in the same unique normal form.
+        """
+        _check_order(order)
+        if order > self.order:
+            raise OrderMismatchError(
+                f"prefix of order {order} from a series of order {self.order}"
+            )
+        return _normalised(self.nums[:order], self.den, self.var)
+
     def _require_same_order(self, other: "PowerSeries") -> None:
         if len(self.nums) != len(other.nums):
             raise OrderMismatchError(

@@ -7,6 +7,8 @@ import json
 import math
 import re
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from math import comb
 
@@ -935,9 +937,40 @@ def test_n3_general_takes_kernel_powers_once_per_instance(monkeypatch):
         assert powers == []
         return len(moves)
 
-    # the chain's five moves and the left side's free move, whatever the
-    # degree
-    assert requests(4) == requests(12) == 6
+    # the left side and the right side read the certified record: no
+    # move is derived again, whatever the degree
+    assert requests(4) == requests(12) == 0
+
+
+def test_multi_level_derives_each_record_move_once_per_system(monkeypatch):
+    from umbralwalk import loopcalc
+
+    identities._ground_truth_residual.cache_clear()
+    moves = []
+    monkeypatch.setattr(loopcalc, "_phi", _counted(loopcalc._phi, moves))
+    # the N3_GENERAL and FOUR_GENERAL_1D instances of the benchmark's
+    # multi-level matrix, from a cold memo
+    instances = [
+        (IdentityId.N3_GENERAL, IdentityParams(n=n, x=F(x), levels=levels))
+        for levels in ((1, 2, 4), (1, 3, 5)) for n in range(7) for x in (0, 1)
+    ] + [
+        (IdentityId.FOUR_GENERAL_1D,
+         IdentityParams(n=1, x=F(x), levels=(1, 2, 4)))
+        for x in (0, 1)
+    ]
+    try:
+        for identity, params in instances:
+            assert verify(identity, params).status is Status.VERIFIED
+    finally:
+        identities._ground_truth_residual.cache_clear()
+    derived = [((s.walk, s.levels), move) for s, move, _ in moves]
+    assert len(set(derived)) == len(derived)
+    # three systems of three levels above 0: H_0, two ups, two downs and
+    # the free move each
+    assert len(derived) == 3 * 6
+    assert {order for _, _, order in moves} == {
+        identities._GROUND_TRUTH_ORDER
+    }
 
 
 def test_constant_exponentials_take_no_kernel_power_chain(monkeypatch):
@@ -1115,9 +1148,9 @@ def test_weights_record_states_stride_and_decay(identity):
 def test_ground_truth_memo_computes_each_system_once(monkeypatch):
     systems = []
 
-    def counting_residual(system, order):
+    def counting_residual(system, order, *series):
         systems.append(system)
-        return decomposition_residual(system, order)
+        return decomposition_residual(system, order, *series)
 
     monkeypatch.setattr(identities, "decomposition_residual", counting_residual)
     identities._ground_truth_residual.cache_clear()
@@ -1218,7 +1251,8 @@ def test_ground_truth_memo_is_bounded():
 
 def test_ground_truth_nonzero_residual_raises(monkeypatch):
     monkeypatch.setattr(
-        identities, "decomposition_residual", lambda system, order: F(1, 7)
+        identities, "decomposition_residual",
+        lambda system, order, *series: F(1, 7),
     )
     identities._ground_truth_residual.cache_clear()
     try:
@@ -1228,6 +1262,75 @@ def test_ground_truth_nonzero_residual_raises(monkeypatch):
             verify(IdentityId.N3_UNIFORM, IdentityParams(n=1))
     finally:
         identities._ground_truth_residual.cache_clear()
+
+
+@st.composite
+def _linear_systems(draw):
+    # inside renewal_loops' range: 1-3 levels above 0 on the reflected
+    # walk, 1-4 on the Bessel walk
+    walk = draw(st.sampled_from([Walk.REFLECTED_1D, Walk.BESSEL_3D]))
+    top = 3 if walk is Walk.REFLECTED_1D else 4
+    levels = draw(st.lists(
+        st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6),
+        min_size=1, max_size=top, unique=True,
+    ))
+    return LevelSystem(walk, (F(0), *sorted(levels)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_linear_systems(), st.integers(min_value=1, max_value=64))
+def test_record_serves_what_a_cold_derivation_gives(system, first):
+    from umbralwalk.loopcalc import PhiMove, direct_mgf, phi, renewal_loops
+
+    key, top = (system.walk, system.levels), system.top_index
+    memo = identities._ground_truth_residual
+    memo.cache_clear()
+    try:
+        # the first read meets a cold memo: up to the certificate's order
+        # it certifies the system, above it it derives and stores nothing
+        certified = False
+        for order in (first, *range(1, 65)):
+            assert identities._free_at(key, order) == direct_mgf(system, order)
+            assert identities._renewal_at(key, order) == renewal_loops(
+                system, order
+            )
+            certified |= order <= identities._GROUND_TRUTH_ORDER
+            assert memo.cache_info().currsize == certified
+        record = memo(key)
+        inner = range(1, top)
+        read_moves = [
+            (PhiMove(0, 1), record.moves.first),
+            *zip((PhiMove(i, i + 1, i - 1) for i in inner), record.moves.ups),
+            *zip((PhiMove(i, i - 1, i + 1) for i in inner), record.moves.downs),
+        ]
+        assert len(read_moves) == 2 * top - 1
+        for order in range(1, identities._GROUND_TRUTH_ORDER + 1):
+            for move, series in read_moves:
+                assert identities._read(series, order) == phi(system, move, order)
+    finally:
+        memo.cache_clear()
+
+
+def test_threads_on_a_cold_memo_get_identical_reports():
+    # records are immutable: threads that all miss build equal ones
+    params = IdentityParams(n=5, x=F(1, 3), levels=(1, F(5, 2), 4))
+    barrier = threading.Barrier(4, timeout=60)
+
+    def run(_):
+        barrier.wait()
+        return verify(IdentityId.N3_GENERAL, params).to_json()
+
+    identities._ground_truth_residual.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            reports = list(pool.map(run, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+        identities._ground_truth_residual.cache_clear()
+    assert reports[0]["status"] == Status.VERIFIED.value
+    assert all(r == reports[0] for r in reports)
 
 
 def test_ground_truth_systems_mapped():

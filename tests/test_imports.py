@@ -1,7 +1,8 @@
 """Start-up cost: numpy and scipy load only when a simulation or a
 quadrature first runs. Each check runs in a fresh interpreter, because
-this test process has long since loaded both. And no private name of the
-package is left defined but unused."""
+this test process has long since loaded both. No private name of the
+package is left defined but unused, and every import within the package
+points down its layer order."""
 
 import ast
 import os
@@ -135,3 +136,51 @@ def test_every_private_definition_is_used():
         if name not in refs[module]
     ]
     assert unused == []
+
+
+# the layer order, bottom first: a module imports only from below it
+_LAYERS = ("series", "polynomials", "umbral", "loopcalc", "identities")
+
+
+def _allowed_imports(module: str) -> set[str]:
+    if module in _LAYERS:
+        return set(_LAYERS[: _LAYERS.index(module)])
+    if module == "montecarlo":
+        return {"loopcalc"}
+    if module in ("cli", "__init__"):
+        # the command line, on top, and the package's face stand on every
+        # library module; neither imports the other
+        return {*_LAYERS, "montecarlo"}
+    if module == "__main__":
+        return {"cli"}
+    raise AssertionError(f"{module} has no place in the layer order")
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports: `from .x import ...` names
+    x, and `from . import m` names m."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module)
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("umbralwalk.")
+            )
+    return found
+
+
+def test_imports_point_down_the_layer_order():
+    package = Path(umbralwalk.__file__).resolve().parent
+    upward = {}
+    for path in sorted(package.glob("*.py")):
+        module = path.stem
+        imported = _package_imports(ast.parse(path.read_text(), str(path)))
+        if imported - _allowed_imports(module):
+            upward[module] = sorted(imported - _allowed_imports(module))
+    assert upward == {}
