@@ -56,7 +56,7 @@ from .polynomials import (
     Poly,
     appell_polynomial,
     bernoulli_number,
-    chebyshev_recip_weight_numerators,
+    chebyshev_lattice_numerators,
     eval_poly,
     hop_bernoulli,
     hop_euler,
@@ -71,12 +71,13 @@ _HALF = Fraction(1, 2)
 
 
 class _Weights(NamedTuple):
-    """The weights of a right side: weight k is numerators[k] / (C b^k).
+    """The weights of a right side on their lattice k = phase + stride j,
+    j = 0, 1, 2, ...: weight k is numerators[j] / (C b^k).
 
-    Every weight off the lattice k = phase (mod stride) is 0, with stride
-    1 or 2 and 0 <= phase < stride, and the weights shrink like decay^k:
-    decay is one over the smallest modulus of a pole of their generating
-    function.
+    stride is 1 or 2 and 0 <= phase < stride. Every weight off the lattice
+    is 0 and has no numerator in the stream, so a nonzero one cannot be
+    stated. The weights shrink like decay^k: decay is one over the
+    smallest modulus of a pole of their generating function.
     """
 
     C: int
@@ -309,12 +310,15 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # `Fraction` is built per value: a hop-family value is one row of `_hop`
 # (the family, the order o0 + o1 k, the point (a + c k) / q and an integer
 # divisor) evaluated by `Poly.at` on integers.
-# `_term_numerators` continues value(0..d) by integer differences over
-# their common denominator D and gives term k as an integer t_k over
-# den_k = C D b^k. It yields (t_k, m_k) with den_k = m_0 m_1 ... m_k, so a
-# partial sum S / den takes term k as (S m_k + t_k) / (den m_k); past the
-# head m_k = b. Where the weights vanish at every other index (stride 2),
-# it steps the differences on the lattice of the nonzero ones only.
+# `_term_numerators` runs over the weights' lattice k = phase + stride j
+# only: it continues the lattice values j = 0..d by integer differences
+# over their common denominator D and gives term k as an integer t_k over
+# den_k = C D b^k. It yields (t_k, m_k) with den_k the product of the m
+# so far, so a partial sum S / den takes term k as (S m_k + t_k) /
+# (den m_k); past the head m_k = b^stride. Where the weights vanish at
+# every other index (stride 2), each off-lattice index is a zero term that
+# the stream does not carry: `_index_terms` puts it back for the per-index
+# readers, and `_sum_to_tolerance` counts it in O(1).
 #
 # A block-level right side is read from the walk's moves. While the
 # renewal chain is linear in its loops it is S / (1 - L), with S its start
@@ -470,11 +474,12 @@ def _geometric(c: Fraction, r: Fraction) -> _Weights:
 def _chebyshev_weights(params: IdentityParams) -> _Weights:
     """The reciprocal-Chebyshev weights p_l of 1/T_N(1/t), as integers.
 
-    They vanish whenever l - N is odd, and decay like cos(pi / 2N)^l,
-    since the largest root of T_N is cos(pi / 2N).
+    They vanish whenever l - N is odd, so they are read on their lattice
+    l = N % 2 + 2j only, and decay like cos(pi / 2N)^l, since the largest
+    root of T_N is cos(pi / 2N).
     """
     N = params.cheb_index
-    q0, numerators = chebyshev_recip_weight_numerators(N)
+    q0, numerators = chebyshev_lattice_numerators(N)
     return _Weights(1, q0, numerators, cos(pi / (2 * N)), 2, N % 2)
 
 
@@ -679,30 +684,30 @@ _SPECS: dict[IdentityId, _Spec] = {
 def _term_numerators(
     d: int, weights: _Weights, value: _Value
 ) -> Iterator[tuple[int, int]]:
-    """Term k = 0, 1, 2, ... of a right side of degree d as integers
-    (t_k, m_k).
+    """The terms of a right side of degree d on its lattice: term
+    k = phase + stride j, j = 0, 1, 2, ..., as integers (t_j, m_j).
 
-    Term k is t_k / den_k with den_k = m_0 m_1 ... m_k = C D_k b^k, D_k
-    a common denominator of the values reached, so a partial sum S / den
-    takes the term as (S m_k + t_k) / (den m_k) without a division.
-    Values 0..d are computed directly as integer pairs, each only when it
-    is reached; a zero weight puts off its value (its term is 0 over the
-    growth m_k alone). Later values continue through a backward-difference
-    table of integer numerators over the common denominator D of all d + 1
-    values (see `_values_after`): the first later term takes m = b D / D_d,
-    every one after it m = b. Past the head a stride-1 right side is one
-    chain of C iterators, passed on by `yield from` with no loop body per
-    term. For weights of stride 2 the unit-step table runs on past the
-    head to the (d + 1)-th lattice index, its lattice values taken by
-    index parity; from there a table of step 2 on the lattice takes
-    over, drawn the same way. Each later lattice index draws one value
-    from it, and each index between two lattice indices gives t = 0
-    without drawing one (and raises ValueError if its weight is not 0).
+    Term k is t_j / den_k with den_k = m_0 m_1 ... m_j = C D_k b^k, D_k a
+    common denominator of the values reached, so a partial sum S / den
+    takes the term as (S m_j + t_j) / (den m_j) without a division; the
+    zero terms off the lattice between them leave S / den as it is.
+    The lattice values j = 0..d are computed directly as integer pairs,
+    each only when it is reached; a zero weight puts off its value (its
+    term is 0 over the growth m_j alone). Later values continue through
+    one backward-difference table of the d + 1 lattice values as integer
+    numerators over their common denominator D (see `_values_after`),
+    as value(phase + stride j) is of degree <= d in j: the first later
+    term takes m = b^stride D / D_k, every one after it m = b^stride.
+    Past the head the stream is one chain of C iterators, passed on by
+    `yield from` with no loop body per term; `value` is only ever called
+    at a lattice index.
     """
     C, b, numerators, _, stride, phase = weights
-    m, D = C, 1
+    step = b**stride
+    m, D = C * b**phase, 1
     head: list[tuple[int, int] | None] = []
-    for k in range(d + 1):
+    lattice = range(phase, phase + stride * (d + 1), stride)
+    for k in lattice:
         u = next(numerators)
         if u:
             num, den = v = value(k)
@@ -713,36 +718,14 @@ def _term_numerators(
         else:
             head.append(None)
             yield 0, m
-        m = b
-    head = [value(k) if v is None else v for k, v in enumerate(head)]
+        m = step
+    head = [value(k) if v is None else v for k, v in zip(lattice, head)]
     D_all = lcm(*(den for _, den in head))
     row = [num * (D_all // den) for num, den in head]
-    values = _values_after(_difference_table(row))
-    m = b * (D_all // D)
-    if stride == 1:
-        yield from zip(
-            map(operator.mul, numerators, values),
-            itertools.chain((m,), itertools.repeat(b)),
-        )
-        return
-    # stride 2: the unit-step table runs on to the (d + 1)-th lattice index
-    lattice = row[phase::2]
-    k = d
-    while len(lattice) <= d:
-        k += 1
-        v = next(values)
-        if (k - phase) % 2 == 0:
-            lattice.append(v)
-        yield next(numerators) * v, m
-        m = b
-    # k is a lattice index, so the weights now come in (off, on) pairs
-    values = _values_after(_difference_table(lattice))
-    for u_off, u in zip(numerators, numerators):
-        if u_off:
-            raise ValueError(f"a stride-2 weight off its lattice is {u_off}")
-        yield 0, m
-        yield u * next(values), b
-        m = b
+    yield from zip(
+        map(operator.mul, numerators, _values_after(_difference_table(row))),
+        itertools.chain((step * (D_all // D),), itertools.repeat(step)),
+    )
 
 
 def _difference_table(row: list[int]) -> list[int]:
@@ -770,10 +753,27 @@ def _values_after(diffs: list[int]) -> Iterator[int]:
     return values
 
 
+def _index_terms(
+    spec: _Spec, params: IdentityParams
+) -> Iterator[tuple[int, int]]:
+    """Term k = 0, 1, 2, ... of a right side as (t_k, m_k), as in
+    `_term_numerators`: at stride 2 its lattice terms with the zero terms
+    (0, 1) off the lattice put back between them."""
+    weights, value = spec.right(params)
+    terms = _term_numerators(spec.degree(params), weights, value)
+    if weights.stride == 1:
+        return terms
+    off = itertools.repeat((0, 1))
+    return itertools.chain(
+        itertools.repeat((0, 1), weights.phase),
+        itertools.chain.from_iterable(zip(terms, off)),
+    )
+
+
 def _terms(spec: _Spec, params: IdentityParams) -> Iterator[tuple[int, int]]:
     """Term k = 0, 1, 2, ... of a right side as (t_k, den_k)."""
     den = 1
-    for t, m in _term_numerators(spec.degree(params), *spec.right(params)):
+    for t, m in _index_terms(spec, params):
         den *= m
         yield t, den
 
@@ -781,8 +781,7 @@ def _terms(spec: _Spec, params: IdentityParams) -> Iterator[tuple[int, int]]:
 def _partial(spec: _Spec, params: IdentityParams, K: int) -> Fraction:
     """Exact sum of the terms k = 0..K of a spec's right side."""
     S, den = 0, 1
-    terms = _term_numerators(spec.degree(params), *spec.right(params))
-    for t, m in itertools.islice(terms, K + 1):
+    for t, m in itertools.islice(_index_terms(spec, params), K + 1):
         S, den = S * m + t, den * m
     return Fraction(S, den)
 
@@ -942,35 +941,38 @@ def _sum_to_tolerance(
     division. A zero term only multiplies the pending growth `grow` by
     its m, which S and den take at the next nonzero term and at the stop,
     so every magnitude is still over the term's true den_k.
+    The loop runs over the lattice terms. At stride 2 each lattice index
+    k is followed by the zero term at k + 1 off the lattice (and at phase
+    1 one more leads at k = 0), which the stream does not carry: it
+    appends 0.0 to the window and 1 to the run, leaves S / den as it is,
+    and is cut off when k is `k_max`.
     Each term costs one comparison: `run` counts the consecutive term
     magnitudes below threshold, and `window` keeps the last `stable_run`
-    of them, read only once the run is long enough; `prev_nz` and
-    `last_nz` are the last two nonzero magnitudes (0.0 while fewer were
-    seen), whose ratio a window with one nonzero magnitude reads. A
-    window of zero magnitudes compares the partial sum with the left
-    side exactly. Any other stop waits for the peak k = d / ln(1/decay)
-    of the terms' envelope k^d decay^k. The residual is taken on the
-    integers too (`_residual`). Raises OverflowError when a magnitude it
-    compares or the residual exceeds the float range.
+    of them, read by `_tail_stops` only once the run is long enough;
+    `prev_nz` and `last_nz` are the last two nonzero terms' magnitudes
+    (0.0 while fewer were seen). The residual is taken on the integers
+    too (`_residual`). Raises OverflowError when a magnitude it compares
+    or the residual exceeds the float range.
     """
     spec = _SPECS[identity]
     threshold = policy.tol * max(1.0, abs(float(lhs)))
     S, den = 0, 1  # the partial sum is S / den; den_k is den grow
     grow = 1
-    stable_run = policy.stable_run
-    window: deque[float] = deque(maxlen=stable_run)
-    append = window.append
-    run = 0
-    prev_nz = last_nz = 0.0
-    converged = False
-    K = -1
+    stable_run, k_max = policy.stable_run, policy.k_max
     d = spec.degree(params)
     weights, value = spec.right(params)
+    stride, phase = weights.stride, weights.phase
+    gap = stride == 2  # a zero term follows each lattice term
+    window: deque[float] = deque(maxlen=stable_run)
+    append = window.append
+    run = phase  # at phase 1 the zero term at k = 0 leads the run
+    prev_nz = last_nz = 0.0
+    converged = False
+    K = k_max  # where a sum that does not converge is cut off
     # before the envelope's peak, small terms may be a dip, not the tail
     peak = d / -log(weights.decay)
     terms = _term_numerators(d, weights, value)
-    for k, (t, m) in zip(range(policy.k_max + 1), terms):
-        K = k
+    for k, (t, m) in zip(range(phase, k_max + 1, stride), terms):
         if t:
             m *= grow
             grow = 1
@@ -983,30 +985,21 @@ def _sum_to_tolerance(
             mag = 0.0
         append(mag)
         run = run + 1 if mag < threshold else 0
-        if run < stable_run:
-            continue
-        nonzero = [v for v in window if v > 0.0]
-        if not nonzero:
-            # zero terms say nothing of the tail; only an exact sum ends here
-            if S * lhs.denominator == lhs.numerator * den:
-                converged = True
-                break
-            continue
-        if k < peak:
-            continue
-        if len(nonzero) == 1:
-            # its magnitude is last_nz; the ratio reaches back past the window
-            if not prev_nz:
-                continue
-            ratio = last_nz / prev_nz
-        else:
-            ratio = max(b / a for a, b in zip(nonzero, nonzero[1:]))
-        if ratio >= 1.0:
-            continue
-        ratio = min(ratio, 0.99)
-        if nonzero[-1] * ratio / (1.0 - ratio) < threshold:
-            converged = True
+        if run >= stable_run and _tail_stops(
+            window, k, peak, prev_nz, last_nz, threshold, S, den, lhs
+        ):
+            K, converged = k, True
             break
+        if gap:
+            if k == k_max:
+                break
+            append(0.0)
+            run += 1
+            if run >= stable_run and _tail_stops(
+                window, k + 1, peak, prev_nz, last_nz, threshold, S, den, lhs
+            ):
+                K, converged = k + 1, True
+                break
     S, den = S * grow, den * grow
     residual = _residual(lhs, S, den)
     if converged:
@@ -1016,6 +1009,47 @@ def _sum_to_tolerance(
     return IdentityReport(
         identity, params, K, lhs, Fraction(S, den), residual, converged, status
     )
+
+
+def _tail_stops(
+    window: deque[float],
+    k: int,
+    peak: float,
+    prev_nz: float,
+    last_nz: float,
+    threshold: float,
+    S: int,
+    den: int,
+    lhs: Fraction,
+) -> bool:
+    """Whether the sum stops at term k, its window of the last
+    `stable_run` magnitudes all below threshold.
+
+    A window of zero magnitudes stops it only where the partial sum
+    S / den (over any multiple of its denominator) equals the left side
+    exactly, compared cross-multiplied. Any other stop waits for the peak
+    k = d / ln(1/decay) of the terms' envelope k^d decay^k, and for a
+    geometric tail estimate below threshold: a window with one nonzero
+    magnitude, which is last_nz, takes its ratio to prev_nz, from before
+    the window, and goes on if there is none.
+    """
+    nonzero = [v for v in window if v > 0.0]
+    if not nonzero:
+        # zero terms say nothing of the tail; only an exact sum ends here
+        return S * lhs.denominator == lhs.numerator * den
+    if k < peak:
+        return False
+    if len(nonzero) == 1:
+        # its magnitude is last_nz; the ratio reaches back past the window
+        if not prev_nz:
+            return False
+        ratio = last_nz / prev_nz
+    else:
+        ratio = max(b / a for a, b in zip(nonzero, nonzero[1:]))
+    if ratio >= 1.0:
+        return False
+    ratio = min(ratio, 0.99)
+    return nonzero[-1] * ratio / (1.0 - ratio) < threshold
 
 
 def _residual(lhs: Fraction, S: int, den: int) -> float:

@@ -188,8 +188,9 @@ def chebyshev_polynomial(N: int) -> Poly:
     return _new(tuple(t_cur if N else t_prev), 1)
 
 
-def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
-    """The weights p_l of 1/T_N(1/t) as integers P_l = p_l q0^l, and q0.
+def chebyshev_lattice_numerators(N: int) -> tuple[int, Iterator[int]]:
+    """The weights p_l of 1/T_N(1/t) on their lattice l = N % 2 + 2j, as
+    integers P_l = p_l q0^l, and q0.
 
     Writing T_N(1/t) = Q(t)/t^N with Q a polynomial of degree N and
     integer coefficients, Q_0 = q0 = 2^(N-1) != 0, the weights expand
@@ -201,12 +202,13 @@ def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
 
     T_N has the parity of N, so Q is even: Q_j = 0 at odd j, and P_l = 0
     whenever l - N is odd. The recurrence therefore runs over the even
-    taps Q_2, Q_4, ... and the lattice l = N, N + 2, ... only. The stream
-    is N zeros, then the lattice numerators from q0^(N-1) on, each
-    followed by an off-parity 0 from `itertools.repeat`; the generator of
-    the lattice numerators resumes once per lattice step, for one dot
-    product of the N // 2 even-tap multipliers with the last N // 2
-    lattice numerators.
+    taps Q_2, Q_4, ... and the lattice only. The stream is the N // 2
+    lattice zeros below N, then the lattice numerators from q0^(N-1) on.
+    With at most one even tap (N <= 3) they are geometric,
+    P_(l+2) = -Q_2 q0 P_l (for N = 1, with no tap, P_1 = 1 is the only
+    nonzero one), and `itertools.accumulate` streams them; otherwise a
+    generator resumes once per lattice step, for one dot product of the
+    N // 2 even-tap multipliers with the last N // 2 lattice numerators.
     """
     if N < 1:
         raise ValueError(f"Chebyshev index must be >= 1, got {N}")
@@ -214,9 +216,10 @@ def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
     # Q coefficient of t^j is the x^(N-j) coefficient of T_N
     q0 = T[N]
     q = [T[N - j] * q0 ** (j - 1) for j in range(2, N + 1, 2)]
+    first = q0 ** (N - 1)
 
     def lattice() -> Iterator[int]:
-        P = q0 ** (N - 1)
+        P = first
         yield P
         recent = deque([P, *itertools.repeat(0, len(q) - 1)], maxlen=len(q))
         while True:  # recent holds P_{l-2}, P_{l-4}, ..., P_{l-2 len(q)}
@@ -224,9 +227,28 @@ def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
             recent.appendleft(P)
             yield P
 
-    interleaved = zip(lattice(), itertools.repeat(0))
+    if len(q) < 2:
+        ratio = -q[0] if q else 0
+        nonzero = itertools.accumulate(
+            itertools.repeat(ratio), operator.mul, initial=first
+        )
+    else:
+        nonzero = lattice()
+    return q0, itertools.chain(itertools.repeat(0, N // 2), nonzero)
+
+
+def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
+    """The weights p_l of 1/T_N(1/t), l = 0, 1, 2, ..., as integers
+    P_l = p_l q0^l, and q0.
+
+    The lattice numerators of `chebyshev_lattice_numerators`, each with
+    its off-parity 0 from `itertools.repeat` (one 0 first when N is odd),
+    so the stream is N zeros, then q0^(N-1), 0, P_(N+2), 0, ...
+    """
+    q0, lattice = chebyshev_lattice_numerators(N)
     return q0, itertools.chain(
-        itertools.repeat(0, N), itertools.chain.from_iterable(interleaved)
+        itertools.repeat(0, N % 2),
+        itertools.chain.from_iterable(zip(lattice, itertools.repeat(0))),
     )
 
 

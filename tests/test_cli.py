@@ -182,6 +182,7 @@ _WEIGHTS_300_SHA256 = {
 
 
 @pytest.mark.parametrize("N", sorted(_WEIGHTS_300_SHA256))
+@pytest.mark.pins
 def test_weights_output_bytes_unchanged(capsys, N):
     code, out = run(capsys, "weights", "--N", str(N), "--count", "300")
     assert code == 0
@@ -220,6 +221,7 @@ _POLY_SERIES_SHA256 = [
 
 @pytest.mark.parametrize("argv,digest", _POLY_SERIES_SHA256,
                          ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+@pytest.mark.pins
 def test_poly_and_series_output_bytes_unchanged(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
@@ -239,6 +241,7 @@ _SERIES_192_SHA256 = {
 
 @pytest.mark.parametrize("mode", ["--chain", "--direct"])
 @pytest.mark.parametrize("walk,levels", list(_SERIES_192_SHA256))
+@pytest.mark.pins
 def test_series_order_192_output_bytes_unchanged(capsys, walk, levels, mode):
     code, out = run(
         capsys, "series", "--walk", walk, "--levels", levels, mode,
@@ -387,6 +390,7 @@ _CATALOG_SHA256 = (
 )
 
 
+@pytest.mark.pins
 def test_catalog_output_bytes_unchanged(capsys):
     code, out = run(capsys, "catalog")
     assert code == 0
@@ -421,6 +425,7 @@ _SIMULATE_SHA256 = (
 
 
 @pytest.mark.slow
+@pytest.mark.pins
 def test_simulate_output_bytes_unchanged(capsys):
     code, out = run(
         capsys, "simulate", "--walk", "1d", "--start", "0", "--target", "1",
@@ -564,6 +569,7 @@ _VERIFY_ALL_SHA256 = (
 )
 
 
+@pytest.mark.pins
 def test_verify_all_errata_bytes_unchanged(capsys):
     code, payload = run_json(capsys, "verify-all")
     assert code == 0
@@ -620,6 +626,7 @@ def _run_module(*argv):
     )
 
 
+@pytest.mark.pins
 def test_module_entry_point_catalog():
     done = _run_module("catalog")
     assert done.returncode == 0

@@ -9,6 +9,7 @@ import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 
@@ -507,11 +508,17 @@ def test_verify_equals_fraction_only_reference(identity, params, policy, status)
 _ONE_CASE_PER_IDENTITY = {
     identity: params for identity, params, *_ in _VERIFY_CASES
 }
+# and the Chebyshev sums of phase 0: N = 2 (one tap) and N = 4 (two taps,
+# two zero weights on the lattice)
+_POLICY_CASES = list(_ONE_CASE_PER_IDENTITY.items()) + [
+    (IdentityId.EULER_CHEB, IdentityParams(n=2, x=F(-1, 3), cheb_index=2)),
+    (IdentityId.EULER_CHEB, IdentityParams(n=3, x=F(1, 3), cheb_index=4)),
+]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    case=st.sampled_from(list(_ONE_CASE_PER_IDENTITY.items())),
+    case=st.sampled_from(_POLICY_CASES),
     stable_run=st.integers(2, 6),
     tol_exponent=st.floats(-14, -4),
     k_max=st.integers(1, 64),
@@ -602,79 +609,154 @@ def test_lattice_terms_equal_direct_formulas(params):
     ]
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 def test_stride_two_stream_advances_once_per_lattice_step(monkeypatch, N):
-    # per value stream: the length of its difference table, values drawn
-    streams = []
-    values_after = identities._values_after
+    tables, indices, drawn = [], [], [0]
+    difference_table = identities._difference_table
+    term_numerators = identities._term_numerators
+    spec = identities._SPECS[IdentityId.EULER_CHEB]
 
-    def counting_values_after(diffs):
-        stream = [len(diffs), 0]
-        streams.append(stream)
+    def recording_table(row):
+        tables.append(len(row))
+        return difference_table(row)
 
-        def draw(v):
-            stream[1] += 1
-            return v
+    def recording_right(params):
+        weights, value = spec.right(params)
 
-        return map(draw, values_after(diffs))
+        def recording_value(k):
+            indices.append(k)
+            return value(k)
 
-    monkeypatch.setattr(identities, "_values_after", counting_values_after)
+        return weights, recording_value
+
+    def counting_term_numerators(*args):
+        for item in term_numerators(*args):
+            drawn[0] += 1
+            yield item
+
+    monkeypatch.setattr(identities, "_difference_table", recording_table)
+    monkeypatch.setitem(
+        identities._SPECS, IdentityId.EULER_CHEB, replace(spec, right=recording_right)
+    )
+    monkeypatch.setattr(identities, "_term_numerators", counting_term_numerators)
     n, count = 7, 200
     params = IdentityParams(n=n, x=F(1, 3), cheb_index=N)
+    lattice = range(N % 2, count, 2)
     list(itertools.islice(rhs_terms(IdentityId.EULER_CHEB, params), count))
-    # the unit-step table runs past the head to the (n + 1)-th lattice
-    # index L; after L only the lattice indices draw from the step-2 table
-    L = N % 2 + 2 * n
-    assert streams == [[n + 1, L - n], [n + 1, (count - 1 - L) // 2]]
-    # a stride-1 stream draws one value at every index past the head
-    streams.clear()
+    # one table of the n + 1 head values, each computed once on the
+    # lattice, and one stream item per lattice index
+    assert tables == [n + 1]
+    assert sorted(indices) == list(lattice[: n + 1])
+    assert drawn == [len(lattice)]
+    # verify draws one item per lattice index through K_used, and builds
+    # the table only if it gets past the head (N = 1 stops in it)
+    tables.clear()
+    indices.clear()
+    drawn[0] = 0
+    report = verify(IdentityId.EULER_CHEB, params, TruncationPolicy(tol=1e-6))
+    reached = len(range(N % 2, report.K_used + 1, 2))
+    assert drawn == [reached]
+    assert tables == ([n + 1] if reached > n + 1 else [])
+    assert set(indices) <= set(lattice[: n + 1])
+    assert len(indices) == len(set(indices))
+    # a stride-1 stream draws one item at every index, from one table
+    tables.clear()
+    drawn[0] = 0
     params = IdentityParams(n=n, x=F(1, 3))
     list(itertools.islice(rhs_terms(IdentityId.FOUR_UNIFORM_1D, params), count))
-    assert streams == [[n + 1, count - 1 - n]]
+    assert tables == [n + 1]
+    assert drawn == [count]
 
 
-def test_nonzero_weight_off_the_lattice_raises():
-    # geometric weights, none of them 0, declared to vanish at odd indices
+def test_stride_two_weights_state_no_weight_off_the_lattice():
+    # geometric weights, none of them 0, declared on a lattice of stride 2:
+    # the stream holds the lattice weights only, numerator j at index
+    # phase + 2j, so no nonzero weight can sit off the lattice
     params = IdentityParams(n=2, x=F(1, 3))
-    _, value = identities._SPECS[IdentityId.FOUR_UNIFORM_1D].right(params)
-    weights = identities._geometric(F(1, 4), F(3, 4))._replace(stride=2)
-    terms = identities._term_numerators(params.n, weights, value)
-    # the unit-step table serves k <= 4, the third lattice index; k = 5 is
-    # the first index the lattice table skips
-    assert len(list(itertools.islice(terms, 5))) == 5
-    with pytest.raises(ValueError, match="off its lattice is 243"):
-        next(terms)
+    spec = identities._SPECS[IdentityId.FOUR_UNIFORM_1D]
+    _, value = spec.right(params)
+    for phase in (0, 1):
+
+        def right(p):
+            weights = identities._geometric(F(1, 4), F(3, 4))
+            return weights._replace(stride=2, phase=phase), value
+
+        lattice_spec = replace(spec, right=right)
+        terms = itertools.islice(identities._terms(lattice_spec, params), 40)
+        for k, (t, den) in enumerate(terms):
+            j, off = divmod(k - phase, 2)
+            if off or j < 0:
+                assert t == 0
+            else:
+                assert F(t, den) == F(3**j, 4 * 4**k) * F(*value(k))
+
+
+def _chebyshev_stops(rows):
+    return [
+        (IdentityId.EULER_CHEB, IdentityParams(n=n, x=x, cheb_index=N),
+         TruncationPolicy(tol, stable_run, k_max))
+        for N, n, x, tol, stable_run, k_max in rows
+    ]
 
 
 # A zero term only grows the pending denominator, which the partial sum
 # takes at the next nonzero term or at the stop. Each case stops, or is
-# cut off by k_max, on a zero term: off the Chebyshev lattice (its weight
-# is 0) or in FOUR_UNIFORM_1D's all-zero window at n = 7, x = 1/2.
-_ZERO_STOP_CASES = [
-    (IdentityId.EULER_CHEB, IdentityParams(n=n, x=x, cheb_index=N),
-     TruncationPolicy(tol, stable_run, k_max))
-    for N, n, x, tol, stable_run, k_max in (
-        # tail-estimate and exact stops on an off-lattice zero
-        (2, 2, F(0), 1e-12, 3, 400),
-        (2, 7, F(-1, 3), 1e-12, 3, 400),
-        (2, 1, F(1, 2), 1e-12, 4, 400),
-        (3, 2, F(2), 1e-6, 3, 400),
-        (3, 8, F(1, 2), 1e-6, 5, 400),
-        (3, 1, F(1, 2), 1e-12, 5, 400),
-        (3, 2, F(0), 1e-12, 3, 400),
-        # k_max cut-offs on an off-lattice zero, in the tail and the head
-        (2, 5, F(1, 3), 1e-12, 4, 41),
-        (3, 5, F(1, 3), 1e-12, 4, 40),
-        (3, 5, F(1, 3), 1e-12, 4, 1),
-    )
-] + [
+# cut off by k_max, on a zero term: off the Chebyshev lattice (a term the
+# lattice stream does not carry), on it where its weight is 0, or in an
+# all-zero sum (odd n at x = 1/2).
+_ZERO_STOP_CASES = _chebyshev_stops((
+    # tail-estimate and exact stops on an off-lattice zero
+    (2, 2, F(0), 1e-12, 3, 400),
+    (2, 7, F(-1, 3), 1e-12, 3, 400),
+    (2, 1, F(1, 2), 1e-12, 4, 400),
+    (3, 2, F(2), 1e-6, 3, 400),
+    (3, 8, F(1, 2), 1e-6, 5, 400),
+    (3, 1, F(1, 2), 1e-12, 5, 400),
+    (3, 2, F(0), 1e-12, 3, 400),
+    # k_max cut-offs on an off-lattice zero, in the tail and the head
+    (2, 5, F(1, 3), 1e-12, 4, 41),
+    (3, 5, F(1, 3), 1e-12, 4, 40),
+    (3, 5, F(1, 3), 1e-12, 4, 1),
+)) + [
     (IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=7, x=F(1, 2)), policy)
     for policy in (
         TruncationPolicy(),
         TruncationPolicy(stable_run=6, k_max=5),
         TruncationPolicy(k_max=2),
     )
-]
+] + _chebyshev_stops((
+    # N = 1: the one nonzero weight is p_1, so the sum is exact from
+    # k = 1 and stops on the first all-zero window, off the lattice
+    # (K 4, 6) or on it (K 5)
+    (1, 2, F(1, 3), 1e-12, 3, 400),
+    (1, 2, F(1, 3), 1e-12, 4, 400),
+    (1, 0, F(0), 1e-12, 5, 400),
+    # N = 4: phase 0 and two taps, zero weights on the lattice at k < 4;
+    # exact stops off the lattice (K 1, 3) and on it (K 2), and a tail
+    # estimate off the lattice at K 81
+    (4, 3, F(1, 2), 1e-12, 2, 400),
+    (4, 3, F(1, 2), 1e-12, 3, 400),
+    (4, 3, F(1, 2), 1e-12, 4, 400),
+    (4, 2, F(0), 1e-6, 3, 400),
+    (4, 4, F(-1, 3), 1e-6, 3, 400),
+    # the peak gate reads the off-lattice index: the envelope's peak
+    # 21 / ln(1/cos(pi/4)) = 60.6 falls between lattice index 60 and
+    # its zero partner 61, where the tail estimate stops the sum
+    (2, 21, F(0), 1e-2, 3, 400),
+    # k_max cut-offs on each slot of a lattice pair (lattice index, then
+    # its off-lattice partner), at phase 0 (N = 2, 4) and phase 1
+    # (N = 3, 5): lattice zeros below N or in an all-zero sum
+    (4, 2, F(1, 3), 1e-12, 4, 2),
+    (4, 2, F(1, 3), 1e-12, 4, 3),
+    (2, 3, F(1, 2), 1e-12, 6, 4),
+    (2, 3, F(1, 2), 1e-12, 6, 3),
+    (3, 2, F(1, 3), 1e-12, 4, 1),
+    (3, 2, F(1, 3), 1e-12, 4, 2),
+    (3, 3, F(1, 2), 1e-12, 6, 3),
+    (3, 3, F(1, 2), 1e-12, 6, 4),
+    (5, 2, F(1, 3), 1e-12, 4, 3),
+    (5, 2, F(1, 3), 1e-12, 4, 4),
+))
 
 
 @pytest.mark.parametrize("identity, params, policy", _ZERO_STOP_CASES)
@@ -1469,6 +1551,7 @@ _HOP_SUMS_SHA256 = (
 )
 
 
+@pytest.mark.pins
 def test_hop_sums_reports_bytes_unchanged():
     cases = _hop_sums_cases()
     assert len(cases) == 514
@@ -1480,6 +1563,31 @@ def test_hop_sums_reports_bytes_unchanged():
         (r["N"], r["n"], r["x"]) for r in reports if r["status"] != "VERIFIED"
     ]
     assert failed == [(3, 20, "0"), (3, 20, "1")]
+
+
+# sha256 of the reports of EULER_CHEB at N = 4, 5, 6 (weights with two or
+# three lattice taps; phase 0 at N = 4, 6), n in {0, 1, 7, 20, 40} and x in
+# {0, 1/3, 1/2, 1}, as computed while the off-lattice zeros were streamed
+# terms: under the default policy and under a short one
+_MULTI_TAP_SHA256 = [
+    (TruncationPolicy(),
+     "d4db278c0fb5ae741a3113744387965ff46b187e7e562f181998333b751ca1b0"),
+    (TruncationPolicy(1e-6, 3, 41),
+     "972e91c2b7c875a16683af936a81023aa07d11b27d8bbc99e1211875a8876410"),
+]
+
+
+@pytest.mark.pins
+@pytest.mark.parametrize("policy, digest", _MULTI_TAP_SHA256)
+def test_multi_tap_chebyshev_reports_bytes_unchanged(policy, digest):
+    cases = [
+        IdentityParams(n=n, x=x, cheb_index=N)
+        for N in (4, 5, 6) for n in (0, 1, 7, 20, 40)
+        for x in (F(0), F(1, 3), F(1, 2), F(1))
+    ]
+    reports = [verify(IdentityId.EULER_CHEB, p, policy).to_json() for p in cases]
+    rendered = json.dumps(reports)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == digest
 
 
 def _block_level_cases():
@@ -1506,6 +1614,7 @@ _BLOCK_LEVEL_TERMS_SHA256 = (
 )
 
 
+@pytest.mark.pins
 def test_block_level_reports_and_terms_bytes_unchanged():
     cases = _block_level_cases()
     assert len(cases) == 150
