@@ -245,7 +245,10 @@ def _cmd_catalog(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
+]:
+    """The command line's one parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="umbralwalk",
         description=(
@@ -342,15 +345,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list the identity catalog")
     p.set_defaults(handler=_cmd_catalog)
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """Parse a command line (`sys.argv[1:]` when `argv` is None)."""
-    return _PARSER.parse_args(argv)
+    """Parse a command line (`sys.argv[1:]` when `argv` is None).
+
+    A line that starts with a subcommand goes to that subcommand's parser
+    alone, as the top-level parser would pass it on; its leftovers are
+    reported by the top-level parser, as they would be there. Any other
+    line (none, `-h`, an unknown command) goes through the top-level one.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    if not argv or argv[0] not in _COMMANDS:
+        return _PARSER.parse_args(argv)
+    ns, extras = _COMMANDS[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return ns
 
 
 def main(argv: list[str] | None = None) -> int:

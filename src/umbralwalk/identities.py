@@ -25,8 +25,9 @@ the discrepancies live instead of hiding them:
     the sech/sinh product it is read from; the engine evaluates the
     translation forced by that product, which the series ground truth
     confirms.
-  * N4_UNIFORM: the stated form fails already at n = 1 (1/6 vs 1/3);
-    the corrected form follows the recomputed chain.
+  * N4_UNIFORM: the stated form fails already at n = 0, where its left
+    side is 1 and its partial sums are 2 - 2^-K (and at n = 1, 1/6 vs
+    1/3); the corrected form follows the recomputed chain.
 
 For every identity tied to a level system, the series decomposition
 residual must be exactly zero before moment-level verification is
@@ -42,6 +43,7 @@ import operator
 import sys
 from collections import deque
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from math import cos, gcd, isfinite, lcm, log, pi
@@ -54,7 +56,6 @@ from .loopcalc import (
 from .polynomials import (
     ExactScalar,
     Poly,
-    appell_polynomial,
     bernoulli_number,
     chebyshev_lattice_numerators,
     eval_poly,
@@ -176,6 +177,18 @@ class TruncationPolicy:
             raise InvalidParamsError(f"bad truncation policy: {self}")
 
 
+def _exact_str(value: ExactScalar) -> str:
+    """`str(value)` at any size. A partial sum's denominator can pass the
+    int-to-str digit limit (4300 by default), where `str` raises; a
+    Decimal renders an integer exactly without that limit."""
+    try:
+        return str(value)
+    except ValueError:
+        q = Fraction(value)
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     identity: IdentityId
@@ -200,8 +213,8 @@ class IdentityReport:
             "x": str(p.x),
             "levels": [str(v) for v in (p.levels or ())],
             "K_used": self.K_used,
-            "lhs": str(self.lhs_exact),
-            "rhs_partial": str(self.rhs_partial_exact),
+            "lhs": _exact_str(self.lhs_exact),
+            "rhs_partial": _exact_str(self.rhs_partial_exact),
             "residual": self.residual_float,
             "status": self.status.value,
         }
@@ -343,9 +356,19 @@ _SystemKey = tuple[Walk, tuple[ExactScalar, ...]]
 
 def _moment_at(series: PowerSeries, params: IdentityParams) -> tuple[int, int]:
     """n! [w^n] e^(xw) series at the instance's n and x, as an unreduced
-    integer pair; the series needs n + 1 coefficients."""
+    integer pair; the series needs n + 1 coefficients.
+
+    With x = xn / xd it is sum_j nums_j n!/(n-j)! xn^(n-j) xd^j over
+    den xd^n, taken in one Horner pass in xn: `scale` is the falling
+    factorial n!/(n-j)! times xd^j.
+    """
+    n = params.n
     xn, xd = params.x.as_integer_ratio()
-    return appell_polynomial(series.nums, series.den, params.n).at(xn, xd)
+    acc, scale = 0, 1
+    for j, c in zip(range(n + 1), series.nums):
+        acc = acc * xn + c * scale
+        scale *= (n - j) * xd
+    return acc, series.den * xd**n
 
 
 def _read(series: PowerSeries, order: int) -> PowerSeries:

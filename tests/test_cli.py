@@ -5,14 +5,21 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import umbralwalk
+from umbralwalk import cli
 from umbralwalk.cli import main, parse_args
+from umbralwalk.identities import (
+    IdentityId, IdentityParams, TruncationPolicy, verify,
+)
 from umbralwalk.loopcalc import PhiMove
 
 
@@ -93,6 +100,65 @@ def test_main_builds_no_parser(monkeypatch):
         assert main(["numbers", "--euler", "--upto", "4"]) == 0
         with pytest.raises(SystemExit):
             main(["numbers", "--euler", "--upto", "ten"])
+
+
+# every subcommand once with valid arguments, then the lines that end in
+# help or a usage error
+_COMMAND_LINES = [
+    ["poly", "--family", "euler", "--n", "3", "--order", "2", "--x", "1/2"],
+    ["numbers", "--bernoulli", "--upto", "6"],
+    ["weights", "--N", "3", "--count", "5"],
+    ["series", "--walk", "1d", "--levels", "0,1,2", "--chain", "--order", "6"],
+    ["verify", "--id", "N3_GENERAL", "--n", "3", "--x=1", "--levels=1,2,4"],
+    ["verify", "--id", "N3_UNIFORM", "--n", "2", "--x=-1/3"],
+    ["verify-all"],
+    ["simulate", "--walk", "1d", "--start", "0", "--target", "0.5",
+     "--z", "0.5", "--dt", "1e-2", "--paths", "8", "--seed", "1",
+     "--tmax", "2"],
+    ["quadrature", "--family", "euler", "--n", "2", "--x", "1/2"],
+    ["catalog"],
+    [],
+    ["-h"],
+    ["verify", "-h"],
+    ["bogus"],
+    ["verify"],
+    ["verify", "--id", "N3_UNIFORM", "--bogus"],
+    ["numbers", "--bernoulli", "--upto", "3", "extra", "--more"],
+    ["verify", "--id", "N3_UNIFORM", "--n", "ten"],
+    ["verify", "--id", "N3_UNIFORM", "--x", "-1/3"],
+    ["verify", "--id", "N3_UNIFORM", "--", "--n", "2"],
+]
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of one command line run by `main`."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    # the one field of `verify-all` that changes from run to run
+    return code, re.sub(r'"generated_at": "[^"]*"', "", out), err
+
+
+@pytest.mark.parametrize("argv", _COMMAND_LINES, ids=" ".join)
+def test_subcommand_parser_matches_the_full_parser(capsys, monkeypatch, argv):
+    fast = _outcome(capsys, argv)
+    # with no subcommand parser to go to, every line takes the full parser
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    assert fast == _outcome(capsys, argv)
+
+
+def test_subcommand_line_is_parsed_once(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("parsed by the top-level parser")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", never)
+    ns = parse_args(["verify", "--id", "N3_GENERAL", "--x=1", "--levels=1,2"])
+    assert (ns.command, ns.id, ns.n, ns.levels) == (
+        "verify", "N3_GENERAL", 0, (1, 2)
+    )
+    assert ns.handler is cli._cmd_verify
 
 
 # every bounded exact-arithmetic option: a command line, the option, its limit
@@ -316,6 +382,37 @@ def test_verify_invalid_params_exit_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "Chebyshev" in err
+
+
+def _exact(text):
+    """A "p/q" or "p" string as a Fraction, at any number of digits."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--id", "FOUR_GENERAL_1D", "--n", "64", "--levels", "1/997,1/991,1000"),
+        ("--id", "N3_GENERAL", "--levels", "1/100,1/99,100", "--kmax", "4096"),
+    ],
+)
+def test_verify_prints_integers_past_the_digit_limit(capsys, argv):
+    # the partial sum's denominator has more digits than int-to-str allows
+    code = main(["verify", *argv])
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert err == ""
+    payload = json.loads(out)
+    assert len(payload["rhs_partial"]) > sys.get_int_max_str_digits()
+    ns = parse_args(["verify", *argv])
+    report = verify(
+        IdentityId(ns.id),
+        IdentityParams(n=ns.n, x=ns.x, levels=ns.levels),
+        TruncationPolicy(ns.tol, ns.stable_run, ns.kmax),
+    )
+    assert _exact(payload["lhs"]) == report.lhs_exact
+    assert _exact(payload["rhs_partial"]) == report.rhs_partial_exact
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])

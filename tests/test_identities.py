@@ -44,6 +44,7 @@ from umbralwalk.identities import (
     term_magnitudes,
 )
 from umbralwalk.polynomials import (
+    appell_polynomial,
     chebyshev_polynomial,
     eval_poly,
     hop_bernoulli,
@@ -798,15 +799,15 @@ def _printed_four_general_partial(K):
 
 def _count_errata_moments(monkeypatch):
     """The degrees of the block moments `errata_report` takes: each is one
-    `appell_polynomial` call in `identities`."""
+    `_moment_at` call in `identities`."""
     calls = []
-    appell = identities.appell_polynomial
+    moment_at = identities._moment_at
 
-    def counting_appell(nums, den, n):
-        calls.append(n)
-        return appell(nums, den, n)
+    def counting_moment_at(series, params):
+        calls.append(params.n)
+        return moment_at(series, params)
 
-    monkeypatch.setattr(identities, "appell_polynomial", counting_appell)
+    monkeypatch.setattr(identities, "_moment_at", counting_moment_at)
     return calls
 
 
@@ -966,6 +967,24 @@ def test_streamed_block_values_equal_one_shot_moments(levels, n, k_max, x):
         assert value == one_shot(_paper_three_site_blocks(k, pair))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    nums=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
+    den=st.integers(1, 10**6),
+    n=st.integers(0, 11),
+    x=st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+def test_moment_at_equals_the_appell_polynomial(nums, den, n, x):
+    """n! [w^n] e^(xw) nums / den, read in one pass, is the Appell
+    polynomial of the series at x."""
+    nums += [0] * (n + 1 - len(nums))  # the series needs n + 1 coefficients
+    series = PowerSeries([F(c, den) for c in nums])
+    pair = identities._moment_at(series, IdentityParams(n=n, x=x))
+    assert F(*pair) == F(*appell_polynomial(series.nums, series.den, n).at(
+        *x.as_integer_ratio()
+    ))
+
+
 # --- work guards ------------------------------------------------------------------
 
 
@@ -1092,6 +1111,19 @@ def test_verify_n4_stated_audit_values():
     assert report.status is Status.RESIDUAL_NONZERO
     assert report.lhs_exact == F(1, 6)
     assert abs(float(report.rhs_partial_exact - F(1, 3))) < 1e-12
+
+
+def test_verify_n4_stated_fails_from_degree_0():
+    # the left side is 1, the partial sums 1 + 1/2 + ... + 2^-K = 2 - 2^-K
+    params = IdentityParams(n=0, x=F(0))
+    report = verify(IdentityId.N4_UNIFORM_STATED, params)
+    assert report.status is Status.RESIDUAL_NONZERO
+    assert (report.K_used, report.lhs_exact) == (43, 1)
+    for K in (0, 1, 5, report.K_used):
+        assert eval_rhs_partial(IdentityId.N4_UNIFORM_STATED, params, K) == (
+            2 - F(1, 2**K)
+        )
+    assert report.rhs_partial_exact == 2 - F(1, 2**report.K_used)
 
 
 def test_verify_three_sites_degenerate_spacing():

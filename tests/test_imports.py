@@ -1,8 +1,9 @@
 """Start-up cost: numpy and scipy load only when a simulation or a
 quadrature first runs. Each check runs in a fresh interpreter, because
 this test process has long since loaded both. No private name of the
-package is left defined but unused, and every import within the package
-points down its layer order."""
+package is left defined but unused, no name a module imports is left
+unread, and every import within the package points down its layer
+order."""
 
 import ast
 import os
@@ -136,6 +137,43 @@ def test_every_private_definition_is_used():
         if name not in refs[module]
     ]
     assert unused == []
+
+
+def _imported_names(tree: ast.Module, lines: list[str]):
+    """The names a module's imports bind, anywhere in it, except those of
+    an import kept for its side effect (marked `# noqa: F401`)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "# noqa: F401" in lines[node.end_lineno - 1]:
+            continue
+        if isinstance(node, ast.Import):
+            # `import a.b` binds a
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def test_every_import_is_read():
+    # `__init__` imports to re-export: its imports are the package's face
+    package = Path(umbralwalk.__file__).resolve().parent
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        text = path.read_text()
+        tree = ast.parse(text, str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [
+            f"{path.stem}:{name}"
+            for name in _imported_names(tree, text.splitlines())
+            if name not in read
+        ]
+    assert unread == []
 
 
 # the layer order, bottom first: a module imports only from below it
