@@ -56,6 +56,7 @@ from .loopcalc import (
 from .polynomials import (
     ExactScalar,
     Poly,
+    appell_polynomial,
     bernoulli_number,
     chebyshev_lattice_numerators,
     eval_poly,
@@ -180,13 +181,11 @@ class TruncationPolicy:
 def _exact_str(value: ExactScalar) -> str:
     """`str(value)` at any size. A partial sum's denominator can pass the
     int-to-str digit limit (4300 by default), where `str` raises; a
-    Decimal renders an integer exactly without that limit."""
-    try:
-        return str(value)
-    except ValueError:
-        q = Fraction(value)
-        num = str(Decimal(q.numerator))
-        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+    Decimal renders an integer exactly, with the same digits, without
+    that limit."""
+    num = str(Decimal(value.numerator))
+    den = value.denominator
+    return num if den == 1 else f"{num}/{Decimal(den)}"
 
 
 @dataclass(frozen=True)
@@ -356,19 +355,9 @@ _SystemKey = tuple[Walk, tuple[ExactScalar, ...]]
 
 def _moment_at(series: PowerSeries, params: IdentityParams) -> tuple[int, int]:
     """n! [w^n] e^(xw) series at the instance's n and x, as an unreduced
-    integer pair; the series needs n + 1 coefficients.
-
-    With x = xn / xd it is sum_j nums_j n!/(n-j)! xn^(n-j) xd^j over
-    den xd^n, taken in one Horner pass in xn: `scale` is the falling
-    factorial n!/(n-j)! times xd^j.
-    """
-    n = params.n
+    integer pair; the series needs n + 1 coefficients."""
     xn, xd = params.x.as_integer_ratio()
-    acc, scale = 0, 1
-    for j, c in zip(range(n + 1), series.nums):
-        acc = acc * xn + c * scale
-        scale *= (n - j) * xd
-    return acc, series.den * xd**n
+    return appell_polynomial(series.nums, series.den, params.n).at(xn, xd)
 
 
 def _read(series: PowerSeries, order: int) -> PowerSeries:

@@ -44,7 +44,6 @@ from umbralwalk.identities import (
     term_magnitudes,
 )
 from umbralwalk.polynomials import (
-    appell_polynomial,
     chebyshev_polynomial,
     eval_poly,
     hop_bernoulli,
@@ -820,7 +819,7 @@ def test_errata_printed_blocks_stream_equals_double_loop(monkeypatch):
     # the moments of the printed and implemented block sums at k = 0, 1,
     # the three-site block moments and the block sums' left sides; the
     # double loop made 3,321
-    assert len(calls) < 20
+    assert 0 < len(calls) < 20
 
 
 def _paper_three_site_weight(k, levels):
@@ -849,7 +848,7 @@ def test_errata_three_site_blocks_stream_equals_direct_sum(monkeypatch):
     assert entry["block_level_partial"] == str(direct)
     assert entry["block_level_residual"] == abs(float(lhs - direct))
     # the direct sum makes one block moment per term, 96 of them
-    assert len(calls) < 20
+    assert 0 < len(calls) < 20
 
 
 # --- block-level running products against one-shot moments ------------------------
@@ -965,24 +964,6 @@ def test_streamed_block_values_equal_one_shot_moments(levels, n, k_max, x):
     for k, weight, value in terms(three_sites, pair):
         assert weight == _paper_three_site_weight(k, pair)
         assert value == one_shot(_paper_three_site_blocks(k, pair))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    nums=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
-    den=st.integers(1, 10**6),
-    n=st.integers(0, 11),
-    x=st.fractions(min_value=-5, max_value=5, max_denominator=7),
-)
-def test_moment_at_equals_the_appell_polynomial(nums, den, n, x):
-    """n! [w^n] e^(xw) nums / den, read in one pass, is the Appell
-    polynomial of the series at x."""
-    nums += [0] * (n + 1 - len(nums))  # the series needs n + 1 coefficients
-    series = PowerSeries([F(c, den) for c in nums])
-    pair = identities._moment_at(series, IdentityParams(n=n, x=x))
-    assert F(*pair) == F(*appell_polynomial(series.nums, series.den, n).at(
-        *x.as_integer_ratio()
-    ))
 
 
 # --- work guards ------------------------------------------------------------------
