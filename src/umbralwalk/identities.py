@@ -159,6 +159,9 @@ class TruncationPolicy:
     and before that k a window of small terms may be a dip between larger
     ones, not the tail, so the sum goes on. rho is the weights' `decay`:
     |r| for geometric weights c r^k, cos(pi / 2N) for the Chebyshev ones.
+    d here is the bound n (the spec's `degree`), even where the value is
+    known to be of degree n // 2 in k and its terms are built from that
+    degree, so every stop stays where the bound n puts it.
     This is a heuristic, not a bound; the zero-window stop on an exact
     partial sum is not gated.
     """
@@ -314,10 +317,20 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # -- right-hand side terms -------------------------------------------------
 #
 # Term k of every right side is weight(k) * value(k), the weight an integer
-# u_k over C b^k (C, b fixed integers) and value(k) a polynomial of degree
-# <= d in k: E_n^(p)(y) and B_n^(p)(y) have total degree n in (p, y)
-# (Norlund), and the identities take p and y affine in k; a block moment
-# is n! [w^n] of an exponential whose exponent is linear in k.
+# u_k over C b^k (C, b fixed integers) and value(k) a polynomial in k of
+# degree at most n: E_n^(p)(y) and B_n^(p)(y) have total degree n in
+# (p, y) (Norlund), and the identities take p and y affine in k. Each
+# value is n! [w^n] A(w) B(w)^k with B(0) = 1, B the loop factor, and
+# each right side also states the degree it can check, which is n // 2
+# where B is even in w: then log B = O(w^2), so in B^k = exp(k log B)
+# k^j comes with w^(2j) at least and j <= n // 2. A hop row is n! [w^n]
+# of K(w)^(o0 + o1 k) e^((y0 + dy k) w); where 2 dy = o1, K^o1 e^(dy w)
+# is sech(w/2)^o1 (Euler) or ((w/2) / sinh(w/2))^o1 (Bernoulli), both
+# even (Norlund's E_n^(p)(p - y) = (-1)^n E_n^(p)(y)). A block-level loop
+# is even when no odd coefficient is in it; the errata's printed
+# four-general loop mixes odd ones in and keeps n. Only the term stream
+# reads this degree: the peak gate of `_sum_to_tolerance` keeps the
+# bound n, `_Spec.degree`.
 # value(k) comes as an unreduced integer pair (num, den), den > 0, and no
 # `Fraction` is built per value: a hop-family value is one row of `_hop`
 # (the family, the order o0 + o1 k, the point (a + c k) / q and an integer
@@ -347,8 +360,8 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # certified system derives no move.
 
 _Value = Callable[[int], tuple[int, int]]
-# a right side: its weights and value(k)
-_Right = tuple[_Weights, _Value]
+# a right side: its weights, value(k) and the degree of value in k
+_Right = tuple[_Weights, _Value, int]
 # a level system as (walk, levels): the ground-truth memo's key
 _SystemKey = tuple[Walk, tuple[ExactScalar, ...]]
 
@@ -404,7 +417,9 @@ def _loop_sum(
     Its weight is S(0) L(0)^k and its value n![w^n] e^(xw) S1 L1^k, with
     S1 = S / S(0) and L1 = L / L(0). The products S1 L1^k are drawn once,
     in order, at one `ps_mul` each, and the values reached are kept,
-    since `_term_numerators` may ask later for a value it put off.
+    since `_term_numerators` may ask later for a value it put off. The
+    value is of degree n // 2 in k when the loop has no odd coefficient,
+    and n otherwise.
     """
     s0, l0 = start.constant_term, loop.constant_term
     products = itertools.accumulate(
@@ -417,7 +432,8 @@ def _loop_sum(
             values.append(_moment_at(product, params))
         return values[k]
 
-    return _geometric(s0, l0), value
+    degree = params.n if any(loop.nums[1::2]) else params.n // 2
+    return _geometric(s0, l0), value, degree
 
 
 def _renewal(walk: Walk) -> Callable[[IdentityParams], _Right]:
@@ -515,7 +531,8 @@ def _hop(
 
     value(k) is family(n, o0 + o1 k) at the point y0 + k dy, divided by
     s. Over the one integer q = lcm of the denominators of y0 and dy the
-    point is (a + c k) / q, so each value is one integer Horner loop.
+    point is (a + c k) / q, so each value is one integer Horner loop. It
+    is of degree n // 2 in k when 2 dy = o1, and n otherwise.
     """
 
     def right(params: IdentityParams) -> _Right:
@@ -528,7 +545,7 @@ def _hop(
             num, den = family(n, o0 + o1 * k).at(a + c * k, q)
             return num, den * s
 
-        return weights(params), value
+        return weights(params), value, n // 2 if 2 * dy == o1 else n
 
     return right
 
@@ -546,10 +563,14 @@ def _even_bernoulli_weights(params: IdentityParams) -> _Weights:
 class _Spec:
     """One identity: catalog text, left side, right side, ground truth.
 
-    right(params) gives the right side as (weights, value): term k is
+    right(params) gives the right side as (weights, value, d): term k is
     u_k / (C b^k) * value(k) with C, b and u the first fields of the
-    weights (see `_Weights`) and value(k) of degree <= degree(params) in
-    k, given as an integer pair (num, den).
+    weights (see `_Weights`) and value(k) of degree <= d in k, given as an
+    integer pair (num, den). d is n // 2 where the right side's loop
+    factor is even in w (see the comment above `_Value`), and the term
+    stream is built from it. degree(params) is the bound, the family's
+    degree n (2m - 1 for EVEN_BERNOULLI), which d never exceeds; the peak
+    gate of `_sum_to_tolerance` reads it.
     An instance needs `level_count` levels and, by `positive_field`, an
     integer field >= 1 (and the phrase naming it in the error).
     """
@@ -696,8 +717,10 @@ _SPECS: dict[IdentityId, _Spec] = {
 def _term_numerators(
     d: int, weights: _Weights, value: _Value
 ) -> Iterator[tuple[int, int]]:
-    """The terms of a right side of degree d on its lattice: term
-    k = phase + stride j, j = 0, 1, 2, ..., as integers (t_j, m_j).
+    """The terms of a right side on its lattice: term k = phase + stride j,
+    j = 0, 1, 2, ..., as integers (t_j, m_j). d is the degree the right
+    side states for its value in k (n // 2 for an even loop factor, see
+    `_Spec`); any larger d gives the same terms from more work.
 
     Term k is t_j / den_k with den_k = m_0 m_1 ... m_j = C D_k b^k, D_k a
     common denominator of the values reached, so a partial sum S / den
@@ -771,8 +794,8 @@ def _index_terms(
     """Term k = 0, 1, 2, ... of a right side as (t_k, m_k), as in
     `_term_numerators`: at stride 2 its lattice terms with the zero terms
     (0, 1) off the lattice put back between them."""
-    weights, value = spec.right(params)
-    terms = _term_numerators(spec.degree(params), weights, value)
+    weights, value, d = spec.right(params)
+    terms = _term_numerators(d, weights, value)
     if weights.stride == 1:
         return terms
     off = itertools.repeat((0, 1))
@@ -971,8 +994,7 @@ def _sum_to_tolerance(
     S, den = 0, 1  # the partial sum is S / den; den_k is den grow
     grow = 1
     stable_run, k_max = policy.stable_run, policy.k_max
-    d = spec.degree(params)
-    weights, value = spec.right(params)
+    weights, value, d = spec.right(params)
     stride, phase = weights.stride, weights.phase
     gap = stride == 2  # a zero term follows each lattice term
     window: deque[float] = deque(maxlen=stable_run)
@@ -981,8 +1003,9 @@ def _sum_to_tolerance(
     prev_nz = last_nz = 0.0
     converged = False
     K = k_max  # where a sum that does not converge is cut off
-    # before the envelope's peak, small terms may be a dip, not the tail
-    peak = d / -log(weights.decay)
+    # before the envelope's peak, small terms may be a dip, not the tail;
+    # the gate reads the bound n, not the stream's degree d
+    peak = spec.degree(params) / -log(weights.decay)
     terms = _term_numerators(d, weights, value)
     for k, (t, m) in zip(range(phase, k_max + 1, stride), terms):
         if t:

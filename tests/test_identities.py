@@ -621,13 +621,13 @@ def test_stride_two_stream_advances_once_per_lattice_step(monkeypatch, N):
         return difference_table(row)
 
     def recording_right(params):
-        weights, value = spec.right(params)
+        weights, value, d = spec.right(params)
 
         def recording_value(k):
             indices.append(k)
             return value(k)
 
-        return weights, recording_value
+        return weights, recording_value, d
 
     def counting_term_numerators(*args):
         for item in term_numerators(*args):
@@ -643,10 +643,12 @@ def test_stride_two_stream_advances_once_per_lattice_step(monkeypatch, N):
     params = IdentityParams(n=n, x=F(1, 3), cheb_index=N)
     lattice = range(N % 2, count, 2)
     list(itertools.islice(rhs_terms(IdentityId.EULER_CHEB, params), count))
-    # one table of the n + 1 head values, each computed once on the
+    # the hop row has 2 dy = o1, so the value is of degree n // 2 in k:
+    # one table of the n // 2 + 1 head values, each computed once on the
     # lattice, and one stream item per lattice index
-    assert tables == [n + 1]
-    assert sorted(indices) == list(lattice[: n + 1])
+    head = n // 2 + 1
+    assert tables == [head]
+    assert sorted(indices) == list(lattice[:head])
     assert drawn == [len(lattice)]
     # verify draws one item per lattice index through K_used, and builds
     # the table only if it gets past the head (N = 1 stops in it)
@@ -656,15 +658,15 @@ def test_stride_two_stream_advances_once_per_lattice_step(monkeypatch, N):
     report = verify(IdentityId.EULER_CHEB, params, TruncationPolicy(tol=1e-6))
     reached = len(range(N % 2, report.K_used + 1, 2))
     assert drawn == [reached]
-    assert tables == ([n + 1] if reached > n + 1 else [])
-    assert set(indices) <= set(lattice[: n + 1])
+    assert tables == ([head] if reached > head else [])
+    assert set(indices) <= set(lattice[:head])
     assert len(indices) == len(set(indices))
     # a stride-1 stream draws one item at every index, from one table
     tables.clear()
     drawn[0] = 0
     params = IdentityParams(n=n, x=F(1, 3))
     list(itertools.islice(rhs_terms(IdentityId.FOUR_UNIFORM_1D, params), count))
-    assert tables == [n + 1]
+    assert tables == [head]
     assert drawn == [count]
 
 
@@ -674,12 +676,12 @@ def test_stride_two_weights_state_no_weight_off_the_lattice():
     # phase + 2j, so no nonzero weight can sit off the lattice
     params = IdentityParams(n=2, x=F(1, 3))
     spec = identities._SPECS[IdentityId.FOUR_UNIFORM_1D]
-    _, value = spec.right(params)
+    _, value, d = spec.right(params)
     for phase in (0, 1):
 
         def right(p):
             weights = identities._geometric(F(1, 4), F(3, 4))
-            return weights._replace(stride=2, phase=phase), value
+            return weights._replace(stride=2, phase=phase), value, d
 
         lattice_spec = replace(spec, right=right)
         terms = itertools.islice(identities._terms(lattice_spec, params), 40)
@@ -689,6 +691,68 @@ def test_stride_two_weights_state_no_weight_off_the_lattice():
                 assert t == 0
             else:
                 assert F(t, den) == F(3**j, 4 * 4**k) * F(*value(k))
+
+
+# --- the degree each right side states --------------------------------------------
+
+
+def _lattice_terms(right, params, d=None, count=120):
+    """The first `count` exact lattice terms of a right side, streamed from
+    the degree it states or, given d, from d."""
+    weights, value, stated = right(params)
+    terms = identities._term_numerators(stated if d is None else d, weights, value)
+    den, out = 1, []
+    for t, m in itertools.islice(terms, count):
+        den *= m
+        out.append(F(t, den))
+    return out
+
+
+# every catalog right side, and the errata's three-site block sum, with its
+# level count and its bound on the value's degree in k
+_RIGHT_SIDES = [
+    (identity, spec.right, spec.level_count, spec.degree)
+    for identity, spec in identities._SPECS.items()
+] + [("three-site blocks", identities._renewal(Walk.REFLECTED_1D), 2, lambda p: p.n)]
+
+_LEVEL_STEPS = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=6)
+
+
+@st.composite
+def _right_side_cases(draw):
+    name, right, level_count, bound = draw(st.sampled_from(_RIGHT_SIDES))
+    steps = draw(st.lists(_LEVEL_STEPS, min_size=level_count, max_size=level_count))
+    params = IdentityParams(
+        n=draw(st.integers(0, 24)),
+        x=draw(st.fractions(min_value=-3, max_value=3, max_denominator=7)),
+        levels=tuple(itertools.accumulate(steps)) if level_count else None,
+        cheb_index=draw(st.integers(1, 6)),
+        m=draw(st.integers(1, 12)),
+    )
+    if name == IdentityId.EVEN_BERNOULLI:
+        params = normalize_params(name, params)
+    return right, params, bound(params)
+
+
+@settings(max_examples=160, deadline=None)
+@given(_right_side_cases())
+def test_stated_degree_streams_the_terms_of_the_bound(case):
+    """Each catalog right side has a loop factor even in w, so it states
+    the degree n // 2 in k, and the terms streamed from that degree are
+    those streamed from the bound n."""
+    right, params, bound = case
+    assert right(params)[2] == bound // 2
+    assert _lattice_terms(right, params) == _lattice_terms(right, params, bound)
+
+
+def test_printed_four_general_right_side_states_the_bound():
+    # the printed table's constants put odd coefficients in its loop, so
+    # its value is of degree n in k and a head of n // 2 + 1 values does
+    # not continue it: the rule that halves the degree is not vacuous
+    params = IdentityParams(n=5, x=F(0), levels=(1, 2, 4))
+    right = identities._printed_fg_right
+    assert right(params)[2] == 5
+    assert _lattice_terms(right, params, 2) != _lattice_terms(right, params)
 
 
 def _chebyshev_stops(rows):
@@ -940,7 +1004,7 @@ def test_streamed_block_values_equal_one_shot_moments(levels, n, k_max, x):
         return eval_poly(umbral_moment(expr, n), x)
 
     def terms(right, levels):
-        weights, value = right(IdentityParams(n=n, x=x, levels=levels))
+        weights, value, _ = right(IdentityParams(n=n, x=x, levels=levels))
         for k, u in zip(range(k_max + 1), weights.numerators):
             yield k, F(u, weights.C * weights.b**k), F(*value(k))
 
@@ -992,9 +1056,10 @@ def test_four_general_moments_bounded_by_the_degree_lattice(monkeypatch):
     assert report.status is Status.VERIFIED
     assert report.K_used > n
     assert egfs == []
-    # terms 0..n take one running product each, k = 0 none; the lattice
-    # of two loop counts took (n+1)(n+2)/2 block moments
-    assert len(products) == n
+    # the loop is even in w, so the value is of degree n // 2 in k: the
+    # head terms 0..n // 2 take one running product each, k = 0 none; the
+    # lattice of two loop counts took (n+1)(n+2)/2 block moments
+    assert len(products) == n // 2
 
 
 def test_n3_general_takes_kernel_powers_once_per_instance(monkeypatch):
@@ -1235,7 +1300,7 @@ def test_variant_and_ground_truth_system_per_identity(identity):
 @pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.value)
 def test_weights_record_states_stride_and_decay(identity):
     params = normalize_params(identity, _SPEC_FACTS[identity][0])
-    weights, _ = identities._SPECS[identity].right(params)
+    weights, _, _ = identities._SPECS[identity].right(params)
     assert weights.decay == _reference_decay(identity, params)
     assert weights.stride == (2 if identity is IdentityId.EULER_CHEB else 1)
 
