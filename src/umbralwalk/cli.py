@@ -312,7 +312,7 @@ def _build_parser() -> tuple[
     )
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--kmax", type=_at_most(4096), default=512)
-    p.add_argument("--stable-run", type=int, default=4)
+    p.add_argument("--stable-run", type=_at_most(4096), default=4)
 
     p = sub.add_parser(
         "verify-all", help="full expected matrix plus the errata audit"

@@ -47,7 +47,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from math import cos, gcd, isfinite, lcm, log, pi
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .loopcalc import (
     LevelSystem, Moves, Walk, _in_w, decomposition_residual, direct_mgf,
@@ -171,11 +171,12 @@ class TruncationPolicy:
     k_max: int = 512
 
     def __post_init__(self) -> None:
-        # an infinite tol accepts every term, a nan tol none
+        # an infinite tol accepts every term, a nan tol none; a window
+        # holds at most sys.maxsize magnitudes
         if (
             not isfinite(self.tol)
             or self.tol <= 0
-            or self.stable_run < 2
+            or not 2 <= self.stable_run <= sys.maxsize
             or self.k_max < 1
         ):
             raise InvalidParamsError(f"bad truncation policy: {self}")
@@ -733,34 +734,39 @@ def _term_numerators(
     numerators over their common denominator D (see `_values_after`),
     as value(phase + stride j) is of degree <= d in j: the first later
     term takes m = b^stride D / D_k, every one after it m = b^stride.
-    Past the head the stream is one chain of C iterators, passed on by
-    `yield from` with no loop body per term; `value` is only ever called
-    at a lattice index.
+    The stream is a `chain.from_iterable` over a generator that yields
+    each head term as a 1-tuple and then the tail, one chain of C
+    iterators, itself: no generator frame resumes for a tail term.
+    `value` is only ever called at a lattice index.
     """
-    C, b, numerators, _, stride, phase = weights
-    step = b**stride
-    m, D = C * b**phase, 1
-    head: list[tuple[int, int] | None] = []
-    lattice = range(phase, phase + stride * (d + 1), stride)
-    for k in lattice:
-        u = next(numerators)
-        if u:
-            num, den = v = value(k)
-            grow = den // gcd(D, den)  # D grows to lcm(D, den)
-            D *= grow
-            head.append(v)
-            yield u * num * (D // den), m * grow
-        else:
-            head.append(None)
-            yield 0, m
-        m = step
-    head = [value(k) if v is None else v for k, v in zip(lattice, head)]
-    D_all = lcm(*(den for _, den in head))
-    row = [num * (D_all // den) for num, den in head]
-    yield from zip(
-        map(operator.mul, numerators, _values_after(_difference_table(row))),
-        itertools.chain((step * (D_all // D),), itertools.repeat(step)),
-    )
+
+    def pieces() -> Iterator[Iterable[tuple[int, int]]]:
+        C, b, numerators, _, stride, phase = weights
+        step = b**stride
+        m, D = C * b**phase, 1
+        head: list[tuple[int, int] | None] = []
+        lattice = range(phase, phase + stride * (d + 1), stride)
+        for k in lattice:
+            u = next(numerators)
+            if u:
+                num, den = v = value(k)
+                grow = den // gcd(D, den)  # D grows to lcm(D, den)
+                D *= grow
+                head.append(v)
+                yield ((u * num * (D // den), m * grow),)
+            else:
+                head.append(None)
+                yield ((0, m),)
+            m = step
+        head = [value(k) if v is None else v for k, v in zip(lattice, head)]
+        D_all = lcm(*(den for _, den in head))
+        row = [num * (D_all // den) for num, den in head]
+        yield zip(
+            map(operator.mul, numerators, _values_after(_difference_table(row))),
+            itertools.chain((step * (D_all // D),), itertools.repeat(step)),
+        )
+
+    return itertools.chain.from_iterable(pieces())
 
 
 def _difference_table(row: list[int]) -> list[int]:
@@ -935,9 +941,11 @@ def verify(
     never gives, and which a window of zero terms gives only when the
     partial sum equals the left side exactly (see `TruncationPolicy`).
     The terms arrive as integer numerators, each with the integer factor
-    by which the common denominator grows, and the rule costs one float
-    comparison per term until a run of `stable_run` small terms calls for
-    the tail estimate (see `_sum_to_tolerance`). The level system's
+    by which the common denominator grows. Each term costs its exact
+    update and one float comparison; a run of terms at or above
+    threshold is summed in an inner loop with no other bookkeeping, and
+    only a run of `stable_run` small terms calls for the tail estimate
+    (see `_sum_to_tolerance`). The level system's
     ground truth is certified at its first instance and looked up by its
     (walk, levels) key after that; the certified record also holds the
     moves, free move, start and loops that the block-level sides read,
@@ -981,13 +989,21 @@ def _sum_to_tolerance(
     1 one more leads at k = 0), which the stream does not carry: it
     appends 0.0 to the window and 1 to the run, leaves S / den as it is,
     and is cut off when k is `k_max`.
-    Each term costs one comparison: `run` counts the consecutive term
-    magnitudes below threshold, and `window` keeps the last `stable_run`
-    of them, read by `_tail_stops` only once the run is long enough;
-    `prev_nz` and `last_nz` are the last two nonzero terms' magnitudes
-    (0.0 while fewer were seen). The residual is taken on the integers
-    too (`_residual`). Raises OverflowError when a magnitude it compares
-    or the residual exceeds the float range.
+    `run` counts the consecutive term magnitudes below threshold, and
+    `window` keeps the last `stable_run` of them, read by `_tail_stops`
+    only once the run is long enough; `prev_nz` and `last_nz` are the
+    last two nonzero terms' magnitudes (0.0 while fewer were seen).
+    A term at or above threshold sets the run to 0, and no window is read
+    until `stable_run` small magnitudes have followed it. So the terms
+    after it go to an inner loop over the same stream, which only takes
+    each into S / den, its magnitude and `prev_nz`/`last_nz`, while they
+    are nonzero and at or above threshold. The first zero or small term
+    goes back to the general body, after the last large term's zero off
+    the lattice (at stride 2, where `stable_run` >= 2 keeps that zero
+    from completing a run): every window read still holds the magnitudes
+    of terms k - stable_run + 1..k. The residual is taken on the
+    integers too (`_residual`). Raises OverflowError when a magnitude it
+    compares or the residual exceeds the float range.
     """
     spec = _SPECS[identity]
     threshold = policy.tol * max(1.0, abs(float(lhs)))
@@ -997,17 +1013,20 @@ def _sum_to_tolerance(
     weights, value, d = spec.right(params)
     stride, phase = weights.stride, weights.phase
     gap = stride == 2  # a zero term follows each lattice term
-    window: deque[float] = deque(maxlen=stable_run)
+    # at phase 1 the zero term at k = 0 leads the window and the run
+    window: deque[float] = deque([0.0] * phase, maxlen=stable_run)
     append = window.append
-    run = phase  # at phase 1 the zero term at k = 0 leads the run
+    run = phase
     prev_nz = last_nz = 0.0
     converged = False
     K = k_max  # where a sum that does not converge is cut off
     # before the envelope's peak, small terms may be a dip, not the tail;
     # the gate reads the bound n, not the stream's degree d
     peak = spec.degree(params) / -log(weights.decay)
-    terms = _term_numerators(d, weights, value)
-    for k, (t, m) in zip(range(phase, k_max + 1, stride), terms):
+    terms = zip(
+        range(phase, k_max + 1, stride), _term_numerators(d, weights, value)
+    )
+    for k, (t, m) in terms:
         if t:
             m *= grow
             grow = 1
@@ -1015,6 +1034,28 @@ def _sum_to_tolerance(
             # int true division rounds correctly, as float(Fraction(t, den))
             mag = abs(t) / den
             prev_nz, last_nz = last_nz, mag
+            if mag >= threshold:
+                # no window is read until stable_run small magnitudes
+                # follow, so the large terms after this one skip the
+                # window and the run (grow stays 1 while they are nonzero)
+                append(mag)
+                for k, (t, m) in terms:
+                    if not t:
+                        break
+                    S, den = S * m + t, den * m
+                    mag = abs(t) / den
+                    prev_nz, last_nz = last_nz, mag
+                    if mag < threshold:
+                        break
+                else:
+                    break  # k_max is reached among large terms
+                if gap:  # the last large term's off-lattice zero
+                    append(0.0)
+                    run = 1
+                else:
+                    run = 0
+                if not t:
+                    grow, mag = m, 0.0
         else:
             grow *= m
             mag = 0.0

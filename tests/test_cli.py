@@ -171,6 +171,7 @@ _BOUNDED_OPTIONS = [
     (["series", "--walk", "1d", "--levels", "0,1,2", "--chain"], "--order", 512),
     (["verify", "--id", "N3_UNIFORM"], "--n", 64),
     (["verify", "--id", "N3_UNIFORM"], "--kmax", 4096),
+    (["verify", "--id", "N3_UNIFORM"], "--stable-run", 4096),
     (["verify", "--id", "EULER_CHEB", "--n", "1"], "--N", 32),
     (["verify", "--id", "EVEN_BERNOULLI"], "--m", 32),
     (["verify-all"], "--kmax", 4096),
@@ -184,7 +185,7 @@ _BOUNDED_OPTIONS = [
 def test_exact_arithmetic_options_are_bounded(capsys, argv, option, limit):
     # parsed only: nothing is computed at or above a bound
     ns = parse_args(argv + [option, str(limit)])
-    assert getattr(ns, option.lstrip("-")) == limit
+    assert getattr(ns, option.lstrip("-").replace("-", "_")) == limit
     with pytest.raises(SystemExit) as err:
         main(argv + [option, str(limit + 1)])
     assert err.value.code == 2
@@ -425,6 +426,23 @@ def test_verify_non_finite_tol_exits_2(capsys, tol):
     assert code == 2
     assert out == ""
     assert "bad truncation policy" in err
+
+
+def test_verify_stable_run_beyond_any_window_exits_2(capsys):
+    # no window holds 10^20 magnitudes; the bound rejects it before any sum
+    with pytest.raises(SystemExit) as err:
+        main([
+            "verify", "--id", "EULER_CHEB", "--n", "3", "--N", "2",
+            "--stable-run", "99999999999999999999",
+        ])
+    assert err.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (
+        "argument --stable-run: 99999999999999999999 is above the limit 4096"
+        in err
+    )
+    assert "float range" not in err
 
 
 @pytest.mark.parametrize(

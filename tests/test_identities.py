@@ -509,10 +509,13 @@ _ONE_CASE_PER_IDENTITY = {
     identity: params for identity, params, *_ in _VERIFY_CASES
 }
 # and the Chebyshev sums of phase 0: N = 2 (one tap) and N = 4 (two taps,
-# two zero weights on the lattice)
+# two zero weights on the lattice), and one of phase 1 whose terms dip
+# below threshold and grow again (see `_LOCAL_DIP_CASES`), so the inner
+# loop over large terms hands back to the general body and takes over again
 _POLICY_CASES = list(_ONE_CASE_PER_IDENTITY.items()) + [
     (IdentityId.EULER_CHEB, IdentityParams(n=2, x=F(-1, 3), cheb_index=2)),
     (IdentityId.EULER_CHEB, IdentityParams(n=3, x=F(1, 3), cheb_index=4)),
+    (IdentityId.EULER_CHEB, IdentityParams(n=55, x=F(0), cheb_index=3)),
 ]
 
 
@@ -529,6 +532,11 @@ _POLICY_CASES = list(_ONE_CASE_PER_IDENTITY.items()) + [
 @example(case=(IdentityId.EULER_CHEB,
                _ONE_CASE_PER_IDENTITY[IdentityId.EULER_CHEB]),
          stable_run=2, tol_exponent=-14, k_max=64)
+# the first small lattice term after the last large one, k = 28, ends the
+# sum: at stable_run 2 its run counts the zero term at k = 27 off the lattice
+@example(case=(IdentityId.EULER_CHEB,
+               IdentityParams(n=2, x=F(-1, 3), cheb_index=2)),
+         stable_run=2, tol_exponent=-4, k_max=64)
 def test_verify_equals_reference_under_any_policy(
     case, stable_run, tol_exponent, k_max
 ):
@@ -539,18 +547,18 @@ def test_verify_equals_reference_under_any_policy(
     )
 
 
-@pytest.mark.parametrize(
-    "n, x, stable_run, K_used",
-    [
-        (2, F(-1, 3), 2, 86),
-        (2, F(-1, 3), 3, 87),
-        # a lone magnitude once estimated its tail as 0 and stopped at K 96
-        (5, F(0), 2, 98),
-        # the terms read 0, 0, 1/16, 0, 0, 0, 1/64, ...: the zero window
-        # at k = 3..5 once stopped the sum at K 5, inexact (1/16 against 0)
-        (2, F(0), 3, 87),
-    ],
-)
+_ONE_NONZERO_CASES = [
+    (2, F(-1, 3), 2, 86),
+    (2, F(-1, 3), 3, 87),
+    # a lone magnitude once estimated its tail as 0 and stopped at K 96
+    (5, F(0), 2, 98),
+    # the terms read 0, 0, 1/16, 0, 0, 0, 1/64, ...: the zero window
+    # at k = 3..5 once stopped the sum at K 5, inexact (1/16 against 0)
+    (2, F(0), 3, 87),
+]
+
+
+@pytest.mark.parametrize("n, x, stable_run, K_used", _ONE_NONZERO_CASES)
 def test_chebyshev_windows_with_one_nonzero_magnitude_still_converge(
     n, x, stable_run, K_used
 ):
@@ -583,6 +591,44 @@ def test_verify_does_not_stop_on_a_local_dip(N, n, x):
     report = verify(IdentityId.EULER_CHEB, params)
     assert report.status is Status.NOT_CONVERGED
     assert report == _reference_verify(IdentityId.EULER_CHEB, params)
+
+
+_WINDOW_CASES = (
+    [(identity, params, policy or TruncationPolicy())
+     for identity, params, policy, _ in _VERIFY_CASES]
+    + [(IdentityId.EULER_CHEB, IdentityParams(n=n, x=x, cheb_index=N),
+        TruncationPolicy()) for N, n, x in _LOCAL_DIP_CASES]
+    + [(IdentityId.EULER_CHEB, IdentityParams(n=n, x=x, cheb_index=2),
+        TruncationPolicy(stable_run=stable_run))
+       for n, x, stable_run, _ in _ONE_NONZERO_CASES]
+)
+
+
+@pytest.mark.parametrize("identity,params,policy", _WINDOW_CASES)
+def test_every_window_read_holds_the_last_small_magnitudes(
+    monkeypatch, identity, params, policy
+):
+    # the sum skips the window while its terms are large, which is sound
+    # only if each window `_tail_stops` reads is still that of terms
+    # k - stable_run + 1..k, the zero terms off the lattice included
+    reads = []
+    tail_stops = identities._tail_stops
+
+    def recording_tail_stops(
+        window, k, peak, prev_nz, last_nz, threshold, *rest
+    ):
+        reads.append((k, list(window), threshold))
+        return tail_stops(window, k, peak, prev_nz, last_nz, threshold, *rest)
+
+    monkeypatch.setattr(identities, "_tail_stops", recording_tail_stops)
+    report = verify(identity, params, policy)
+    mags = term_magnitudes(identity, params, 0, policy.k_max)
+    for k, window, threshold in reads:
+        assert len(window) == policy.stable_run
+        assert all(v < threshold for v in window)
+        assert window == mags[k - policy.stable_run + 1 : k + 1]
+    if report.converged:
+        assert reads[-1][0] == report.K_used
 
 
 # --- the Chebyshev terms on their lattice ---------------------------------------------
@@ -1516,6 +1562,18 @@ def test_non_finite_tolerance_rejected(tol):
     # an infinite tol would pass the known-false N4_UNIFORM_STATED instance
     with pytest.raises(InvalidParamsError, match="bad truncation policy"):
         TruncationPolicy(tol=tol)
+
+
+def test_stable_run_longer_than_any_window_rejected():
+    # no deque can be that long
+    with pytest.raises(InvalidParamsError, match="bad truncation policy"):
+        TruncationPolicy(stable_run=sys.maxsize + 1)
+    params = IdentityParams(n=3, x=F(1, 2), cheb_index=1)
+    report = verify(
+        IdentityId.EULER_CHEB, params, TruncationPolicy(stable_run=sys.maxsize)
+    )
+    assert report.status is Status.NOT_CONVERGED
+
 
 GEOMETRIC_CASES = [
     (IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=3, x=F(1))),
