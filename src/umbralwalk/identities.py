@@ -50,8 +50,9 @@ from math import cos, gcd, isfinite, lcm, log, pi
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .loopcalc import (
-    LevelSystem, Moves, Walk, _in_w, decomposition_residual, direct_mgf,
-    free_move, linear_in_loops, renewal_loops, renewal_moves, start_and_loops,
+    LevelSystem, Moves, Walk, _even, _in_w, decomposition_residual,
+    direct_mgf, free_move, linear_in_loops, renewal_loops, renewal_moves,
+    start_and_loops,
 )
 from .polynomials import (
     ExactScalar,
@@ -59,7 +60,6 @@ from .polynomials import (
     appell_polynomial,
     bernoulli_number,
     chebyshev_lattice_numerators,
-    eval_poly,
     hop_bernoulli,
     hop_euler,
 )
@@ -164,6 +164,9 @@ class TruncationPolicy:
     degree, so every stop stays where the bound n puts it.
     This is a heuristic, not a bound; the zero-window stop on an exact
     partial sum is not gated.
+    A policy with a tol that is not finite and positive, a stable_run or
+    k_max that is not an int (a bool is none), a stable_run below 2 or
+    longer than any deque, or a k_max below 1 raises InvalidParamsError.
     """
 
     tol: float = 1e-12
@@ -172,9 +175,14 @@ class TruncationPolicy:
 
     def __post_init__(self) -> None:
         # an infinite tol accepts every term, a nan tol none; a window
-        # holds at most sys.maxsize magnitudes
+        # holds at most sys.maxsize magnitudes; the two counts are ints,
+        # and a bool, an int to Python, is no count
         if (
-            not isfinite(self.tol)
+            not all(
+                isinstance(v, int) and not isinstance(v, bool)
+                for v in (self.stable_run, self.k_max)
+            )
+            or not isfinite(self.tol)
             or self.tol <= 0
             or not 2 <= self.stable_run <= sys.maxsize
             or self.k_max < 1
@@ -287,27 +295,54 @@ def normalize_params(
 
 
 def _euler_at(n: int, x: Fraction) -> Fraction:
-    return eval_poly(hop_euler(n, 1), x)
+    """E_n(x), one `Fraction` of `Poly.at`'s integer pair."""
+    return Fraction(*hop_euler(n, 1).at(*x.as_integer_ratio()))
 
 
-def _bernoulli_at(n: int, x: Fraction) -> Fraction:
-    return eval_poly(hop_bernoulli(n, 1), x)
+def _bernoulli_at(n: int, x: Fraction, plus: int, over: int) -> Fraction:
+    """B_n((x + plus) / over), one `Fraction` of `Poly.at`'s integer pair."""
+    xn, xd = x.as_integer_ratio()
+    return Fraction(*hop_bernoulli(n, 1).at(xn + plus * xd, over * xd))
+
+
+def _difference_at(
+    family: Callable[[int, int], Poly], n: int, hi: int, lo: int, q: int
+) -> tuple[int, int]:
+    """family(n, 1) at hi / q minus at lo / q (q > 0), as an unreduced
+    integer pair: `Poly.at` gives both values over one denominator."""
+    poly = family(n, 1)
+    top, den = poly.at(hi, q)
+    return top - poly.at(lo, q)[0], den
 
 
 def _three_sites_lhs(params: IdentityParams, shift: int = 0) -> Fraction:
-    """The Euler difference of degree n + shift at the three-site points."""
+    """The Euler difference of degree n + shift at the three-site points
+    u + 3/2 - 2 a1 / a2 and u + 1/2, u = x / (2 a2)."""
     (a1, a2), n = params.levels, params.n + shift
-    u = params.x / (2 * a2)
-    hi = _euler_at(n, u + Fraction(3, 2) - 2 * a1 / a2)
-    return hi - _euler_at(n, u + _HALF)
+    xn, xd = params.x.as_integer_ratio()
+    p1, q1 = a1.as_integer_ratio()
+    p2, q2 = a2.as_integer_ratio()
+    # both points over q = 2 xd p2 q1: u is xn q2 q1 / q, 1/2 is half / q
+    # and 2 a1 / a2 is 4 p1 q2 xd / q
+    half = xd * p2 * q1
+    u = xn * q2 * q1
+    return Fraction(*_difference_at(
+        hop_euler, n, u + 3 * half - 4 * p1 * q2 * xd, u + half, 2 * half
+    ))
 
 
 def _bernoulli_integral(
-    params: IdentityParams, c: Fraction, lo: Fraction, hi: Fraction
+    params: IdentityParams, c: int, base: int, lo: int, hi: int
 ) -> Fraction:
-    """c times the integral of B_n over [lo, hi]."""
+    """c times the integral of B_n from (x + lo) / base to (x + hi) / base:
+    c (B_(n+1)((x + hi) / base) - B_(n+1)((x + lo) / base)) / (n + 1),
+    c an integer."""
     n = params.n
-    return c * (_bernoulli_at(n + 1, hi) - _bernoulli_at(n + 1, lo)) / (n + 1)
+    xn, xd = params.x.as_integer_ratio()
+    num, den = _difference_at(
+        hop_bernoulli, n + 1, xn + hi * xd, xn + lo * xd, base * xd
+    )
+    return Fraction(c * num, den * (n + 1))
 
 
 def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
@@ -434,7 +469,8 @@ def _loop_sum(
         return values[k]
 
     degree = params.n if any(loop.nums[1::2]) else params.n // 2
-    return _geometric(s0, l0), value, degree
+    weights = _geometric(*s0.as_integer_ratio(), *l0.as_integer_ratio())
+    return weights, value, degree
 
 
 def _renewal(walk: Walk) -> Callable[[IdentityParams], _Right]:
@@ -492,12 +528,15 @@ def _printed_fg_right(params: IdentityParams) -> _Right:
     )
 
 
-def _geometric(c: Fraction, r: Fraction) -> _Weights:
-    """The weights c r^k as c.num r.num^k over c.den r.den^k."""
+def _geometric(cn: int, cd: int, rn: int, rd: int) -> _Weights:
+    """The weights c r^k, c = cn / cd and r = rn / rd (cd, rd > 0), as
+    c.num r.num^k over c.den r.den^k in lowest terms."""
+    g, h = gcd(cn, cd), gcd(rn, rd)
+    rn, rd = rn // h, rd // h
     numerators = itertools.accumulate(
-        itertools.repeat(r.numerator), operator.mul, initial=c.numerator
+        itertools.repeat(rn), operator.mul, initial=cn // g
     )
-    return _Weights(c.denominator, r.denominator, numerators, abs(float(r)))
+    return _Weights(cd // g, rd, numerators, abs(rn / rd))
 
 
 def _chebyshev_weights(params: IdentityParams) -> _Weights:
@@ -513,14 +552,38 @@ def _chebyshev_weights(params: IdentityParams) -> _Weights:
 
 
 def _three_sites_weights(params: IdentityParams) -> _Weights:
+    """The weights (n + 1) (1 - 2 a) (2 a)^n a (1 - a)^k, a = a1 / a2."""
     (a1, a2), n = params.levels, params.n
-    prefactor = (n + 1) * (1 - 2 * a1 / a2) * (2 * a1 / a2) ** n
-    return _geometric(prefactor * (a1 / a2), 1 - a1 / a2)
+    (p1, q1), (p2, q2) = a1.as_integer_ratio(), a2.as_integer_ratio()
+    r, s = p1 * q2, q1 * p2  # a = r / s
+    return _geometric(
+        (n + 1) * (s - 2 * r) * (2 * r) ** n * r, s ** (n + 2), s - r, s
+    )
 
 
-# family, degree n, order (o0, o1), point (y0, dy), integer divisor s
+# family, degree n, order (o0, o1), point (a, c, q), integer divisor s
 _HopRow = tuple[Callable[[int, int], Poly], int, tuple[int, int],
-                tuple[Fraction | int, Fraction | int], int]
+                tuple[int, int, int], int]
+
+
+def _line(
+    x: Fraction, times: int, plus: int, step: int, over: int
+) -> tuple[int, int, int]:
+    """The point (times x + plus + step k) / over of a hop row, as the
+    integers (a, c, q) of (a + c k) / q, q > 0."""
+    xn, xd = x.as_integer_ratio()
+    return times * xn + plus * xd, step * xd, over * xd
+
+
+def _three_sites_row(params: IdentityParams) -> _HopRow:
+    """B_n^(k+1) at (x + a2) / (4 a1) + k / 2."""
+    a1, a2 = params.levels
+    xn, xd = params.x.as_integer_ratio()
+    p1, q1 = a1.as_integer_ratio()
+    p2, q2 = a2.as_integer_ratio()
+    # over q = 4 p1 xd q2, the step 1/2 is 2 p1 xd q2 / q
+    point = (xn * q2 + p2 * xd) * q1, 2 * p1 * xd * q2, 4 * p1 * xd * q2
+    return hop_bernoulli, params.n, (1, 1), point, 1
 
 
 def _hop(
@@ -530,31 +593,32 @@ def _hop(
     """The right side of a hop-family identity: its weights, and its
     values read from its row.
 
-    value(k) is family(n, o0 + o1 k) at the point y0 + k dy, divided by
-    s. Over the one integer q = lcm of the denominators of y0 and dy the
-    point is (a + c k) / q, so each value is one integer Horner loop. It
-    is of degree n // 2 in k when 2 dy = o1, and n otherwise.
+    value(k) is family(n, o0 + o1 k) at the point (a + c k) / q, divided
+    by s, so each value is one integer Horner loop. The row states a, c
+    and q in any common scale; divided by g = gcd(a, c, q), q is the
+    least common denominator of a / q and c / q. It is of degree n // 2
+    in k when 2 c / q = o1, and n otherwise.
     """
 
     def right(params: IdentityParams) -> _Right:
-        family, n, (o0, o1), (y0, dy), s = row(params)
-        (a, qa), (c, qc) = y0.as_integer_ratio(), dy.as_integer_ratio()
-        q = lcm(qa, qc)
-        a, c = a * (q // qa), c * (q // qc)
+        family, n, (o0, o1), (a, c, q), s = row(params)
+        g = gcd(a, c, q)
+        a, c, q = a // g, c // g, q // g
 
         def value(k: int) -> tuple[int, int]:
             num, den = family(n, o0 + o1 * k).at(a + c * k, q)
             return num, den * s
 
-        return weights(params), value, n // 2 if 2 * dy == o1 else n
+        return weights(params), value, n // 2 if 2 * c == o1 * q else n
 
     return right
 
 
 def _even_bernoulli_weights(params: IdentityParams) -> _Weights:
+    """The weights m / ((1 - 2^(1 - 2m)) (3^(2m) - 1)) 4^-k."""
     m = params.m
-    pref = Fraction(m) / ((1 - Fraction(2) ** (1 - 2 * m)) * (3 ** (2 * m) - 1))
-    return _geometric(pref, Fraction(1, 4))
+    half = 2 ** (2 * m - 1)
+    return _geometric(m * half, (half - 1) * (9**m - 1), 1, 4)
 
 
 # -- the spec table ----------------------------------------------------------
@@ -594,10 +658,7 @@ _THREE_SITES = _Spec(
     "higher-order Bernoulli polynomials (three sites, as printed)",
     "three sites on the half-line / reflected walk",
     _three_sites_lhs,
-    _hop(_three_sites_weights, lambda p: (
-        hop_bernoulli, p.n, (1, 1),
-        ((p.x + p.levels[1]) / (4 * p.levels[0]), _HALF), 1,
-    )),
+    _hop(_three_sites_weights, _three_sites_row),
     system=lambda p: (Walk.REFLECTED_1D, (0, *p.levels)),
     level_count=2,
     # uniformly spaced sites zero the weights' factor 1 - 2 a1/a2
@@ -613,7 +674,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         lambda p: _euler_at(p.n, p.x),
         _hop(_chebyshev_weights, lambda p: (
             hop_euler, p.n, (0, 1),
-            (p.cheb_index * p.x - Fraction(p.cheb_index, 2), _HALF),
+            _line(p.x, 2 * p.cheb_index, -p.cheb_index, 1, 2),
             p.cheb_index**p.n,
         )),
         system=lambda p: (Walk.REFLECTED_1D, tuple(range(p.cheb_index + 1))),
@@ -633,8 +694,8 @@ _SPECS: dict[IdentityId, _Spec] = {
         "four uniform sites on the half-line / reflected walk",
         lambda p: _euler_at(p.n, p.x),
         _hop(
-            lambda p: _geometric(Fraction(1, 4 * 3**p.n), Fraction(3, 4)),
-            lambda p: (hop_euler, p.n, (3, 2), (3 * p.x, 1), 1),
+            lambda p: _geometric(1, 4 * 3**p.n, 3, 4),
+            lambda p: (hop_euler, p.n, (3, 2), _line(p.x, 3, 0, 1, 1), 1),
         ),
         system=lambda p: (Walk.REFLECTED_1D, (0, 1, 2, 3)),
     ),
@@ -663,12 +724,10 @@ _SPECS: dict[IdentityId, _Spec] = {
         "Bernoulli difference at degree n+1 against quarter-geometric "
         "higher-order Euler polynomials (radii 1,2,3)",
         "three concentric spheres of radii 1,2,3",
-        lambda p: _bernoulli_integral(
-            p, Fraction(3) ** (p.n + 1), (p.x + 3) / 6, (p.x + 5) / 6
-        ),
+        lambda p: _bernoulli_integral(p, 3 ** (p.n + 1), 6, 3, 5),
         _hop(
-            lambda p: _geometric(Fraction(3, 4), Fraction(1, 4)),
-            lambda p: (hop_euler, p.n, (2, 2), ((p.x + 3) / 2, 1), 1),
+            lambda p: _geometric(3, 4, 1, 4),
+            lambda p: (hop_euler, p.n, (2, 2), _line(p.x, 1, 3, 2, 2), 1),
         ),
         system=lambda p: (Walk.BESSEL_3D, (0, 1, 2, 3)),
     ),
@@ -680,7 +739,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         lambda p: bernoulli_number(2 * p.m),
         _hop(
             _even_bernoulli_weights,
-            lambda p: (hop_euler, 2 * p.m - 1, (2, 2), (Fraction(3, 2), 1), 1),
+            lambda p: (hop_euler, 2 * p.m - 1, (2, 2), (3, 2, 2), 1),
         ),
         degree=lambda p: 2 * p.m - 1,
         system=lambda p: (Walk.BESSEL_3D, (0, 1, 2, 3)),
@@ -691,10 +750,10 @@ _SPECS: dict[IdentityId, _Spec] = {
         "Bernoulli value B_n((x+4)/6) against half-geometric Euler "
         "polynomials of order 2k+2 (as printed; fails at n=1)",
         "four concentric spheres of radii 1..4",
-        lambda p: _bernoulli_at(p.n, (p.x + 4) / 6),
+        lambda p: _bernoulli_at(p.n, p.x, 4, 6),
         _hop(
-            lambda p: _geometric(Fraction(1, 3**p.n), Fraction(1, 2)),
-            lambda p: (hop_euler, p.n, (2, 2), ((p.x + 3) / 2, 1), 1),
+            lambda p: _geometric(1, 3**p.n, 1, 2),
+            lambda p: (hop_euler, p.n, (2, 2), _line(p.x, 1, 3, 2, 2), 1),
         ),
         system=lambda p: (Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
     ),
@@ -703,12 +762,10 @@ _SPECS: dict[IdentityId, _Spec] = {
         "Bernoulli difference at degree n+1 against half-geometric "
         "Euler polynomials of order 2k+3 from the recomputed chain",
         "four concentric spheres of radii 1..4",
-        lambda p: _bernoulli_integral(
-            p, 4 * Fraction(8) ** p.n, (p.x + 4) / 8, (p.x + 6) / 8
-        ),
+        lambda p: _bernoulli_integral(p, 4 * 8**p.n, 8, 4, 6),
         _hop(
-            lambda p: _geometric(Fraction(2**p.n, 2), Fraction(1, 2)),
-            lambda p: (hop_euler, p.n, (3, 2), ((p.x + 4) / 2, 1), 1),
+            lambda p: _geometric(2**p.n, 2, 1, 2),
+            lambda p: (hop_euler, p.n, (3, 2), _line(p.x, 1, 4, 2, 2), 1),
         ),
         system=lambda p: (Walk.BESSEL_3D, (0, 1, 2, 3, 4)),
     ),
@@ -734,6 +791,11 @@ def _term_numerators(
     numerators over their common denominator D (see `_values_after`),
     as value(phase + stride j) is of degree <= d in j: the first later
     term takes m = b^stride D / D_k, every one after it m = b^stride.
+    The hand-over from the head to the tail does only what the head left
+    open: where no value was put off, D is D_d, already the head's common
+    denominator, and no value is drawn again; else the put-off values are
+    drawn then and D is lcm(D_d, their denominators). The table is built
+    on a short row in place (`_difference_table`).
     The stream is a `chain.from_iterable` over a generator that yields
     each head term as a 1-tuple and then the tail, one chain of C
     iterators, itself: no generator frame resumes for a tail term.
@@ -745,6 +807,7 @@ def _term_numerators(
         step = b**stride
         m, D = C * b**phase, 1
         head: list[tuple[int, int] | None] = []
+        put_off = False
         lattice = range(phase, phase + stride * (d + 1), stride)
         for k in lattice:
             u = next(numerators)
@@ -756,10 +819,13 @@ def _term_numerators(
                 yield ((u * num * (D // den), m * grow),)
             else:
                 head.append(None)
+                put_off = True
                 yield ((0, m),)
             m = step
-        head = [value(k) if v is None else v for k, v in zip(lattice, head)]
-        D_all = lcm(*(den for _, den in head))
+        D_all = D
+        if put_off:
+            head = [value(k) if v is None else v for k, v in zip(lattice, head)]
+            D_all = lcm(D, *(den for _, den in head))
         row = [num * (D_all // den) for num, den in head]
         yield zip(
             map(operator.mul, numerators, _values_after(_difference_table(row))),
@@ -771,12 +837,19 @@ def _term_numerators(
 
 def _difference_table(row: list[int]) -> list[int]:
     """The backward differences of equally spaced values at the last one,
-    top-first: entry -1 - j is the j-th."""
-    diffs = []
-    for _ in range(len(row)):
-        diffs.insert(0, row[-1])
-        row = [hi - lo for lo, hi in zip(row, row[1:])]
-    return diffs
+    top-first: entry -1 - j is the j-th.
+
+    Built in a copy of the row: pass i leaves the i-th differences in its
+    first len(row) - i entries, so entry len(row) - 1 - i keeps the i-th
+    difference at the last value. A plain loop, as the rows are short
+    (a right side's degree plus one).
+    """
+    row = row[:]
+    size = len(row)
+    for i in range(1, size):
+        for j in range(size - i):
+            row[j] = row[j + 1] - row[j]
+    return row
 
 
 def _values_after(diffs: list[int]) -> Iterator[int]:
@@ -1337,18 +1410,24 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
         )
     }
 
-    # four-sphere chain: printed middle display vs recomputed factorization
-    one = PowerSeries.one(order, "w")
-    w_over_sinh = ps_div(one, kernel(Kernel.SINH_OVER_ARG, 1, order, "w"))
-    sech2 = ps_mul(
-        kernel(Kernel.SECH, 1, order, "w"), kernel(Kernel.SECH, 1, order, "w")
+    # four-sphere chain: printed middle display vs recomputed factorization.
+    # Every series here is even in w, so each is taken in u = w^2, where
+    # its coefficients are the even ones in w and the odd ones, all 0,
+    # change no supremum.
+    sech = _even(kernel(Kernel.SECH, 1, order, "w"))
+    w_over_sinh = ps_div(
+        PowerSeries.one(sech.order, "u"),
+        _even(kernel(Kernel.SINH_OVER_ARG, 1, order, "w")),
     )
-    sech3 = ps_mul(sech2, kernel(Kernel.SECH, 1, order, "w"))
+    sech2 = ps_mul(sech, sech)
+    sech3 = ps_mul(sech2, sech)
     resum = geometric_resum(sech2.scale(_HALF))
     printed = ps_mul(w_over_sinh, ps_mul(sech2, resum))
     recomputed = ps_mul(w_over_sinh, ps_mul(sech3.scale(_HALF), resum))
-    # the four-sphere system, certified by the pair above
-    target = _free_at((Walk.BESSEL_3D, (0, 1, 2, 3, 4)), order)
+    # the four-sphere system, certified by the pair above: its free move
+    target = _ground_truth_residual(
+        (Walk.BESSEL_3D, (0, 1, 2, 3, 4))
+    ).free.prefix(sech.order)
     entries["four_sphere_chain_display"] = {
         "printed_residual": float(_sup(printed - target)),
         "recomputed_residual": str(_sup(recomputed - target)),
@@ -1361,11 +1440,11 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
 
     # radial taboo prefactor: target/start versus the printed target/taboo.
     # The three-sphere system is not certified here, so its moves are
-    # derived directly: the straight climb H_0 up_1 up_2, and the one loop
-    # down_2 up_1 (its L_1 is the zero series).
+    # derived directly, in u: the straight climb H_0 up_1 up_2, and the
+    # one loop down_2 up_1 (its L_1 is the zero series).
     sys3 = LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3))
-    fwd, (_, loop) = renewal_loops(sys3, order)
-    direct3 = direct_mgf(sys3, order)
+    fwd, (_, loop) = start_and_loops(renewal_moves(sys3, order))
+    direct3 = free_move(sys3, order)
     chain_ok = ps_mul(fwd, geometric_resum(loop))
     # printed prefactor reads target/taboo = 1/3 instead of target/start = 1/2
     chain_printed = ps_mul(fwd, geometric_resum(loop.scale(Fraction(2, 3))))

@@ -174,18 +174,31 @@ def euler_number(n: int) -> ExactScalar:
     return Fraction(2) ** n * hop_euler(n, 1).eval(Fraction(1, 2))
 
 
+def _chebyshev_coefficients(N: int) -> list[int]:
+    """The coefficients of x^N, x^(N-2), ..., x^(N % 2) in T_N, N >= 1.
+
+    The leading one is 2^(N-1), and coefficient i + 1 is coefficient i
+    times -(N - 2i)(N - 2i - 1) / (4 (i + 1)(N - i - 1)), from the closed
+    form T_N(x) = N/2 sum_i (-1)^i (N - i - 1)! / (i! (N - 2i)!) (2x)^(N - 2i);
+    each quotient is exact.
+    """
+    c = 2 ** (N - 1)
+    coefficients = [c]
+    for i in range(N // 2):
+        c = -c * (N - 2 * i) * (N - 2 * i - 1) // (4 * (i + 1) * (N - i - 1))
+        coefficients.append(c)
+    return coefficients
+
+
 def chebyshev_polynomial(N: int) -> Poly:
     """Chebyshev polynomial of the first kind, exact coefficients."""
     if N < 0:
         raise ValueError(f"index must be nonnegative, got {N}")
-    t_prev, t_cur = [1], [0, 1]
-    for _ in range(N - 1):
-        # T_(k+1) = 2x T_k - T_(k-1)
-        doubled = [0] + [2 * c for c in t_cur]
-        t_prev, t_cur = t_cur, [
-            a - b for a, b in itertools.zip_longest(doubled, t_prev, fillvalue=0)
-        ]
-    return _new(tuple(t_cur if N else t_prev), 1)
+    if N == 0:
+        return _new((1,), 1)
+    nums = [0] * (N + 1)
+    nums[N::-2] = _chebyshev_coefficients(N)
+    return _new(tuple(nums), 1)
 
 
 def chebyshev_lattice_numerators(N: int) -> tuple[int, Iterator[int]]:
@@ -202,8 +215,10 @@ def chebyshev_lattice_numerators(N: int) -> tuple[int, Iterator[int]]:
 
     T_N has the parity of N, so Q is even: Q_j = 0 at odd j, and P_l = 0
     whenever l - N is odd. The recurrence therefore runs over the even
-    taps Q_2, Q_4, ... and the lattice only. The stream is the N // 2
-    lattice zeros below N, then the lattice numerators from q0^(N-1) on.
+    taps Q_2, Q_4, ..., the coefficients of x^(N-2), x^(N-4), ... in T_N
+    (`_chebyshev_coefficients`), and the lattice only. The stream is the
+    N // 2 lattice zeros below N, then the lattice numerators from
+    q0^(N-1) on.
     With at most one even tap (N <= 3) they are geometric,
     P_(l+2) = -Q_2 q0 P_l (for N = 1, with no tap, P_1 = 1 is the only
     nonzero one), and `itertools.accumulate` streams them; otherwise a
@@ -212,10 +227,9 @@ def chebyshev_lattice_numerators(N: int) -> tuple[int, Iterator[int]]:
     """
     if N < 1:
         raise ValueError(f"Chebyshev index must be >= 1, got {N}")
-    T = chebyshev_polynomial(N).nums
-    # Q coefficient of t^j is the x^(N-j) coefficient of T_N
-    q0 = T[N]
-    q = [T[N - j] * q0 ** (j - 1) for j in range(2, N + 1, 2)]
+    q0, *taps = _chebyshev_coefficients(N)
+    # the multiplier of tap Q_j, j = 2i + 2, is q0^(j-1)
+    q = [tap * q0 ** (2 * i + 1) for i, tap in enumerate(taps)]
     first = q0 ** (N - 1)
 
     def lattice() -> Iterator[int]:

@@ -359,6 +359,83 @@ def test_verify_stopping_before_degree_computes_only_reached_terms(
     assert set(requested) - {1} == orders_through(report.K_used) - {1}
 
 
+# --- left sides and hop rows on integers against Fraction formulas ------------------
+
+
+def _reference_lhs(identity, params):
+    """The left side of a hop-form identity as `Fraction` formulas, every
+    step a normalised `Fraction`."""
+    n, x = params.n, params.x
+
+    def euler(d, y):
+        return eval_poly(hop_euler(d, 1), y)
+
+    def bernoulli(d, y):
+        return eval_poly(hop_bernoulli(d, 1), y)
+
+    def integral(c, lo, hi):
+        # c times the integral of B_n over [lo, hi]
+        return c * (bernoulli(n + 1, hi) - bernoulli(n + 1, lo)) / (n + 1)
+
+    if identity in (IdentityId.EULER_CHEB, IdentityId.FOUR_UNIFORM_1D):
+        return euler(n, x)
+    if identity in _TWO_LEVELS:
+        a1, a2 = params.levels
+        d = n + (identity is IdentityId.THREE_SITES_1D_CORRECTED)
+        u = x / (2 * a2)
+        return euler(d, u + F(3, 2) - 2 * a1 / a2) - euler(d, u + F(1, 2))
+    if identity is IdentityId.N3_UNIFORM:
+        return integral(F(3) ** (n + 1), (x + 3) / 6, (x + 5) / 6)
+    if identity is IdentityId.EVEN_BERNOULLI:
+        return bernoulli(2 * params.m, F(0))
+    if identity is IdentityId.N4_UNIFORM_STATED:
+        return bernoulli(n, (x + 4) / 6)
+    if identity is IdentityId.N4_UNIFORM_CORRECTED:
+        return integral(4 * F(8) ** n, (x + 4) / 8, (x + 6) / 8)
+    raise AssertionError(identity)
+
+
+# every identity whose right side is a hop row, the three-site ones included
+_HOP_FORM = [i for i in IdentityId if i not in _THREE_LEVELS]
+
+
+@st.composite
+def _hop_form_cases(draw):
+    identity = draw(st.sampled_from(_HOP_FORM))
+    levels = None
+    if identity in _TWO_LEVELS:
+        steps = st.fractions(min_value=F(1, 5), max_value=4, max_denominator=9)
+        a1, step = draw(steps), draw(steps)
+        levels = (a1, a1 + step)
+    params = IdentityParams(
+        n=draw(st.integers(0, 24)),
+        x=draw(st.fractions(min_value=-6, max_value=6, max_denominator=15)),
+        levels=levels,
+        cheb_index=draw(st.integers(1, 6)),
+        m=draw(st.integers(1, 12)),
+    )
+    return identity, normalize_params(identity, params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hop_form_cases())
+@example((IdentityId.THREE_SITES_1D_CORRECTED,
+          IdentityParams(n=3, x=F(-7, 3), levels=(F(2, 3), F(5, 2)))))
+@example((IdentityId.N4_UNIFORM_CORRECTED, IdentityParams(n=0, x=F(-5, 4))))
+def test_integer_left_sides_and_rows_equal_fraction_formulas(case):
+    """The left sides, built from `Poly.at`'s integer pairs, and the hop
+    rows' points and weights, set up on integers, give the values of the
+    `Fraction` formulas, through the head and into the tail."""
+    identity, params = case
+    lhs = eval_lhs(identity, params)
+    assert type(lhs) is F
+    assert lhs == _reference_lhs(identity, params)
+    count = params.n // 2 + 4
+    assert list(itertools.islice(rhs_terms(identity, params), count)) == [
+        _reference_term(identity, params, k) for k in range(count)
+    ]
+
+
 # --- verify against a Fraction-only reference ---------------------------------------
 
 
@@ -726,7 +803,7 @@ def test_stride_two_weights_state_no_weight_off_the_lattice():
     for phase in (0, 1):
 
         def right(p):
-            weights = identities._geometric(F(1, 4), F(3, 4))
+            weights = identities._geometric(1, 4, 3, 4)
             return weights._replace(stride=2, phase=phase), value, d
 
         lattice_spec = replace(spec, right=right)
@@ -737,6 +814,20 @@ def test_stride_two_weights_state_no_weight_off_the_lattice():
                 assert t == 0
             else:
                 assert F(t, den) == F(3**j, 4 * 4**k) * F(*value(k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=12))
+def test_difference_table_equals_naive_backward_differences(row):
+    # the j-th backward difference at the last value, for j = 0, 1, ...,
+    # each level built from the one before; the table lists them top-first
+    naive, level = [], list(row)
+    while level:
+        naive.append(level[-1])
+        level = [hi - lo for lo, hi in zip(level, level[1:])]
+    given_row = list(row)
+    assert identities._difference_table(given_row) == naive[::-1]
+    assert given_row == row
 
 
 # --- the degree each right side states --------------------------------------------
@@ -1573,6 +1664,21 @@ def test_stable_run_longer_than_any_window_rejected():
         IdentityId.EULER_CHEB, params, TruncationPolicy(stable_run=sys.maxsize)
     )
     assert report.status is Status.NOT_CONVERGED
+
+
+@pytest.mark.parametrize("field,value", [
+    ("stable_run", 2.5), ("stable_run", 4.0), ("stable_run", True),
+    ("stable_run", "4"), ("k_max", 10.5), ("k_max", 512.0), ("k_max", True),
+    ("k_max", None),
+])
+def test_non_integer_counts_rejected(field, value):
+    # each used to pass the checks and fail later with a bare TypeError
+    # (from the window's deque or from range), or to count as an int
+    with pytest.raises(InvalidParamsError, match="bad truncation policy"):
+        TruncationPolicy(**{field: value})
+    params = IdentityParams(n=3, x=F(1, 2), cheb_index=1)
+    with pytest.raises(InvalidParamsError, match="bad truncation policy"):
+        verify(IdentityId.EULER_CHEB, params, TruncationPolicy(**{field: value}))
 
 
 GEOMETRIC_CASES = [
