@@ -47,6 +47,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from math import cos, gcd, isfinite, lcm, log, pi
+from numbers import Real
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .loopcalc import (
@@ -164,9 +165,10 @@ class TruncationPolicy:
     degree, so every stop stays where the bound n puts it.
     This is a heuristic, not a bound; the zero-window stop on an exact
     partial sum is not gated.
-    A policy with a tol that is not finite and positive, a stable_run or
-    k_max that is not an int (a bool is none), a stable_run below 2 or
-    longer than any deque, or a k_max below 1 raises InvalidParamsError.
+    A policy with a tol that is not a finite positive real number, a
+    stable_run or k_max that is not an int (a bool is none), a stable_run
+    below 2 or longer than any deque, or a k_max below 1 raises
+    InvalidParamsError.
     """
 
     tol: float = 1e-12
@@ -174,14 +176,16 @@ class TruncationPolicy:
     k_max: int = 512
 
     def __post_init__(self) -> None:
-        # an infinite tol accepts every term, a nan tol none; a window
-        # holds at most sys.maxsize magnitudes; the two counts are ints,
-        # and a bool, an int to Python, is no count
+        # an infinite tol accepts every term, a nan tol none, and a tol
+        # that is no real number (a str, None, a complex) none either; a
+        # window holds at most sys.maxsize magnitudes; the two counts are
+        # ints, and a bool, an int to Python, is no count
         if (
             not all(
                 isinstance(v, int) and not isinstance(v, bool)
                 for v in (self.stable_run, self.k_max)
             )
+            or not isinstance(self.tol, Real)
             or not isfinite(self.tol)
             or self.tol <= 0
             or not 2 <= self.stable_run <= sys.maxsize
@@ -392,8 +396,9 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # moments of the paper's block lists. S1 L1^k is one running product, at
 # one series product per loop count. Up to the certificate's order, S, the
 # loops and the left side's free move are prefixes of the system's
-# certified record (`_ground_truth_residual`), so an instance on a
-# certified system derives no move.
+# certified record (`_ground_truth_residual`, which divides S and the
+# loops out of its moves' kernel pairs on their first read), so an
+# instance on a certified system derives no move.
 
 _Value = Callable[[int], tuple[int, int]]
 # a right side: its weights, value(k) and the degree of value in k
@@ -947,31 +952,46 @@ def ground_truth_system(
     return LevelSystem(*_SPECS[identity].system(params))
 
 
-class _Record(NamedTuple):
+class _Record:
     """A certified level system's series in u = w^2, at the certificate's
-    order: its moves, its free move and, in `renewal_loops`' range, its
-    renewal start and loops (else None)."""
+    order: its moves as kernel pairs (`loopcalc.Moves`), its free move
+    and, in `renewal_loops`' range, its renewal start and loops (else
+    None). The start and loops are divided out of the pairs on their
+    first read, so a system that only the hop-form identities rest on
+    never builds them."""
 
-    moves: Moves
-    free: PowerSeries
-    renewal: tuple[PowerSeries, tuple[PowerSeries, ...]] | None
+    __slots__ = ("moves", "free", "_linear", "_renewal")
+
+    def __init__(self, moves: Moves, free: PowerSeries, linear: bool) -> None:
+        self.moves, self.free = moves, free
+        self._linear, self._renewal = linear, None
+
+    @property
+    def renewal(self) -> tuple[PowerSeries, tuple[PowerSeries, ...]] | None:
+        # two threads reading it first both divide out equal series
+        if self._linear and self._renewal is None:
+            self._renewal = start_and_loops(self.moves)
+        return self._renewal
 
 
 # Keyed by the plain (walk, levels) pair, so a hit builds no LevelSystem:
 # a system is certified once, however many instances rest on it. Bounded,
 # so a long run over many level sets keeps the 64 most recently used.
-# A record is immutable, so two threads that both miss build equal ones.
+# A record's series are immutable, so two threads that both miss build
+# equal ones.
 @functools.lru_cache(maxsize=64)
 def _ground_truth_residual(key: _SystemKey) -> _Record:
     """The system's certified record.
 
-    Its moves and free move are derived once, at `_GROUND_TRUTH_ORDER`,
-    and the decomposition residual is computed on exactly those series;
-    a nonzero residual raises EngineConsistencyError and stores nothing.
-    Every side of an identity on the system read up to that order is a
-    prefix of the record, which is the series a fresh derivation gives,
-    as coefficient j of a move, product or quotient does not depend on
-    the order it is truncated at.
+    Its moves, as the kernel pairs of `renewal_moves`, and its free move
+    are derived once, at `_GROUND_TRUTH_ORDER`, and the decomposition
+    residual is computed on exactly those series: the chain's continuant
+    at one series division, the free move at another. A nonzero residual
+    raises EngineConsistencyError and stores nothing. Every side of an
+    identity on the system read up to that order is a prefix of the
+    record, which is the series a fresh derivation gives, as coefficient
+    j of a move, product or quotient does not depend on the order it is
+    truncated at.
     """
     system = LevelSystem(*key)
     moves = renewal_moves(system, _GROUND_TRUTH_ORDER)
@@ -981,8 +1001,7 @@ def _ground_truth_residual(key: _SystemKey) -> _Record:
         raise EngineConsistencyError(
             f"series decomposition residual {residual} != 0 for {system}"
         )
-    renewal = start_and_loops(moves) if linear_in_loops(system) else None
-    return _Record(moves, free, renewal)
+    return _Record(moves, free, linear_in_loops(system))
 
 
 def ensure_ground_truth(identity: IdentityId, params: IdentityParams) -> None:
@@ -1022,8 +1041,10 @@ def verify(
     ground truth is certified at its first instance and looked up by its
     (walk, levels) key after that; the certified record also holds the
     moves, free move, start and loops that the block-level sides read,
-    so an instance on a certified system derives no move. Degenerate instances (uniformly spaced
-    three-site systems) short-circuit to DEGENERATE_TRIVIAL.
+    so an instance on a certified system derives no move (the start and
+    loops are divided out of the record's pairs on their first read).
+    Degenerate instances (uniformly spaced three-site systems)
+    short-circuit to DEGENERATE_TRIVIAL.
     The tail control runs in double precision, so a left side, term or
     residual beyond the float range raises InvalidParamsError.
     """
@@ -1440,8 +1461,9 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
 
     # radial taboo prefactor: target/start versus the printed target/taboo.
     # The three-sphere system is not certified here, so its moves are
-    # derived directly, in u: the straight climb H_0 up_1 up_2, and the
-    # one loop down_2 up_1 (its L_1 is the zero series).
+    # derived directly, as kernel pairs in u: the straight climb H_0 up_1
+    # up_2, and the one loop down_2 up_1 (its L_1 is the zero series),
+    # each one quotient of their pairs' products.
     sys3 = LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3))
     fwd, (_, loop) = start_and_loops(renewal_moves(sys3, order))
     direct3 = free_move(sys3, order)

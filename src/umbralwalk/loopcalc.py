@@ -19,8 +19,15 @@ Closed forms, with levels a < b < c:
     taboo moves            radial prefactor target/start times the sinh ratio
     b -> 0 avoiding c      the zero series (the origin is never reached)
 
-Every sinh ratio is built from sinh(c w)/(c w) kernels, whose constant
-term is 1, so no leading-power bookkeeping is needed.
+Every move is a pair of even kernels in u, a numerator over a
+denominator. Each kernel is cosh(c w) or sinh(c w)/(c w), whose
+constant term is 1, so no leading-power bookkeeping is needed; the
+rational prefactors (the ratio of the sinh arguments, and the Bessel
+walk's radial factor) are folded into the numerator. A taboo move's
+denominator is the kernel at the span between its target and the
+avoided level, so up_i = U_i / W_i and down_i = Dw_i / W_i share one,
+W_i = sinh((a_(i+1) - a_(i-1)) w) / ((a_(i+1) - a_(i-1)) w). `phi`
+divides its move's pair.
 
 The full transform from 0 to the top level is one renewal recursion, the
 birth-death continued fraction (Flajolet 1980): with H_i the transform
@@ -32,18 +39,27 @@ where up_i = phi(i -> i+1 avoiding i-1) and down_i = phi(i -> i-1
 avoiding i+1): every excursion below a_i is a step down followed by a
 first passage back up. The transform is H_0 H_1 ... H_{N-1}, for any
 number of levels and both walks (the Bessel walk's down_1 is the zero
-series). `decomposition_residual` certifies it against the free move
-0 -> a_N, coefficient by coefficient in u, and must be exactly zero.
+series). On the pairs, with H_0 = N_0 / D_0, the fraction unwinds into
+its Euler-Wallis continuant: H_i = N_i / D_i with
+
+    N_i = U_i D_{i-1},   D_i = W_i D_{i-1} - Dw_i N_{i-1},
+
+and the product telescopes to N_0 U_1 ... U_{N-1} / D_{N-1}, products
+all the way and one series division at the end. `decomposition_residual`
+certifies it against the free move 0 -> a_N, coefficient by coefficient
+in u, and must be exactly zero.
 
 While the fraction is linear in its loops, `renewal_loops` gives the
 same transform as S / (1 - sum L_i), a start S times any number of
-loops L_i: the block-level identities expand it in the loop count.
+loops L_i: the block-level identities expand it in the loop count. On
+the pairs, S = N_0 U_1 ... U_{N-1} / (D_0 W_1 ... W_{N-1}), and each
+loop is one quotient of two products.
 
 The chain, its start and loops, and the certificate all read one set of
-moves, H_0 and each (up_i, down_i), walked once by `renewal_moves`. The
-u-series forms (`renewal_moves`, `start_and_loops`, `free_move`) let a
-caller that keeps a system's moves build every side from them; this
-module keeps none.
+moves, the pairs of H_0 and each (up_i, down_i), walked once by
+`renewal_moves`. The u-series forms (`renewal_moves`, `start_and_loops`,
+`free_move`) let a caller that keeps a system's moves build every side
+from them; this module keeps none.
 """
 
 from __future__ import annotations
@@ -64,9 +80,6 @@ from .series import (
     ps_div,
     ps_mul,
 )
-
-_ZERO = Fraction(0)
-
 
 class InvalidSystemError(ValueError):
     """Level list violates the walk's constraints."""
@@ -126,13 +139,12 @@ def _in_w(series: PowerSeries, order: int) -> PowerSeries:
     return _new(tuple(nums), series.den, "w")
 
 
-def _sinh_ratio(num_arg: Fraction, den_arg: Fraction, order: int) -> PowerSeries:
-    """sinh(num_arg w)/sinh(den_arg w) in u, for 0 < num_arg < den_arg."""
-    ratio = ps_div(
-        _even(kernel(Kernel.SINH_OVER_ARG, num_arg, order, "w")),
-        _even(kernel(Kernel.SINH_OVER_ARG, den_arg, order, "w")),
-    )
-    return ratio.scale(num_arg / den_arg)
+def _even_kernel(kind: Kernel, scale: Fraction, order: int) -> PowerSeries:
+    """kernel(kind, scale) in u = w^2, for an even kind: at scale 0 the
+    constant 1 that cosh and sinh(c w)/(c w) both take there."""
+    if not scale:
+        return PowerSeries.one((order + 1) // 2, "u")
+    return _even(kernel(kind, scale, order, "w"))
 
 
 def phi(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
@@ -141,8 +153,16 @@ def phi(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
 
 
 def _phi(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
-    """`phi` in u = w^2, with (order + 1) // 2 coefficients."""
-    levels = system.levels
+    """`phi` in u = w^2, with (order + 1) // 2 coefficients: the move's
+    numerator over its denominator."""
+    return ps_div(
+        _numerator(system, move, order), _denominator(system, move, order)
+    )
+
+
+def _checked(system: LevelSystem, move: PhiMove) -> tuple[int, int, int | None]:
+    """The move's level indices (from, to, taboo), for a move the closed
+    forms cover; else InvalidMoveError."""
     f, t, tb = move.from_level, move.to_level, move.taboo_level
     top = system.top_index
     for idx in (f, t) + (() if tb is None else (tb,)):
@@ -153,61 +173,86 @@ def _phi(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
     if tb is None:
         if t < f:
             raise InvalidMoveError("downward moves require a taboo level")
-        # (b/a) sinh(a w)/sinh(b w) == shifted-sinh ratio, exact at a = 0 too
-        if system.walk is Walk.REFLECTED_1D:
-            kind = Kernel.COSH
-        else:
-            kind = Kernel.SINH_OVER_ARG
-        return ps_div(
-            _even(kernel(kind, levels[f], order, "w")),
-            _even(kernel(kind, levels[t], order, "w")),
-        )
     # taboo moves: the avoided site sits adjacent on the far side
-    if t > f:
-        if tb != f - 1:
-            raise InvalidMoveError(
-                f"upward move {f}->{t} must avoid level {f - 1}, got {tb}"
-            )
-        ratio = _sinh_ratio(
-            levels[f] - levels[tb], levels[t] - levels[tb], order
+    elif t > f and tb != f - 1:
+        raise InvalidMoveError(
+            f"upward move {f}->{t} must avoid level {f - 1}, got {tb}"
         )
-    else:
-        if tb != f + 1:
-            raise InvalidMoveError(
-                f"downward move {f}->{t} must avoid level {f + 1}, got {tb}"
-            )
-        if system.walk is Walk.BESSEL_3D and levels[t] == 0:
-            return _even(PowerSeries.zero(order, "w"))
-        ratio = _sinh_ratio(
-            levels[tb] - levels[f], levels[tb] - levels[t], order
+    elif t < f and tb != f + 1:
+        raise InvalidMoveError(
+            f"downward move {f}->{t} must avoid level {f + 1}, got {tb}"
         )
+    return f, t, tb
+
+
+# the kernel of a free move's pair; (b/a) sinh(a w)/sinh(b w) is the
+# ratio of sinh(c w)/(c w) kernels, exact at a = 0 too
+_FREE_KIND = {Walk.REFLECTED_1D: Kernel.COSH, Walk.BESSEL_3D: Kernel.SINH_OVER_ARG}
+
+
+def _numerator(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
+    """The numerator of the move's pair in u (see the module): a free
+    move's kernel at its start level, or a taboo move's sinh kernel at
+    the span from its start to the avoided level, with the sinh
+    arguments' ratio and the Bessel radial prefactor target/start folded
+    in."""
+    f, t, tb = _checked(system, move)
+    levels = system.levels
+    if tb is None:
+        return _even_kernel(_FREE_KIND[system.walk], levels[f], order)
     if system.walk is Walk.BESSEL_3D:
-        ratio = ratio.scale(levels[t] / levels[f])
-    return ratio
+        if levels[t] == 0:
+            # the origin is never reached
+            return _even(PowerSeries.zero(order, "w"))
+        prefactor = levels[t] / levels[f]
+    else:
+        prefactor = 1
+    near, far = abs(levels[f] - levels[tb]), abs(levels[t] - levels[tb])
+    return _even_kernel(Kernel.SINH_OVER_ARG, near, order).scale(
+        prefactor * near / far
+    )
+
+
+def _denominator(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
+    """The denominator of the move's pair in u: a free move's kernel at
+    its target level, or a taboo move's sinh kernel at the span from its
+    target to the avoided level, which up_i and down_i share."""
+    f, t, tb = _checked(system, move)
+    levels = system.levels
+    if tb is None:
+        return _even_kernel(_FREE_KIND[system.walk], levels[t], order)
+    return _even_kernel(
+        Kernel.SINH_OVER_ARG, abs(levels[t] - levels[tb]), order
+    )
 
 
 class Moves(NamedTuple):
-    """The moves of a system's renewal recursion, as series in u = w^2.
+    """The moves of a system's renewal recursion as kernel pairs in u = w^2.
 
-    first is H_0 = phi(0 -> 1), and for i = 1..N-1 ups[i - 1] is up_i =
-    phi(i -> i+1 avoiding i-1) and downs[i - 1] is down_i = phi(i -> i-1
-    avoiding i+1).
+    first is H_0 = phi(0 -> 1) as its pair (N_0, D_0). For i = 1..N-1,
+    ups[i - 1] is U_i, downs[i - 1] is Dw_i and walls[i - 1] is W_i, so
+    up_i = phi(i -> i+1 avoiding i-1) = U_i / W_i and down_i = phi(i ->
+    i-1 avoiding i+1) = Dw_i / W_i.
     """
 
-    first: PowerSeries
+    first: tuple[PowerSeries, PowerSeries]
     ups: tuple[PowerSeries, ...]
     downs: tuple[PowerSeries, ...]
+    walls: tuple[PowerSeries, ...]
 
 
 def renewal_moves(system: LevelSystem, order: int) -> Moves:
-    """The system's moves, each derived once: the one walk over the move
-    pattern that the chain, its start and loops, and the certificate
-    read."""
+    """The system's moves, each numerator and denominator derived once:
+    the one walk over the move pattern that the chain, its start and
+    loops, and the certificate read."""
     inner = range(1, system.top_index)
+    h0 = PhiMove(0, 1)
+    up_moves = [PhiMove(i, i + 1, i - 1) for i in inner]
     return Moves(
-        _phi(system, PhiMove(0, 1), order),
-        tuple(_phi(system, PhiMove(i, i + 1, i - 1), order) for i in inner),
-        tuple(_phi(system, PhiMove(i, i - 1, i + 1), order) for i in inner),
+        (_numerator(system, h0, order), _denominator(system, h0, order)),
+        tuple(_numerator(system, move, order) for move in up_moves),
+        tuple(_numerator(system, PhiMove(i, i - 1, i + 1), order) for i in inner),
+        tuple(_denominator(system, move, order) for move in up_moves),
     )
 
 
@@ -217,13 +262,19 @@ def chain_mgf(system: LevelSystem, order: int) -> PowerSeries:
 
 
 def _chain(moves: Moves) -> PowerSeries:
-    """`chain_mgf` in u = w^2, from the system's moves."""
-    passage = out = moves.first
-    one = PowerSeries.one(out.order, "u")
-    for up, down in zip(moves.ups, moves.downs):
-        passage = ps_div(up, one - ps_mul(down, passage))
-        out = ps_mul(out, passage)
-    return out
+    """`chain_mgf` in u = w^2, from the system's moves: the continuant
+    N_0 U_1 ... U_{N-1} / D_{N-1} (see the module), at one division."""
+    n0, den = moves.first
+    # N_i = U_i D_(i-1) is held as its factors, multiplied out only where
+    # down_(i+1) reads it (the Bessel walk's down_1 is the zero series)
+    top, num = n0, (n0,)
+    for up, down, wall in zip(moves.ups, moves.downs, moves.walls):
+        # D_i = W_i D_(i-1) - Dw_i N_(i-1)
+        next_den = ps_mul(wall, den)
+        if any(down.nums):
+            next_den = next_den - functools.reduce(ps_mul, num, down)
+        num, den, top = (up, den), next_den, ps_mul(top, up)
+    return ps_div(top, den)
 
 
 # the most levels above 0 on which the renewal chain is linear in its loops
@@ -242,7 +293,7 @@ def renewal_loops(
 
     S = H_0 up_1 ... up_{N-1} is the straight climb, and L_i =
     down_i up_{i-1} for i = 1..N-1, with up_0 = H_0, a step down from
-    a_i and the step back up. Unwinding `_chain`'s continued fraction
+    a_i and the step back up. Unwinding the renewal continued fraction
     gives the denominator 1 - L_1 - ... - L_{N-1} only while no product
     of two loops survives in it: up to 3 levels above 0 on the reflected
     walk, 4 on the Bessel walk, whose L_1 is the zero series. A larger
@@ -263,9 +314,18 @@ def renewal_loops(
 def start_and_loops(
     moves: Moves,
 ) -> tuple[PowerSeries, tuple[PowerSeries, ...]]:
-    """`renewal_loops` in u = w^2, from the system's moves."""
-    start = functools.reduce(ps_mul, moves.ups, moves.first)
-    return start, tuple(map(ps_mul, moves.downs, (moves.first, *moves.ups)))
+    """`renewal_loops` in u = w^2, from the system's moves: the start
+    N_0 U_1 ... U_{N-1} / (D_0 W_1 ... W_{N-1}) and each loop down_i
+    up_{i-1} as one quotient of the products of their pairs."""
+    (n0, d0), ups, downs, walls = moves
+    start = ps_div(
+        functools.reduce(ps_mul, ups, n0), functools.reduce(ps_mul, walls, d0)
+    )
+    loops = tuple(
+        ps_div(ps_mul(down, up), ps_mul(wall, below))
+        for down, wall, up, below in zip(downs, walls, (n0, *ups), (d0, *walls))
+    )
+    return start, loops
 
 
 def direct_mgf(system: LevelSystem, order: int) -> PowerSeries:
@@ -298,4 +358,5 @@ def decomposition_residual(
     if free is None:
         free = free_move(system, order)
     delta = _chain(moves) - free
-    return max((abs(c) for c in delta.coeffs), default=_ZERO)
+    # over delta's one positive denominator
+    return Fraction(max(map(abs, delta.nums)), delta.den)

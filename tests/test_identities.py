@@ -10,6 +10,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction as F
 from math import comb
 
@@ -33,7 +34,7 @@ from umbralwalk import (
     verify,
     verify_all_payload,
 )
-from umbralwalk import identities, series
+from umbralwalk import identities, loopcalc, series
 from umbralwalk.identities import (
     EngineConsistencyError,
     ensure_ground_truth,
@@ -49,8 +50,10 @@ from umbralwalk.polynomials import (
     hop_bernoulli,
     hop_euler,
 )
-from umbralwalk.loopcalc import LevelSystem, Walk, decomposition_residual
-from umbralwalk.series import Kernel, PowerSeries, ps_div
+from umbralwalk.loopcalc import (
+    LevelSystem, Walk, decomposition_residual, linear_in_loops,
+)
+from umbralwalk.series import Kernel, PowerSeries, kernel, ps_div, ps_mul
 from umbralwalk.umbral import umbral_moment
 
 
@@ -1200,14 +1203,18 @@ def test_four_general_moments_bounded_by_the_degree_lattice(monkeypatch):
 
 
 def test_n3_general_takes_kernel_powers_once_per_instance(monkeypatch):
-    from umbralwalk import loopcalc, polynomials, umbral
+    from umbralwalk import polynomials, umbral
 
     def requests(n):
         params = IdentityParams(n=n, x=F(1), levels=(1, 2, 4))
         # the certificate, once per level system, is not this count
         ensure_ground_truth(IdentityId.N3_GENERAL, params)
         moves, powers = [], []
-        monkeypatch.setattr(loopcalc, "_phi", _counted(loopcalc._phi, moves))
+        # a move's numerator and denominator are each derived by one call
+        for name in ("_numerator", "_denominator"):
+            monkeypatch.setattr(
+                loopcalc, name, _counted(getattr(loopcalc, name), moves)
+            )
         for module in (series, umbral, polynomials):
             monkeypatch.setattr(
                 module, "kernel_power_numerators",
@@ -1227,11 +1234,14 @@ def test_n3_general_takes_kernel_powers_once_per_instance(monkeypatch):
 
 
 def test_multi_level_derives_each_record_move_once_per_system(monkeypatch):
-    from umbralwalk import loopcalc
-
     identities._ground_truth_residual.cache_clear()
-    moves = []
-    monkeypatch.setattr(loopcalc, "_phi", _counted(loopcalc._phi, moves))
+    numerators, denominators = [], []
+    for name, calls in (
+        ("_numerator", numerators), ("_denominator", denominators)
+    ):
+        monkeypatch.setattr(
+            loopcalc, name, _counted(getattr(loopcalc, name), calls)
+        )
     # the N3_GENERAL and FOUR_GENERAL_1D instances of the benchmark's
     # multi-level matrix, from a cold memo
     instances = [
@@ -1247,14 +1257,17 @@ def test_multi_level_derives_each_record_move_once_per_system(monkeypatch):
             assert verify(identity, params).status is Status.VERIFIED
     finally:
         identities._ground_truth_residual.cache_clear()
-    derived = [((s.walk, s.levels), move) for s, move, _ in moves]
-    assert len(set(derived)) == len(derived)
-    # three systems of three levels above 0: H_0, two ups, two downs and
-    # the free move each
-    assert len(derived) == 3 * 6
-    assert {order for _, _, order in moves} == {
-        identities._GROUND_TRUTH_ORDER
-    }
+    for calls, per_system in ((numerators, 6), (denominators, 4)):
+        derived = [((s.walk, s.levels), move) for s, move, _ in calls]
+        assert len(set(derived)) == len(derived)
+        # three systems of three levels above 0: the numerators of H_0,
+        # two ups, two downs and the free move each, and the denominators
+        # of H_0, the free move and the two walls W_i that each up_i
+        # shares with down_i
+        assert len(derived) == 3 * per_system
+        assert {order for _, _, order in calls} == {
+            identities._GROUND_TRUTH_ORDER
+        }
 
 
 def test_constant_exponentials_take_no_kernel_power_chain(monkeypatch):
@@ -1593,17 +1606,160 @@ def test_record_serves_what_a_cold_derivation_gives(system, first):
             )
             certified |= order <= identities._GROUND_TRUTH_ORDER
             assert memo.cache_info().currsize == certified
-        record = memo(key)
+        # each move is held as a kernel pair: up_i and down_i over the
+        # one wall W_i they share
+        moves = memo(key).moves
         inner = range(1, top)
         read_moves = [
-            (PhiMove(0, 1), record.moves.first),
-            *zip((PhiMove(i, i + 1, i - 1) for i in inner), record.moves.ups),
-            *zip((PhiMove(i, i - 1, i + 1) for i in inner), record.moves.downs),
+            (PhiMove(0, 1), ps_div(*moves.first)),
+            *zip(
+                (PhiMove(i, i + 1, i - 1) for i in inner),
+                map(ps_div, moves.ups, moves.walls),
+            ),
+            *zip(
+                (PhiMove(i, i - 1, i + 1) for i in inner),
+                map(ps_div, moves.downs, moves.walls),
+            ),
         ]
         assert len(read_moves) == 2 * top - 1
         for order in range(1, identities._GROUND_TRUTH_ORDER + 1):
             for move, series in read_moves:
                 assert identities._read(series, order) == phi(system, move, order)
+    finally:
+        memo.cache_clear()
+
+
+def _quotient_record(system, order):
+    """A record's free move, start and loops by the quotient construction:
+    each move divided out of its closed form on its own (in w, then its
+    even coefficients taken), the sinh arguments' ratio and the Bessel
+    radial prefactor scaled in after the division, and the start and
+    loops as products of those quotients; the start and loops are None
+    outside `renewal_loops`' range."""
+    lv, bessel_walk = system.levels, system.walk is Walk.BESSEL_3D
+    free_kind = Kernel.SINH_OVER_ARG if bessel_walk else Kernel.COSH
+
+    def ratio(kind, a, b):
+        num, den = (kernel(kind, c, order, "w") for c in (a, b))
+        return PowerSeries(ps_div(num, den).coeffs[::2], "u")
+
+    def taboo(f, t, tb):
+        if bessel_walk and lv[t] == 0:
+            return PowerSeries.zero((order + 1) // 2, "u")
+        near, far = abs(lv[f] - lv[tb]), abs(lv[t] - lv[tb])
+        out = ratio(Kernel.SINH_OVER_ARG, near, far).scale(near / far)
+        return out.scale(lv[t] / lv[f]) if bessel_walk else out
+
+    free = ratio(free_kind, 0, lv[-1])
+    if not linear_in_loops(system):
+        return free, None
+    first = ratio(free_kind, 0, lv[1])
+    inner = range(1, system.top_index)
+    ups = [taboo(i, i + 1, i - 1) for i in inner]
+    downs = [taboo(i, i - 1, i + 1) for i in inner]
+    start = functools.reduce(ps_mul, ups, first)
+    return free, (start, tuple(map(ps_mul, downs, (first, *ups))))
+
+
+@st.composite
+def _record_systems(draw):
+    # up to one level beyond renewal_loops' range on each walk
+    walk = draw(st.sampled_from([Walk.REFLECTED_1D, Walk.BESSEL_3D]))
+    top = 4 if walk is Walk.REFLECTED_1D else 5
+    levels = draw(st.lists(
+        st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6),
+        min_size=1, max_size=top, unique=True,
+    ))
+    return LevelSystem(walk, (F(0), *sorted(levels)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_record_systems())
+@example(LevelSystem(Walk.REFLECTED_1D, (0, 1, 2, 4, 5)))
+@example(LevelSystem(Walk.BESSEL_3D, (0, F(1, 2), 1, F(5, 2), 4)))
+def test_record_equals_the_quotient_construction(system):
+    memo = identities._ground_truth_residual
+    memo.cache_clear()
+    try:
+        record = memo((system.walk, system.levels))
+        free, renewal = _quotient_record(
+            system, identities._GROUND_TRUTH_ORDER
+        )
+        assert record.free == free
+        assert record.renewal == renewal
+    finally:
+        memo.cache_clear()
+
+
+def _bessel_prefactor_dropped(numerator):
+    def mutated(system, move, order):
+        out = numerator(system, move, order)
+        lv, to = system.levels, move.to_level
+        if move.taboo_level is None or lv[to] == 0:
+            return out
+        return out.scale(lv[move.from_level] / lv[to])
+
+    return mutated
+
+
+def _wall_at_twice_its_scale(denominator):
+    def mutated(system, move, order):
+        if move.taboo_level is None:
+            return denominator(system, move, order)
+        lv = system.levels
+        span = abs(lv[move.to_level] - lv[move.taboo_level])
+        return loopcalc._even_kernel(Kernel.SINH_OVER_ARG, 2 * span, order)
+
+    return mutated
+
+
+@pytest.mark.parametrize("name,mutation,identity", [
+    ("_numerator", _bessel_prefactor_dropped, IdentityId.N3_UNIFORM),
+    ("_denominator", _wall_at_twice_its_scale, IdentityId.N3_UNIFORM),
+    ("_denominator", _wall_at_twice_its_scale, IdentityId.FOUR_UNIFORM_1D),
+], ids=["bessel-prefactor", "bessel-wall", "reflected-wall"])
+def test_a_mutated_move_fails_the_certificate(
+    monkeypatch, name, mutation, identity
+):
+    monkeypatch.setattr(loopcalc, name, mutation(getattr(loopcalc, name)))
+    identities._ground_truth_residual.cache_clear()
+    try:
+        with pytest.raises(EngineConsistencyError, match="residual"):
+            ensure_ground_truth(identity, IdentityParams(n=1))
+        with pytest.raises(EngineConsistencyError):
+            verify(identity, IdentityParams(n=1))
+    finally:
+        identities._ground_truth_residual.cache_clear()
+
+
+@pytest.mark.parametrize("identity", [
+    IdentityId.N3_UNIFORM, IdentityId.FOUR_UNIFORM_1D, IdentityId.EULER_CHEB,
+], ids=lambda i: i.value)
+def test_a_cold_hop_form_verify_divides_twice_in_its_certificate(
+    monkeypatch, identity
+):
+    divisions, renewals = [], []
+    monkeypatch.setattr(loopcalc, "ps_div", _counted(loopcalc.ps_div, divisions))
+    monkeypatch.setattr(
+        identities, "start_and_loops",
+        _counted(identities.start_and_loops, renewals),
+    )
+    memo = identities._ground_truth_residual
+    memo.cache_clear()
+    params = IdentityParams(n=3, x=F(1, 3), cheb_index=3)
+    try:
+        assert verify(identity, params).status is Status.VERIFIED
+        # the chain's continuant and the free move; no start or loop
+        assert len(divisions) == 2
+        assert renewals == []
+        # a block-level read divides the start and each loop out, once
+        record = memo(identities._SPECS[identity].system(
+            normalize_params(identity, params)
+        ))
+        start, loops = record.renewal
+        assert record.renewal == (start, loops)
+        assert len(renewals) == 1
+        assert len(divisions) == 2 + 1 + len(loops)
     finally:
         memo.cache_clear()
 
@@ -1679,6 +1835,17 @@ def test_non_integer_counts_rejected(field, value):
     params = IdentityParams(n=3, x=F(1, 2), cheb_index=1)
     with pytest.raises(InvalidParamsError, match="bad truncation policy"):
         verify(IdentityId.EULER_CHEB, params, TruncationPolicy(**{field: value}))
+
+
+@pytest.mark.parametrize("tol", ["1e-3", None, 1j, Decimal("1e-3")])
+def test_non_real_tolerance_rejected(tol):
+    # each used to fail with a bare TypeError: from math.isfinite, or
+    # for a Decimal from the threshold's product with a float in verify
+    with pytest.raises(InvalidParamsError, match="bad truncation policy"):
+        TruncationPolicy(tol=tol)
+    params = IdentityParams(n=3, x=F(1, 2), cheb_index=1)
+    with pytest.raises(InvalidParamsError, match="bad truncation policy"):
+        verify(IdentityId.EULER_CHEB, params, TruncationPolicy(tol=tol))
 
 
 GEOMETRIC_CASES = [

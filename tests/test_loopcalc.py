@@ -343,6 +343,24 @@ def test_transforms_are_even_and_equal_their_w_series(system, order):
     assert decomposition_residual(system, order) == 0
 
 
+@st.composite
+def deep_systems(draw):
+    walk = draw(st.sampled_from([Walk.REFLECTED_1D, Walk.BESSEL_3D]))
+    count = draw(st.integers(min_value=1, max_value=8))
+    levels = draw(
+        st.lists(positive_levels, min_size=count, max_size=count, unique=True)
+    )
+    return LevelSystem(walk, (F(0),) + tuple(sorted(levels)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(deep_systems(), st.integers(min_value=1, max_value=48))
+def test_continuant_equals_the_continued_fraction(system, order):
+    # `_w_chain` is the fraction H_i = up_i / (1 - down_i H_(i-1)) with a
+    # division per move and per step; the continuant divides once
+    assert chain_mgf(system, order) == _w_chain(system, order)
+
+
 # --- the chain as a start and its loops ---------------------------------------
 
 
