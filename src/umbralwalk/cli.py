@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import montecarlo
@@ -207,8 +206,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     comparison = montecarlo.compare_closed_form(est, reference)
     _dump(
         {
-            "config": asdict(cfg),
-            "estimate": asdict(est),
+            "config": cfg._asdict(),
+            "estimate": est._asdict(),
             "reference": reference,
             "comparison": {
                 "z_score": comparison.z_score,
@@ -241,7 +240,7 @@ def _cmd_quadrature(ns: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(ns: argparse.Namespace) -> int:
-    _dump([asdict(entry) for entry in catalog()])
+    _dump([entry._asdict() for entry in catalog()])
     return 0
 
 

@@ -36,13 +36,11 @@ attempted; `verify` enforces this.
 
 from __future__ import annotations
 
-import datetime
 import functools
 import itertools
 import operator
 import sys
 from collections import deque
-from dataclasses import dataclass, replace
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -65,7 +63,8 @@ from .polynomials import (
     hop_euler,
 )
 from .series import (
-    Kernel, PowerSeries, as_scalar, geometric_resum, kernel, ps_div, ps_mul
+    Kernel, PowerSeries, Record, as_scalar, geometric_resum, kernel, ps_div,
+    ps_mul,
 )
 from .umbral import Family, UmbralExpr, expr_egf
 
@@ -115,8 +114,7 @@ class InvalidParamsError(ValueError):
     """Parameters outside the identity's domain."""
 
 
-@dataclass(frozen=True)
-class IdentityParams:
+class IdentityParams(Record):
     """Evaluation point of one identity instance.
 
     `n` is the polynomial degree, `x` the argument, `levels` the site
@@ -139,8 +137,7 @@ class IdentityParams:
             )
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(Record):
     """Stopping rule for the infinite sums.
 
     Terms accumulate until the last `stable_run` term magnitudes are
@@ -204,8 +201,7 @@ def _exact_str(value: ExactScalar) -> str:
     return num if den == 1 else f"{num}/{Decimal(den)}"
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity: IdentityId
     params: IdentityParams
     K_used: int
@@ -240,8 +236,7 @@ class IdentityReport:
         return out
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     identity: IdentityId
     variant: str
     description: str
@@ -291,7 +286,7 @@ def normalize_params(
     """Fill derived fields (EVEN_BERNOULLI pins n = 2m)."""
     validate_params(identity, params)
     if identity is IdentityId.EVEN_BERNOULLI and params.n != 2 * params.m:
-        params = replace(params, n=2 * params.m)
+        params = params._replace(n=2 * params.m)
     return params
 
 
@@ -629,8 +624,7 @@ def _even_bernoulli_weights(params: IdentityParams) -> _Weights:
 # -- the spec table ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Spec:
+class _Spec(NamedTuple):
     """One identity: catalog text, left side, right side, ground truth.
 
     right(params) gives the right side as (weights, value, d): term k is
@@ -686,8 +680,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         positive_field=("cheb_index", "a Chebyshev index"),
     ),
     IdentityId.THREE_SITES_1D_STATED: _THREE_SITES,
-    IdentityId.THREE_SITES_1D_CORRECTED: replace(
-        _THREE_SITES,
+    IdentityId.THREE_SITES_1D_CORRECTED: _THREE_SITES._replace(
         variant="corrected",
         description="same right side with the smoothing step integrated to "
         "degree n+1 on the left; sound only for n <= 1 (see errata)",
@@ -1304,8 +1297,7 @@ def expected_verified_cases() -> list[tuple[IdentityId, IdentityParams]]:
     return cases
 
 
-@dataclass(frozen=True)
-class AuditCase:
+class AuditCase(NamedTuple):
     """A printed form expected to disagree, with the exact two limits."""
 
     identity: IdentityId
@@ -1396,9 +1388,8 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     # sum translated directly from the chain is the value that matches.
     # Its weights are geometric and its moments of degree 2 in k.
     n2 = IdentityParams(n=2, x=_ZERO, levels=(1, 3))
-    blocks = replace(
-        _SPECS[IdentityId.THREE_SITES_1D_CORRECTED],
-        right=_renewal(Walk.REFLECTED_1D),
+    blocks = _SPECS[IdentityId.THREE_SITES_1D_CORRECTED]._replace(
+        right=_renewal(Walk.REFLECTED_1D)
     )
     block_partial = _partial(blocks, n2, 95)
     lhs_block = _free_moment(Walk.REFLECTED_1D)(n2)
@@ -1482,10 +1473,7 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
 
     # four general sites: the boxed block list versus the forced translation
     fg = IdentityParams(n=1, x=_ZERO, levels=(1, 2, 4))
-    printed = replace(
-        _SPECS[IdentityId.FOUR_GENERAL_1D],
-        right=_printed_fg_right,
-    )
+    printed = _SPECS[IdentityId.FOUR_GENERAL_1D]._replace(right=_printed_fg_right)
     printed_partial = _partial(printed, fg, 80)
     lhs_fg = eval_lhs(IdentityId.FOUR_GENERAL_1D, fg)
     entries["four_general_printed_blocks"] = {
@@ -1509,6 +1497,8 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
 
 def verify_all_payload(policy: TruncationPolicy | None = None) -> dict:
     """Run the full expected matrix, audits, and errata; canonical order."""
+    import datetime  # its only user, so no other command loads it
+
     policy = policy or _DEFAULT_POLICY
 
     def sort_key(item: dict):

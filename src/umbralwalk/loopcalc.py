@@ -65,7 +65,6 @@ from them; this module keeps none.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -74,6 +73,7 @@ from .series import (
     ExactScalar,
     Kernel,
     PowerSeries,
+    Record,
     _new,
     as_scalar,
     kernel,
@@ -94,8 +94,7 @@ class Walk(str, Enum):
     BESSEL_3D = "bessel"
 
 
-@dataclass(frozen=True)
-class LevelSystem:
+class LevelSystem(Record):
     walk: Walk
     levels: tuple[Fraction, ...]
 
@@ -115,8 +114,7 @@ class LevelSystem:
         return len(self.levels) - 1
 
 
-@dataclass(frozen=True)
-class PhiMove:
+class PhiMove(NamedTuple):
     """A site-to-site move, optionally avoiding the adjacent site beyond."""
 
     from_level: int

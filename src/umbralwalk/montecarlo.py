@@ -46,10 +46,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .loopcalc import Walk
+from .loopcalc import Record, Walk
 
 if TYPE_CHECKING:
     import numpy as np
@@ -69,8 +68,7 @@ class ConfigError(ValueError):
     """Simulation configuration violates its invariants."""
 
 
-@dataclass(frozen=True)
-class WalkConfig:
+class WalkConfig(Record):
     walk: Walk
     start: float
     target: float
@@ -117,8 +115,7 @@ class WalkConfig:
                 )
 
 
-@dataclass(frozen=True)
-class HittingEstimate:
+class HittingEstimate(NamedTuple):
     mean: float
     stderr: float
     n_hit_target: int
@@ -130,8 +127,7 @@ class HittingEstimate:
         return self.n_hit_target + self.n_hit_taboo + self.n_censored
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     z_score: float
     rel_err: float
     passed: bool

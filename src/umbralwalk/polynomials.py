@@ -19,19 +19,17 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .series import ExactScalar, Kernel, as_scalar, kernel_power_numerators
+from .series import ExactScalar, Kernel, Record, as_scalar, kernel_power_numerators
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True, init=False)
-class Poly:
+class Poly(Record):
     """Dense univariate polynomial with exact rational coefficients.
 
     The coefficient of ``x**i`` is ``nums[i] / den``, with ``den > 0``,

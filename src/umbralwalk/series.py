@@ -10,19 +10,19 @@ view. A series stores a fixed number of coefficients (its *order*);
 binary operations require both operands to have the same order, and
 mismatches raise instead of silently truncating. A kernel at scale c is
 its unit kernel with t replaced by c t, so the kernel-power memo keeps
-one chain per kind.
+one chain per kind. `Record` is the base of the package's records that
+check their fields or build them.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 # All rational constants in the engine are plain `fractions.Fraction`
 # values: arbitrary precision, always in lowest terms, denominator > 0.
@@ -81,8 +81,58 @@ class Kernel(str, Enum):
     SINH_OVER_ARG = "sinh_over_arg"
 
 
-@dataclass(frozen=True, init=False)
-class PowerSeries:
+class Record:
+    """Base of the frozen records that check or build their fields.
+
+    The fields are the annotated names, in order, and a class attribute
+    of the same name is a default. Unless a subclass has its own
+    `__init__`, they are taken by position or keyword and handed to
+    `__post_init__` to check. Instances refuse assignment, compare and
+    hash by the `_compared` fields (all by default), print and pickle by
+    all, and have the `_fields`, `_replace` and `_asdict` of a NamedTuple.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._key = attrgetter(*getattr(cls, "_compared", cls._fields))
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        values = dict(zip(cls._fields, args))
+        for name in cls._fields[len(args):]:
+            if name not in kwargs and not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__}() is missing field {name!r}")
+            values[name] = kwargs.pop(name, getattr(cls, name, None))
+        if kwargs or len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {cls._fields}, each once")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__  # a deletion passes no value and is refused alike
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _replace(self, **changes) -> "Record":
+        return type(self)(**(self._asdict() | changes))
+
+
+class PowerSeries(Record):
     """Order-capped formal power series with exact rational coefficients.
 
     The coefficient of ``var**n`` is ``nums[n] / den``, with ``den > 0``
@@ -91,9 +141,10 @@ class PowerSeries:
     variable name is purely a label and does not participate in equality.
     """
 
+    _compared = ("nums", "den")
     nums: tuple[int, ...]
     den: int
-    var: str = field(default="t", compare=False)
+    var: str
 
     def __init__(self, coeffs: Iterable[int | str | Fraction], var: str = "t"):
         pairs = [_ratio(c) for c in coeffs]

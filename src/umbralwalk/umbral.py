@@ -36,14 +36,14 @@ at its first call, so the exact evaluation starts without it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .polynomials import Poly, appell_polynomial, poly_from_numerators
 from .series import (
-    Kernel, PowerSeries, _normalised, as_scalar, convolve, kernel,
+    Kernel, PowerSeries, Record, _normalised, as_scalar, convolve, kernel,
     kernel_power_numerators,
 )
 
@@ -65,8 +65,7 @@ _FAMILY_KERNEL = {
 _FAMILY_LETTER = {Family.BERNOULLI: "B", Family.EULER: "E", Family.UNIFORM: "U"}
 
 
-@dataclass(frozen=True)
-class SymbolBlock:
+class SymbolBlock(Record):
     """One independent block: coefficient * Family^(order), tagged copy_id."""
 
     family: Family
@@ -80,8 +79,7 @@ class SymbolBlock:
             raise ValueError(f"block order must be >= 1, got {self.order!r}")
 
 
-@dataclass(frozen=True)
-class UmbralExpr:
+class UmbralExpr(Record):
     """Affine expression x + sum of blocks + constant.
 
     Every copy_id must be distinct: a letter copy appears in at most one
@@ -227,8 +225,7 @@ class QuadratureError(RuntimeError):
     """Panel refinement failed to stabilize, or the imaginary part survived."""
 
 
-@dataclass(frozen=True)
-class QuadratureParams:
+class QuadratureParams(NamedTuple):
     """Composite Gauss-Legendre settings for the density integrals.
 
     The Bernoulli density decays like e^(-2*pi*|t|) but the Euler one

@@ -9,7 +9,6 @@ import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction as F
 from math import comb
@@ -762,7 +761,7 @@ def test_stride_two_stream_advances_once_per_lattice_step(monkeypatch, N):
 
     monkeypatch.setattr(identities, "_difference_table", recording_table)
     monkeypatch.setitem(
-        identities._SPECS, IdentityId.EULER_CHEB, replace(spec, right=recording_right)
+        identities._SPECS, IdentityId.EULER_CHEB, spec._replace(right=recording_right)
     )
     monkeypatch.setattr(identities, "_term_numerators", counting_term_numerators)
     n, count = 7, 200
@@ -809,7 +808,7 @@ def test_stride_two_weights_state_no_weight_off_the_lattice():
             weights = identities._geometric(1, 4, 3, 4)
             return weights._replace(stride=2, phase=phase), value, d
 
-        lattice_spec = replace(spec, right=right)
+        lattice_spec = spec._replace(right=right)
         terms = itertools.islice(identities._terms(lattice_spec, params), 40)
         for k, (t, den) in enumerate(terms):
             j, off = divmod(k - phase, 2)

@@ -1,9 +1,10 @@
 """Start-up cost: numpy and scipy load only when a simulation or a
-quadrature first runs. Each check runs in a fresh interpreter, because
-this test process has long since loaded both. No private name of the
-package is left defined but unused, no name a module imports is left
-unread, and every import within the package points down its layer
-order."""
+quadrature first runs, and importing the package loads neither them nor
+dataclasses, inspect or datetime. Each check runs in a fresh
+interpreter, because this test process has long since loaded them all.
+No private name of the package is left defined but unused, no name a
+module imports is left unread, and every import within the package
+points down its layer order."""
 
 import ast
 import os
@@ -43,6 +44,17 @@ def test_import_loads_neither_numpy_nor_scipy():
         import umbralwalk, umbralwalk.cli, umbralwalk.identities
         import umbralwalk.montecarlo
         assert numeric_modules() == [], numeric_modules()
+    """)
+
+
+def test_import_loads_no_dataclasses_inspect_or_datetime():
+    # the records are NamedTuples or `Record`s, and datetime waits for
+    # `verify_all_payload`; dataclasses alone would load inspect
+    _run_python("""
+        import umbralwalk, umbralwalk.cli, umbralwalk.identities
+        import umbralwalk.montecarlo
+        loaded = {"dataclasses", "inspect", "datetime"} & set(sys.modules)
+        assert not loaded, loaded
     """)
 
 

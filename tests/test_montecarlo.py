@@ -1,7 +1,6 @@
 """Path simulation, determinism contract, closed-form comparison."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -488,8 +487,8 @@ def test_small_runs_agree_with_closed_forms():
 def test_halving_dt_improves_or_stays_within_noise(canonical_mc):
     """Smaller steps shrink the overshoot bias toward the closed form."""
     for name, (cfg, _, reference, _) in canonical_mc.items():
-        base_cfg = replace(cfg, paths=10_000)
-        fine_cfg = replace(base_cfg, dt=base_cfg.dt / 2)
+        base_cfg = cfg._replace(paths=10_000)
+        fine_cfg = base_cfg._replace(dt=base_cfg.dt / 2)
         runner = simulate_taboo if cfg.taboo is not None else simulate_hit
         base = runner(base_cfg)
         fine = runner(fine_cfg)
