@@ -44,7 +44,7 @@ from collections import deque
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from math import cos, gcd, isfinite, lcm, log, pi
+from math import cos, gcd, inf, isfinite, lcm, log, pi
 from numbers import Real
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -156,10 +156,13 @@ class TruncationPolicy(Record):
     degree d in k, whose envelope k^d rho^k peaks at k = d / ln(1/rho),
     and before that k a window of small terms may be a dip between larger
     ones, not the tail, so the sum goes on. rho is the weights' `decay`:
-    |r| for geometric weights c r^k, cos(pi / 2N) for the Chebyshev ones.
-    d here is the bound n (the spec's `degree`), even where the value is
-    known to be of degree n // 2 in k and its terms are built from that
-    degree, so every stop stays where the bound n puts it.
+    |r| for geometric weights c r^k, cos(pi / 2N) for the Chebyshev ones,
+    in double precision. Where it rounds to 1.0 the envelope has no peak,
+    so no estimate stops the sum and it ends NOT_CONVERGED at k_max
+    unless a partial sum is exact; where it underflows to 0.0 the peak is
+    at k = 0. d here is the bound n (the spec's `degree`), even where the
+    value is known to be of degree n // 2 in k and its terms are built
+    from that degree, so every stop stays where the bound n puts it.
     This is a heuristic, not a bound; the zero-window stop on an exact
     partial sum is not gated.
     A policy with a tol that is not a finite positive real number, a
@@ -1108,8 +1111,14 @@ def _sum_to_tolerance(
     converged = False
     K = k_max  # where a sum that does not converge is cut off
     # before the envelope's peak, small terms may be a dip, not the tail;
-    # the gate reads the bound n, not the stream's degree d
-    peak = spec.degree(params) / -log(weights.decay)
+    # the gate reads the bound n, not the stream's degree d. A decay that
+    # rounds to 1.0 has no peak, so no estimate stops the sum; one that
+    # underflows to 0.0 peaks at 0
+    decay = weights.decay
+    if 0.0 < decay < 1.0:
+        peak = spec.degree(params) / -log(decay)
+    else:
+        peak = inf if decay else 0.0
     terms = zip(
         range(phase, k_max + 1, stride), _term_numerators(d, weights, value)
     )

@@ -2,16 +2,17 @@
 
 B_n^(p)(x) and E_n^(p)(x) are the coefficients of t^n/n! in
 (t/(e^t-1))^p e^(xt) and (2/(e^t+1))^p e^(xt). The order-p kernel power
-is taken from the shared series memo, as integer numerators over one
-denominator, and the polynomial in x is assembled from the identity
+is taken from the shared series memo by its unit-scale read, as integer
+numerators over one denominator, and the polynomial in x is assembled
+from the identity
 
     n! [t^n] K(t) e^(xt) = sum_j (n!/(n-j)!) K_j x^(n-j),
 
-so no bivariate series type is needed. A `Poly` holds integer numerators
-over one denominator in a normal form, as a `PowerSeries` does. Also
-provides Bernoulli/Euler numbers and the reciprocal-Chebyshev weights
-p_l^(N) defined by 1/T_N(1/t) = sum_l p_l^(N) t^l, streamed by their
-linear recurrence.
+with the weights n!/(n-j)! built once per degree, so no bivariate series
+type is needed. A `Poly` holds integer numerators over one denominator
+in a normal form, as a `PowerSeries` does. Also provides Bernoulli/Euler
+numbers and the reciprocal-Chebyshev weights p_l^(N) defined by
+1/T_N(1/t) = sum_l p_l^(N) t^l, streamed by their linear recurrence.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .series import ExactScalar, Kernel, Record, as_scalar, kernel_power_numerators
+from .series import ExactScalar, Kernel, Record, as_scalar, unit_power_numerators
 
 _ZERO = Fraction(0)
 
@@ -128,28 +129,38 @@ def eval_poly(q: Poly, x0: int | Fraction) -> ExactScalar:
     return q.eval(x0)
 
 
+@lru_cache(maxsize=256)
+def _appell_weights(n: int) -> tuple[int, ...]:
+    """n!/(n-j)! for j = n, n-1, ..., 0: the weights of the coefficients
+    of x^0, x^1, ..., x^n in an Appell polynomial of degree n."""
+    falling = itertools.accumulate(range(n, 0, -1), operator.mul, initial=1)
+    return tuple(falling)[::-1]
+
+
 def appell_polynomial(nums: Sequence[int], den: int, n: int) -> Poly:
     """Polynomial n![t^n] K(t) e^(xt) for the series K = nums / den.
 
     The coefficient of x^(n-j) is K_j n!/(n-j)!; needs n + 1 numerators.
     """
-    # n!/(n-j)! for j = 0..n
-    falling = itertools.accumulate(range(n, 0, -1), operator.mul, initial=1)
-    return poly_from_numerators([x * f for x, f in zip(nums, falling)][::-1], den)
+    # the coefficient of x^i is K_(n-i) times its weight
+    products = map(operator.mul, nums[n::-1], _appell_weights(n))
+    return poly_from_numerators(list(products), den)
 
 
 def _appell_from_kernel(kind: Kernel, n: int, p: int) -> Poly:
     """Polynomial n![t^n] of kernel(kind,1)**p * e^(xt), exact in x."""
+    if not isinstance(n, int) or not isinstance(p, int):
+        raise ValueError(f"degree and order must be integers, got {n!r}, {p!r}")
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if p < 0:
         raise ValueError(f"order must be nonnegative, got {p}")
-    return appell_polynomial(*kernel_power_numerators(kind, 1, p, n + 1), n)
+    return appell_polynomial(*unit_power_numerators(kind, p, n + 1), n)
 
 
 # bounded, so a long run keeps at most 1024 polynomials per family; the
-# benchmark's hop_sums workload followed by verify-all leaves 38 Bernoulli
-# and 504 Euler entries
+# benchmark's hop_sums workload followed by verify-all leaves 29 Bernoulli
+# and 284 Euler entries
 @lru_cache(maxsize=1024)
 def hop_bernoulli(n: int, p: int) -> Poly:
     """Higher-order Bernoulli polynomial B_n^(p)(x); p = 0 gives x^n."""

@@ -401,13 +401,20 @@ class _PowerChain:
         return len(self.powers)
 
     def power(self, p: int, order: int) -> tuple[tuple[int, ...], int]:
-        """The first `order` numerators of K^p, and their denominator."""
+        """The first `order` numerators of K^p, and their denominator.
+
+        Power q + 1 never holds more coefficients than power q, so when
+        power p holds `order` of them every lower power does too and the
+        request is read at once; otherwise powers 0..p are lengthened.
+        """
         powers = self.powers
-        for q in range(p + 1):
-            if q == len(powers) or powers[q].order < order:
-                # replaces power q, or appends it as the next power
-                powers[q : q + 1] = [self._extended(q, order)]
-        return powers[p].nums[:order], powers[p].den
+        if p >= len(powers) or powers[p].order < order:
+            for q in range(p + 1):
+                if q == len(powers) or powers[q].order < order:
+                    # replaces power q, or appends it as the next power
+                    powers[q : q + 1] = [self._extended(q, order)]
+        power = powers[p]
+        return power.nums[:order], power.den
 
     def _extended(self, q: int, order: int) -> PowerSeries:
         """Power q at `order` coefficients; power q - 1 already has them."""
@@ -428,28 +435,40 @@ _POWER_CACHE: dict[Kernel, _PowerChain] = {}
 _POWER_LOCK = threading.Lock()
 
 
+def unit_power_numerators(
+    kind: Kernel, p: int, order: int
+) -> tuple[tuple[int, ...], int]:
+    """kernel(kind, 1, order) ** p as integer numerators over one
+    denominator in lowest terms: the one read of the memo.
+
+    The unit kernel's powers are memoized in one chain per kind: a
+    request at a longer order extends the powers up to p by only their
+    new coefficients, a request at a shorter order reads a prefix, and a
+    request the chain already holds is read at once. Nothing is coerced
+    or checked: `kind` is a `Kernel`, p an int >= 0 and order an int
+    >= 1. Safe for concurrent use; the memo is guarded by a lock.
+    """
+    with _POWER_LOCK:
+        chain = _POWER_CACHE.get(kind)
+        if chain is None:
+            chain = _POWER_CACHE[kind] = _PowerChain(kind)
+        return chain.power(p, order)
+
+
 def kernel_power_numerators(
     kind: Kernel | str, scale: int | Fraction, p: int, order: int
 ) -> tuple[Sequence[int], int]:
     """kernel(kind, scale, order) ** p as integer numerators over one denominator.
 
-    The unit kernel's powers are memoized in one chain per kind: a
-    request at a longer order extends the powers up to p by only their
-    new coefficients, and a request at a shorter order reads a prefix.
-    The scale is substituted into that prefix. Safe for concurrent use;
-    the memo is guarded by a lock.
+    The checked form of `unit_power_numerators`, with the scale
+    substituted into the unit kernel's power.
     """
     if not isinstance(p, int) or p < 0:
         raise ValueError(f"power must be a nonnegative integer, got {p!r}")
     _check_order(order)
     kind = Kernel(kind)
     c = as_scalar(scale)
-    with _POWER_LOCK:
-        chain = _POWER_CACHE.get(kind)
-        if chain is None:
-            chain = _POWER_CACHE[kind] = _PowerChain(kind)
-        nums, den = chain.power(p, order)
-    return _substituted(nums, den, c)
+    return _substituted(*unit_power_numerators(kind, p, order), c)
 
 
 def kernel_power(

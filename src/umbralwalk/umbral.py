@@ -38,8 +38,8 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from fractions import Fraction
-from math import factorial
-from typing import NamedTuple
+from math import factorial, isfinite
+from numbers import Real
 
 from .polynomials import Poly, appell_polynomial, poly_from_numerators
 from .series import (
@@ -225,7 +225,7 @@ class QuadratureError(RuntimeError):
     """Panel refinement failed to stabilize, or the imaginary part survived."""
 
 
-class QuadratureParams(NamedTuple):
+class QuadratureParams(Record):
     """Composite Gauss-Legendre settings for the density integrals.
 
     The Bernoulli density decays like e^(-2*pi*|t|) but the Euler one
@@ -234,6 +234,10 @@ class QuadratureParams(NamedTuple):
     None the window is widened to 8 + n, which pushes the neglected
     tail below 1e-12 across the supported degrees. Panels double until
     two successive estimates agree to tol/2.
+    A tol that is not a finite positive real number, a `half_width` that
+    is neither None nor one, a count that is not an int (a bool is none),
+    `nodes` or `initial_panels` below 1, or `max_panels` below
+    `initial_panels` raises ValueError.
     """
 
     tol: float = 1e-10
@@ -241,6 +245,22 @@ class QuadratureParams(NamedTuple):
     nodes: int = 16
     initial_panels: int = 8
     max_panels: int = 4096
+
+    def __post_init__(self) -> None:
+        # a tol of 0 or nan is never met, and no panel of a window of
+        # width 0 or less, or of no nodes, integrates anything
+        half_width = 1.0 if self.half_width is None else self.half_width
+        reals = (self.tol, half_width)
+        counts = (self.nodes, self.initial_panels, self.max_panels)
+        if (
+            not all(isinstance(v, Real) and isfinite(v) and v > 0 for v in reals)
+            or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in counts
+            )
+            or min(self.nodes, self.initial_panels) < 1
+            or self.max_panels < self.initial_panels
+        ):
+            raise ValueError(f"bad quadrature parameters: {self}")
 
 
 def density_moment(

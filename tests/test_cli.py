@@ -490,6 +490,44 @@ def test_quadrature_that_does_not_settle_exits_1(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_quadrature_with_a_bad_tol_exits_2_at_once(capsys, monkeypatch, tol):
+    integrals = []
+    monkeypatch.setattr(
+        cli, "density_moment", lambda *args: integrals.append(args) or 0.0
+    )
+    code = main(["quadrature", "--family", "euler", "--n", "3", f"--tol={tol}"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad quadrature parameters: ")
+    assert integrals == []
+
+
+# geometric weight ratios below 1 that round to 1.0 in double precision
+# (1 - 10^-30 and 1 - 1/(2 10^30 - 2)), and one that underflows to 0.0
+# (10^-330 / (1 + 10^-330)); the peak gate read them as 1/-log(decay)
+@pytest.mark.parametrize("argv, status, k_used, exit_code", [
+    (["--id", "THREE_SITES_1D_CORRECTED", "--n", "1", "--levels=1e-30,1"],
+     "NOT_CONVERGED", 512, 1),
+    (["--id", "FOUR_GENERAL_1D", "--n", "1", "--levels=1,2,1e30"],
+     "VERIFIED", 3, 0),
+    (["--id", "THREE_SITES_1D_CORRECTED", "--n", "1", "--kmax", "40",
+      f"--levels=1,1.{'0' * 329}1"],
+     "NOT_CONVERGED", 40, 1),
+])
+def test_decay_rounding_to_one_or_zero_still_reports(
+    capsys, argv, status, k_used, exit_code
+):
+    code = main(["verify", *argv])
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert err == ""
+    assert (code, payload["status"], payload["K_used"]) == (
+        exit_code, status, k_used
+    )
+
+
 def test_catalog_command(capsys):
     code, payload = run_json(capsys, "catalog")
     assert code == 0

@@ -1,8 +1,9 @@
 """Higher-order polynomials, numbers, Chebyshev weights."""
 
 import itertools
+from contextlib import contextmanager
 from fractions import Fraction as F
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,9 @@ from umbralwalk import (
     hop_euler,
     umbral_moment,
 )
+from umbralwalk import series
 from umbralwalk.polynomials import chebyshev_recip_weight_numerators
+from umbralwalk.series import Kernel, kernel_power_numerators
 
 
 def poly(*coeffs):
@@ -306,6 +309,56 @@ def test_integer_form_is_computed_once_per_polynomial(monkeypatch):
         assert (q.nums, q.den) == (rebuilt.nums, rebuilt.den)
 
 
+def _reference_appell(nums, den, n):
+    """n! [t^n] K(t) e^(xt) for K = nums / den, coefficient by coefficient:
+    the coefficient of x^i is K_(n-i) n! / i!."""
+    return Poly(
+        [F(nums[n - i], den) * factorial(n) / factorial(i) for i in range(n + 1)]
+    )
+
+
+@contextmanager
+def _empty_power_memo():
+    """An emptied kernel-power memo for the block, the memo restored after."""
+    saved = series._POWER_CACHE
+    series._POWER_CACHE = {}
+    try:
+        yield
+    finally:
+        series._POWER_CACHE = saved
+
+
+_HOP_KINDS = {Kernel.EULER: hop_euler, Kernel.BERNOULLI: hop_bernoulli}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(list(_HOP_KINDS)),
+            st.integers(0, 24),
+            st.integers(0, 29),
+        ),
+        min_size=1, max_size=12,
+    )
+)
+@example([(Kernel.EULER, 20, 29), (Kernel.EULER, 3, 7), (Kernel.EULER, 24, 2),
+          (Kernel.EULER, 24, 29), (Kernel.BERNOULLI, 0, 0)])
+@example([(Kernel.BERNOULLI, 5, 3), (Kernel.BERNOULLI, 5, 3),
+          (Kernel.BERNOULLI, 4, 3), (Kernel.BERNOULLI, 12, 1)])
+def test_hop_polynomials_equal_a_fresh_memo_reference(requests):
+    # the hop caches and the memo start empty; later requests read powers
+    # that earlier ones built, at their order or a longer one
+    with _empty_power_memo():
+        for hop in _HOP_KINDS.values():
+            hop.cache_clear()
+        got = [_HOP_KINDS[kind](n, p) for kind, n, p in requests]
+    for (kind, n, p), q in zip(requests, got):
+        with _empty_power_memo():
+            nums, den = kernel_power_numerators(kind, 1, p, n + 1)
+        assert q == _reference_appell(nums, den, n), (kind, n, p)
+
+
 def test_appell_polynomial_trims_a_zero_top_coefficient():
     from umbralwalk.polynomials import appell_polynomial
 
@@ -317,6 +370,8 @@ def test_appell_polynomial_trims_a_zero_top_coefficient():
     zero = appell_polynomial([0, 0, 0], 7, 2)
     assert zero == Poly()
     assert (zero.nums, zero.den) == ((), 1)
+    # numerators past the degree are not read
+    assert appell_polynomial((0, 3, 5, 11, 13), 4, 2) == q
 
 
 # --- ring operations against Fraction references -----------------------------------

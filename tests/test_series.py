@@ -1,5 +1,6 @@
 """Exact series layer: kernels, arithmetic, resummation."""
 
+from contextlib import contextmanager
 from fractions import Fraction as F
 from math import factorial, gcd
 
@@ -19,6 +20,8 @@ from umbralwalk import (
     ps_mul,
     to_csv,
 )
+from umbralwalk import series as series_module
+from umbralwalk.series import kernel_power_numerators, unit_power_numerators
 
 ONE8 = PowerSeries.one(8)
 
@@ -498,6 +501,74 @@ def test_kernel_power_at_orders_going_up_and_down(kind, monkeypatch):
         base = kernel(kind, c, order)
         for p in powers:
             assert kernel_power(kind, c, p, order) == ps_pow(base, p), (order, p)
+
+
+@contextmanager
+def _empty_power_memo():
+    """An emptied kernel-power memo for the block, the memo restored after."""
+    saved = series_module._POWER_CACHE
+    series_module._POWER_CACHE = {}
+    try:
+        yield
+    finally:
+        series_module._POWER_CACHE = saved
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(list(Kernel)),
+    st.lists(
+        st.tuples(scales, st.integers(0, 9), st.integers(1, 12)),
+        min_size=1, max_size=8,
+    ),
+)
+@example(Kernel.EULER, [(F(2, 3), 9, 12), (F(-1, 5), 4, 7), (F(1), 9, 12)])
+@example(Kernel.SECH, [(F(1), 0, 1), (F(0), 3, 5), (F(7, 3), 3, 6)])
+def test_kernel_power_numerators_equal_repeated_ps_mul(kind, requests):
+    # requests at any scale share the unit kernel's chain, so later ones
+    # read powers that earlier ones built
+    with _empty_power_memo():
+        got = [
+            kernel_power_numerators(kind, c, p, order) for c, p, order in requests
+        ]
+    for (c, p, order), (nums, den) in zip(requests, got):
+        base = kernel(kind, c, order)
+        want = PowerSeries.one(order)
+        for _ in range(p):
+            want = ps_mul(want, base)
+        assert [F(x, den) for x in nums] == list(want.coeffs), (c, p, order)
+
+
+def test_covered_request_extends_no_power(monkeypatch):
+    from umbralwalk.polynomials import hop_euler
+
+    monkeypatch.setattr(series_module, "_POWER_CACHE", {})
+    unit_power_numerators(Kernel.EULER, 9, 12)
+    extended = []
+    original = series_module._PowerChain._extended
+
+    def counting(chain, q, order):
+        extended.append((q, order))
+        return original(chain, q, order)
+
+    monkeypatch.setattr(series_module._PowerChain, "_extended", counting)
+    base = kernel(Kernel.EULER, F(-2, 3), 12)
+    for p, order in ((9, 12), (0, 1), (4, 12), (9, 3), (7, 7)):
+        nums, den = unit_power_numerators(Kernel.EULER, p, order)
+        assert PowerSeries([F(x, den) for x in nums]) == kernel_power(
+            Kernel.EULER, 1, p, order
+        )
+        assert kernel_power(Kernel.EULER, F(-2, 3), p, order) == ps_pow(
+            base, p
+        ).prefix(order)
+    hop_euler.cache_clear()
+    hop_euler(11, 9)
+    # powers 0..9 held 12 coefficients each, so nothing was lengthened
+    assert extended == []
+    unit_power_numerators(Kernel.EULER, 10, 12)
+    assert extended == [(10, 12)]
+    unit_power_numerators(Kernel.EULER, 2, 13)
+    assert extended == [(10, 12), (0, 13), (1, 13), (2, 13)]
 
 
 # --- concurrency ----------------------------------------------------------------

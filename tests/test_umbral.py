@@ -245,3 +245,29 @@ def test_density_impossible_tolerance_raises():
             F(1),
             QuadratureParams(tol=1e-300, nodes=2, initial_panels=2, max_panels=4),
         )
+
+
+@pytest.mark.parametrize("fields", [
+    {"tol": 0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"tol": "1e-10"}, {"tol": None}, {"nodes": 0}, {"initial_panels": 0},
+    {"initial_panels": -3}, {"max_panels": 4}, {"initial_panels": 16,
+    "max_panels": 8}, {"half_width": -1}, {"half_width": 0},
+    {"half_width": float("inf")}, {"half_width": float("nan")},
+    {"nodes": 2.0}, {"nodes": True}, {"max_panels": None},
+], ids=repr)
+def test_quadrature_params_rejected_when_built(fields):
+    # before the check, initial_panels=0 gave 0.0 for E_3(0) = 1/4 and
+    # half_width=-1 gave -0.105
+    with pytest.raises(ValueError, match="bad quadrature parameters"):
+        QuadratureParams(**fields)
+    with pytest.raises(ValueError, match="bad quadrature parameters"):
+        QuadratureParams()._replace(**fields)
+
+
+def test_quadrature_params_at_the_edges_are_accepted():
+    quad = QuadratureParams(
+        tol=F(1, 10**8), half_width=12, nodes=1, initial_panels=1, max_panels=1
+    )
+    assert (quad.nodes, quad.initial_panels, quad.max_panels) == (1, 1, 1)
+    quad = QuadratureParams(tol=F(1, 10**8), initial_panels=1, max_panels=64)
+    assert abs(density_moment(Family.EULER, 3, 0, quad) - 0.25) < 1e-8
