@@ -439,7 +439,7 @@ def unit_power_numerators(
     kind: Kernel, p: int, order: int
 ) -> tuple[tuple[int, ...], int]:
     """kernel(kind, 1, order) ** p as integer numerators over one
-    denominator in lowest terms: the one read of the memo.
+    denominator: the one read of the memo.
 
     The unit kernel's powers are memoized in one chain per kind: a
     request at a longer order extends the powers up to p by only their

@@ -552,14 +552,14 @@ def test_covered_request_extends_no_power(monkeypatch):
         return original(chain, q, order)
 
     monkeypatch.setattr(series_module._PowerChain, "_extended", counting)
-    base = kernel(Kernel.EULER, F(-2, 3), 12)
+    unit, scaled = kernel(Kernel.EULER, 1, 12), kernel(Kernel.EULER, F(-2, 3), 12)
     for p, order in ((9, 12), (0, 1), (4, 12), (9, 3), (7, 7)):
         nums, den = unit_power_numerators(Kernel.EULER, p, order)
-        assert PowerSeries([F(x, den) for x in nums]) == kernel_power(
-            Kernel.EULER, 1, p, order
+        assert PowerSeries([F(x, den) for x in nums]) == ps_pow(unit, p).prefix(
+            order
         )
         assert kernel_power(Kernel.EULER, F(-2, 3), p, order) == ps_pow(
-            base, p
+            scaled, p
         ).prefix(order)
     hop_euler.cache_clear()
     hop_euler(11, 9)
