@@ -40,13 +40,13 @@ import functools
 import itertools
 import operator
 import sys
-from collections import deque
+from collections import deque, namedtuple
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from math import cos, gcd, inf, isfinite, lcm, log, pi
 from numbers import Real
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .loopcalc import (
     LevelSystem, Moves, Walk, _even, _in_w, decomposition_residual,
@@ -72,22 +72,33 @@ _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
-class _Weights(NamedTuple):
+class _Weights(
+    namedtuple(
+        "_Weights", "C step numerators decay stride phase constant",
+        defaults=(1, 0, False),
+    )
+):
     """The weights of a right side on their lattice k = phase + stride j,
-    j = 0, 1, 2, ...: weight k is numerators[j] / (C b^k).
+    j = 0, 1, 2, ...: weight k is numerators[j] / (C step^j).
 
-    stride is 1 or 2 and 0 <= phase < stride. Every weight off the lattice
-    is 0 and has no numerator in the stream, so a nonzero one cannot be
-    stated. The weights shrink like decay^k: decay is one over the
-    smallest modulus of a pole of their generating function.
+    `step` is the denominator's growth per lattice step, not per index:
+    b^stride for weights over b^k. stride is 1 or 2 and
+    0 <= phase < stride. Every weight off the lattice is 0 and has no
+    numerator in the stream, so a nonzero one cannot be stated. The
+    weights shrink like decay^k: decay is one over the smallest modulus
+    of a pole of their generating function. `constant` says that the
+    numerators from j = 1 on are all equal, so the term stream folds that
+    one numerator into its values once (see `_term_numerators`).
     """
 
+    __slots__ = ()
     C: int
-    b: int
+    step: int
     numerators: Iterator[int]
     decay: float
-    stride: int = 1
-    phase: int = 0
+    stride: int
+    phase: int
+    constant: bool
 
 
 class IdentityId(str, Enum):
@@ -165,6 +176,10 @@ class TruncationPolicy(Record):
     from that degree, so every stop stays where the bound n puts it.
     This is a heuristic, not a bound; the zero-window stop on an exact
     partial sum is not gated.
+    Magnitudes are floats, so a nonzero term whose magnitude underflows
+    to 0.0 counts as a zero term in the window: a sum whose terms all
+    underflow gives no tail estimate and ends only at an exact partial
+    sum or at `k_max`, NOT_CONVERGED.
     A policy with a tol that is not a finite positive real number, a
     stable_run or k_max that is not an int (a bool is none), a stable_run
     below 2 or longer than any deque, or a k_max below 1 raises
@@ -204,7 +219,14 @@ def _exact_str(value: ExactScalar) -> str:
     return num if den == 1 else f"{num}/{Decimal(den)}"
 
 
-class IdentityReport(NamedTuple):
+class IdentityReport(
+    namedtuple(
+        "IdentityReport",
+        "identity params K_used lhs_exact rhs_partial_exact residual_float"
+        " converged status",
+    )
+):
+    __slots__ = ()
     identity: IdentityId
     params: IdentityParams
     K_used: int
@@ -239,7 +261,10 @@ class IdentityReport(NamedTuple):
         return out
 
 
-class CatalogEntry(NamedTuple):
+class CatalogEntry(
+    namedtuple("CatalogEntry", "identity variant description reference")
+):
+    __slots__ = ()
     identity: IdentityId
     variant: str
     description: str
@@ -354,9 +379,10 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 
 # -- right-hand side terms -------------------------------------------------
 #
-# Term k of every right side is weight(k) * value(k), the weight an integer
-# u_k over C b^k (C, b fixed integers) and value(k) a polynomial in k of
-# degree at most n: E_n^(p)(y) and B_n^(p)(y) have total degree n in
+# Term k = phase + stride j of every right side is weight(k) * value(k),
+# the weight an integer u_j over C step^j (C, step fixed integers: the
+# denominator grows by step per lattice step) and value(k) a polynomial
+# in k of degree at most n: E_n^(p)(y) and B_n^(p)(y) have total degree n in
 # (p, y) (Norlund), and the identities take p and y affine in k. Each
 # value is n! [w^n] A(w) B(w)^k with B(0) = 1, B the loop factor, and
 # each right side also states the degree it can check, which is n // 2
@@ -376,9 +402,9 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # `_term_numerators` runs over the weights' lattice k = phase + stride j
 # only: it continues the lattice values j = 0..d by integer differences
 # over their common denominator D and gives term k as an integer t_k over
-# den_k = C D b^k. It yields (t_k, m_k) with den_k the product of the m
+# den_k = C D step^j. It yields (t_k, m_k) with den_k the product of the m
 # so far, so a partial sum S / den takes term k as (S m_k + t_k) /
-# (den m_k); past the head m_k = b^stride. Where the weights vanish at
+# (den m_k); past the head m_k = step. Where the weights vanish at
 # every other index (stride 2), each off-lattice index is a zero term that
 # the stream does not carry: `_index_terms` puts it back for the per-index
 # readers, and `_sum_to_tolerance` counts it in O(1).
@@ -531,27 +557,62 @@ def _printed_fg_right(params: IdentityParams) -> _Right:
     )
 
 
-def _geometric(cn: int, cd: int, rn: int, rd: int) -> _Weights:
-    """The weights c r^k, c = cn / cd and r = rn / rd (cd, rd > 0), as
-    c.num r.num^k over c.den r.den^k in lowest terms."""
-    g, h = gcd(cn, cd), gcd(rn, rd)
+def _geometric(cn: int, cd: int, rn: int, rd: int, lead: int = 0) -> _Weights:
+    """The weights c r^(j - lead) at lattice index j >= lead and 0 below,
+    c = cn / cd and r = rn / rd (cd, rd > 0, lead 0 or 1), as numerators
+    over C step^j with step = r.den.
+
+    r is reduced by one gcd, and weight j is
+    c.num r.den^lead r.num^(j - lead) / (c.den r.den^j) with that first
+    fraction reduced by another, so each lattice step grows the
+    denominator by r.den alone, and where r.num is 1 the numerators past
+    the lead are one constant.
+    """
+    h = gcd(rn, rd)
     rn, rd = rn // h, rd // h
+    cn *= rd**lead
+    g = gcd(cn, cd)
     numerators = itertools.accumulate(
         itertools.repeat(rn), operator.mul, initial=cn // g
     )
-    return _Weights(cd // g, rd, numerators, abs(rn / rd))
+    if lead:
+        numerators = itertools.chain(itertools.repeat(0, lead), numerators)
+    return _Weights(cd // g, rd, numerators, abs(rn / rd), constant=rn == 1)
+
+
+@functools.cache
+def _chebyshev_ratio(N: int) -> tuple[int, int]:
+    """P_N and P_(N+2), N <= 3, read once per N from the lattice stream,
+    which is geometric past its N // 2 zeros with that ratio."""
+    lead = N // 2
+    P_N, P_next = itertools.islice(
+        chebyshev_lattice_numerators(N), lead, lead + 2
+    )
+    return P_N, P_next
 
 
 def _chebyshev_weights(params: IdentityParams) -> _Weights:
-    """The reciprocal-Chebyshev weights p_l of 1/T_N(1/t), as integers.
+    """The reciprocal-Chebyshev weights p_l of 1/T_N(1/t), as integers
+    P_l = p_l 2^l over 2^l.
 
     They vanish whenever l - N is odd, so they are read on their lattice
-    l = N % 2 + 2j only, and decay like cos(pi / 2N)^l, since the largest
-    root of T_N is cos(pi / 2N).
+    l = N % 2 + 2j only, over 2^(N % 2) 4^j, and decay like
+    cos(pi / 2N)^l, since the largest root of T_N is cos(pi / 2N). With
+    at most one tap (N <= 3) the lattice numerators past the N // 2
+    zeros are geometric, P_(l+2) = (P_(N+2) / P_N) P_l, and the ratio
+    P_(N+2) / (4 P_N) per lattice step is reduced (`_geometric`): N = 2
+    then grows the denominator one bit per lattice step, N = 3 two.
     """
     N = params.cheb_index
-    q0, numerators = chebyshev_lattice_numerators(N)
-    return _Weights(1, q0, numerators, cos(pi / (2 * N)), 2, N % 2)
+    phase, decay = N % 2, cos(pi / (2 * N))
+    if N > 3:
+        numerators = chebyshev_lattice_numerators(N)
+        return _Weights(2**phase, 4, numerators, decay, 2, phase)
+    P_N, P_next = _chebyshev_ratio(N)
+    C, step, numerators, _, _, _, constant = _geometric(
+        P_N, 2**N, P_next, 4 * P_N, N // 2
+    )
+    return _Weights(C, step, numerators, decay, 2, phase, constant)
 
 
 def _three_sites_weights(params: IdentityParams) -> _Weights:
@@ -627,12 +688,20 @@ def _even_bernoulli_weights(params: IdentityParams) -> _Weights:
 # -- the spec table ----------------------------------------------------------
 
 
-class _Spec(NamedTuple):
+class _Spec(
+    namedtuple(
+        "_Spec",
+        "variant description reference lhs right system degree level_count"
+        " positive_field degenerate",
+        defaults=(lambda p: p.n, 0, None, lambda p: False),
+    )
+):
     """One identity: catalog text, left side, right side, ground truth.
 
-    right(params) gives the right side as (weights, value, d): term k is
-    u_k / (C b^k) * value(k) with C, b and u the first fields of the
-    weights (see `_Weights`) and value(k) of degree <= d in k, given as an
+    right(params) gives the right side as (weights, value, d): term
+    k = phase + stride j is u_j / (C step^j) * value(k) with C, step and u
+    the first fields of the weights (see `_Weights`) and value(k) of
+    degree <= d in k, given as an
     integer pair (num, den). d is n // 2 where the right side's loop
     factor is even in w (see the comment above `_Value`), and the term
     stream is built from it. degree(params) is the bound, the family's
@@ -642,16 +711,17 @@ class _Spec(NamedTuple):
     integer field >= 1 (and the phrase naming it in the error).
     """
 
+    __slots__ = ()
     variant: str
     description: str
     reference: str
     lhs: Callable[[IdentityParams], ExactScalar]
     right: Callable[[IdentityParams], _Right]
     system: Callable[[IdentityParams], _SystemKey]
-    degree: Callable[[IdentityParams], int] = lambda p: p.n
-    level_count: int = 0
-    positive_field: tuple[str, str] | None = None
-    degenerate: Callable[[IdentityParams], bool] = lambda p: False
+    degree: Callable[[IdentityParams], int]
+    level_count: int
+    positive_field: tuple[str, str] | None
+    degenerate: Callable[[IdentityParams], bool]
 
 
 _THREE_SITES = _Spec(
@@ -781,8 +851,8 @@ def _term_numerators(
     side states for its value in k (n // 2 for an even loop factor, see
     `_Spec`); any larger d gives the same terms from more work.
 
-    Term k is t_j / den_k with den_k = m_0 m_1 ... m_j = C D_k b^k, D_k a
-    common denominator of the values reached, so a partial sum S / den
+    Term k is t_j / den_k with den_k = m_0 m_1 ... m_j = C D_k step^j, D_k
+    a common denominator of the values reached, so a partial sum S / den
     takes the term as (S m_j + t_j) / (den m_j) without a division; the
     zero terms off the lattice between them leave S / den as it is.
     The lattice values j = 0..d are computed directly as integer pairs,
@@ -791,12 +861,14 @@ def _term_numerators(
     one backward-difference table of the d + 1 lattice values as integer
     numerators over their common denominator D (see `_values_after`),
     as value(phase + stride j) is of degree <= d in j: the first later
-    term takes m = b^stride D / D_k, every one after it m = b^stride.
+    term takes m = step D / D_k, every one after it m = step.
     The hand-over from the head to the tail does only what the head left
     open: where no value was put off, D is D_d, already the head's common
     denominator, and no value is drawn again; else the put-off values are
     drawn then and D is lcm(D_d, their denominators). The table is built
-    on a short row in place (`_difference_table`).
+    on a short row in place (`_difference_table`); where the weights are
+    `constant`, their one numerator past the head is multiplied into that
+    row, so no tail term forms a weight product.
     The stream is a `chain.from_iterable` over a generator that yields
     each head term as a 1-tuple and then the tail, one chain of C
     iterators, itself: no generator frame resumes for a tail term.
@@ -804,9 +876,8 @@ def _term_numerators(
     """
 
     def pieces() -> Iterator[Iterable[tuple[int, int]]]:
-        C, b, numerators, _, stride, phase = weights
-        step = b**stride
-        m, D = C * b**phase, 1
+        C, step, numerators, _, stride, phase, constant = weights
+        m, D = C, 1
         head: list[tuple[int, int] | None] = []
         put_off = False
         lattice = range(phase, phase + stride * (d + 1), stride)
@@ -827,11 +898,13 @@ def _term_numerators(
         if put_off:
             head = [value(k) if v is None else v for k, v in zip(lattice, head)]
             D_all = lcm(D, *(den for _, den in head))
-        row = [num * (D_all // den) for num, den in head]
-        yield zip(
-            map(operator.mul, numerators, _values_after(_difference_table(row))),
-            itertools.chain((step * (D_all // D),), itertools.repeat(step)),
-        )
+        growth = itertools.chain((step * (D_all // D),), itertools.repeat(step))
+        u = next(numerators) if constant else 1
+        row = [u * num * (D_all // den) for num, den in head]
+        values = _values_after(_difference_table(row))
+        if not constant:
+            values = map(operator.mul, numerators, values)
+        yield zip(values, growth)
 
     return itertools.chain.from_iterable(pieces())
 
@@ -1306,9 +1379,14 @@ def expected_verified_cases() -> list[tuple[IdentityId, IdentityParams]]:
     return cases
 
 
-class AuditCase(NamedTuple):
+class AuditCase(
+    namedtuple(
+        "AuditCase", "identity params expected_lhs expected_rhs_limit"
+    )
+):
     """A printed form expected to disagree, with the exact two limits."""
 
+    __slots__ = ()
     identity: IdentityId
     params: IdentityParams
     expected_lhs: ExactScalar

@@ -65,9 +65,9 @@ from them; this module keeps none.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
 
 from .series import (
     ExactScalar,
@@ -114,12 +114,15 @@ class LevelSystem(Record):
         return len(self.levels) - 1
 
 
-class PhiMove(NamedTuple):
+class PhiMove(
+    namedtuple("PhiMove", "from_level to_level taboo_level", defaults=(None,))
+):
     """A site-to-site move, optionally avoiding the adjacent site beyond."""
 
+    __slots__ = ()
     from_level: int
     to_level: int
-    taboo_level: int | None = None
+    taboo_level: int | None
 
 
 def _even(series: PowerSeries) -> PowerSeries:
@@ -224,7 +227,7 @@ def _denominator(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
     )
 
 
-class Moves(NamedTuple):
+class Moves(namedtuple("Moves", "first ups downs walls")):
     """The moves of a system's renewal recursion as kernel pairs in u = w^2.
 
     first is H_0 = phi(0 -> 1) as its pair (N_0, D_0). For i = 1..N-1,
@@ -233,6 +236,7 @@ class Moves(NamedTuple):
     i-1 avoiding i+1) = Dw_i / W_i.
     """
 
+    __slots__ = ()
     first: tuple[PowerSeries, PowerSeries]
     ups: tuple[PowerSeries, ...]
     downs: tuple[PowerSeries, ...]

@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import math
 import os
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .loopcalc import Record, Walk
 
@@ -115,7 +116,12 @@ class WalkConfig(Record):
                 )
 
 
-class HittingEstimate(NamedTuple):
+class HittingEstimate(
+    namedtuple(
+        "HittingEstimate", "mean stderr n_hit_target n_hit_taboo n_censored"
+    )
+):
+    __slots__ = ()
     mean: float
     stderr: float
     n_hit_target: int
@@ -127,7 +133,10 @@ class HittingEstimate(NamedTuple):
         return self.n_hit_target + self.n_hit_taboo + self.n_censored
 
 
-class ComparisonReport(NamedTuple):
+class ComparisonReport(
+    namedtuple("ComparisonReport", "z_score rel_err passed")
+):
+    __slots__ = ()
     z_score: float
     rel_err: float
     passed: bool

@@ -12,7 +12,10 @@ with the weights n!/(n-j)! built once per degree, so no bivariate series
 type is needed. A `Poly` holds integer numerators over one denominator
 in a normal form, as a `PowerSeries` does. Also provides Bernoulli/Euler
 numbers and the reciprocal-Chebyshev weights p_l^(N) defined by
-1/T_N(1/t) = sum_l p_l^(N) t^l, streamed by their linear recurrence.
+1/T_N(1/t) = sum_l p_l^(N) t^l, streamed as the integers p_l 2^l over
+2^l by one division-free recurrence at every N: its taps are the integer
+coefficients of the monic 2 T_N(x/2) (the Vieta-Lucas polynomial), so
+the scale grows two bits per step of the weights' lattice l = N % 2 + 2j.
 """
 
 from __future__ import annotations
@@ -160,14 +163,15 @@ def _appell_from_kernel(kind: Kernel, n: int, p: int) -> Poly:
 
 # bounded, so a long run keeps at most 1024 polynomials per family; the
 # benchmark's hop_sums workload followed by verify-all leaves 29 Bernoulli
-# and 284 Euler entries
-@lru_cache(maxsize=1024)
+# and 284 Euler entries. Typed, since 2.0 and 2 hash alike: a float degree
+# or order reaches the integer check even after its int form is cached
+@lru_cache(maxsize=1024, typed=True)
 def hop_bernoulli(n: int, p: int) -> Poly:
     """Higher-order Bernoulli polynomial B_n^(p)(x); p = 0 gives x^n."""
     return _appell_from_kernel(Kernel.BERNOULLI, n, p)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def hop_euler(n: int, p: int) -> Poly:
     """Higher-order Euler polynomial E_n^(p)(x); p = 0 gives x^n."""
     return _appell_from_kernel(Kernel.EULER, n, p)
@@ -183,18 +187,19 @@ def euler_number(n: int) -> ExactScalar:
     return Fraction(2) ** n * hop_euler(n, 1).eval(Fraction(1, 2))
 
 
-def _chebyshev_coefficients(N: int) -> list[int]:
-    """The coefficients of x^N, x^(N-2), ..., x^(N % 2) in T_N, N >= 1.
+def _vieta_lucas_coefficients(N: int) -> list[int]:
+    """The coefficients of x^N, x^(N-2), ..., x^(N % 2) in 2 T_N(x/2), N >= 1.
 
-    The leading one is 2^(N-1), and coefficient i + 1 is coefficient i
-    times -(N - 2i)(N - 2i - 1) / (4 (i + 1)(N - i - 1)), from the closed
-    form T_N(x) = N/2 sum_i (-1)^i (N - i - 1)! / (i! (N - 2i)!) (2x)^(N - 2i);
+    That polynomial (the Vieta-Lucas one) is monic with integer
+    coefficients, and coefficient i + 1 is coefficient i times
+    -(N - 2i)(N - 2i - 1) / ((i + 1)(N - i - 1)), from the closed form
+    2 T_N(x/2) = N sum_i (-1)^i (N - i - 1)! / (i! (N - 2i)!) x^(N - 2i);
     each quotient is exact.
     """
-    c = 2 ** (N - 1)
+    c = 1
     coefficients = [c]
     for i in range(N // 2):
-        c = -c * (N - 2 * i) * (N - 2 * i - 1) // (4 * (i + 1) * (N - i - 1))
+        c = -c * (N - 2 * i) * (N - 2 * i - 1) // ((i + 1) * (N - i - 1))
         coefficients.append(c)
     return coefficients
 
@@ -206,82 +211,76 @@ def chebyshev_polynomial(N: int) -> Poly:
     if N == 0:
         return _new((1,), 1)
     nums = [0] * (N + 1)
-    nums[N::-2] = _chebyshev_coefficients(N)
+    # T_N(x) is half of 2 T_N(y/2) at y = 2x: coefficient i scales by
+    # 2^(N - 2i) / 2, exact, as the constant term there is +-2 at even N
+    nums[N::-2] = [
+        c * 2 ** (N - 2 * i) // 2
+        for i, c in enumerate(_vieta_lucas_coefficients(N))
+    ]
     return _new(tuple(nums), 1)
 
 
-def chebyshev_lattice_numerators(N: int) -> tuple[int, Iterator[int]]:
+def chebyshev_lattice_numerators(N: int) -> Iterator[int]:
     """The weights p_l of 1/T_N(1/t) on their lattice l = N % 2 + 2j, as
-    integers P_l = p_l q0^l, and q0.
+    integers P_l = p_l 2^l.
 
     Writing T_N(1/t) = Q(t)/t^N with Q a polynomial of degree N and
-    integer coefficients, Q_0 = q0 = 2^(N-1) != 0, the weights expand
-    t^N / Q(t), so they obey the N-term recurrence
-    Q_0 p_l = [l = N] - sum_{j=1..N} Q_j p_{l-j}; in particular p_l = 0
-    for l < N. Multiplied by q0^l it stays on integers:
+    integer coefficients, Q_0 = 2^(N-1), the weights expand t^N / Q(t),
+    so they obey the recurrence Q_0 p_l = [l = N] - sum_{j=1..N} Q_j p_{l-j};
+    in particular p_l = 0 for l < N. T_N has the parity of N, so Q is
+    even: Q_j = 0 at odd j, and p_l = 0 whenever l - N is odd. Multiplied
+    by 2^l / Q_0 the recurrence runs on the lattice only:
 
-      P_l = [l = N] q0^(N-1) - sum_{j=1..N} Q_j q0^(j-1) P_{l-j}.
+      P_l = 2 [l = N] - sum_{i=1..N//2} c_i P_(l-2i),  c_i = Q_(2i) 4^i / Q_0,
 
-    T_N has the parity of N, so Q is even: Q_j = 0 at odd j, and P_l = 0
-    whenever l - N is odd. The recurrence therefore runs over the even
-    taps Q_2, Q_4, ..., the coefficients of x^(N-2), x^(N-4), ... in T_N
-    (`_chebyshev_coefficients`), and the lattice only. The stream is the
-    N // 2 lattice zeros below N, then the lattice numerators from
-    q0^(N-1) on.
-    With at most one even tap (N <= 3) they are geometric,
-    P_(l+2) = -Q_2 q0 P_l (for N = 1, with no tap, P_1 = 1 is the only
-    nonzero one), and `itertools.accumulate` streams them; otherwise a
-    generator resumes once per lattice step, for one dot product of the
-    N // 2 even-tap multipliers with the last N // 2 lattice numerators.
+    and the taps c_i are the integer coefficients of x^(N-2), x^(N-4), ...
+    in the monic 2 T_N(x/2) (`_vieta_lucas_coefficients`), so every P_l
+    is an integer and no step divides. The stream is the N // 2 lattice
+    zeros below N, then P_N = 2 and the rest; each lattice step resumes
+    one generator for one dot product of the N // 2 taps with the last
+    N // 2 lattice numerators (none for N = 1, whose only nonzero weight
+    is p_1 = 1). The numerators grow about one bit per index, as
+    2 cos(pi / 2N) < 2, while their scale 2^l grows two bits per lattice
+    step at every N.
     """
     if N < 1:
         raise ValueError(f"Chebyshev index must be >= 1, got {N}")
-    q0, *taps = _chebyshev_coefficients(N)
-    # the multiplier of tap Q_j, j = 2i + 2, is q0^(j-1)
-    q = [tap * q0 ** (2 * i + 1) for i, tap in enumerate(taps)]
-    first = q0 ** (N - 1)
+    _, *c = _vieta_lucas_coefficients(N)
 
     def lattice() -> Iterator[int]:
-        P = first
+        P = 2
         yield P
-        recent = deque([P, *itertools.repeat(0, len(q) - 1)], maxlen=len(q))
-        while True:  # recent holds P_{l-2}, P_{l-4}, ..., P_{l-2 len(q)}
-            P = -sum(map(operator.mul, q, recent))
+        recent = deque([P, *itertools.repeat(0, len(c) - 1)], maxlen=len(c))
+        while True:  # recent holds P_{l-2}, P_{l-4}, ..., P_{l-2 len(c)}
+            P = -sum(map(operator.mul, c, recent))
             recent.appendleft(P)
             yield P
 
-    if len(q) < 2:
-        ratio = -q[0] if q else 0
-        nonzero = itertools.accumulate(
-            itertools.repeat(ratio), operator.mul, initial=first
-        )
-    else:
-        nonzero = lattice()
-    return q0, itertools.chain(itertools.repeat(0, N // 2), nonzero)
+    return itertools.chain(itertools.repeat(0, N // 2), lattice())
 
 
-def chebyshev_recip_weight_numerators(N: int) -> tuple[int, Iterator[int]]:
+def chebyshev_recip_weight_numerators(N: int) -> Iterator[int]:
     """The weights p_l of 1/T_N(1/t), l = 0, 1, 2, ..., as integers
-    P_l = p_l q0^l, and q0.
+    P_l = p_l 2^l.
 
     The lattice numerators of `chebyshev_lattice_numerators`, each with
     its off-parity 0 from `itertools.repeat` (one 0 first when N is odd),
-    so the stream is N zeros, then q0^(N-1), 0, P_(N+2), 0, ...
+    so the stream is N zeros, then 2, 0, P_(N+2), 0, ...
     """
-    q0, lattice = chebyshev_lattice_numerators(N)
-    return q0, itertools.chain(
+    return itertools.chain(
         itertools.repeat(0, N % 2),
-        itertools.chain.from_iterable(zip(lattice, itertools.repeat(0))),
+        itertools.chain.from_iterable(
+            zip(chebyshev_lattice_numerators(N), itertools.repeat(0))
+        ),
     )
 
 
 def chebyshev_recip_weights(N: int, count: int) -> list[ExactScalar]:
     """First `count` coefficients p_0..p_{count-1} of 1/T_N(1/t)."""
-    q0, numerators = chebyshev_recip_weight_numerators(N)
+    numerators = chebyshev_recip_weight_numerators(N)
     if count < N:
         raise ValueError(f"need count >= N, got count={count}, N={N}")
-    scales = itertools.accumulate(itertools.repeat(q0), operator.mul, initial=1)
     return [
-        Fraction(P, scale)
-        for P, scale in zip(itertools.islice(numerators, count), scales)
+        Fraction(P, 1 << l)
+        for l, P in enumerate(itertools.islice(numerators, count))
     ]

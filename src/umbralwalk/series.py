@@ -89,7 +89,7 @@ class Record:
     `__init__`, they are taken by position or keyword and handed to
     `__post_init__` to check. Instances refuse assignment, compare and
     hash by the `_compared` fields (all by default), print and pickle by
-    all, and have the `_fields`, `_replace` and `_asdict` of a NamedTuple.
+    all, and have the `_fields`, `_replace` and `_asdict` of a namedtuple.
     """
 
     def __init_subclass__(cls) -> None:

@@ -256,6 +256,20 @@ def test_weights_output_bytes_unchanged(capsys, N):
     assert hashlib.sha256(out.encode()).hexdigest() == _WEIGHTS_300_SHA256[N]
 
 
+# sha256 of `weights --N 32 --count 4096`, the largest N and count the
+# command accepts, as printed while the weights were streamed over q0^l
+_WEIGHTS_LARGEST_SHA256 = (
+    "714435898397afb9f932a19b6914b8ff89f41150feb92492c30b13ee4ad82f72"
+)
+
+
+@pytest.mark.pins
+def test_largest_weights_output_bytes_unchanged(capsys):
+    code, out = run(capsys, "weights", "--N", "32", "--count", "4096")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _WEIGHTS_LARGEST_SHA256
+
+
 def test_poly_output_with_value(capsys):
     code, payload = run_json(
         capsys, "poly", "--family", "bernoulli", "--n", "2", "--order", "1",

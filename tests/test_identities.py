@@ -798,7 +798,8 @@ def test_stride_two_stream_advances_once_per_lattice_step(monkeypatch, N):
 def test_stride_two_weights_state_no_weight_off_the_lattice():
     # geometric weights, none of them 0, declared on a lattice of stride 2:
     # the stream holds the lattice weights only, numerator j at index
-    # phase + 2j, so no nonzero weight can sit off the lattice
+    # phase + 2j over C step^j (the growth is per lattice step), so no
+    # nonzero weight can sit off the lattice
     params = IdentityParams(n=2, x=F(1, 3))
     spec = identities._SPECS[IdentityId.FOUR_UNIFORM_1D]
     _, value, d = spec.right(params)
@@ -815,7 +816,48 @@ def test_stride_two_weights_state_no_weight_off_the_lattice():
             if off or j < 0:
                 assert t == 0
             else:
-                assert F(t, den) == F(3**j, 4 * 4**k) * F(*value(k))
+                assert F(t, den) == F(3**j, 4 * 4**j) * F(*value(k))
+
+
+# the 514 single-index instances of the benchmark's hop_sums workload,
+# every one of them on geometric weights
+_HOP_SUM_X = (F(0), F(1, 2), F(1), F(-1, 3))
+_HOP_SUM_INSTANCES = [
+    (IdentityId.EULER_CHEB, IdentityParams(n=n, x=x, cheb_index=N))
+    for N in (1, 2, 3) for n in range(21) for x in _HOP_SUM_X
+] + [
+    (identity, IdentityParams(n=n, x=x))
+    for identity in (
+        IdentityId.FOUR_UNIFORM_1D,
+        IdentityId.N3_UNIFORM,
+        IdentityId.N4_UNIFORM_CORRECTED,
+    )
+    for n in range(21) for x in _HOP_SUM_X
+] + [(IdentityId.EVEN_BERNOULLI, IdentityParams(m=m)) for m in range(1, 11)]
+
+
+def test_geometric_lattice_ratios_are_in_lowest_terms():
+    # past any leading zero, numerator j + 1 is r.num times numerator j and
+    # the denominator grows by step, so r.num / step is the ratio per
+    # lattice step: coprime, no step grows the denominator by a factor the
+    # numerators cancel, and a ratio numerator of 1 folds into the values
+    assert len(_HOP_SUM_INSTANCES) == 514
+    chebyshev = {}
+    for identity, params in _HOP_SUM_INSTANCES:
+        params = normalize_params(identity, params)
+        weights, _, _ = identities._SPECS[identity].right(params)
+        u = list(itertools.islice(weights.numerators, 12))
+        lead = next(j for j, v in enumerate(u) if v)
+        first, ratio = u[lead], u[lead + 1] // u[lead]
+        assert u == [0] * lead + [first * ratio**i for i in range(12 - lead)]
+        assert math.gcd(ratio, weights.step) == 1
+        assert math.gcd(first, weights.C) == 1
+        assert weights.constant == (ratio == 1)
+        if identity is IdentityId.EULER_CHEB:
+            chebyshev[params.cheb_index] = (ratio, weights.step)
+    # p_(l+2) / p_l is 0, 1/2 and 3/4: N = 2 grows one bit per lattice
+    # step, N = 3 two
+    assert chebyshev == {1: (0, 1), 2: (1, 2), 3: (3, 4)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -1144,8 +1186,10 @@ def test_streamed_block_values_equal_one_shot_moments(levels, n, k_max, x):
 
     def terms(right, levels):
         weights, value, _ = right(IdentityParams(n=n, x=x, levels=levels))
+        # stride 1: lattice index j is index k
+        assert weights.stride == 1
         for k, u in zip(range(k_max + 1), weights.numerators):
-            yield k, F(u, weights.C * weights.b**k), F(*value(k))
+            yield k, F(u, weights.C * weights.step**k), F(*value(k))
 
     n3 = identities._SPECS[IdentityId.N3_GENERAL].right
     for k, weight, value in terms(n3, levels):

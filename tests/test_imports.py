@@ -48,7 +48,7 @@ def test_import_loads_neither_numpy_nor_scipy():
 
 
 def test_import_loads_no_dataclasses_inspect_or_datetime():
-    # the records are NamedTuples or `Record`s, and datetime waits for
+    # the records are namedtuples or `Record`s, and datetime waits for
     # `verify_all_payload`; dataclasses alone would load inspect
     _run_python("""
         import umbralwalk, umbralwalk.cli, umbralwalk.identities

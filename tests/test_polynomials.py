@@ -23,7 +23,10 @@ from umbralwalk import (
     umbral_moment,
 )
 from umbralwalk import series
-from umbralwalk.polynomials import chebyshev_recip_weight_numerators
+from umbralwalk.polynomials import (
+    chebyshev_lattice_numerators,
+    chebyshev_recip_weight_numerators,
+)
 from umbralwalk.series import Kernel, kernel_power_numerators
 
 
@@ -69,6 +72,16 @@ def test_hop_memo_is_bounded(hop):
         assert info.currsize <= 1024
     finally:
         hop.cache_clear()
+
+
+@pytest.mark.parametrize("hop", [hop_bernoulli, hop_euler])
+def test_float_degree_or_order_is_rejected_after_the_int_form(hop):
+    # 2.0 and 2 hash alike, so an untyped cache would answer the float form
+    # from the int form's entry
+    assert hop(2, 1).degree == 2
+    for args in ((2.0, 1), (2, 1.0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            hop(*args)
 
 
 def test_degree_and_leading_coefficient():
@@ -139,6 +152,13 @@ def test_chebyshev_polynomials():
     assert chebyshev_polynomial(1) == poly(0, 1)
     assert chebyshev_polynomial(2) == poly(-1, 0, 2)
     assert chebyshev_polynomial(3) == poly(0, -3, 0, 4)
+    # T_(N+1) = 2x T_N - T_(N-1), on Fractions
+    T = [(F(1),), (F(0), F(1))]
+    for N in range(1, 40):
+        twice_x = (F(0), *(2 * c for c in T[N]))
+        lower = T[N - 1] + (F(0),) * (len(twice_x) - len(T[N - 1]))
+        T.append(tuple(a - b for a, b in zip(twice_x, lower)))
+    assert [chebyshev_polynomial(N).coeffs for N in range(41)] == T
 
 
 def test_weights_index_one_is_identity():
@@ -184,33 +204,32 @@ def _fraction_recurrence_weights(N, count):
 def test_integer_weight_recurrence_equals_fraction_recurrence(N):
     reference = _fraction_recurrence_weights(N, 300)
     assert chebyshev_recip_weights(N, 300) == reference
-    q0, numerators = chebyshev_recip_weight_numerators(N)
-    assert q0 == 2 ** (N - 1)
-    P = list(itertools.islice(numerators, 300))
+    P = list(itertools.islice(chebyshev_recip_weight_numerators(N), 300))
     assert all(type(v) is int for v in P)
-    assert [F(v, q0**l) for l, v in enumerate(P)] == reference
+    assert [F(v, 2**l) for l, v in enumerate(P)] == reference
 
 
 @pytest.mark.parametrize("N", range(1, 9))
 def test_weights_vanish_off_the_parity_of_N(N):
     # T_N has the parity of N, so t^N / Q(t) with Q(t) = t^N T_N(1/t) is
     # t^N times an even series
-    _, numerators = chebyshev_recip_weight_numerators(N)
-    P = list(itertools.islice(numerators, 300))
+    P = list(itertools.islice(chebyshev_recip_weight_numerators(N), 300))
     assert all(v == 0 for l, v in enumerate(P) if (l - N) % 2)
 
 
 def _integer_recurrence_numerators(N, count):
-    """P_l = [l = N] q0^(N-1) - sum_{j=1..N} Q_j q0^(j-1) P_{l-j} over
-    every tap, zeros included: the stream the lattice generator replaced."""
+    """P_l = 2 [l = N] - sum_{j=1..N} (Q_j 2^j / Q_0) P_{l-j} over every
+    tap, zeros included, with Q_j the coefficient of x^(N-j) in T_N and
+    Q_0 = 2^(N-1): the full recurrence of p_l 2^l, each tap checked to be
+    an integer."""
     T = chebyshev_polynomial(N).nums
-    q0 = T[N]
-    q = [T[N - j] * q0 ** (j - 1) for j in range(1, N + 1)]
+    assert T[N] == 2 ** (N - 1)
+    taps = [F(T[N - j] * 2**j, T[N]) for j in range(1, N + 1)]
+    assert all(tap.denominator == 1 for tap in taps)
+    q = [tap.numerator for tap in taps]
     recent, out = [0] * N, []
     for l in range(count):
-        P = int(l == N) * q0 ** (N - 1) - sum(
-            qj * pj for qj, pj in zip(q, recent)
-        )
+        P = 2 * int(l == N) - sum(qj * pj for qj, pj in zip(q, recent))
         recent = [P] + recent[:-1]
         out.append(P)
     return out
@@ -218,11 +237,22 @@ def _integer_recurrence_numerators(N, count):
 
 @pytest.mark.parametrize("N", range(1, 33))
 def test_interleaved_stream_equals_the_full_recurrence(N):
-    q0, numerators = chebyshev_recip_weight_numerators(N)
-    assert q0 == 2 ** (N - 1)
+    numerators = chebyshev_recip_weight_numerators(N)
     assert list(itertools.islice(numerators, 600)) == (
         _integer_recurrence_numerators(N, 600)
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 32), st.integers(0, 400))
+@example(32, 4096 - 32)
+def test_lattice_numerators_over_2_to_the_l_are_the_weights(N, extra):
+    weights = chebyshev_recip_weights(N, N + extra)
+    lattice = range(N % 2, len(weights), 2)
+    P = list(itertools.islice(chebyshev_lattice_numerators(N), len(lattice)))
+    assert all(type(v) is int for v in P)
+    assert [F(v, 2**l) for l, v in zip(lattice, P)] == weights[N % 2 :: 2]
+    assert not any(weights[1 - N % 2 :: 2])
 
 
 def test_weights_domain_errors():

@@ -7,12 +7,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from umbralwalk import identities
 from umbralwalk.cli import main
 from umbralwalk.identities import (
     IdentityId, IdentityParams, TruncationPolicy, catalog, stated_audit_cases,
     verify,
 )
-from umbralwalk.loopcalc import LevelSystem, PhiMove, Walk
+from umbralwalk.loopcalc import LevelSystem, PhiMove, Walk, renewal_moves
 from umbralwalk.montecarlo import (
     ComparisonReport, ConfigError, HittingEstimate, WalkConfig,
 )
@@ -145,3 +146,42 @@ def test_record_pickle_round_trip(record):
     assert type(back) is type(record)
     assert back == record and hash(back) == hash(record)
     assert repr(back) == repr(record)
+
+
+def _tuple_records():
+    """One of each namedtuple record, and whether it pickles (the spec
+    table's lambdas and the weights' iterators do not)."""
+    params = IdentityParams(n=1, x=F(1, 3), cheb_index=2)
+    weights, _, _ = identities._SPECS[IdentityId.EULER_CHEB].right(params)
+    return [
+        (PhiMove(0, 1, 2), True),
+        (renewal_moves(LevelSystem(Walk.REFLECTED_1D, (0, 1, 3)), 4), True),
+        (verify(IdentityId.N3_UNIFORM, IdentityParams(n=1)), True),
+        (catalog()[0], True),
+        (stated_audit_cases()[0], True),
+        (HittingEstimate(0.5, 0.01, 3, 0, 1), True),
+        (ComparisonReport(0.3, 0.01, True), True),
+        (identities._SPECS[IdentityId.EULER_CHEB], False),
+        (weights, False),
+    ]
+
+
+@pytest.mark.parametrize(
+    "record, pickles", _tuple_records(), ids=lambda r: type(r).__name__
+)
+def test_tuple_records_keep_the_namedtuple_api(record, pickles):
+    cls = type(record)
+    assert isinstance(record, tuple) and len(record) == len(cls._fields)
+    *head, last = record
+    assert (*head, last) == tuple(getattr(record, f) for f in cls._fields)
+    assert record._asdict() == dict(zip(cls._fields, record))
+    replaced = record._replace(**{cls._fields[0]: record[0]})
+    assert type(replaced) is cls and replaced == record
+    assert cls._make(record) == record
+    # no instance dict: a name that is no field cannot be set
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+    if pickles:
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is cls and back == record
+        assert repr(back) == repr(record)
