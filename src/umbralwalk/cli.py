@@ -135,6 +135,8 @@ def _cmd_poly(ns: argparse.Namespace) -> int:
 
 
 def _cmd_numbers(ns: argparse.Namespace) -> int:
+    if ns.upto < 0:
+        raise ValueError(f"upto must be nonnegative, got {ns.upto}")
     fn = bernoulli_number if ns.bernoulli else euler_number
     name = "bernoulli" if ns.bernoulli else "euler"
     _dump({"kind": name, "values": [str(fn(n)) for n in range(ns.upto + 1)]})

@@ -49,7 +49,7 @@ from numbers import Real
 from typing import Callable, Iterable, Iterator
 
 from .loopcalc import (
-    LevelSystem, Moves, Walk, _even, _in_w, decomposition_residual,
+    LevelSystem, Moves, Walk, _even_kernel, _in_w, decomposition_residual,
     direct_mgf, free_move, linear_in_loops, renewal_loops, renewal_moves,
     start_and_loops,
 )
@@ -63,8 +63,7 @@ from .polynomials import (
     hop_euler,
 )
 from .series import (
-    Kernel, PowerSeries, Record, as_scalar, geometric_resum, kernel, ps_div,
-    ps_mul,
+    Kernel, PowerSeries, Record, as_scalar, geometric_resum, ps_div, ps_mul,
 )
 from .umbral import Family, UmbralExpr, expr_egf
 
@@ -321,11 +320,6 @@ def normalize_params(
 # -- left-hand sides -------------------------------------------------------
 
 
-def _euler_at(n: int, x: Fraction) -> Fraction:
-    """E_n(x), one `Fraction` of `Poly.at`'s integer pair."""
-    return Fraction(*hop_euler(n, 1).at(*x.as_integer_ratio()))
-
-
 def _bernoulli_at(n: int, x: Fraction, plus: int, over: int) -> Fraction:
     """B_n((x + plus) / over), one `Fraction` of `Poly.at`'s integer pair."""
     xn, xd = x.as_integer_ratio()
@@ -580,37 +574,27 @@ def _geometric(cn: int, cd: int, rn: int, rd: int, lead: int = 0) -> _Weights:
     return _Weights(cd // g, rd, numerators, abs(rn / rd), constant=rn == 1)
 
 
-@functools.cache
-def _chebyshev_ratio(N: int) -> tuple[int, int]:
-    """P_N and P_(N+2), N <= 3, read once per N from the lattice stream,
-    which is geometric past its N // 2 zeros with that ratio."""
-    lead = N // 2
-    P_N, P_next = itertools.islice(
-        chebyshev_lattice_numerators(N), lead, lead + 2
-    )
-    return P_N, P_next
-
-
 def _chebyshev_weights(params: IdentityParams) -> _Weights:
     """The reciprocal-Chebyshev weights p_l of 1/T_N(1/t), as integers
     P_l = p_l 2^l over 2^l.
 
     They vanish whenever l - N is odd, so they are read on their lattice
     l = N % 2 + 2j only, over 2^(N % 2) 4^j, and decay like
-    cos(pi / 2N)^l, since the largest root of T_N is cos(pi / 2N). With
-    at most one tap (N <= 3) the lattice numerators past the N // 2
-    zeros are geometric, P_(l+2) = (P_(N+2) / P_N) P_l, and the ratio
-    P_(N+2) / (4 P_N) per lattice step is reduced (`_geometric`): N = 2
-    then grows the denominator one bit per lattice step, N = 3 two.
+    cos(pi / 2N)^l, since the largest root of T_N is cos(pi / 2N). For
+    N <= 3, Q(t) = t^N T_N(1/t) = 2^(N-1) - N 2^(N-3) t^2 has at most
+    two terms (the coefficient of x^(N-2) in 2 T_N(x/2) is -N), so past
+    the N // 2 lattice zeros the weights are geometric: p_N = 2^(1-N)
+    and the ratio per lattice step is N / 4, reduced by `_geometric`
+    (N = 2 grows the denominator one bit per lattice step, N = 3 two).
+    N = 1 has no tap, and p_1 = 1 is its one nonzero weight.
     """
     N = params.cheb_index
     phase, decay = N % 2, cos(pi / (2 * N))
     if N > 3:
         numerators = chebyshev_lattice_numerators(N)
         return _Weights(2**phase, 4, numerators, decay, 2, phase)
-    P_N, P_next = _chebyshev_ratio(N)
     C, step, numerators, _, _, _, constant = _geometric(
-        P_N, 2**N, P_next, 4 * P_N, N // 2
+        1, 2 ** (N - 1), N if N > 1 else 0, 4, N // 2
     )
     return _Weights(C, step, numerators, decay, 2, phase, constant)
 
@@ -743,7 +727,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         "E_n(x) as a positive combination of higher-order Euler "
         "polynomials with reciprocal-Chebyshev weights",
         "Euler polynomials via N-site transition weights",
-        lambda p: _euler_at(p.n, p.x),
+        lambda p: hop_euler(p.n, 1).eval(p.x),
         _hop(_chebyshev_weights, lambda p: (
             hop_euler, p.n, (0, 1),
             _line(p.x, 2 * p.cheb_index, -p.cheb_index, 1, 2),
@@ -763,7 +747,7 @@ _SPECS: dict[IdentityId, _Spec] = {
         "stated",
         "E_n(x) as a combination of E_n^(2k+3)(3x+k) over loop counts",
         "four uniform sites on the half-line / reflected walk",
-        lambda p: _euler_at(p.n, p.x),
+        lambda p: hop_euler(p.n, 1).eval(p.x),
         _hop(
             lambda p: _geometric(1, 4 * 3**p.n, 3, 4),
             lambda p: (hop_euler, p.n, (3, 2), _line(p.x, 3, 0, 1, 1), 1),
@@ -1513,10 +1497,10 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     # Every series here is even in w, so each is taken in u = w^2, where
     # its coefficients are the even ones in w and the odd ones, all 0,
     # change no supremum.
-    sech = _even(kernel(Kernel.SECH, 1, order, "w"))
+    sech = _even_kernel(Kernel.SECH, 1, order)
     w_over_sinh = ps_div(
         PowerSeries.one(sech.order, "u"),
-        _even(kernel(Kernel.SINH_OVER_ARG, 1, order, "w")),
+        _even_kernel(Kernel.SINH_OVER_ARG, 1, order),
     )
     sech2 = ps_mul(sech, sech)
     sech3 = ps_mul(sech2, sech)

@@ -74,6 +74,7 @@ from .series import (
     Kernel,
     PowerSeries,
     Record,
+    _check_order,
     _new,
     as_scalar,
     kernel,
@@ -142,7 +143,10 @@ def _in_w(series: PowerSeries, order: int) -> PowerSeries:
 
 def _even_kernel(kind: Kernel, scale: Fraction, order: int) -> PowerSeries:
     """kernel(kind, scale) in u = w^2, for an even kind: at scale 0 the
-    constant 1 that cosh and sinh(c w)/(c w) both take there."""
+    constant 1 that cosh, sech and sinh(c w)/(c w) all take there.
+
+    `order` is checked first, so an error names the w-order given."""
+    _check_order(order)
     if not scale:
         return PowerSeries.one((order + 1) // 2, "u")
     return _even(kernel(kind, scale, order, "w"))

@@ -259,28 +259,18 @@ def chebyshev_lattice_numerators(N: int) -> Iterator[int]:
     return itertools.chain(itertools.repeat(0, N // 2), lattice())
 
 
-def chebyshev_recip_weight_numerators(N: int) -> Iterator[int]:
-    """The weights p_l of 1/T_N(1/t), l = 0, 1, 2, ..., as integers
-    P_l = p_l 2^l.
-
-    The lattice numerators of `chebyshev_lattice_numerators`, each with
-    its off-parity 0 from `itertools.repeat` (one 0 first when N is odd),
-    so the stream is N zeros, then 2, 0, P_(N+2), 0, ...
-    """
-    return itertools.chain(
-        itertools.repeat(0, N % 2),
-        itertools.chain.from_iterable(
-            zip(chebyshev_lattice_numerators(N), itertools.repeat(0))
-        ),
-    )
-
-
 def chebyshev_recip_weights(N: int, count: int) -> list[ExactScalar]:
-    """First `count` coefficients p_0..p_{count-1} of 1/T_N(1/t)."""
-    numerators = chebyshev_recip_weight_numerators(N)
+    """First `count` coefficients p_0..p_{count-1} of 1/T_N(1/t).
+
+    Weight l = N % 2 + 2j is P_l / 2^l, P_l the lattice numerator j of
+    `chebyshev_lattice_numerators`; every weight off that lattice is 0.
+    """
+    numerators = chebyshev_lattice_numerators(N)
     if count < N:
         raise ValueError(f"need count >= N, got count={count}, N={N}")
-    return [
-        Fraction(P, 1 << l)
-        for l, P in enumerate(itertools.islice(numerators, count))
+    weights = [_ZERO] * count
+    lattice = range(N % 2, count, 2)
+    weights[N % 2 :: 2] = [
+        Fraction(P, 1 << l) for l, P in zip(lattice, numerators)
     ]
+    return weights

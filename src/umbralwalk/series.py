@@ -397,7 +397,8 @@ class _PowerChain:
         self.powers: list[PowerSeries] = [PowerSeries.one(1)]
 
     def __len__(self) -> int:
-        """The number of powers held."""
+        """The number of powers held (the benchmark's memo probe,
+        `series.memo_series` in perfbench/probes.py, sums it per kind)."""
         return len(self.powers)
 
     def power(self, p: int, order: int) -> tuple[tuple[int, ...], int]:

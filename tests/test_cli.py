@@ -392,6 +392,25 @@ def test_verify_keeps_summing_while_terms_grow(capsys, argv, K_used):
     assert payload["K_used"] == K_used
 
 
+@pytest.mark.parametrize("argv, given", [
+    (["numbers", "--bernoulli", "--upto", "-1"], "-1"),
+    (["numbers", "--euler", "--upto", "-3"], "-3"),
+    (["series", "--walk", "1d", "--levels", "0,1", "--chain", "--order", "-5"],
+     "-5"),
+    (["series", "--walk", "bessel", "--levels", "0,1", "--direct",
+      "--order", "0"], "0"),
+])
+def test_negative_count_exits_2_naming_the_value_given(capsys, argv, given):
+    # a usage error that names the value given: not an empty list for
+    # --upto, nor the halved order in u = w^2 for a series
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.rstrip().endswith(f"got {given}")
+
+
 def test_verify_invalid_params_exit_2(capsys):
     code = main(["verify", "--id", "EULER_CHEB", "--n", "2"])
     err = capsys.readouterr().err

@@ -45,6 +45,7 @@ from umbralwalk.identities import (
 )
 from umbralwalk.polynomials import (
     chebyshev_polynomial,
+    chebyshev_recip_weights,
     eval_poly,
     hop_bernoulli,
     hop_euler,
@@ -858,6 +859,26 @@ def test_geometric_lattice_ratios_are_in_lowest_terms():
     # p_(l+2) / p_l is 0, 1/2 and 3/4: N = 2 grows one bit per lattice
     # step, N = 3 two
     assert chebyshev == {1: (0, 1), 2: (1, 2), 3: (3, 4)}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_chebyshev_weights_up_to_3_are_stated_from_t_n(monkeypatch, N):
+    # for N <= 3 the weights come from T_N itself (p_N = 2^(1-N), ratio
+    # N / 4 per lattice step), not from the lattice stream, which is
+    # patched to raise so the closed form is what is checked
+    reference = chebyshev_recip_weights(N, N % 2 + 600)[N % 2 :: 2]
+
+    def no_stream(N):
+        raise AssertionError(f"read the lattice stream for N = {N}")
+
+    monkeypatch.setattr(identities, "chebyshev_lattice_numerators", no_stream)
+    weights = identities._chebyshev_weights(IdentityParams(cheb_index=N))
+    assert (weights.stride, weights.phase) == (2, N % 2)
+    u = itertools.islice(weights.numerators, 300)
+    stated = [F(v, weights.C * weights.step**j) for j, v in enumerate(u)]
+    assert len(stated) == len(reference) == 300
+    assert stated[: N // 2 + 1] == [0] * (N // 2) + [F(1, 2 ** (N - 1))]
+    assert stated == reference
 
 
 @settings(max_examples=200, deadline=None)
