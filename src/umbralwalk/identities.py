@@ -50,8 +50,8 @@ from typing import Callable, Iterable, Iterator
 
 from .loopcalc import (
     LevelSystem, Moves, Walk, _even_kernel, _in_w, decomposition_residual,
-    direct_mgf, free_move, linear_in_loops, renewal_loops, renewal_moves,
-    start_and_loops,
+    direct_mgf, free_move, free_pair, linear_in_loops, renewal_loops,
+    renewal_moves, start_and_loops,
 )
 from .polynomials import (
     ExactScalar,
@@ -130,7 +130,8 @@ class IdentityParams(Record):
     `n` is the polynomial degree, `x` the argument, `levels` the site
     levels where applicable, `cheb_index` the Chebyshev index N of
     EULER_CHEB, and `m` the half-degree of EVEN_BERNOULLI (which fixes
-    n = 2m).
+    n = 2m). An identity rejects `levels`, `cheb_index` or `m` if it does
+    not read them.
     """
 
     n: int = 0
@@ -288,6 +289,14 @@ def validate_params(identity: IdentityId, params: IdentityParams) -> None:
     spec = _SPECS.get(identity)
     if spec is None:
         raise InvalidParamsError(f"unknown identity {identity!r}")
+    for field, phrase in _OPTIONAL_FIELDS:
+        # a field the identity does not read would be echoed as verified
+        value = getattr(params, field)
+        if value is not None and not _takes(spec, field):
+            shown = ",".join(map(str, value)) if field == "levels" else value
+            raise InvalidParamsError(
+                f"{IdentityId(identity).value} takes no {phrase}, got {shown}"
+            )
     if spec.level_count:
         lv, count = params.levels, spec.level_count
         if lv is None or len(lv) != count:
@@ -305,6 +314,20 @@ def validate_params(identity: IdentityId, params: IdentityParams) -> None:
             raise InvalidParamsError(
                 f"{IdentityId(identity).value} needs {phrase} >= 1, got {value}"
             )
+
+
+# the fields only some identities read, and the phrase naming each
+_OPTIONAL_FIELDS = (
+    ("levels", "levels"), ("cheb_index", "Chebyshev index N"),
+    ("m", "half-degree m"),
+)
+
+
+def _takes(spec: _Spec, field: str) -> bool:
+    """Whether an identity of this spec reads the optional field."""
+    if field == "levels":
+        return bool(spec.level_count)
+    return spec.positive_field is not None and spec.positive_field[0] == field
 
 
 def normalize_params(
@@ -413,10 +436,10 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # reciprocal e^(aw) times the Bernoulli kernel at 2a, so these are the
 # moments of the paper's block lists. S1 L1^k is one running product, at
 # one series product per loop count. Up to the certificate's order, S, the
-# loops and the left side's free move are prefixes of the system's
-# certified record (`_ground_truth_residual`, which divides S and the
-# loops out of its moves' kernel pairs on their first read), so an
-# instance on a certified system derives no move.
+# loops and the left side's free move are divided out of prefixes of the
+# kernel pairs held in the system's certified record
+# (`_ground_truth_residual`), at the order read, so an instance on a
+# certified system derives no move.
 
 _Value = Callable[[int], tuple[int, int]]
 # a right side: its weights, value(k) and the degree of value in k
@@ -438,12 +461,12 @@ def _read(series: PowerSeries, order: int) -> PowerSeries:
 
 
 def _free_at(key: _SystemKey, order: int) -> PowerSeries:
-    """The system's free move in w: up to the certificate's order a
-    prefix of its certified record, above it a fresh derivation that is
-    kept nowhere."""
+    """The system's free move in w: up to the certificate's order formed
+    by its certified record at this order, above it a fresh derivation
+    that is kept nowhere."""
     if order > _GROUND_TRUTH_ORDER:
         return direct_mgf(LevelSystem(*key), order)
-    return _read(_ground_truth_residual(key).free, order)
+    return _read(_ground_truth_residual(key).free((order + 1) // 2), order)
 
 
 def _renewal_at(
@@ -452,7 +475,7 @@ def _renewal_at(
     """The system's renewal start and loops in w, read as in `_free_at`."""
     if order > _GROUND_TRUTH_ORDER:
         return renewal_loops(LevelSystem(*key), order)
-    start, loops = _ground_truth_residual(key).renewal
+    start, loops = _ground_truth_residual(key).renewal((order + 1) // 2)
     return _read(start, order), tuple(_read(loop, order) for loop in loops)
 
 
@@ -1006,25 +1029,47 @@ def ground_truth_system(
 
 
 class _Record:
-    """A certified level system's series in u = w^2, at the certificate's
-    order: its moves as kernel pairs (`loopcalc.Moves`), its free move
-    and, in `renewal_loops`' range, its renewal start and loops (else
-    None). The start and loops are divided out of the pairs on their
-    first read, so a system that only the hop-form identities rest on
-    never builds them."""
+    """A certified level system in u = w^2: its moves as kernel pairs
+    (`loopcalc.Moves`) and its free move's pair (`loopcalc.free_pair`),
+    at the certificate's order.
 
-    __slots__ = ("moves", "free", "_linear", "_renewal")
+    Quotients are formed only when read, at the order read: `free(order)`
+    divides the free move, and `renewal(order)` the start and loops (None
+    outside `renewal_loops`' range), out of the pairs' first `order`
+    coefficients, so a system that only the hop-form identities rest on
+    divides nothing. Each keeps one slot, formed again only for a longer
+    read. A read returns the series it formed or found, of at least
+    `order` coefficients, not the slot, which a racing thread may refill
+    with a shorter one."""
 
-    def __init__(self, moves: Moves, free: PowerSeries, linear: bool) -> None:
-        self.moves, self.free = moves, free
-        self._linear, self._renewal = linear, None
+    __slots__ = ("moves", "free_pair", "_linear", "_free", "_renewal")
 
-    @property
-    def renewal(self) -> tuple[PowerSeries, tuple[PowerSeries, ...]] | None:
-        # two threads reading it first both divide out equal series
-        if self._linear and self._renewal is None:
-            self._renewal = start_and_loops(self.moves)
-        return self._renewal
+    def __init__(
+        self,
+        moves: Moves,
+        free_pair: tuple[PowerSeries, PowerSeries],
+        linear: bool,
+    ) -> None:
+        self.moves, self.free_pair = moves, free_pair
+        self._linear, self._free, self._renewal = linear, None, None
+
+    def free(self, order: int) -> PowerSeries:
+        held = self._free
+        if held is None or held.order < order:
+            held = self._free = ps_div(
+                *(series.prefix(order) for series in self.free_pair)
+            )
+        return held
+
+    def renewal(
+        self, order: int
+    ) -> tuple[PowerSeries, tuple[PowerSeries, ...]] | None:
+        if not self._linear:
+            return None
+        held = self._renewal
+        if held is None or held[0].order < order:
+            held = self._renewal = start_and_loops(self.moves.prefix(order))
+        return held
 
 
 # Keyed by the plain (walk, levels) pair, so a hit builds no LevelSystem:
@@ -1036,19 +1081,20 @@ class _Record:
 def _ground_truth_residual(key: _SystemKey) -> _Record:
     """The system's certified record.
 
-    Its moves, as the kernel pairs of `renewal_moves`, and its free move
-    are derived once, at `_GROUND_TRUTH_ORDER`, and the decomposition
-    residual is computed on exactly those series: the chain's continuant
-    at one series division, the free move at another. A nonzero residual
-    raises EngineConsistencyError and stores nothing. Every side of an
-    identity on the system read up to that order is a prefix of the
-    record, which is the series a fresh derivation gives, as coefficient
-    j of a move, product or quotient does not depend on the order it is
-    truncated at.
+    Its moves, as the kernel pairs of `renewal_moves`, and its free
+    move's pair are derived once, at `_GROUND_TRUTH_ORDER`, and the
+    decomposition residual is computed on exactly those series, by
+    cross-multiplying the chain's continuant with the free pair: the
+    certificate divides nothing. A nonzero residual raises
+    EngineConsistencyError and stores nothing. Every side of an identity
+    on the system read up to that order is a quotient the record forms
+    from prefixes of those pairs at the order read, which is the series a
+    fresh derivation gives, as coefficient j of a move, product or
+    quotient does not depend on the order it is truncated at.
     """
     system = LevelSystem(*key)
     moves = renewal_moves(system, _GROUND_TRUTH_ORDER)
-    free = free_move(system, _GROUND_TRUTH_ORDER)
+    free = free_pair(system, _GROUND_TRUTH_ORDER)
     residual = decomposition_residual(system, _GROUND_TRUTH_ORDER, moves, free)
     if residual != 0:
         raise EngineConsistencyError(
@@ -1093,9 +1139,9 @@ def verify(
     (see `_sum_to_tolerance`). The level system's
     ground truth is certified at its first instance and looked up by its
     (walk, levels) key after that; the certified record also holds the
-    moves, free move, start and loops that the block-level sides read,
-    so an instance on a certified system derives no move (the start and
-    loops are divided out of the record's pairs on their first read).
+    kernel pairs that the block-level sides' free move, start and loops
+    are divided out of, at the order each read asks for, so an instance
+    on a certified system derives no move.
     Degenerate instances (uniformly spaced three-site systems)
     short-circuit to DEGENERATE_TRIVIAL.
     The tail control runs in double precision, so a left side, term or
@@ -1510,7 +1556,7 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     # the four-sphere system, certified by the pair above: its free move
     target = _ground_truth_residual(
         (Walk.BESSEL_3D, (0, 1, 2, 3, 4))
-    ).free.prefix(sech.order)
+    ).free(sech.order).prefix(sech.order)
     entries["four_sphere_chain_display"] = {
         "printed_residual": float(_sup(printed - target)),
         "recomputed_residual": str(_sup(recomputed - target)),

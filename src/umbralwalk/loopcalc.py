@@ -46,8 +46,12 @@ its Euler-Wallis continuant: H_i = N_i / D_i with
 
 and the product telescopes to N_0 U_1 ... U_{N-1} / D_{N-1}, products
 all the way and one series division at the end. `decomposition_residual`
-certifies it against the free move 0 -> a_N, coefficient by coefficient
-in u, and must be exactly zero.
+certifies it against the free move 0 -> a_N, itself a pair N_f / D_f,
+coefficient by coefficient in u, and must be exactly zero. It divides
+nothing: as a/b - c/d = (ad - bc) / (bd) with bd invertible, the chain
+equals the free move through order m exactly when the cross-difference
+N_0 U_1 ... U_{N-1} D_f - N_f D_{N-1} vanishes through order m, and only
+a nonzero one is divided out, to report its size.
 
 While the fraction is linear in its loops, `renewal_loops` gives the
 same transform as S / (1 - sum L_i), a start S times any number of
@@ -57,9 +61,10 @@ loop is one quotient of two products.
 
 The chain, its start and loops, and the certificate all read one set of
 moves, the pairs of H_0 and each (up_i, down_i), walked once by
-`renewal_moves`. The u-series forms (`renewal_moves`, `start_and_loops`,
-`free_move`) let a caller that keeps a system's moves build every side
-from them; this module keeps none.
+`renewal_moves`. The u-series forms (`renewal_moves`, `free_pair`,
+`start_and_loops`, `free_move`) let a caller that keeps a system's pairs
+certify them and form each quotient from their prefixes (`Moves.prefix`)
+at the order it reads; this module keeps none.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ from .series import (
     PowerSeries,
     Record,
     _check_order,
+    _check_unit,
     _new,
     as_scalar,
     kernel,
@@ -246,6 +252,13 @@ class Moves(namedtuple("Moves", "first ups downs walls")):
     downs: tuple[PowerSeries, ...]
     walls: tuple[PowerSeries, ...]
 
+    def prefix(self, order: int) -> "Moves":
+        """The moves with the first `order` coefficients of each series."""
+        first, *parts = (
+            tuple(series.prefix(order) for series in part) for part in self
+        )
+        return Moves(first, *parts)
+
 
 def renewal_moves(system: LevelSystem, order: int) -> Moves:
     """The system's moves, each numerator and denominator derived once:
@@ -270,6 +283,12 @@ def chain_mgf(system: LevelSystem, order: int) -> PowerSeries:
 def _chain(moves: Moves) -> PowerSeries:
     """`chain_mgf` in u = w^2, from the system's moves: the continuant
     N_0 U_1 ... U_{N-1} / D_{N-1} (see the module), at one division."""
+    return ps_div(*_continuant(moves))
+
+
+def _continuant(moves: Moves) -> tuple[PowerSeries, PowerSeries]:
+    """The chain's numerator N_0 U_1 ... U_{N-1} and denominator D_{N-1},
+    by the Euler-Wallis recursion (see the module)."""
     n0, den = moves.first
     # N_i = U_i D_(i-1) is held as its factors, multiplied out only where
     # down_(i+1) reads it (the Bessel walk's down_1 is the zero series)
@@ -280,7 +299,7 @@ def _chain(moves: Moves) -> PowerSeries:
         if any(down.nums):
             next_den = next_den - functools.reduce(ps_mul, num, down)
         num, den, top = (up, den), next_den, ps_mul(top, up)
-    return ps_div(top, den)
+    return top, den
 
 
 # the most levels above 0 on which the renewal chain is linear in its loops
@@ -341,28 +360,44 @@ def direct_mgf(system: LevelSystem, order: int) -> PowerSeries:
 
 def free_move(system: LevelSystem, order: int) -> PowerSeries:
     """`direct_mgf` in u = w^2."""
-    return _phi(system, PhiMove(0, system.top_index), order)
+    return ps_div(*free_pair(system, order))
+
+
+def free_pair(system: LevelSystem, order: int) -> tuple[PowerSeries, PowerSeries]:
+    """The free move 0 -> a_N in u = w^2 as its kernel pair (N_f, D_f)."""
+    move = PhiMove(0, system.top_index)
+    return _numerator(system, move, order), _denominator(system, move, order)
 
 
 def decomposition_residual(
     system: LevelSystem,
     order: int,
     moves: Moves | None = None,
-    free: PowerSeries | None = None,
+    free: tuple[PowerSeries, PowerSeries] | None = None,
 ) -> ExactScalar:
     """Max |chain - direct| over all retained coefficients; exactly 0.
 
     Compared in u = w^2, where the odd coefficients in w, all 0, are not
     held. The chain is built from the system's moves and compared with
     its free move, both at `order`; a caller that already holds them
-    (`renewal_moves`, `free_move`) passes them, so the certificate checks
+    (`renewal_moves`, `free_pair`) passes them, so the certificate checks
     exactly the series the caller keeps, and whichever is not given is
-    derived here.
+    derived here. Both sides stay pairs: the chain's continuant top /
+    D_(N-1) equals N_f / D_f exactly when top D_f == N_f D_(N-1) (see the
+    module), so an exact system costs two products and no division. A
+    denominator with a zero constant term raises ConstantTermError, as
+    dividing by it would; only a nonzero residual divides both sides out.
     """
     if moves is None:
         moves = renewal_moves(system, order)
     if free is None:
-        free = free_move(system, order)
-    delta = _chain(moves) - free
+        free = free_pair(system, order)
+    top, den = _continuant(moves)
+    free_num, free_den = free
+    _check_unit(den)
+    _check_unit(free_den)
+    if ps_mul(top, free_den) == ps_mul(free_num, den):
+        return Fraction(0)
+    delta = ps_div(top, den) - ps_div(free_num, free_den)
     # over delta's one positive denominator
     return Fraction(max(map(abs, delta.nums)), delta.den)

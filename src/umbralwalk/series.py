@@ -284,6 +284,12 @@ def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     return _normalised(convolve(a.nums, b.nums, 0, a.order), a.den * b.den, a.var)
 
 
+def _check_unit(series: PowerSeries) -> None:
+    """Require a divisor: a series with a nonzero constant term."""
+    if series.nums[0] == 0:
+        raise ConstantTermError("division by a series with zero constant term")
+
+
 def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Quotient q with ps_mul(q, b) == a up to the common order.
 
@@ -296,9 +302,8 @@ def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     reduced to lowest terms. Q over E is then already in normal form.
     """
     a._require_same_order(b)
+    _check_unit(b)
     an, ad, bn, bd = a.nums, a.den, b.nums, b.den
-    if bn[0] == 0:
-        raise ConstantTermError("division by a series with zero constant term")
     head = ad * bn[0]
     Q, E = [], 1
     for k in range(len(an)):

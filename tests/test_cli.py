@@ -418,6 +418,28 @@ def test_verify_invalid_params_exit_2(capsys):
     assert "Chebyshev" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--id", "N3_UNIFORM", "--n", "1", "--levels=5,7,9"], "levels, got 5,7,9"),
+    (["--id", "FOUR_UNIFORM_1D", "--n", "2", "--N", "2"],
+     "Chebyshev index N, got 2"),
+    (["--id", "EVEN_BERNOULLI", "--m", "2", "--N", "3"],
+     "Chebyshev index N, got 3"),
+    (["--id", "EULER_CHEB", "--n", "1", "--N", "2", "--m", "3"],
+     "half-degree m, got 3"),
+    (["--id", "N3_GENERAL", "--levels=1,2,4", "--m", "1"], "half-degree m, got 1"),
+])
+def test_verify_rejects_a_parameter_the_identity_does_not_take(
+    capsys, argv, named
+):
+    # the report would echo the parameter as if it had been verified
+    code = main(["verify", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.rstrip().endswith(f"takes no {named}")
+
+
 def _exact(text):
     """A "p/q" or "p" string as a Fraction, at any number of digits."""
     num, _, den = text.partition("/")

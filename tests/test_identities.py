@@ -51,9 +51,12 @@ from umbralwalk.polynomials import (
     hop_euler,
 )
 from umbralwalk.loopcalc import (
-    LevelSystem, Walk, decomposition_residual, linear_in_loops,
+    LevelSystem, Walk, decomposition_residual, free_move, linear_in_loops,
+    renewal_moves,
 )
-from umbralwalk.series import Kernel, PowerSeries, kernel, ps_div, ps_mul
+from umbralwalk.series import (
+    ConstantTermError, Kernel, PowerSeries, kernel, ps_div, ps_mul,
+)
 from umbralwalk.umbral import umbral_moment
 
 
@@ -154,6 +157,36 @@ def test_invalid_params_rejected_with_message(identity, params, message):
 def test_ground_truth_system_rejects_invalid_params(identity, params, message):
     with pytest.raises(InvalidParamsError, match=re.escape(message)):
         ground_truth_system(identity, params)
+
+
+# each optional field, a valid value for it, its phrase in the error, and
+# the identities that take it
+_OPTIONAL_FIELDS = [
+    ("levels", (1, 2), "levels", _TWO_LEVELS),
+    ("levels", (1, 2, 4), "levels", _THREE_LEVELS),
+    ("cheb_index", 2, "Chebyshev index N", (IdentityId.EULER_CHEB,)),
+    ("m", 2, "half-degree m", (IdentityId.EVEN_BERNOULLI,)),
+]
+
+
+@pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.value)
+def test_a_field_the_identity_does_not_take_is_rejected(identity):
+    # the report would echo the field as if it had been verified
+    taken = {
+        field: value
+        for field, value, _, takers in _OPTIONAL_FIELDS if identity in takers
+    }
+    params = IdentityParams(n=1, **taken)
+    eval_lhs(identity, params)  # the fields it takes are accepted
+    for field, value, phrase, takers in _OPTIONAL_FIELDS:
+        if field in taken:
+            continue
+        extra = params._replace(**{field: value})
+        shown = ",".join(map(str, value)) if field == "levels" else value
+        message = f"{identity.value} takes no {phrase}, got {shown}"
+        for check in (eval_lhs, verify, rhs_terms, ground_truth_system):
+            with pytest.raises(InvalidParamsError, match=re.escape(message)):
+                check(identity, extra)
 
 
 # --- right-hand terms --------------------------------------------------------------
@@ -402,6 +435,16 @@ def _reference_lhs(identity, params):
 _HOP_FORM = [i for i in IdentityId if i not in _THREE_LEVELS]
 
 
+def _drawn_fields(draw, identity):
+    """The Chebyshev index N or the half-degree m, each drawn only for
+    the identity that takes it."""
+    if identity is IdentityId.EULER_CHEB:
+        return {"cheb_index": draw(st.integers(1, 6))}
+    if identity is IdentityId.EVEN_BERNOULLI:
+        return {"m": draw(st.integers(1, 12))}
+    return {}
+
+
 @st.composite
 def _hop_form_cases(draw):
     identity = draw(st.sampled_from(_HOP_FORM))
@@ -414,8 +457,7 @@ def _hop_form_cases(draw):
         n=draw(st.integers(0, 24)),
         x=draw(st.fractions(min_value=-6, max_value=6, max_denominator=15)),
         levels=levels,
-        cheb_index=draw(st.integers(1, 6)),
-        m=draw(st.integers(1, 12)),
+        **_drawn_fields(draw, identity),
     )
     return identity, normalize_params(identity, params)
 
@@ -928,8 +970,7 @@ def _right_side_cases(draw):
         n=draw(st.integers(0, 24)),
         x=draw(st.fractions(min_value=-3, max_value=3, max_denominator=7)),
         levels=tuple(itertools.accumulate(steps)) if level_count else None,
-        cheb_index=draw(st.integers(1, 6)),
-        m=draw(st.integers(1, 12)),
+        **_drawn_fields(draw, name),
     )
     if name == IdentityId.EVEN_BERNOULLI:
         params = normalize_params(name, params)
@@ -1753,8 +1794,56 @@ def test_record_equals_the_quotient_construction(system):
         free, renewal = _quotient_record(
             system, identities._GROUND_TRUTH_ORDER
         )
-        assert record.free == free
-        assert record.renewal == renewal
+        # read at the certificate's order, in u
+        order = (identities._GROUND_TRUTH_ORDER + 1) // 2
+        assert record.free(order) == free
+        assert record.renewal(order) == renewal
+    finally:
+        memo.cache_clear()
+
+
+def _prefixes(renewal, order):
+    """A record's start and loops cut to their first `order` coefficients."""
+    if renewal is None:
+        return None
+    start, loops = renewal
+    return start.prefix(order), tuple(loop.prefix(order) for loop in loops)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    _record_systems(),
+    st.lists(
+        st.integers(1, identities._GROUND_TRUTH_ORDER), min_size=1, max_size=6
+    ),
+)
+@example(LevelSystem(Walk.REFLECTED_1D, (0, 1, 2, 4)), [9, 3, 30, 1, 17, 30])
+@example(LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3, 4)), [2, 2, 1, 8, 7])
+def test_record_reads_at_any_order_equal_the_quotient_construction(
+    system, orders
+):
+    memo = identities._ground_truth_residual
+    memo.cache_clear()
+    divisions = []
+    try:
+        record = memo((system.walk, system.levels))
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (loopcalc, identities):
+                patch.setattr(module, "ps_div", _counted(ps_div, divisions))
+            longest = 0
+            for order in orders:
+                free, renewal = _quotient_record(system, order)
+                size = free.order
+                before = len(divisions)
+                assert record.free(size).prefix(size) == free
+                assert _prefixes(record.renewal(size), size) == renewal
+                # a quotient is divided again only for a longer read, and
+                # then once, at the order read
+                quotients = 1 + (0 if renewal is None else 1 + len(renewal[1]))
+                formed = divisions[before:]
+                assert len(formed) == (quotients if size > longest else 0)
+                assert all(a.order == size for a, _ in formed)
+                longest = max(longest, size)
     finally:
         memo.cache_clear()
 
@@ -1803,33 +1892,88 @@ def test_a_mutated_move_fails_the_certificate(
 @pytest.mark.parametrize("identity", [
     IdentityId.N3_UNIFORM, IdentityId.FOUR_UNIFORM_1D, IdentityId.EULER_CHEB,
 ], ids=lambda i: i.value)
-def test_a_cold_hop_form_verify_divides_twice_in_its_certificate(
+def test_a_cold_hop_form_verify_divides_nothing_in_its_certificate(
     monkeypatch, identity
 ):
     divisions, renewals = [], []
-    monkeypatch.setattr(loopcalc, "ps_div", _counted(loopcalc.ps_div, divisions))
+    for module in (loopcalc, identities):
+        monkeypatch.setattr(module, "ps_div", _counted(ps_div, divisions))
     monkeypatch.setattr(
         identities, "start_and_loops",
         _counted(identities.start_and_loops, renewals),
     )
     memo = identities._ground_truth_residual
     memo.cache_clear()
-    params = IdentityParams(n=3, x=F(1, 3), cheb_index=3)
+    n = 3
+    params = IdentityParams(
+        n=n, x=F(1, 3),
+        cheb_index=3 if identity is IdentityId.EULER_CHEB else None,
+    )
     try:
         assert verify(identity, params).status is Status.VERIFIED
-        # the chain's continuant and the free move; no start or loop
-        assert len(divisions) == 2
+        # the certificate cross-multiplies: no division, no start or loop
+        assert divisions == []
         assert renewals == []
-        # a block-level read divides the start and each loop out, once
-        record = memo(identities._SPECS[identity].system(
+        # a block-level read at degree n forms the free move, the start
+        # and each loop once, at u-order (n + 2) // 2, and a read at the
+        # same or a lower order forms nothing again
+        key = identities._SPECS[identity].system(
             normalize_params(identity, params)
-        ))
-        start, loops = record.renewal
-        assert record.renewal == (start, loops)
+        )
+        for order in (n + 1, n + 1, 1):
+            free = identities._free_at(key, order)
+            start, loops = identities._renewal_at(key, order)
         assert len(renewals) == 1
-        assert len(divisions) == 2 + 1 + len(loops)
+        assert len(divisions) == 2 + len(loops)
+        assert {a.order for a, _ in divisions} == {(n + 2) // 2}
+        assert (free.order, start.order) == (1, 1)
     finally:
         memo.cache_clear()
+
+
+def _quotient_residual(system, order):
+    """max |chain - free| in u by the quotient construction: the chain's
+    continuant divided out, less the free move divided out."""
+    delta = loopcalc._chain(renewal_moves(system, order)) - free_move(
+        system, order
+    )
+    return F(max(map(abs, delta.nums)), delta.den)
+
+
+_MOVE_MUTATIONS = {
+    "exact": None,
+    "bessel-prefactor": ("_numerator", _bessel_prefactor_dropped),
+    "wall": ("_denominator", _wall_at_twice_its_scale),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _record_systems(),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from(sorted(_MOVE_MUTATIONS)),
+)
+# the N3_UNIFORM and FOUR_UNIFORM_1D systems, on which each mutation
+# fails the certificate
+@example(LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3)), 30, "bessel-prefactor")
+@example(LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3)), 30, "wall")
+@example(LevelSystem(Walk.REFLECTED_1D, (0, 1, 2, 3)), 30, "wall")
+def test_certificate_equals_the_quotient_residual(system, order, mutation):
+    with pytest.MonkeyPatch.context() as patch:
+        if _MOVE_MUTATIONS[mutation] is not None:
+            name, mutate = _MOVE_MUTATIONS[mutation]
+            patch.setattr(loopcalc, name, mutate(getattr(loopcalc, name)))
+        try:
+            want = _quotient_residual(system, order)
+        except ConstantTermError:
+            with pytest.raises(ConstantTermError, match="zero constant term"):
+                decomposition_residual(system, order)
+            return
+        got = decomposition_residual(system, order)
+    assert type(got) is F
+    assert got == want
+    if mutation == "exact":
+        assert got == 0
 
 
 def test_threads_on_a_cold_memo_get_identical_reports():

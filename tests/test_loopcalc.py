@@ -24,7 +24,8 @@ from umbralwalk import (
     ps_div,
     ps_mul,
 )
-from umbralwalk.loopcalc import renewal_loops
+from umbralwalk.loopcalc import free_pair, renewal_loops, renewal_moves
+from umbralwalk.series import ConstantTermError
 
 ORDER = 30
 
@@ -155,6 +156,22 @@ SYSTEMS = [
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: f"{s.walk.value}{s.levels}")
 def test_decomposition_residual_is_exactly_zero(system):
     assert decomposition_residual(system, ORDER) == 0
+
+
+def test_certificate_refuses_a_denominator_it_could_not_divide_by():
+    # the chain and the free move are the same pair, so their cross
+    # products agree, but a zero constant term makes neither a series
+    system = rbm(0, 1)
+    size = (ORDER + 1) // 2
+    unit = PowerSeries.one(size, "u")
+    no_unit = PowerSeries.from_coeffs([0, 1], size, "u")
+    moves = renewal_moves(system, ORDER)._replace(first=(unit, no_unit))
+    for given in (
+        (moves, (unit, no_unit)), (moves, free_pair(system, ORDER)),
+        (renewal_moves(system, ORDER), (unit, no_unit)),
+    ):
+        with pytest.raises(ConstantTermError, match="zero constant term"):
+            decomposition_residual(system, ORDER, *given)
 
 
 # --- invariants -------------------------------------------------------------------
