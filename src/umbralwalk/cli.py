@@ -303,7 +303,7 @@ def _build_parser() -> tuple[
         "--id", choices=[i.value for i in IdentityId], required=True
     )
     p.add_argument("--n", type=_at_most(64), default=0)
-    p.add_argument("--x", type=_rational, default=Fraction(0))
+    p.add_argument("--x", type=_rational)
     p.add_argument("--levels", type=_levels)
     p.add_argument(
         "--N", type=_at_most(32), help="Chebyshev index (EULER_CHEB)"

@@ -127,21 +127,23 @@ class InvalidParamsError(ValueError):
 class IdentityParams(Record):
     """Evaluation point of one identity instance.
 
-    `n` is the polynomial degree, `x` the argument, `levels` the site
-    levels where applicable, `cheb_index` the Chebyshev index N of
-    EULER_CHEB, and `m` the half-degree of EVEN_BERNOULLI (which fixes
-    n = 2m). An identity rejects `levels`, `cheb_index` or `m` if it does
-    not read them.
+    `n` is the polynomial degree, `x` the argument (0 when not given),
+    `levels` the site levels where applicable, `cheb_index` the Chebyshev
+    index N of EULER_CHEB, and `m` the half-degree of EVEN_BERNOULLI, the
+    number B_2m, which also rejects an `x` and an `n` other than 0 or 2m.
+    An identity rejects `levels`, `cheb_index` or `m` if it does not read
+    them.
     """
 
     n: int = 0
-    x: Fraction = _ZERO
+    x: Fraction | None = None
     levels: tuple[Fraction, ...] | None = None
     cheb_index: int | None = None
     m: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", as_scalar(self.x))
+        if self.x is not None:
+            object.__setattr__(self, "x", as_scalar(self.x))
         if self.levels is not None:
             object.__setattr__(
                 self, "levels", tuple(as_scalar(v) for v in self.levels)
@@ -246,7 +248,8 @@ class IdentityReport(
             "identity": self.identity.value,
             "variant": self.variant,
             "n": p.n,
-            "x": str(p.x),
+            # EVEN_BERNOULLI reads no x, and prints 0
+            "x": str(p.x or 0),
             "levels": [str(v) for v in (p.levels or ())],
             "K_used": self.K_used,
             "lhs": _exact_str(self.lhs_exact),
@@ -314,6 +317,13 @@ def validate_params(identity: IdentityId, params: IdentityParams) -> None:
             raise InvalidParamsError(
                 f"{IdentityId(identity).value} needs {phrase} >= 1, got {value}"
             )
+    if identity == IdentityId.EVEN_BERNOULLI and (
+        params.x is not None or params.n not in (0, 2 * params.m)
+    ):
+        raise InvalidParamsError(
+            f"EVEN_BERNOULLI takes m alone, with n 0 or 2m and no x, "
+            f"got n = {params.n}, x = {params.x}"
+        )
 
 
 # the fields only some identities read, and the phrase naming each
@@ -333,10 +343,14 @@ def _takes(spec: _Spec, field: str) -> bool:
 def normalize_params(
     identity: IdentityId, params: IdentityParams
 ) -> IdentityParams:
-    """Fill derived fields (EVEN_BERNOULLI pins n = 2m)."""
+    """Fill derived fields: EVEN_BERNOULLI's n = 2m, and every other
+    identity's x = 0 when not given."""
     validate_params(identity, params)
-    if identity is IdentityId.EVEN_BERNOULLI and params.n != 2 * params.m:
-        params = params._replace(n=2 * params.m)
+    if identity == IdentityId.EVEN_BERNOULLI:
+        if params.n != 2 * params.m:
+            params = params._replace(n=2 * params.m)
+    elif params.x is None:
+        params = params._replace(x=_ZERO)
     return params
 
 

@@ -7,26 +7,20 @@ Laplace variable z. Each is even in w, so it is computed as a series in
 u = w^2 with (order + 1) // 2 coefficients and spread back into w only
 when returned: the odd coefficients, all 0, are never computed.
 
-Closed forms, with levels a < b < c:
+Every move is stated once, as data, by `move_form`: its transform is
+prefactor * K(near w) / K(far w), with (K, near, far, prefactor)
 
-  reflected walk
-    a -> b (free)          cosh(a w) / cosh(b w)
-    b -> a avoiding c      sinh((c-b) w) / sinh((c-a) w)
-    b -> c avoiding a      sinh((b-a) w) / sinh((c-a) w)
+    reflected free move    (cosh, start, target, 1)
+    Bessel(3) free move    (sinh(c w)/(c w), start, target, 1)
+    taboo move             (sinh, start - taboo, target - taboo, p)
 
-  Bessel(3)
-    a -> b (free)          (b/a) sinh(a w) / sinh(b w), limit b w / sinh(b w) at a = 0
-    taboo moves            radial prefactor target/start times the sinh ratio
-    b -> 0 avoiding c      the zero series (the origin is never reached)
-
-Every move is a pair of even kernels in u, a numerator over a
-denominator. Each kernel is cosh(c w) or sinh(c w)/(c w), whose
-constant term is 1, so no leading-power bookkeeping is needed; the
-rational prefactors (the ratio of the sinh arguments, and the Bessel
-walk's radial factor) are folded into the numerator. A taboo move's
-denominator is the kernel at the span between its target and the
-avoided level, so up_i = U_i / W_i and down_i = Dw_i / W_i share one,
-W_i = sinh((a_(i+1) - a_(i-1)) w) / ((a_(i+1) - a_(i-1)) w). `phi`
+and p = 1 on the reflected walk, target/start on the Bessel walk (0 at
+the origin, never reached). The exact pairs and the float reference
+`montecarlo.eval_phi_numeric` both read it. A pair is a numerator over
+a denominator of even kernels in u, each of constant term 1: a sinh
+entry is held as sinh(c w)/(c w) at |c|, with near/far joining the
+prefactor in the numerator. up_i = U_i / W_i and down_i = Dw_i / W_i
+share the denominator W_i, the kernel at a_(i+1) - a_(i-1). `phi`
 divides its move's pair.
 
 The full transform from 0 to the top level is one renewal recursion, the
@@ -159,21 +153,37 @@ def _even_kernel(kind: Kernel, scale: Fraction, order: int) -> PowerSeries:
 
 
 def phi(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
-    """Exact series in w of the move's hitting-time transform."""
-    return _in_w(_phi(system, move, order), order)
+    """Exact series in w of the move's hitting-time transform: its pair's
+    quotient, taken in u = w^2."""
+    pair = _numerator(system, move, order), _denominator(system, move, order)
+    return _in_w(ps_div(*pair), order)
 
 
-def _phi(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
-    """`phi` in u = w^2, with (order + 1) // 2 coefficients: the move's
-    numerator over its denominator."""
-    return ps_div(
-        _numerator(system, move, order), _denominator(system, move, order)
-    )
+class MoveForm(namedtuple("MoveForm", "kind near far prefactor")):
+    """A move's transform, prefactor * kind(near w) / kind(far w), for a
+    Kernel kind, on exact or float levels."""
+
+    __slots__ = ()
 
 
-def _checked(system: LevelSystem, move: PhiMove) -> tuple[int, int, int | None]:
-    """The move's level indices (from, to, taboo), for a move the closed
-    forms cover; else InvalidMoveError."""
+# the kernel of a free move; (b/a) sinh(a w)/sinh(b w) is the ratio of
+# sinh(c w)/(c w) kernels, exact at a = 0 too
+_FREE_KIND = {Walk.REFLECTED_1D: Kernel.COSH, Walk.BESSEL_3D: Kernel.SINH_OVER_ARG}
+
+
+def move_form(walk: Walk, start, target, taboo=None) -> MoveForm:
+    """The one statement of a move's hitting-time transform (see the
+    module), on exact or float levels. It checks nothing: its readers
+    check the move."""
+    if taboo is None:
+        return MoveForm(_FREE_KIND[walk], start, target, 1)
+    prefactor = target / start if walk is Walk.BESSEL_3D else 1
+    return MoveForm(Kernel.SINH, start - taboo, target - taboo, prefactor)
+
+
+def _form(system: LevelSystem, move: PhiMove) -> MoveForm:
+    """The statement of a move the closed forms cover, on the system's
+    levels; else InvalidMoveError."""
     f, t, tb = move.from_level, move.to_level, move.taboo_level
     top = system.top_index
     for idx in (f, t) + (() if tb is None else (tb,)):
@@ -193,48 +203,33 @@ def _checked(system: LevelSystem, move: PhiMove) -> tuple[int, int, int | None]:
         raise InvalidMoveError(
             f"downward move {f}->{t} must avoid level {f + 1}, got {tb}"
         )
-    return f, t, tb
+    lv = system.levels
+    return move_form(system.walk, lv[f], lv[t], None if tb is None else lv[tb])
 
 
-# the kernel of a free move's pair; (b/a) sinh(a w)/sinh(b w) is the
-# ratio of sinh(c w)/(c w) kernels, exact at a = 0 too
-_FREE_KIND = {Walk.REFLECTED_1D: Kernel.COSH, Walk.BESSEL_3D: Kernel.SINH_OVER_ARG}
+# sinh(c w) = c w sinh(c w)/(c w): a pair holds the even kernel of sinh
+_EVEN = {Kernel.SINH: Kernel.SINH_OVER_ARG}
 
 
 def _numerator(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
-    """The numerator of the move's pair in u (see the module): a free
-    move's kernel at its start level, or a taboo move's sinh kernel at
-    the span from its start to the avoided level, with the sinh
-    arguments' ratio and the Bessel radial prefactor target/start folded
-    in."""
-    f, t, tb = _checked(system, move)
-    levels = system.levels
-    if tb is None:
-        return _even_kernel(_FREE_KIND[system.walk], levels[f], order)
-    if system.walk is Walk.BESSEL_3D:
-        if levels[t] == 0:
-            # the origin is never reached
-            return _even(PowerSeries.zero(order, "w"))
-        prefactor = levels[t] / levels[f]
-    else:
-        prefactor = 1
-    near, far = abs(levels[f] - levels[tb]), abs(levels[t] - levels[tb])
-    return _even_kernel(Kernel.SINH_OVER_ARG, near, order).scale(
-        prefactor * near / far
-    )
+    """The numerator of the move's pair in u (see the module): its even
+    kernel at the near scale, times its prefactor, and for a sinh kernel
+    times near / far."""
+    kind, near, far, prefactor = _form(system, move)
+    if kind is Kernel.SINH:
+        prefactor = prefactor * near / far
+    if not prefactor:
+        # the origin is never reached
+        return _even(PowerSeries.zero(order, "w"))
+    numerator = _even_kernel(_EVEN.get(kind, kind), abs(near), order)
+    return numerator if prefactor == 1 else numerator.scale(prefactor)
 
 
 def _denominator(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
-    """The denominator of the move's pair in u: a free move's kernel at
-    its target level, or a taboo move's sinh kernel at the span from its
-    target to the avoided level, which up_i and down_i share."""
-    f, t, tb = _checked(system, move)
-    levels = system.levels
-    if tb is None:
-        return _even_kernel(_FREE_KIND[system.walk], levels[t], order)
-    return _even_kernel(
-        Kernel.SINH_OVER_ARG, abs(levels[t] - levels[tb]), order
-    )
+    """The denominator of the move's pair in u: its even kernel at the far
+    scale, which up_i and down_i share."""
+    kind, _, far, _ = _form(system, move)
+    return _even_kernel(_EVEN.get(kind, kind), abs(far), order)
 
 
 class Moves(namedtuple("Moves", "first ups downs walls")):

@@ -2,8 +2,9 @@
 
 Estimates E[e^(-z tau) ; target reached first] by Euler-scheme path
 simulation and compares against the closed forms evaluated in double
-precision. The reflected walk updates X <- |X + sqrt(dt) G|; the
-Bessel(3) walk advances a 3-component Brownian state and watches its
+precision by `eval_phi_numeric`, which reads each move's one statement,
+`loopcalc.move_form`. The reflected walk updates X <- |X + sqrt(dt) G|;
+the Bessel(3) walk advances a 3-component Brownian state and watches its
 norm. Taboo runs evolve without reflection (absorption happens before
 the origin can matter) and paths that reach the forbidden level
 contribute zero; paths still alive at the horizon contribute the upper
@@ -49,7 +50,7 @@ import os
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .loopcalc import Record, Walk
+from .loopcalc import Kernel, Record, Walk, move_form
 
 if TYPE_CHECKING:
     import numpy as np
@@ -367,41 +368,29 @@ def eval_phi_numeric(
     z: float,
     taboo: float | None = None,
 ) -> float:
-    """Double-precision closed form of the move's transform at w = sqrt(2z).
-
-    Evaluates the exact formulas directly, not a truncated series, with
+    """Double-precision value at w = sqrt(2z) of the move's statement,
+    `loopcalc.move_form`: the exact formula, not a truncated series, with
     each hyperbolic ratio written through exponentials of differences so
-    that far targets give a tiny value instead of an overflow.
-    """
+    that far targets give a tiny value instead of an overflow."""
     walk = Walk(walk)
     if z <= 0:
         raise ConfigError(f"z must be positive, got {z}")
+    if walk is Walk.BESSEL_3D and target == 0.0:
+        return 0.0  # the origin is never reached
+    if taboo is None and target < start:
+        name = "Bessel" if walk is Walk.BESSEL_3D else "reflected"
+        raise ConfigError(f"free {name} moves go upward")
+    kind, near, far, prefactor = move_form(walk, start, target, taboo)
     w = math.sqrt(2.0 * z)
-    if walk is Walk.REFLECTED_1D:
-        if taboo is None:
-            if target < start:
-                raise ConfigError("free reflected moves go upward")
-            return _cosh_ratio(start * w, target * w)
-        if target > start:
-            return _sinh_ratio((start - taboo) * w, (target - taboo) * w)
-        return _sinh_ratio((taboo - start) * w, (taboo - target) * w)
-    # Bessel(3)
-    if taboo is None:
-        if target == 0.0:
-            return 0.0  # the origin is never reached
-        if target < start:
-            raise ConfigError("free Bessel moves go upward")
-        if start == 0.0:
-            # t / sinh(t) = -2t e^(-t) / expm1(-2t)
-            t = target * w
-            return -2.0 * t * math.exp(-t) / math.expm1(-2.0 * t)
-        return target / start * _sinh_ratio(start * w, target * w)
-    if target == 0.0:
-        return 0.0
-    pref = target / start
-    if target > start:
-        return pref * _sinh_ratio((start - taboo) * w, (target - taboo) * w)
-    return pref * _sinh_ratio((taboo - start) * w, (taboo - target) * w)
+    if kind is Kernel.COSH:
+        return prefactor * _cosh_ratio(near * w, far * w)
+    if kind is Kernel.SINH_OVER_ARG:
+        if not near:
+            # K(0) / K(t) = t / sinh(t) = -2t e^(-t) / expm1(-2t), t = far w
+            t = far * w
+            return prefactor * (-2.0 * t * math.exp(-t) / math.expm1(-2.0 * t))
+        prefactor *= far / near
+    return prefactor * _sinh_ratio(near * w, far * w)
 
 
 def compare_closed_form(

@@ -440,6 +440,40 @@ def test_verify_rejects_a_parameter_the_identity_does_not_take(
     assert err.rstrip().endswith(f"takes no {named}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "7", "--x=5"], ["--x=0"], ["--n", "3"],
+], ids=["n-and-x", "x-0", "n"])
+def test_verify_even_bernoulli_rejects_n_and_x(capsys, argv):
+    # B_2m is a number: the report would echo them as if verified
+    code = main(["verify", "--id", "EVEN_BERNOULLI", "--m", "2", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: EVEN_BERNOULLI takes m alone")
+
+
+# sha256 of `verify` output as printed while --x defaulted to 0 and
+# EVEN_BERNOULLI took an n and x it ignored
+_VERIFY_SHA256 = {
+    ("--id", "EVEN_BERNOULLI", "--m", "2"):
+        "50ff467df72239d3088a9bfdc49807c3f9457bb4d618a39814e5a850456c4924",
+    ("--id", "EVEN_BERNOULLI", "--m", "2", "--n", "4"):
+        "50ff467df72239d3088a9bfdc49807c3f9457bb4d618a39814e5a850456c4924",
+    ("--id", "N3_UNIFORM", "--n", "3"):
+        "79e02686aa9e29eda24ca0260fe0051db640d2214fa4a33638bf2ee013836970",
+    ("--id", "N3_UNIFORM", "--n", "3", "--x=0"):
+        "79e02686aa9e29eda24ca0260fe0051db640d2214fa4a33638bf2ee013836970",
+}
+
+
+@pytest.mark.pins
+@pytest.mark.parametrize("argv", list(_VERIFY_SHA256), ids=" ".join)
+def test_verify_output_without_x_bytes_unchanged(capsys, argv):
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256[argv]
+
+
 def _exact(text):
     """A "p/q" or "p" string as a Fraction, at any number of digits."""
     num, _, den = text.partition("/")

@@ -176,7 +176,9 @@ def test_a_field_the_identity_does_not_take_is_rejected(identity):
         field: value
         for field, value, _, takers in _OPTIONAL_FIELDS if identity in takers
     }
-    params = IdentityParams(n=1, **taken)
+    # EVEN_BERNOULLI takes n = 0 or 2m only
+    n = 0 if identity is IdentityId.EVEN_BERNOULLI else 1
+    params = IdentityParams(n=n, **taken)
     eval_lhs(identity, params)  # the fields it takes are accepted
     for field, value, phrase, takers in _OPTIONAL_FIELDS:
         if field in taken:
@@ -187,6 +189,36 @@ def test_a_field_the_identity_does_not_take_is_rejected(identity):
         for check in (eval_lhs, verify, rhs_terms, ground_truth_system):
             with pytest.raises(InvalidParamsError, match=re.escape(message)):
                 check(identity, extra)
+
+
+@pytest.mark.parametrize("given", [
+    dict(x=F(5)), dict(x=F(0)), dict(n=7), dict(n=7, x=F(5)),
+], ids=["x", "x-0", "n", "n-and-x"])
+def test_even_bernoulli_takes_m_alone(given):
+    # B_2m is a number: an n or x it ignored would be echoed as verified
+    params = IdentityParams(m=2, **given)
+    message = "EVEN_BERNOULLI takes m alone, with n 0 or 2m and no x"
+    for check in (eval_lhs, verify, rhs_terms, ground_truth_system):
+        with pytest.raises(InvalidParamsError, match=re.escape(message)):
+            check(IdentityId.EVEN_BERNOULLI, params)
+
+
+def test_even_bernoulli_at_n_zero_or_2m_is_one_instance():
+    report = verify(IdentityId.EVEN_BERNOULLI, IdentityParams(m=2))
+    assert report == verify(IdentityId.EVEN_BERNOULLI, IdentityParams(n=4, m=2))
+    assert (report.params.n, report.params.x) == (4, None)
+    # normalised parameters are taken again as they are
+    assert normalize_params(IdentityId.EVEN_BERNOULLI, report.params) == report.params
+    assert report.to_json()["x"] == "0"
+
+
+def test_x_not_given_is_zero():
+    assert IdentityParams().x is None
+    params = normalize_params(IdentityId.N3_UNIFORM, IdentityParams(n=3))
+    assert params == IdentityParams(n=3, x=F(0))
+    assert verify(IdentityId.N3_UNIFORM, IdentityParams(n=3)) == verify(
+        IdentityId.N3_UNIFORM, params
+    )
 
 
 # --- right-hand terms --------------------------------------------------------------
@@ -437,11 +469,12 @@ _HOP_FORM = [i for i in IdentityId if i not in _THREE_LEVELS]
 
 def _drawn_fields(draw, identity):
     """The Chebyshev index N or the half-degree m, each drawn only for
-    the identity that takes it."""
+    the identity that takes it; EVEN_BERNOULLI's instance is m alone, so
+    its n and x are the defaults."""
     if identity is IdentityId.EULER_CHEB:
         return {"cheb_index": draw(st.integers(1, 6))}
     if identity is IdentityId.EVEN_BERNOULLI:
-        return {"m": draw(st.integers(1, 12))}
+        return {"m": draw(st.integers(1, 12)), "n": 0, "x": None}
     return {}
 
 
@@ -453,12 +486,12 @@ def _hop_form_cases(draw):
         steps = st.fractions(min_value=F(1, 5), max_value=4, max_denominator=9)
         a1, step = draw(steps), draw(steps)
         levels = (a1, a1 + step)
-    params = IdentityParams(
-        n=draw(st.integers(0, 24)),
-        x=draw(st.fractions(min_value=-6, max_value=6, max_denominator=15)),
-        levels=levels,
+    params = IdentityParams(**{
+        "n": draw(st.integers(0, 24)),
+        "x": draw(st.fractions(min_value=-6, max_value=6, max_denominator=15)),
+        "levels": levels,
         **_drawn_fields(draw, identity),
-    )
+    })
     return identity, normalize_params(identity, params)
 
 
@@ -966,12 +999,12 @@ _LEVEL_STEPS = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=6)
 def _right_side_cases(draw):
     name, right, level_count, bound = draw(st.sampled_from(_RIGHT_SIDES))
     steps = draw(st.lists(_LEVEL_STEPS, min_size=level_count, max_size=level_count))
-    params = IdentityParams(
-        n=draw(st.integers(0, 24)),
-        x=draw(st.fractions(min_value=-3, max_value=3, max_denominator=7)),
-        levels=tuple(itertools.accumulate(steps)) if level_count else None,
+    params = IdentityParams(**{
+        "n": draw(st.integers(0, 24)),
+        "x": draw(st.fractions(min_value=-3, max_value=3, max_denominator=7)),
+        "levels": tuple(itertools.accumulate(steps)) if level_count else None,
         **_drawn_fields(draw, name),
-    )
+    })
     if name == IdentityId.EVEN_BERNOULLI:
         params = normalize_params(name, params)
     return right, params, bound(params)
