@@ -362,6 +362,7 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     """
     if argv is None:
         argv = sys.argv[1:]
+    # the top-level parser for every line cost 9.8% on multi_level
     if not argv or argv[0] not in _COMMANDS:
         return _PARSER.parse_args(argv)
     ns, extras = _COMMANDS[argv[0]].parse_known_args(

@@ -44,14 +44,14 @@ from collections import deque, namedtuple
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from math import cos, gcd, inf, isfinite, lcm, log, pi
+from math import cos, gcd, inf, isfinite, log, pi
 from numbers import Real
 from typing import Callable, Iterable, Iterator
 
 from .loopcalc import (
     LevelSystem, Moves, Walk, _even_kernel, _in_w, decomposition_residual,
-    direct_mgf, free_move, free_pair, linear_in_loops, renewal_loops,
-    renewal_moves, start_and_loops,
+    direct_mgf, free_pair, linear_in_loops, renewal_loops, renewal_moves,
+    start_and_loops,
 )
 from .polynomials import (
     ExactScalar,
@@ -73,8 +73,8 @@ _HALF = Fraction(1, 2)
 
 class _Weights(
     namedtuple(
-        "_Weights", "C step numerators decay stride phase constant",
-        defaults=(1, 0, False),
+        "_Weights", "C step numerators decay stride phase",
+        defaults=(1, 0),
     )
 ):
     """The weights of a right side on their lattice k = phase + stride j,
@@ -85,9 +85,7 @@ class _Weights(
     0 <= phase < stride. Every weight off the lattice is 0 and has no
     numerator in the stream, so a nonzero one cannot be stated. The
     weights shrink like decay^k: decay is one over the smallest modulus
-    of a pole of their generating function. `constant` says that the
-    numerators from j = 1 on are all equal, so the term stream folds that
-    one numerator into its values once (see `_term_numerators`).
+    of a pole of their generating function.
     """
 
     __slots__ = ()
@@ -97,7 +95,6 @@ class _Weights(
     decay: float
     stride: int
     phase: int
-    constant: bool
 
 
 class IdentityId(str, Enum):
@@ -435,7 +432,8 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # over their common denominator D and gives term k as an integer t_k over
 # den_k = C D step^j. It yields (t_k, m_k) with den_k the product of the m
 # so far, so a partial sum S / den takes term k as (S m_k + t_k) /
-# (den m_k); past the head m_k = step. Where the weights vanish at
+# (den m_k); in the head m_k also grows D by the new value's share, and
+# past it m_k = step. Where the weights vanish at
 # every other index (stride 2), each off-lattice index is a zero term that
 # the stream does not carry: `_index_terms` puts it back for the per-index
 # readers, and `_sum_to_tolerance` counts it in O(1).
@@ -512,8 +510,8 @@ def _loop_sum(
 
     Its weight is S(0) L(0)^k and its value n![w^n] e^(xw) S1 L1^k, with
     S1 = S / S(0) and L1 = L / L(0). The products S1 L1^k are drawn once,
-    in order, at one `ps_mul` each, and the values reached are kept,
-    since `_term_numerators` may ask later for a value it put off. The
+    in order, at one `ps_mul` each, and the values reached are kept, so
+    value(k) answers any k in any order, as a hop-form value does. The
     value is of degree n // 2 in k when the loop has no odd coefficient,
     and n otherwise.
     """
@@ -596,8 +594,7 @@ def _geometric(cn: int, cd: int, rn: int, rd: int, lead: int = 0) -> _Weights:
     r is reduced by one gcd, and weight j is
     c.num r.den^lead r.num^(j - lead) / (c.den r.den^j) with that first
     fraction reduced by another, so each lattice step grows the
-    denominator by r.den alone, and where r.num is 1 the numerators past
-    the lead are one constant.
+    denominator by r.den alone.
     """
     h = gcd(rn, rd)
     rn, rd = rn // h, rd // h
@@ -608,7 +605,7 @@ def _geometric(cn: int, cd: int, rn: int, rd: int, lead: int = 0) -> _Weights:
     )
     if lead:
         numerators = itertools.chain(itertools.repeat(0, lead), numerators)
-    return _Weights(cd // g, rd, numerators, abs(rn / rd), constant=rn == 1)
+    return _Weights(cd // g, rd, numerators, abs(rn / rd))
 
 
 def _chebyshev_weights(params: IdentityParams) -> _Weights:
@@ -627,13 +624,13 @@ def _chebyshev_weights(params: IdentityParams) -> _Weights:
     """
     N = params.cheb_index
     phase, decay = N % 2, cos(pi / (2 * N))
+    # the lattice stream at N <= 3 too cost 12% on hop_sums
     if N > 3:
         numerators = chebyshev_lattice_numerators(N)
         return _Weights(2**phase, 4, numerators, decay, 2, phase)
-    C, step, numerators, _, _, _, constant = _geometric(
-        1, 2 ** (N - 1), N if N > 1 else 0, 4, N // 2
+    return _geometric(1, 2 ** (N - 1), N if N > 1 else 0, 4, N // 2)._replace(
+        decay=decay, stride=2, phase=phase
     )
-    return _Weights(C, step, numerators, decay, 2, phase, constant)
 
 
 def _three_sites_weights(params: IdentityParams) -> _Weights:
@@ -877,19 +874,12 @@ def _term_numerators(
     takes the term as (S m_j + t_j) / (den m_j) without a division; the
     zero terms off the lattice between them leave S / den as it is.
     The lattice values j = 0..d are computed directly as integer pairs,
-    each only when it is reached; a zero weight puts off its value (its
-    term is 0 over the growth m_j alone). Later values continue through
-    one backward-difference table of the d + 1 lattice values as integer
-    numerators over their common denominator D (see `_values_after`),
-    as value(phase + stride j) is of degree <= d in j: the first later
-    term takes m = step D / D_k, every one after it m = step.
-    The hand-over from the head to the tail does only what the head left
-    open: where no value was put off, D is D_d, already the head's common
-    denominator, and no value is drawn again; else the put-off values are
-    drawn then and D is lcm(D_d, their denominators). The table is built
-    on a short row in place (`_difference_table`); where the weights are
-    `constant`, their one numerator past the head is multiplied into that
-    row, so no tail term forms a weight product.
+    each when its lattice index is reached, whatever its weight. Later
+    values continue through one backward-difference table of those d + 1
+    values as integer numerators over their common denominator D = D_d
+    (see `_values_after`), as value(phase + stride j) is of degree <= d
+    in j, so every tail term takes m = step. The table is built on a
+    short row in place (`_difference_table`).
     The stream is a `chain.from_iterable` over a generator that yields
     each head term as a 1-tuple and then the tail, one chain of C
     iterators, itself: no generator frame resumes for a tail term.
@@ -897,36 +887,22 @@ def _term_numerators(
     """
 
     def pieces() -> Iterator[Iterable[tuple[int, int]]]:
-        C, step, numerators, _, stride, phase, constant = weights
+        C, step, numerators, _, stride, phase = weights
         m, D = C, 1
-        head: list[tuple[int, int] | None] = []
-        put_off = False
-        lattice = range(phase, phase + stride * (d + 1), stride)
-        for k in lattice:
-            u = next(numerators)
-            if u:
-                num, den = v = value(k)
-                grow = den // gcd(D, den)  # D grows to lcm(D, den)
-                D *= grow
-                head.append(v)
-                yield ((u * num * (D // den), m * grow),)
-            else:
-                head.append(None)
-                put_off = True
-                yield ((0, m),)
+        head: list[tuple[int, int]] = []
+        for k in range(phase, phase + stride * (d + 1), stride):
+            num, den = v = value(k)
+            grow = den // gcd(D, den)  # D grows to lcm(D, den)
+            D *= grow
+            head.append(v)
+            yield ((next(numerators) * num * (D // den), m * grow),)
             m = step
-        D_all = D
-        if put_off:
-            head = [value(k) if v is None else v for k, v in zip(lattice, head)]
-            D_all = lcm(D, *(den for _, den in head))
-        growth = itertools.chain((step * (D_all // D),), itertools.repeat(step))
-        u = next(numerators) if constant else 1
-        row = [u * num * (D_all // den) for num, den in head]
+        row = [num * (D // den) for num, den in head]
         values = _values_after(_difference_table(row))
-        if not constant:
-            values = map(operator.mul, numerators, values)
-        yield zip(values, growth)
+        values = map(operator.mul, numerators, values)
+        yield zip(values, itertools.repeat(step))
 
+    # a generator over the whole stream cost 7.4% on a cold hop_sums run
     return itertools.chain.from_iterable(pieces())
 
 
@@ -1056,6 +1032,7 @@ class _Record:
     `order` coefficients, not the slot, which a racing thread may refill
     with a shorter one."""
 
+    # dividing again at every read, with no slots, cost 11.3% on multi_level
     __slots__ = ("moves", "free_pair", "_linear", "_free", "_renewal")
 
     def __init__(
@@ -1186,11 +1163,9 @@ def _sum_to_tolerance(
 ) -> IdentityReport:
     """The summation and tail control of `verify`, in double precision.
 
-    The partial sum stays one integer S over den and takes each nonzero
-    term (t, m) of `_term_numerators` as S m + t over den m, with no
-    division. A zero term only multiplies the pending growth `grow` by
-    its m, which S and den take at the next nonzero term and at the stop,
-    so every magnitude is still over the term's true den_k.
+    The partial sum stays one integer S over den and takes each term
+    (t, m) of `_term_numerators` as S m + t over den m, with no division,
+    so every magnitude is over the term's den_k.
     The loop runs over the lattice terms. At stride 2 each lattice index
     k is followed by the zero term at k + 1 off the lattice (and at phase
     1 one more leads at k = 0), which the stream does not carry: it
@@ -1214,11 +1189,11 @@ def _sum_to_tolerance(
     """
     spec = _SPECS[identity]
     threshold = policy.tol * max(1.0, abs(float(lhs)))
-    S, den = 0, 1  # the partial sum is S / den; den_k is den grow
-    grow = 1
+    S, den = 0, 1  # the partial sum is S / den
     stable_run, k_max = policy.stable_run, policy.k_max
     weights, value, d = spec.right(params)
     stride, phase = weights.stride, weights.phase
+    # streaming the off-lattice zeros cost 8.3% on a warm hop_sums run
     gap = stride == 2  # a zero term follows each lattice term
     # at phase 1 the zero term at k = 0 leads the window and the run
     window: deque[float] = deque([0.0] * phase, maxlen=stable_run)
@@ -1240,22 +1215,20 @@ def _sum_to_tolerance(
         range(phase, k_max + 1, stride), _term_numerators(d, weights, value)
     )
     for k, (t, m) in terms:
+        S, den = S * m + t, den * m
         if t:
-            m *= grow
-            grow = 1
-            S, den = S * m + t, den * m
             # int true division rounds correctly, as float(Fraction(t, den))
             mag = abs(t) / den
             prev_nz, last_nz = last_nz, mag
             if mag >= threshold:
                 # no window is read until stable_run small magnitudes
                 # follow, so the large terms after this one skip the
-                # window and the run (grow stays 1 while they are nonzero)
+                # window and the run; the general body cost 3.4% on hop_sums
                 append(mag)
                 for k, (t, m) in terms:
+                    S, den = S * m + t, den * m
                     if not t:
                         break
-                    S, den = S * m + t, den * m
                     mag = abs(t) / den
                     prev_nz, last_nz = last_nz, mag
                     if mag < threshold:
@@ -1268,9 +1241,8 @@ def _sum_to_tolerance(
                 else:
                     run = 0
                 if not t:
-                    grow, mag = m, 0.0
+                    mag = 0.0
         else:
-            grow *= m
             mag = 0.0
         append(mag)
         run = run + 1 if mag < threshold else 0
@@ -1289,7 +1261,6 @@ def _sum_to_tolerance(
             ):
                 K, converged = k + 1, True
                 break
-    S, den = S * grow, den * grow
     residual = _residual(lhs, S, den)
     if converged:
         status = Status.VERIFIED if residual < threshold else Status.RESIDUAL_NONZERO
@@ -1581,14 +1552,13 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
         ),
     }
 
-    # radial taboo prefactor: target/start versus the printed target/taboo.
-    # The three-sphere system is not certified here, so its moves are
-    # derived directly, as kernel pairs in u: the straight climb H_0 up_1
-    # up_2, and the one loop down_2 up_1 (its L_1 is the zero series),
-    # each one quotient of their pairs' products.
-    sys3 = LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3))
-    fwd, (_, loop) = start_and_loops(renewal_moves(sys3, order))
-    direct3 = free_move(sys3, order)
+    # radial taboo prefactor: target/start versus the printed target/taboo,
+    # on the three-sphere system's certified moves: the straight climb
+    # H_0 up_1 up_2 and the one loop down_2 up_1 (its L_1 is the zero series)
+    record3 = _ground_truth_residual((Walk.BESSEL_3D, (0, 1, 2, 3)))
+    fwd, (_, loop) = record3.renewal(sech.order)
+    fwd, loop = fwd.prefix(sech.order), loop.prefix(sech.order)
+    direct3 = record3.free(sech.order).prefix(sech.order)
     chain_ok = ps_mul(fwd, geometric_resum(loop))
     # printed prefactor reads target/taboo = 1/3 instead of target/start = 1/2
     chain_printed = ps_mul(fwd, geometric_resum(loop.scale(Fraction(2, 3))))

@@ -70,6 +70,34 @@ class ConfigError(ValueError):
     """Simulation configuration violates its invariants."""
 
 
+def _check_move(
+    start: float, target: float, z: float, taboo: float | None
+) -> None:
+    """Raise ConfigError unless the move is one the simulator runs: finite
+    levels on the nonnegative half-line, a target other than the start, a
+    finite positive z and, for a taboo move, the start strictly between
+    the target and the taboo level."""
+    for name, value in (
+        ("start", start), ("target", target), ("taboo", taboo), ("z", z)
+    ):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    if start < 0 or target < 0:
+        raise ConfigError("levels live on the nonnegative half-line")
+    if target == start:
+        # the stepper would credit every path with a hit at step 1,
+        # where the closed form is 1, or 0 for the Bessel origin
+        raise ConfigError(f"target must differ from start, both are {start}")
+    if z <= 0:
+        raise ConfigError(f"z must be positive, got {z}")
+    if taboo is not None:
+        lo, hi = sorted((target, taboo))
+        if not lo < start < hi:
+            raise ConfigError(
+                "taboo runs need start strictly between target and taboo"
+            )
+
+
 class WalkConfig(Record):
     walk: Walk
     start: float
@@ -83,20 +111,11 @@ class WalkConfig(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "walk", Walk(self.walk))
-        for name in ("start", "target", "taboo", "z", "dt", "t_max"):
+        _check_move(self.start, self.target, self.z, self.taboo)
+        for name in ("dt", "t_max"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.start < 0 or self.target < 0:
-            raise ConfigError("levels live on the nonnegative half-line")
-        if self.target == self.start:
-            # the stepper would credit every path with a hit at step 1,
-            # where the closed form is 1, or 0 for the Bessel origin
-            raise ConfigError(
-                f"target must differ from start, both are {self.start}"
-            )
-        if self.z <= 0:
-            raise ConfigError(f"z must be positive, got {self.z}")
         if self.dt <= 0 or self.t_max <= 0:
             raise ConfigError("dt and t_max must be positive")
         # _simulate_chunk runs floor(t_max / dt + 1e-9) steps
@@ -109,12 +128,6 @@ class WalkConfig(Record):
             raise ConfigError(f"t_max / dt overflows at dt = {self.dt}")
         if self.paths < 1:
             raise ConfigError(f"need at least one path, got {self.paths}")
-        if self.taboo is not None:
-            lo, hi = sorted((self.target, self.taboo))
-            if not lo < self.start < hi:
-                raise ConfigError(
-                    "taboo runs need start strictly between target and taboo"
-                )
 
 
 class HittingEstimate(
@@ -371,10 +384,12 @@ def eval_phi_numeric(
     """Double-precision value at w = sqrt(2z) of the move's statement,
     `loopcalc.move_form`: the exact formula, not a truncated series, with
     each hyperbolic ratio written through exponentials of differences so
-    that far targets give a tiny value instead of an overflow."""
+    that far targets give a tiny value instead of an overflow.
+
+    A move `WalkConfig` rejects raises the same ConfigError here, and so
+    does a free move downward, except to the Bessel origin (0.0)."""
     walk = Walk(walk)
-    if z <= 0:
-        raise ConfigError(f"z must be positive, got {z}")
+    _check_move(start, target, z, taboo)
     if walk is Walk.BESSEL_3D and target == 0.0:
         return 0.0  # the origin is never reached
     if taboo is None and target < start:

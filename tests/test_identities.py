@@ -402,9 +402,10 @@ def test_streamed_terms_equal_direct_formulas(identity, params):
     # every term vanishes at odd degree and x = 1/2; term k asks for 2k+3
     (IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=7, x=F(1, 2)),
      lambda K: {2 * k + 3 for k in range(K + 1)}),
-    # the one nonzero weight of N = 1 sits at k = 1, whose order is 1
+    # N = 1 has one nonzero weight, at k = 1, but every lattice index
+    # k = 1, 3, 5, ... reached draws its value, of order k
     (IdentityId.EULER_CHEB, IdentityParams(n=10, x=F(1, 2), cheb_index=1),
-     lambda K: {1}),
+     lambda K: set(range(1, K + 1, 2))),
 ])
 def test_verify_stopping_before_degree_computes_only_reached_terms(
     monkeypatch, identity, params, orders_through
@@ -928,7 +929,6 @@ def test_geometric_lattice_ratios_are_in_lowest_terms():
         assert u == [0] * lead + [first * ratio**i for i in range(12 - lead)]
         assert math.gcd(ratio, weights.step) == 1
         assert math.gcd(first, weights.C) == 1
-        assert weights.constant == (ratio == 1)
         if identity is IdentityId.EULER_CHEB:
             chebyshev[params.cheb_index] = (ratio, weights.step)
     # p_(l+2) / p_l is 0, 1/2 and 3/4: N = 2 grows one bit per lattice
@@ -1039,8 +1039,9 @@ def _chebyshev_stops(rows):
     ]
 
 
-# A zero term only grows the pending denominator, which the partial sum
-# takes at the next nonzero term or at the stop. Each case stops, or is
+# A zero term on the lattice grows the partial sum's denominator by its m
+# at once, and one off it leaves the sum as it is; the report must give the
+# exact partial sum through K_used either way. Each case stops, or is
 # cut off by k_max, on a zero term: off the Chebyshev lattice (a term the
 # lattice stream does not carry), on it where its weight is 0, or in an
 # all-zero sum (odd n at x = 1/2).

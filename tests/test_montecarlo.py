@@ -91,10 +91,6 @@ def _hyperbolic_quotient_phi(walk, start, target, z, taboo=None):
     (Walk.BESSEL_3D, 1.0, 2.0, 0.5, 0.5),
     (Walk.BESSEL_3D, 1.0, 0.0, 0.5, 2.0),
     (Walk.BESSEL_3D, 1.0, 0.0, 0.5),
-    # arguments of mixed sign, which no valid WalkConfig produces
-    (Walk.REFLECTED_1D, -1.0, 2.0, 0.5),
-    (Walk.REFLECTED_1D, 1.0, 2.0, 0.5, 1.5),
-    (Walk.BESSEL_3D, 1.0, 3.0, 0.5, 2.0),
 ])
 def test_phi_numeric_matches_hyperbolic_quotients(args):
     got, want = eval_phi_numeric(*args), _hyperbolic_quotient_phi(*args)
@@ -105,7 +101,6 @@ def test_phi_numeric_matches_hyperbolic_quotients(args):
 @pytest.mark.parametrize("walk,start,target,taboo,expected", [
     # cosh(990)/cosh(1000) = e^(-10) (1 + e^(-1980)) / (1 + e^(-2000))
     (Walk.REFLECTED_1D, 990.0, 1000.0, None, math.exp(-10.0)),
-    (Walk.REFLECTED_1D, -995.0, 1000.0, None, math.exp(-5.0)),
     # sinh(995)/sinh(1000) = e^(-5) (1 - e^(-1990)) / (1 - e^(-2000))
     (Walk.REFLECTED_1D, 995.0, 1000.0, 0.0, math.exp(-5.0)),
     (Walk.REFLECTED_1D, 5.0, 0.0, 1000.0, math.exp(-5.0)),
@@ -135,6 +130,32 @@ def test_phi_numeric_rejects_bad_input():
         eval_phi_numeric(Walk.REFLECTED_1D, 1.0, 0.5, 0.5)
     with pytest.raises(ConfigError):
         eval_phi_numeric(Walk.REFLECTED_1D, 0.0, 1.0, 0.0)
+
+
+# moves WalkConfig rejects, each with the message it gives there
+@pytest.mark.parametrize("walk,start,target,z,taboo,message", [
+    # a taboo level between start and target, or at either
+    (Walk.REFLECTED_1D, 1.0, 2.0, 0.5, 1.5, "start strictly between"),
+    (Walk.REFLECTED_1D, 1.0, 0.5, 0.5, 0.7, "start strictly between"),
+    (Walk.REFLECTED_1D, 1.0, 2.0, 0.5, 1.0, "start strictly between"),
+    (Walk.REFLECTED_1D, 1.0, 2.0, 0.5, 2.0, "start strictly between"),
+    (Walk.BESSEL_3D, 0.0, 2.0, 0.5, 0.0, "start strictly between"),
+    (Walk.BESSEL_3D, 1.0, 3.0, 0.5, 2.0, "start strictly between"),
+    # levels below 0, a move of length 0, a z that is no positive number
+    (Walk.REFLECTED_1D, -1.0, 2.0, 0.5, None, "nonnegative half-line"),
+    (Walk.REFLECTED_1D, -995.0, 1000.0, 0.5, None, "nonnegative half-line"),
+    (Walk.REFLECTED_1D, 1.0, 1.0, 0.5, None, "target must differ"),
+    (Walk.BESSEL_3D, 1.5, 1.5, 0.5, None, "target must differ"),
+    (Walk.REFLECTED_1D, 0.0, 1.0, math.nan, None, "z must be finite"),
+    (Walk.BESSEL_3D, 0.0, 1.0, -0.5, None, "z must be positive"),
+])
+def test_phi_numeric_rejects_the_moves_the_simulator_rejects(
+    walk, start, target, z, taboo, message
+):
+    with pytest.raises(ConfigError, match=message):
+        WalkConfig(walk=walk, start=start, target=target, z=z, taboo=taboo)
+    with pytest.raises(ConfigError, match=message):
+        eval_phi_numeric(walk, start, target, z, taboo)
 
 
 # --- comparator --------------------------------------------------------------
