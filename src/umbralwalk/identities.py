@@ -50,8 +50,7 @@ from typing import Callable, Iterable, Iterator
 
 from .loopcalc import (
     LevelSystem, Moves, Walk, _even_kernel, _in_w, decomposition_residual,
-    direct_mgf, free_pair, linear_in_loops, renewal_loops, renewal_moves,
-    start_and_loops,
+    free_pair, linear_in_loops, renewal_moves, start_and_loops,
 )
 from .polynomials import (
     ExactScalar,
@@ -447,11 +446,11 @@ def eval_lhs(identity: IdentityId, params: IdentityParams) -> ExactScalar:
 # 2a, sinh(aw)/(aw) is e^(-aw) times the uniform kernel at 2a and its
 # reciprocal e^(aw) times the Bernoulli kernel at 2a, so these are the
 # moments of the paper's block lists. S1 L1^k is one running product, at
-# one series product per loop count. Up to the certificate's order, S, the
-# loops and the left side's free move are divided out of prefixes of the
-# kernel pairs held in the system's certified record
-# (`_ground_truth_residual`), at the order read, so an instance on a
-# certified system derives no move.
+# one series product per loop count. S, the loops and the left side's
+# free move are divided out of prefixes of the kernel pairs held in the
+# system's certified record (`_ground_truth_residual`), at the order read:
+# a read up to the order the record holds derives no move, and a longer
+# one certifies the pairs at its own order first.
 
 _Value = Callable[[int], tuple[int, int]]
 # a right side: its weights, value(k) and the degree of value in k
@@ -473,11 +472,7 @@ def _read(series: PowerSeries, order: int) -> PowerSeries:
 
 
 def _free_at(key: _SystemKey, order: int) -> PowerSeries:
-    """The system's free move in w: up to the certificate's order formed
-    by its certified record at this order, above it a fresh derivation
-    that is kept nowhere."""
-    if order > _GROUND_TRUTH_ORDER:
-        return direct_mgf(LevelSystem(*key), order)
+    """The system's free move in w, formed by its certified record."""
     return _read(_ground_truth_residual(key).free((order + 1) // 2), order)
 
 
@@ -485,8 +480,6 @@ def _renewal_at(
     key: _SystemKey, order: int
 ) -> tuple[PowerSeries, tuple[PowerSeries, ...]]:
     """The system's renewal start and loops in w, read as in `_free_at`."""
-    if order > _GROUND_TRUTH_ORDER:
-        return renewal_loops(LevelSystem(*key), order)
     start, loops = _ground_truth_residual(key).renewal((order + 1) // 2)
     return _read(start, order), tuple(_read(loop, order) for loop in loops)
 
@@ -1021,77 +1014,81 @@ def ground_truth_system(
 class _Record:
     """A certified level system in u = w^2: its moves as kernel pairs
     (`loopcalc.Moves`) and its free move's pair (`loopcalc.free_pair`),
-    at the certificate's order.
+    held as one unit, `pairs`, at the order they were last certified:
+    `_GROUND_TRUTH_ORDER` when built, or a longer order read since. Every
+    series read was so certified at its own order or a longer one, and
+    is the series a fresh derivation gives, as coefficient j of a move,
+    product or quotient does not depend on the order it is truncated at.
 
     Quotients are formed only when read, at the order read: `free(order)`
     divides the free move, and `renewal(order)` the start and loops (None
     outside `renewal_loops`' range), out of the pairs' first `order`
     coefficients, so a system that only the hop-form identities rest on
     divides nothing. Each keeps one slot, formed again only for a longer
-    read. A read returns the series it formed or found, of at least
-    `order` coefficients, not the slot, which a racing thread may refill
-    with a shorter one."""
+    read. A read returns the pairs and series it formed or found, of at
+    least `order` coefficients, not a slot, which a racing thread may
+    refill with a shorter one."""
 
     # dividing again at every read, with no slots, cost 11.3% on multi_level
-    __slots__ = ("moves", "free_pair", "_linear", "_free", "_renewal")
+    __slots__ = ("system", "pairs", "_free", "_renewal")
 
-    def __init__(
-        self,
-        moves: Moves,
-        free_pair: tuple[PowerSeries, PowerSeries],
-        linear: bool,
-    ) -> None:
-        self.moves, self.free_pair = moves, free_pair
-        self._linear, self._free, self._renewal = linear, None, None
+    def __init__(self, system: LevelSystem) -> None:
+        self.system = system
+        self.pairs = self._free = self._renewal = None
+        self._pairs((_GROUND_TRUTH_ORDER + 1) // 2)
+
+    def _pairs(
+        self, order: int
+    ) -> tuple[Moves, tuple[PowerSeries, PowerSeries]]:
+        """The held pairs, if shorter than `order` first derived at that
+        order and certified: the decomposition residual is computed on
+        exactly those series, by cross-multiplying the chain's continuant
+        with the free pair, so the certificate divides nothing. A nonzero
+        residual raises EngineConsistencyError and keeps the old pairs."""
+        held = self.pairs
+        if held is None or held[1][0].order < order:
+            system, w_order = self.system, 2 * order
+            moves = renewal_moves(system, w_order)
+            free = free_pair(system, w_order)
+            residual = decomposition_residual(system, w_order, moves, free)
+            if residual != 0:
+                raise EngineConsistencyError(
+                    f"series decomposition residual {residual} != 0 "
+                    f"for {system}"
+                )
+            held = self.pairs = moves, free
+        return held
 
     def free(self, order: int) -> PowerSeries:
         held = self._free
         if held is None or held.order < order:
-            held = self._free = ps_div(
-                *(series.prefix(order) for series in self.free_pair)
-            )
+            _, pair = self._pairs(order)
+            held = self._free = ps_div(*(s.prefix(order) for s in pair))
         return held
 
     def renewal(
         self, order: int
     ) -> tuple[PowerSeries, tuple[PowerSeries, ...]] | None:
-        if not self._linear:
+        if not linear_in_loops(self.system):
             return None
         held = self._renewal
         if held is None or held[0].order < order:
-            held = self._renewal = start_and_loops(self.moves.prefix(order))
+            moves, _ = self._pairs(order)
+            held = self._renewal = start_and_loops(moves.prefix(order))
         return held
 
 
 # Keyed by the plain (walk, levels) pair, so a hit builds no LevelSystem:
-# a system is certified once, however many instances rest on it. Bounded,
-# so a long run over many level sets keeps the 64 most recently used.
-# A record's series are immutable, so two threads that both miss build
-# equal ones.
+# a system is certified once at each order it grows to, however many
+# instances rest on it. Bounded, so a long run over many level sets keeps
+# the 64 most recently used. A record's series are immutable, so two
+# threads that both miss or both grow a record build equal ones.
 @functools.lru_cache(maxsize=64)
 def _ground_truth_residual(key: _SystemKey) -> _Record:
-    """The system's certified record.
-
-    Its moves, as the kernel pairs of `renewal_moves`, and its free
-    move's pair are derived once, at `_GROUND_TRUTH_ORDER`, and the
-    decomposition residual is computed on exactly those series, by
-    cross-multiplying the chain's continuant with the free pair: the
-    certificate divides nothing. A nonzero residual raises
-    EngineConsistencyError and stores nothing. Every side of an identity
-    on the system read up to that order is a quotient the record forms
-    from prefixes of those pairs at the order read, which is the series a
-    fresh derivation gives, as coefficient j of a move, product or
-    quotient does not depend on the order it is truncated at.
-    """
-    system = LevelSystem(*key)
-    moves = renewal_moves(system, _GROUND_TRUTH_ORDER)
-    free = free_pair(system, _GROUND_TRUTH_ORDER)
-    residual = decomposition_residual(system, _GROUND_TRUTH_ORDER, moves, free)
-    if residual != 0:
-        raise EngineConsistencyError(
-            f"series decomposition residual {residual} != 0 for {system}"
-        )
-    return _Record(moves, free, linear_in_loops(system))
+    """The system's certified record (see `_Record`); a nonzero residual
+    at `_GROUND_TRUTH_ORDER` raises EngineConsistencyError and stores
+    nothing."""
+    return _Record(LevelSystem(*key))
 
 
 def ensure_ground_truth(identity: IdentityId, params: IdentityParams) -> None:
@@ -1131,8 +1128,10 @@ def verify(
     ground truth is certified at its first instance and looked up by its
     (walk, levels) key after that; the certified record also holds the
     kernel pairs that the block-level sides' free move, start and loops
-    are divided out of, at the order each read asks for, so an instance
-    on a certified system derives no move.
+    are divided out of, at the order each read asks for. A read up to the
+    order the record holds derives no move, and a longer one certifies
+    the pairs at its own order first, so every series a side reads was
+    certified at its own order or a longer one.
     Degenerate instances (uniformly spaced three-site systems)
     short-circuit to DEGENERATE_TRIVIAL.
     The tail control runs in double precision, so a left side, term or

@@ -60,10 +60,14 @@ def test_unknown_flag_exits_2():
     assert err.value.code == 2
 
 
-def test_bad_rational_exits_2():
+def test_bad_rational_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         parse_args(["verify", "--id", "N3_UNIFORM", "--x", "half"])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--id", "N3_GENERAL", "--levels", "1,x"])
+    assert err.value.code == 2
+    assert "argument --levels: not a level list: '1,x'" in capsys.readouterr().err
 
 
 _SERIES = ["series", "--walk", "1d", "--levels", "0,1,2"]

@@ -42,6 +42,7 @@ from umbralwalk.identities import (
     normalize_params,
     rhs_terms,
     term_magnitudes,
+    validate_params,
 )
 from umbralwalk.polynomials import (
     chebyshev_polynomial,
@@ -109,6 +110,8 @@ def test_params_validation():
         eval_lhs(IdentityId.EVEN_BERNOULLI, IdentityParams())
     with pytest.raises(InvalidParamsError):
         eval_lhs(IdentityId.FOUR_UNIFORM_1D, IdentityParams(n=-1))
+    with pytest.raises(InvalidParamsError, match="unknown identity 'NOPE'"):
+        validate_params("NOPE", IdentityParams(n=1))
 
 
 # every parameter requirement of every identity, with its error text
@@ -785,6 +788,35 @@ def test_every_window_read_holds_the_last_small_magnitudes(
         assert window == mags[k - policy.stable_run + 1 : k + 1]
     if report.converged:
         assert reads[-1][0] == report.K_used
+
+
+def test_the_tail_goes_on_past_a_lone_or_a_growing_magnitude(monkeypatch):
+    # EULER_CHEB N = 5, n = 0 at tol 1: the windows at k = 5, 6 hold one
+    # nonzero magnitude with none before it, and those at k = 7..10 a
+    # ratio of 1.25 or 1; had either gone on to the estimate, the sum
+    # would have stopped at k = 5 or 7
+    lone, growing = [], []
+    tail_stops = identities._tail_stops
+
+    def recording_tail_stops(window, k, peak, prev_nz, last_nz, *rest):
+        stops = tail_stops(window, k, peak, prev_nz, last_nz, *rest)
+        nonzero = [v for v in window if v > 0.0]
+        if len(nonzero) == 1 and not prev_nz:
+            lone.append((k, stops))
+        elif len(nonzero) > 1 and any(
+            b >= a for a, b in zip(nonzero, nonzero[1:])
+        ):
+            growing.append((k, stops))
+        return stops
+
+    monkeypatch.setattr(identities, "_tail_stops", recording_tail_stops)
+    report = verify(
+        IdentityId.EULER_CHEB, IdentityParams(n=0, cheb_index=5),
+        TruncationPolicy(tol=1),
+    )
+    assert (report.status, report.K_used) == (Status.VERIFIED, 13)
+    assert lone == [(5, False), (6, False)]
+    assert growing == [(k, False) for k in (7, 8, 9, 10)]
 
 
 # --- the Chebyshev terms on their lattice ---------------------------------------------
@@ -1739,19 +1771,18 @@ def test_record_serves_what_a_cold_derivation_gives(system, first):
     memo = identities._ground_truth_residual
     memo.cache_clear()
     try:
-        # the first read meets a cold memo: up to the certificate's order
-        # it certifies the system, above it it derives and stores nothing
-        certified = False
+        # the first read meets a cold memo and certifies the system, at
+        # the certificate's order or its own if longer; every read after
+        # it is served by that one record
         for order in (first, *range(1, 65)):
             assert identities._free_at(key, order) == direct_mgf(system, order)
             assert identities._renewal_at(key, order) == renewal_loops(
                 system, order
             )
-            certified |= order <= identities._GROUND_TRUTH_ORDER
-            assert memo.cache_info().currsize == certified
+            assert memo.cache_info().currsize == 1
         # each move is held as a kernel pair: up_i and down_i over the
-        # one wall W_i they share
-        moves = memo(key).moves
+        # one wall W_i they share, grown to the longest order read
+        moves, _ = memo(key).pairs
         inner = range(1, top)
         read_moves = [
             (PhiMove(0, 1), ps_div(*moves.first)),
@@ -1765,7 +1796,7 @@ def test_record_serves_what_a_cold_derivation_gives(system, first):
             ),
         ]
         assert len(read_moves) == 2 * top - 1
-        for order in range(1, identities._GROUND_TRUTH_ORDER + 1):
+        for order in range(1, 65):
             for move, series in read_moves:
                 assert identities._read(series, order) == phi(system, move, order)
     finally:
@@ -1848,31 +1879,48 @@ def _prefixes(renewal, order):
 @given(
     _record_systems(),
     st.lists(
-        st.integers(1, identities._GROUND_TRUTH_ORDER), min_size=1, max_size=6
+        st.integers(1, 2 * identities._GROUND_TRUTH_ORDER),
+        min_size=1, max_size=6,
     ),
 )
 @example(LevelSystem(Walk.REFLECTED_1D, (0, 1, 2, 4)), [9, 3, 30, 1, 17, 30])
 @example(LevelSystem(Walk.BESSEL_3D, (0, 1, 2, 3, 4)), [2, 2, 1, 8, 7])
+@example(LevelSystem(Walk.REFLECTED_1D, (0, 1, 2, 4)), [9, 41, 3, 42, 30, 60])
+@example(LevelSystem(Walk.REFLECTED_1D, (0, 1, 2, 4, 5)), [31, 32, 1, 33])
 def test_record_reads_at_any_order_equal_the_quotient_construction(
     system, orders
 ):
     memo = identities._ground_truth_residual
     memo.cache_clear()
-    divisions = []
+    divisions, certificates = [], []
     try:
         record = memo((system.walk, system.levels))
+        held = (identities._GROUND_TRUTH_ORDER + 1) // 2
         with pytest.MonkeyPatch.context() as patch:
             for module in (loopcalc, identities):
                 patch.setattr(module, "ps_div", _counted(ps_div, divisions))
+            patch.setattr(
+                identities, "decomposition_residual",
+                _counted(identities.decomposition_residual, certificates),
+            )
             longest = 0
             for order in orders:
                 free, renewal = _quotient_record(system, order)
                 size = free.order
-                before = len(divisions)
+                before, certified = len(divisions), len(certificates)
                 assert record.free(size).prefix(size) == free
                 assert _prefixes(record.renewal(size), size) == renewal
+                # the pairs are derived and certified again only for a
+                # read past the order held, and then once, at that order
+                grown = certificates[certified:]
+                assert [order for _, order, *_ in grown] == (
+                    [2 * size] if size > held else []
+                )
+                held = max(held, size)
+                assert record.pairs[1][0].order == held
                 # a quotient is divided again only for a longer read, and
-                # then once, at the order read
+                # then once, at the order read; an exact certificate
+                # divides nothing
                 quotients = 1 + (0 if renewal is None else 1 + len(renewal[1]))
                 formed = divisions[before:]
                 assert len(formed) == (quotients if size > longest else 0)
@@ -1921,6 +1969,49 @@ def test_a_mutated_move_fails_the_certificate(
             verify(identity, IdentityParams(n=1))
     finally:
         identities._ground_truth_residual.cache_clear()
+
+
+def _up_move_changed_at_u16(numerator):
+    def mutated(system, move, order):
+        out = numerator(system, move, order)
+        if move.taboo_level is None or move.to_level < move.from_level:
+            return out
+        if out.order <= 16:
+            return out
+        bump = [0] * out.order
+        bump[16] = 1
+        return out + PowerSeries(bump, "u")
+
+    return mutated
+
+
+def test_a_move_changed_past_the_certificates_order_fails_a_longer_read(
+    monkeypatch,
+):
+    # each up move's numerator is wrong at u^16 alone, which the
+    # certificate's order (u^0..u^14) does not reach; a side read at
+    # degree 40 (u^0..u^20) must certify its own order, not sum the
+    # wrong series to a report
+    monkeypatch.setattr(
+        loopcalc, "_numerator", _up_move_changed_at_u16(loopcalc._numerator)
+    )
+    memo = identities._ground_truth_residual
+    memo.cache_clear()
+    identity, params = IdentityId.FOUR_GENERAL_1D, IdentityParams(
+        n=40, levels=(1, 2, 4)
+    )
+    try:
+        ensure_ground_truth(identity, params)
+        with pytest.raises(EngineConsistencyError, match="residual"):
+            verify(identity, params)
+        # the failed certificate keeps the record's pairs as they were
+        record = memo((Walk.REFLECTED_1D, (0, 1, 2, 4)))
+        assert memo.cache_info().currsize == 1
+        assert record.pairs[1][0].order == (
+            identities._GROUND_TRUTH_ORDER + 1
+        ) // 2
+    finally:
+        memo.cache_clear()
 
 
 @pytest.mark.parametrize("identity", [

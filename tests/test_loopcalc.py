@@ -95,6 +95,8 @@ def test_move_validation():
         phi(system, PhiMove(2, 1), ORDER)  # downward needs a taboo
     with pytest.raises(InvalidMoveError):
         phi(system, PhiMove(1, 2, 2), ORDER)  # taboo on the wrong side
+    with pytest.raises(InvalidMoveError, match="must avoid level 3, got 0"):
+        phi(rbm(0, 1, 2, 3), PhiMove(2, 1, 0), ORDER)  # downward, likewise
     with pytest.raises(InvalidMoveError):
         phi(system, PhiMove(0, 5), ORDER)
 

@@ -79,6 +79,11 @@ def test_float_degree_or_order_is_rejected_after_the_int_form(hop):
     for args in ((2.0, 1), (2, 1.0)):
         with pytest.raises(ValueError, match="must be integers"):
             hop(*args)
+    # an int degree or order below 0 is named as such
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+        hop(-1, 1)
+    with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+        hop(1, -1)
 
 
 def test_degree_and_leading_coefficient():
@@ -259,6 +264,8 @@ def test_weights_domain_errors():
         chebyshev_recip_weights(0, 5)
     with pytest.raises(ValueError):
         chebyshev_recip_weights(3, 2)
+    with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
+        chebyshev_polynomial(-1)
 
 
 # --- evaluation -------------------------------------------------------------------

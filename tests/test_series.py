@@ -71,6 +71,8 @@ def test_mul_sech_times_cosh_is_one():
 def test_mul_order_mismatch_rejected():
     with pytest.raises(OrderMismatchError):
         ps_mul(PowerSeries.one(4), PowerSeries.one(5))
+    with pytest.raises(OrderMismatchError, match="prefix of order 5 from"):
+        PowerSeries.one(4).prefix(5)
 
 
 # --- division --------------------------------------------------------------
@@ -150,6 +152,8 @@ def test_pow_monomial():
 def test_pow_negative_exponent_rejected():
     with pytest.raises(ValueError):
         ps_pow(ONE8, -1)
+    with pytest.raises(ValueError, match="nonnegative integer, got -1"):
+        kernel_power(Kernel.EULER, 1, -1, 5)
 
 
 # --- kernels ----------------------------------------------------------------
