@@ -830,7 +830,7 @@ _SPECS: dict[IdentityId, _Spec] = {
     IdentityId.N4_UNIFORM_STATED: _Spec(
         "stated",
         "Bernoulli value B_n((x+4)/6) against half-geometric Euler "
-        "polynomials of order 2k+2 (as printed; fails at n=1)",
+        "polynomials of order 2k+2 (as printed; fails from n=0)",
         "four concentric spheres of radii 1..4",
         lambda p: _bernoulli_at(p.n, p.x, 4, 6),
         _hop(
@@ -1517,9 +1517,10 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
         policy,
     ) | {
         "note": (
-            "the printed four-sphere statement fails at degree 1 "
-            "(1/6 vs 1/3); the recomputed chain gives order-(2k+3) Euler "
-            "blocks with half-geometric weights and verifies"
+            "the printed four-sphere statement fails from degree 0 "
+            "(1 vs 2 there, 1/6 vs 1/3 at degree 1); the recomputed chain "
+            "gives order-(2k+3) Euler blocks with half-geometric weights "
+            "and verifies"
         )
     }
 

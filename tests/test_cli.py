@@ -630,9 +630,10 @@ def test_catalog_command(capsys):
     )
 
 
-# sha256 of `umbralwalk catalog` as printed before the spec table
+# sha256 of `umbralwalk catalog` as printed before the spec table, but
+# for N4_UNIFORM_STATED's text, which says it fails from n=0
 _CATALOG_SHA256 = (
-    "9847bc262a03d14b05a461a33051dbb99a8018645313af010784b0e15edcd29b"
+    "144598a68e842b09553a0dbac8b532f1d09114e730ae36d298848dee88ea0e51"
 )
 
 
@@ -801,17 +802,18 @@ def test_verify_all_roundtrip_stability(capsys):
 
 # sha256 of the `errata` object of `verify-all`, rendered as `_dump` does,
 # as computed while each series operation still converted to and from
-# Fractions
+# Fractions, but for the four-sphere note, which says the printed
+# statement fails from degree 0
 _ERRATA_SHA256 = (
-    "86ae2dd00fe42a903052df4ac9773398be5b4310549a50e7b2870ffb8aca2edf"
+    "2fa7f0e1743763436e32a1cd459fe7b7d2cf9f3713b97ffdebf9b26c8abe91f3"
 )
 
 
 # sha256 of the whole `verify-all` payload but `generated_at`, rendered as
 # `_dump` does, as computed while the kernel-power memo kept one chain per
-# (kind, scale)
+# (kind, scale), but for that four-sphere note
 _VERIFY_ALL_SHA256 = (
-    "9de7219d0cf9f6ecbd54ed129d3c5699ace4ad10df3c5b20a9b24d4427333655"
+    "349d79996bf15778a7d3c1e7a7424d8208663d66dbbdd6da593e7479a22fdcd0"
 )
 
 
