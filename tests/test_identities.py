@@ -1913,7 +1913,7 @@ def test_record_reads_at_any_order_equal_the_quotient_construction(
                 # the pairs are derived and certified again only for a
                 # read past the order held, and then once, at that order
                 grown = certificates[certified:]
-                assert [order for _, order, *_ in grown] == (
+                assert [w_order for _, w_order, *_ in grown] == (
                     [2 * size] if size > held else []
                 )
                 held = max(held, size)
@@ -2110,17 +2110,33 @@ def test_threads_on_a_cold_memo_get_identical_reports():
         barrier.wait()
         return verify(IdentityId.N3_GENERAL, params).to_json()
 
+    # then threads that grow one record at once, each past the order it
+    # holds and some past each other's, get the reports of a lone reader
+    degrees = [31, 50, 36, 44] * 2
+    grow_barrier = threading.Barrier(len(degrees), timeout=60)
+
+    def report(n):
+        return verify(IdentityId.N3_GENERAL, params._replace(n=n)).to_json()
+
+    def grow(n):
+        grow_barrier.wait()
+        return report(n)
+
+    alone = {n: report(n) for n in degrees}
     identities._ground_truth_residual.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(4) as pool:
             reports = list(pool.map(run, range(4), timeout=60))
+        with ThreadPoolExecutor(len(degrees)) as pool:
+            grown = list(pool.map(grow, degrees, timeout=60))
     finally:
         sys.setswitchinterval(interval)
         identities._ground_truth_residual.cache_clear()
     assert reports[0]["status"] == Status.VERIFIED.value
     assert all(r == reports[0] for r in reports)
+    assert grown == [alone[n] for n in degrees]
 
 
 def test_ground_truth_systems_mapped():
