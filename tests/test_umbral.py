@@ -235,9 +235,9 @@ def test_density_domain_errors():
         density_moment(Family.UNIFORM, 2, 0)
     with pytest.raises(ValueError):
         density_moment(Family.BERNOULLI, 13, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
         density_moment(Family.EULER, -1, 0)
-    with pytest.raises(ValueError, match="nonnegative, got -1"):
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
         umbral_moment(UmbralExpr.build((Family.EULER, 2, 1)), -1)
 
 
