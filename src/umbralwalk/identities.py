@@ -44,7 +44,7 @@ from collections import deque, namedtuple
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from math import cos, gcd, inf, isfinite, log, pi
+from math import cos, gcd, inf, isfinite, log, log1p, pi, ulp
 from numbers import Real
 from typing import Callable, Iterable, Iterator
 
@@ -174,10 +174,11 @@ class TruncationPolicy(Record):
     from that degree, so every stop stays where the bound n puts it.
     This is a heuristic, not a bound; the zero-window stop on an exact
     partial sum is not gated.
-    Magnitudes are floats, so a nonzero term whose magnitude underflows
-    to 0.0 counts as a zero term in the window: a sum whose terms all
-    underflow gives no tail estimate and ends only at an exact partial
-    sum or at `k_max`, NOT_CONVERGED.
+    Magnitudes are floats, and a nonzero term whose magnitude underflows
+    to 0.0 enters the window as the smallest positive float. Where the
+    window's last nonzero term underflowed, equal stand-ins would give a
+    ratio of 1, so the estimate takes the envelope's ratio at k,
+    (1 + 1/k)^d rho: below 1 past the peak, and 0 where rho underflows.
     A policy with a tol that is not a finite positive real number, a
     stable_run or k_max that is not an int (a bool is none), a stable_run
     below 2 or longer than any deque, or a k_max below 1 raises
@@ -221,7 +222,7 @@ class IdentityReport(
     namedtuple(
         "IdentityReport",
         "identity params K_used lhs_exact rhs_partial_exact residual_float"
-        " converged status",
+        " status",
     )
 ):
     __slots__ = ()
@@ -231,12 +232,16 @@ class IdentityReport(
     lhs_exact: ExactScalar
     rhs_partial_exact: ExactScalar
     residual_float: float
-    converged: bool
     status: Status
 
     @property
     def variant(self) -> str:
         return _SPECS[self.identity].variant
+
+    @property
+    def converged(self) -> bool:
+        """Whether the tail control stopped the sum (or it needed none)."""
+        return self.status is not Status.NOT_CONVERGED
 
     def to_json(self) -> dict:
         p = self.params
@@ -1101,6 +1106,8 @@ def ensure_ground_truth(identity: IdentityId, params: IdentityParams) -> None:
 
 _DEFAULT_POLICY = TruncationPolicy()
 
+_UNDERFLOW = ulp(0.0)  # a nonzero term's magnitude where abs(t) / den is 0.0
+
 _FLOAT_RANGE = (
     "the left side, a term or the residual is outside the float range of "
     f"the tail control (magnitudes up to {sys.float_info.max:.4g})"
@@ -1114,24 +1121,11 @@ def verify(
 ) -> IdentityReport:
     """Accumulate the right side until tail control triggers; report.
 
-    The threshold is tol * max(1, |lhs|). Convergence requires the last
-    `stable_run` term magnitudes below threshold plus a geometric tail
-    estimate below threshold, which a window of still-growing terms
-    never gives, and which a window of zero terms gives only when the
-    partial sum equals the left side exactly (see `TruncationPolicy`).
-    The terms arrive as integer numerators, each with the integer factor
-    by which the common denominator grows. Each term costs its exact
-    update and one float comparison; a run of terms at or above
-    threshold is summed in an inner loop with no other bookkeeping, and
-    only a run of `stable_run` small terms calls for the tail estimate
-    (see `_sum_to_tolerance`). The level system's
+    The threshold is tol * max(1, |lhs|); `TruncationPolicy` states the
+    stop rule and `_sum_to_tolerance` its bookkeeping. The level system's
     ground truth is certified at its first instance and looked up by its
-    (walk, levels) key after that; the certified record also holds the
-    kernel pairs that the block-level sides' free move, start and loops
-    are divided out of, at the order each read asks for. A read up to the
-    order the record holds derives no move, and a longer one certifies
-    the pairs at its own order first, so every series a side reads was
-    certified at its own order or a longer one.
+    (walk, levels) key after that; every series a side reads comes from
+    that record (see `_Record`), certified at its own order or a longer one.
     Degenerate instances (uniformly spaced three-site systems)
     short-circuit to DEGENERATE_TRIVIAL.
     The tail control runs in double precision, so a left side, term or
@@ -1145,7 +1139,7 @@ def verify(
     lhs = spec.lhs(params)
     if spec.degenerate(params):
         return IdentityReport(
-            identity, params, -1, lhs, _ZERO, 0.0, True, Status.DEGENERATE_TRIVIAL
+            identity, params, -1, lhs, _ZERO, 0.0, Status.DEGENERATE_TRIVIAL
         )
     _ground_truth_residual(spec.system(params))
     try:
@@ -1217,7 +1211,7 @@ def _sum_to_tolerance(
         S, den = S * m + t, den * m
         if t:
             # int true division rounds correctly, as float(Fraction(t, den))
-            mag = abs(t) / den
+            mag = abs(t) / den or _UNDERFLOW
             prev_nz, last_nz = last_nz, mag
             if mag >= threshold:
                 # no window is read until stable_run small magnitudes
@@ -1241,12 +1235,14 @@ def _sum_to_tolerance(
                     run = 0
                 if not t:
                     mag = 0.0
+                elif not mag:  # the small term after the large ones underflowed
+                    mag = last_nz = _UNDERFLOW
         else:
             mag = 0.0
         append(mag)
         run = run + 1 if mag < threshold else 0
         if run >= stable_run and _tail_stops(
-            window, k, peak, prev_nz, last_nz, threshold, S, den, lhs
+            window, k, peak, prev_nz, last_nz, threshold, S, den, lhs, decay
         ):
             K, converged = k, True
             break
@@ -1256,7 +1252,7 @@ def _sum_to_tolerance(
             append(0.0)
             run += 1
             if run >= stable_run and _tail_stops(
-                window, k + 1, peak, prev_nz, last_nz, threshold, S, den, lhs
+                window, k + 1, peak, prev_nz, last_nz, threshold, S, den, lhs, decay
             ):
                 K, converged = k + 1, True
                 break
@@ -1265,9 +1261,7 @@ def _sum_to_tolerance(
         status = Status.VERIFIED if residual < threshold else Status.RESIDUAL_NONZERO
     else:
         status = Status.NOT_CONVERGED
-    return IdentityReport(
-        identity, params, K, lhs, Fraction(S, den), residual, converged, status
-    )
+    return IdentityReport(identity, params, K, lhs, Fraction(S, den), residual, status)
 
 
 def _tail_stops(
@@ -1280,6 +1274,7 @@ def _tail_stops(
     S: int,
     den: int,
     lhs: Fraction,
+    decay: float,
 ) -> bool:
     """Whether the sum stops at term k, its window of the last
     `stable_run` magnitudes all below threshold.
@@ -1290,7 +1285,9 @@ def _tail_stops(
     k = d / ln(1/decay) of the terms' envelope k^d decay^k, and for a
     geometric tail estimate below threshold: a window with one nonzero
     magnitude, which is last_nz, takes its ratio to prev_nz, from before
-    the window, and goes on if there is none.
+    the window, and goes on if there is none. An underflowed last_nz
+    (`_UNDERFLOW`) takes the envelope's ratio at k, (1 + 1/k)^d decay =
+    decay^(1 - peak ln(1 + 1/k)), below 1 past the peak.
     """
     nonzero = [v for v in window if v > 0.0]
     if not nonzero:
@@ -1298,7 +1295,9 @@ def _tail_stops(
         return S * lhs.denominator == lhs.numerator * den
     if k < peak:
         return False
-    if len(nonzero) == 1:
+    if last_nz == _UNDERFLOW:
+        ratio = decay ** (1.0 - peak * log1p(1.0 / k))
+    elif len(nonzero) == 1:
         # its magnitude is last_nz; the ratio reaches back past the window
         if not prev_nz:
             return False
@@ -1530,7 +1529,7 @@ def errata_report(policy: TruncationPolicy | None = None) -> dict:
     # change no supremum.
     sech = _even_kernel(Kernel.SECH, 1, order)
     w_over_sinh = ps_div(
-        PowerSeries.one(sech.order, "u"),
+        PowerSeries.one(sech.order),
         _even_kernel(Kernel.SINH_OVER_ARG, 1, order),
     )
     sech2 = ps_mul(sech, sech)

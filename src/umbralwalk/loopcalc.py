@@ -131,14 +131,14 @@ def _even(series: PowerSeries) -> PowerSeries:
 
     The odd numerators are 0, so the denominator stays the normal one.
     """
-    return _new(series.nums[::2], series.den, "u")
+    return _new(series.nums[::2], series.den)
 
 
 def _in_w(series: PowerSeries, order: int) -> PowerSeries:
     """A series in u = w^2 spread back into w, with `order` coefficients."""
     nums = [0] * order
     nums[::2] = series.nums
-    return _new(tuple(nums), series.den, "w")
+    return _new(tuple(nums), series.den)
 
 
 def _even_kernel(kind: Kernel, scale: Fraction, order: int) -> PowerSeries:
@@ -148,8 +148,8 @@ def _even_kernel(kind: Kernel, scale: Fraction, order: int) -> PowerSeries:
     `order` is checked first, so an error names the w-order given."""
     _check_order(order)
     if not scale:
-        return PowerSeries.one((order + 1) // 2, "u")
-    return _even(kernel(kind, scale, order, "w"))
+        return PowerSeries.one((order + 1) // 2)
+    return _even(kernel(kind, scale, order))
 
 
 def phi(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
@@ -220,7 +220,7 @@ def _numerator(system: LevelSystem, move: PhiMove, order: int) -> PowerSeries:
         prefactor = prefactor * near / far
     if not prefactor:
         # the origin is never reached
-        return _even(PowerSeries.zero(order, "w"))
+        return _even(PowerSeries.zero(order))
     numerator = _even_kernel(_EVEN.get(kind, kind), abs(near), order)
     return numerator if prefactor == 1 else numerator.scale(prefactor)
 

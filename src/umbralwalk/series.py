@@ -8,10 +8,13 @@ hashing are exact. Every operation runs on the integers and normalises
 its result with one gcd; `coeffs` is the read-only `fractions.Fraction`
 view. A series stores a fixed number of coefficients (its *order*);
 binary operations require both operands to have the same order, and
-mismatches raise instead of silently truncating. A kernel at scale c is
-its unit kernel with t replaced by c t, so the kernel-power memo keeps
-one chain per kind. `Record` is the base of the package's records that
-check their fields or build them.
+mismatches raise instead of silently truncating. A series is its
+numerators and denominator alone: it carries no variable name, and the
+code that reads it knows whether it is in t, w or u = w^2. A kernel at
+scale c is its unit kernel with t replaced by c t, so the kernel-power
+memo keeps one chain per kind. `Record` is the base of the package's
+records that check their fields or build them; a record compares and
+hashes by all its fields.
 """
 
 from __future__ import annotations
@@ -87,14 +90,14 @@ class Record:
     The fields are the annotated names, in order, and a class attribute
     of the same name is a default. Unless a subclass has its own
     `__init__`, they are taken by position or keyword and handed to
-    `__post_init__` to check. Instances refuse assignment, compare and
-    hash by the `_compared` fields (all by default), print and pickle by
-    all, and have the `_fields`, `_replace` and `_asdict` of a namedtuple.
+    `__post_init__` to check. Instances refuse assignment, compare, hash,
+    print and pickle by all their fields, and have the `_fields`,
+    `_replace` and `_asdict` of a namedtuple.
     """
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)
-        cls._key = attrgetter(*getattr(cls, "_compared", cls._fields))
+        cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:
         cls = type(self)
@@ -135,48 +138,45 @@ class Record:
 class PowerSeries(Record):
     """Order-capped formal power series with exact rational coefficients.
 
-    The coefficient of ``var**n`` is ``nums[n] / den``, with ``den > 0``
-    and ``gcd(den, *nums) == 1``; ``coeffs`` gives the same values as
-    Fractions. The order is the number of retained coefficients. The
-    variable name is purely a label and does not participate in equality.
+    Coefficient n is ``nums[n] / den``, with ``den > 0`` and
+    ``gcd(den, *nums) == 1``; ``coeffs`` gives the same values as
+    Fractions. The order is the number of retained coefficients.
     """
 
-    _compared = ("nums", "den")
     nums: tuple[int, ...]
     den: int
-    var: str
 
-    def __init__(self, coeffs: Iterable[int | str | Fraction], var: str = "t"):
+    def __init__(self, coeffs: Iterable[int | str | Fraction]):
         pairs = [_ratio(c) for c in coeffs]
         if not pairs:
             raise ValueError("a series must retain at least one coefficient")
         # over the least common denominator no factor is left to cancel
         den = lcm(*(d for _, d in pairs))
-        _new(tuple(n * (den // d) for n, d in pairs), den, var, self)
+        _new(tuple(n * (den // d) for n, d in pairs), den, self)
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def constant(value: int | Fraction, order: int, var: str = "t") -> "PowerSeries":
+    def constant(value: int | Fraction, order: int) -> "PowerSeries":
         _check_order(order)
         p, q = _ratio(value)
-        return _new((p,) + (0,) * (order - 1), q, var)
+        return _new((p,) + (0,) * (order - 1), q)
 
     @staticmethod
-    def zero(order: int, var: str = "t") -> "PowerSeries":
-        return PowerSeries.constant(0, order, var)
+    def zero(order: int) -> "PowerSeries":
+        return PowerSeries.constant(0, order)
 
     @staticmethod
-    def one(order: int, var: str = "t") -> "PowerSeries":
-        return PowerSeries.constant(1, order, var)
+    def one(order: int) -> "PowerSeries":
+        return PowerSeries.constant(1, order)
 
     @staticmethod
-    def from_coeffs(values: list | tuple, order: int, var: str = "t") -> "PowerSeries":
+    def from_coeffs(values: list | tuple, order: int) -> "PowerSeries":
         """Build a series from explicit low-order coefficients, zero-padded."""
         _check_order(order)
         if len(values) > order:
             raise ValueError(f"{len(values)} coefficients exceed order {order}")
-        return PowerSeries(tuple(values) + (0,) * (order - len(values)), var)
+        return PowerSeries(tuple(values) + (0,) * (order - len(values)))
 
     # -- basic accessors -------------------------------------------------
 
@@ -207,7 +207,7 @@ class PowerSeries(Record):
             raise OrderMismatchError(
                 f"prefix of order {order} from a series of order {self.order}"
             )
-        return _normalised(self.nums[:order], self.den, self.var)
+        return _normalised(self.nums[:order], self.den)
 
     def _require_same_order(self, other: "PowerSeries") -> None:
         if len(self.nums) != len(other.nums):
@@ -222,18 +222,18 @@ class PowerSeries(Record):
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         return _normalised(
-            [x * fa + y * fb for x, y in zip(self.nums, other.nums)], den, self.var
+            [x * fa + y * fb for x, y in zip(self.nums, other.nums)], den
         )
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         return self + -other
 
     def __neg__(self) -> "PowerSeries":
-        return _new(tuple(-x for x in self.nums), self.den, self.var)
+        return _new(tuple(-x for x in self.nums), self.den)
 
     def scale(self, value: int | Fraction) -> "PowerSeries":
         p, q = _ratio(value)
-        return _normalised([p * x for x in self.nums], q * self.den, self.var)
+        return _normalised([p * x for x in self.nums], q * self.den)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         return ps_mul(self, other)
@@ -241,24 +241,23 @@ class PowerSeries(Record):
     def __str__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order > 8 else ""
-        return f"PowerSeries[{self.var}; order {self.order}]({head}{tail})"
+        return f"PowerSeries[order {self.order}]({head}{tail})"
 
 
-def _new(nums: tuple[int, ...], den: int, var: str, series=None) -> PowerSeries:
+def _new(nums: tuple[int, ...], den: int, series=None) -> PowerSeries:
     """A series (or the fields of `series`) from its normal form nums / den."""
     series = object.__new__(PowerSeries) if series is None else series
     object.__setattr__(series, "nums", nums)
     object.__setattr__(series, "den", den)
-    object.__setattr__(series, "var", var)
     return series
 
 
-def _normalised(nums: list[int], den: int, var: str) -> PowerSeries:
+def _normalised(nums: list[int], den: int) -> PowerSeries:
     """The series nums / den (den > 0), reduced by one gcd."""
     g = gcd(den, *nums)
     if g > 1:
         nums, den = [x // g for x in nums], den // g
-    return _new(tuple(nums), den, var)
+    return _new(tuple(nums), den)
 
 
 def _check_order(order: int) -> None:
@@ -281,7 +280,7 @@ def convolve(a: Sequence[int], b: Sequence[int], start: int, stop: int) -> list[
 def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product truncated at the common order."""
     a._require_same_order(b)
-    return _normalised(convolve(a.nums, b.nums, 0, a.order), a.den * b.den, a.var)
+    return _normalised(convolve(a.nums, b.nums, 0, a.order), a.den * b.den)
 
 
 def _check_unit(series: PowerSeries) -> None:
@@ -316,7 +315,7 @@ def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
             Q = [x * (grown // E) for x in Q]
             E = grown
         Q.append(acc * (E // d))
-    return _new(tuple(Q), E, a.var)
+    return _new(tuple(Q), E)
 
 
 # kind: (dividend, kind of the divisor, constant added to the divisor)
@@ -329,9 +328,7 @@ _SHIFTED = {Kernel.UNIFORM, Kernel.SINH_OVER_ARG}
 _ZEROED_FROM = {Kernel.SINH: 0, Kernel.COSH: 1, Kernel.SINH_OVER_ARG: 1}
 
 
-def kernel(
-    kind: Kernel | str, scale: int | Fraction, order: int, var: str = "t"
-) -> PowerSeries:
+def kernel(kind: Kernel | str, scale: int | Fraction, order: int) -> PowerSeries:
     """Exact Taylor coefficients of a named kernel with scaled argument.
 
     The kinds that are not quotients are read off 1 / (n + s)!, with
@@ -342,14 +339,14 @@ def kernel(
     kind = Kernel(kind)
     if kind in _QUOTIENTS:
         top, base, shift = _QUOTIENTS[kind]
-        divisor = kernel(base, scale, order, var) + PowerSeries.constant(shift, order)
-        return ps_div(PowerSeries.constant(top, order, var), divisor)
+        divisor = kernel(base, scale, order) + PowerSeries.constant(shift, order)
+        return ps_div(PowerSeries.constant(top, order), divisor)
     s = 1 if kind in _SHIFTED else 0
     nums = list(accumulate(range(order - 1 + s, s, -1), mul, initial=1))[::-1]
     start = _ZEROED_FROM.get(kind)
     if start is not None:
         nums[start::2] = [0] * len(nums[start::2])
-    return _normalised(*_substituted(nums, factorial(order - 1 + s), scale), var)
+    return _normalised(*_substituted(nums, factorial(order - 1 + s), scale))
 
 
 def _substituted(
@@ -378,7 +375,7 @@ def geometric_resum(loop_kernel: PowerSeries) -> PowerSeries:
         raise ConstantTermError(
             "loop kernel has constant term 1; the resummation diverges"
         )
-    one = PowerSeries.one(loop_kernel.order, loop_kernel.var)
+    one = PowerSeries.one(loop_kernel.order)
     return ps_div(one, one - loop_kernel)
 
 
@@ -433,7 +430,7 @@ class _PowerChain:
         old = powers[q].nums if q < len(powers) else ()
         f = den // powers[q].den if old else 0
         new = [x * f for x in old] + convolve(prev.nums, base.nums, len(old), order)
-        return _normalised(new, den, "t")
+        return _normalised(new, den)
 
 
 # one chain per kind, so the memo never holds more than len(Kernel) chains
@@ -481,7 +478,7 @@ def kernel_power(
     kind: Kernel | str, scale: int | Fraction, p: int, order: int
 ) -> PowerSeries:
     """Memoized kernel(kind, scale, order) ** p (see kernel_power_numerators)."""
-    return _normalised(*kernel_power_numerators(kind, scale, p, order), "t")
+    return _normalised(*kernel_power_numerators(kind, scale, p, order))
 
 
 def to_csv(series: PowerSeries) -> str:

@@ -169,7 +169,7 @@ def expr_egf(expr: UmbralExpr, order: int) -> PowerSeries:
         )
         nums = convolve(nums, bn, 0, order)
         den *= bd
-    return _normalised(nums, den, "w")
+    return _normalised(nums, den)
 
 
 def split_bernoulli(expr: UmbralExpr, copy_id: int) -> UmbralExpr:

@@ -599,7 +599,9 @@ def test_quadrature_with_a_bad_tol_exits_2_at_once(capsys, monkeypatch, tol):
 
 # geometric weight ratios below 1 that round to 1.0 in double precision
 # (1 - 10^-30 and 1 - 1/(2 10^30 - 2)), and one that underflows to 0.0
-# (10^-330 / (1 + 10^-330)); the peak gate read them as 1/-log(decay)
+# (10^-330 / (1 + 10^-330)); the peak gate read them as 1/-log(decay).
+# With the last, every term after k = 0 underflows too, and the window
+# of those nonzero terms stops the sum on the envelope's ratio, 0 there
 @pytest.mark.parametrize("argv, status, k_used, exit_code", [
     (["--id", "THREE_SITES_1D_CORRECTED", "--n", "1", "--levels=1e-30,1"],
      "NOT_CONVERGED", 512, 1),
@@ -607,7 +609,10 @@ def test_quadrature_with_a_bad_tol_exits_2_at_once(capsys, monkeypatch, tol):
      "VERIFIED", 3, 0),
     (["--id", "THREE_SITES_1D_CORRECTED", "--n", "1", "--kmax", "40",
       f"--levels=1,1.{'0' * 329}1"],
-     "NOT_CONVERGED", 40, 1),
+     "VERIFIED", 4, 0),
+    (["--id", "THREE_SITES_1D_CORRECTED", "--n", "1",
+      f"--levels=1,1.{'0' * 329}1"],
+     "VERIFIED", 4, 0),
 ])
 def test_decay_rounding_to_one_or_zero_still_reports(
     capsys, argv, status, k_used, exit_code

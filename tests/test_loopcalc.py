@@ -39,7 +39,7 @@ def bessel(*levels):
 
 
 def sech_series(c, order=ORDER):
-    return ps_div(PowerSeries.one(order, "w"), kernel(Kernel.COSH, c, order, "w"))
+    return ps_div(PowerSeries.one(order), kernel(Kernel.COSH, c, order))
 
 
 # --- single moves -----------------------------------------------------------
@@ -53,7 +53,7 @@ def test_rbm_origin_to_first_level_is_sech():
 def test_bessel_origin_move_has_unit_constant_term():
     got = phi(bessel(0, 1), PhiMove(0, 1), ORDER)
     expected = ps_div(
-        PowerSeries.one(ORDER, "w"), kernel(Kernel.SINH_OVER_ARG, 1, ORDER, "w")
+        PowerSeries.one(ORDER), kernel(Kernel.SINH_OVER_ARG, 1, ORDER)
     )
     assert got == expected
     assert got.constant_term == 1
@@ -61,19 +61,19 @@ def test_bessel_origin_move_has_unit_constant_term():
 
 def test_bessel_downward_taboo_to_origin_is_zero():
     got = phi(bessel(0, 1, 2), PhiMove(1, 0, 2), ORDER)
-    assert got == PowerSeries.zero(ORDER, "w")
+    assert got == PowerSeries.zero(ORDER)
 
 
 def test_rbm_taboo_moves_match_sinh_ratios():
     system = rbm(0, F(1, 3), F(1, 2), 2)
     up = phi(system, PhiMove(2, 3, 1), ORDER)
     # sinh((a2-a1)w)/sinh((a3-a1)w)
-    num = kernel(Kernel.SINH_OVER_ARG, F(1, 6), ORDER, "w")
-    den = kernel(Kernel.SINH_OVER_ARG, F(5, 3), ORDER, "w")
+    num = kernel(Kernel.SINH_OVER_ARG, F(1, 6), ORDER)
+    den = kernel(Kernel.SINH_OVER_ARG, F(5, 3), ORDER)
     assert up == ps_div(num, den).scale(F(1, 6) / F(5, 3))
     down = phi(system, PhiMove(1, 0, 2), ORDER)
-    num = kernel(Kernel.SINH_OVER_ARG, F(1, 6), ORDER, "w")
-    den = kernel(Kernel.SINH_OVER_ARG, F(1, 2), ORDER, "w")
+    num = kernel(Kernel.SINH_OVER_ARG, F(1, 6), ORDER)
+    den = kernel(Kernel.SINH_OVER_ARG, F(1, 2), ORDER)
     assert down == ps_div(num, den).scale(F(1, 3))
 
 
@@ -117,7 +117,7 @@ def test_chain_four_sites_resummed_secant_powers():
     # (1/4) sech^3(w) / (1 - (3/4) sech^2(w))
     sech = sech_series(1)
     sech2 = ps_mul(sech, sech)
-    one = PowerSeries.one(ORDER, "w")
+    one = PowerSeries.one(ORDER)
     closed = ps_div(
         ps_mul(sech2, sech).scale(F(1, 4)),
         one - sech2.scale(F(3, 4)),
@@ -133,7 +133,7 @@ def test_chain_bessel_four_levels():
 def test_direct_forms():
     assert direct_mgf(rbm(0, 2), ORDER) == sech_series(2)
     assert direct_mgf(bessel(0, 1, 2, 3), ORDER) == ps_div(
-        PowerSeries.one(ORDER, "w"), kernel(Kernel.SINH_OVER_ARG, 3, ORDER, "w")
+        PowerSeries.one(ORDER), kernel(Kernel.SINH_OVER_ARG, 3, ORDER)
     )
     assert chain_mgf(rbm(0, F(5, 2)), ORDER) == direct_mgf(rbm(0, F(5, 2)), ORDER)
 
@@ -165,8 +165,8 @@ def test_certificate_refuses_a_denominator_it_could_not_divide_by():
     # products agree, but a zero constant term makes neither a series
     system = rbm(0, 1)
     size = (ORDER + 1) // 2
-    unit = PowerSeries.one(size, "u")
-    no_unit = PowerSeries.from_coeffs([0, 1], size, "u")
+    unit = PowerSeries.one(size)
+    no_unit = PowerSeries.from_coeffs([0, 1], size)
     moves = renewal_moves(system, ORDER)._replace(first=(unit, no_unit))
     for given in (
         (moves, (unit, no_unit)), (moves, free_pair(system, ORDER)),
@@ -217,7 +217,7 @@ def test_bessel_uniform_loop_sum_is_half_sech_squared():
     # the Bessel walk's first loop (through the origin) is the zero series
     system = bessel(0, 1, 2, 3, 4)
     zero, *kernels = adjacent_loops(system, ORDER)
-    assert zero == PowerSeries.zero(ORDER, "w")
+    assert zero == PowerSeries.zero(ORDER)
     assert len(kernels) == 2
     total = kernels[0] + kernels[1]
     sech2 = ps_mul(sech_series(1), sech_series(1))
@@ -259,8 +259,8 @@ def test_renewal_in_sech_gives_chebyshev_weights(N):
     # the recursion with H_0 = s and up = down = s/2, s = sech w: the
     # uniform 0 -> N transform sech(N w) = 1/T_N(1/s) = sum_l p_l s^l
     count = 60
-    s = PowerSeries(tuple(F(int(j == 1)) for j in range(count)), "s")
-    one = PowerSeries.one(count, "s")
+    s = PowerSeries(tuple(F(int(j == 1)) for j in range(count)))
+    one = PowerSeries.one(count)
     half = s.scale(F(1, 2))
     passage = total = s
     for _ in range(1, N):
@@ -301,20 +301,20 @@ def _w_phi(system, move, order):
     f, t, tb = move.from_level, move.to_level, move.taboo_level
 
     def ratio(kind, a, b):
-        return ps_div(kernel(kind, a, order, "w"), kernel(kind, b, order, "w"))
+        return ps_div(kernel(kind, a, order), kernel(kind, b, order))
 
     if tb is None:
         kind = Kernel.SINH_OVER_ARG if bessel_walk else Kernel.COSH
         return ratio(kind, lv[f], lv[t])
     if bessel_walk and lv[t] == 0:
-        return PowerSeries.zero(order, "w")
+        return PowerSeries.zero(order)
     near, far = abs(lv[f] - lv[tb]), abs(lv[t] - lv[tb])
     out = ratio(Kernel.SINH_OVER_ARG, near, far).scale(near / far)
     return out.scale(lv[t] / lv[f]) if bessel_walk else out
 
 
 def _w_chain(system, order):
-    one = PowerSeries.one(order, "w")
+    one = PowerSeries.one(order)
     passage = out = _w_phi(system, PhiMove(0, 1), order)
     for i in range(1, system.top_index):
         up = _w_phi(system, PhiMove(i, i + 1, i - 1), order)
@@ -351,7 +351,7 @@ def small_systems(draw):
 def test_transforms_are_even_and_equal_their_w_series(system, order):
     def check(got, want):
         assert got == want
-        assert got.var == "w" and got.order == order
+        assert got.order == order
         assert not any(got.nums[1::2])
 
     for move in _legal_moves(system.top_index):
@@ -409,7 +409,7 @@ def _exit_up(walk, a, r, b):
 @given(linear_systems(), st.integers(min_value=1, max_value=16))
 def test_renewal_loops_resum_to_the_free_move(system, order):
     start, loops = renewal_loops(system, order)
-    one = PowerSeries.one(order, "w")
+    one = PowerSeries.one(order)
     denominator = one
     for loop in loops:
         denominator = denominator - loop

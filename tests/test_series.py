@@ -30,7 +30,7 @@ def ps_pow(a, k):
     """Reference power by binary powering with ps_mul; a**0 is the unit series."""
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-    result = PowerSeries.one(a.order, a.var)
+    result = PowerSeries.one(a.order)
     base = a
     while k:
         if k & 1:
@@ -213,9 +213,9 @@ def test_kernel_power_builds_the_kernel_once_per_memo_key(monkeypatch):
 
     built = []
 
-    def counting_kernel(kind, scale, order, var="t"):
+    def counting_kernel(kind, scale, order):
         built.append((kind, scale, order))
-        return kernel(kind, scale, order, var)
+        return kernel(kind, scale, order)
 
     scales = (F(31, 977), F(-2, 5), F(1))
     bases = [kernel(Kernel.EULER, c, 5) for c in scales]
@@ -421,8 +421,8 @@ def test_kernel_power_equals_fraction_reference(kind, c, p, order):
 def test_equal_values_in_different_forms_are_equal_and_hash_equal():
     half = PowerSeries((F(1, 2), 0, F(-3, 4)))
     forms = [
-        PowerSeries(("1/2", "0", "-3/4"), "w"),
-        PowerSeries.from_coeffs([F(2, 4), 0, F(-6, 8)], 3, "s"),
+        PowerSeries(("1/2", "0", "-3/4")),
+        PowerSeries.from_coeffs([F(2, 4), 0, F(-6, 8)], 3),
         half.scale(6).scale(F(1, 6)),
         (half + half) - half,
         -(-half),
@@ -436,7 +436,7 @@ def test_equal_values_in_different_forms_are_equal_and_hash_equal():
         assert (form.nums, form.den) == ((2, 0, -3), 4)
     assert len({half, *forms}) == 1
     assert kernel(Kernel.EXP, 0, 4) == PowerSeries.one(4)
-    assert hash(PowerSeries.zero(3)) == hash(PowerSeries((0, 0, 0), "w"))
+    assert hash(PowerSeries.zero(3)) == hash(PowerSeries((0, 0, 0)))
     assert PowerSeries.one(3) != PowerSeries.one(4)
 
 
